@@ -111,13 +111,28 @@ def is_hermitian(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
     return bool(np.max(np.abs(matrix - matrix.conj().T)) <= atol)
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of the last two axes, broadcast over leading axes.
+
+    Every entry is the single product a[.., i, j] * b[.., k, l], laid out as
+    np.kron lays it out, so 2-D results are bit-identical to np.kron.
+    """
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], m * p, n * q)
+
+
 def tensor(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product with the first argument's indices most significant."""
     if not ops:
         raise ValueError("tensor() needs at least one operator")
-    out = np.asarray(ops[0], dtype=complex)
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+    arrays = [np.asarray(op, dtype=complex) for op in ops]
+    for array in arrays:
+        if array.ndim != 2:
+            raise ValueError(f"tensor() operands must be 2-D matrices; got shape {array.shape}")
+    out = arrays[0]
+    for array in arrays[1:]:
+        out = _kron(out, array)
     return out
 
 
@@ -171,7 +186,7 @@ def embed_operator(op: np.ndarray, layout: SubsystemLayout, acting_on: Sequence[
         built_order = positions
     else:
         rest_dim = int(np.prod([layout.dims[p] for p in rest]))
-        built = np.kron(op, np.eye(rest_dim))
+        built = _kron(op, np.eye(rest_dim))
         built_order = positions + rest
     dims_built = [layout.dims[p] for p in built_order]
     perm = [built_order.index(k) for k in range(len(layout.factors))]

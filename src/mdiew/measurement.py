@@ -121,14 +121,13 @@ def averaged_channel(rho: DensityOperator, lam: float) -> DensityOperator:
         raise ValueError("averaged_channel expects a two-factor shared state")
     lam = _check_lambda(lam)
     omegas = input_ensemble("omega")
+    layout = rho.layout.concat(omegas.states[0].layout)
     measured = (rho.labels[1], omegas.states[0].labels[0])
-    total = np.zeros((rho.layout.dim * 2,) * 2, dtype=complex)
-    layout = None
+    krauses = [embed_operator(effect_sqrt(lam, outcome), layout, measured) for outcome in OUTCOMES]
+    total = np.zeros((layout.dim,) * 2, dtype=complex)
     for weight, omega in zip(omegas.prior, omegas.states):
         eta = tensor_states(rho, omega)
-        layout = eta.layout
-        for outcome in OUTCOMES:
-            kraus = embed_operator(effect_sqrt(lam, outcome), eta.layout, measured)
+        for kraus in krauses:
             total += weight * (kraus @ eta.matrix @ kraus)
     averaged = DensityOperator(total, layout, validate=False)
     return partial_trace(averaged, rho.labels)

@@ -268,6 +268,23 @@ def _refine_boundary(alpha: float, level: int, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@functools.lru_cache(maxsize=64)
+def _count_grid(alpha: float, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """(lams, counts) on the sharpness grid at `step`; read-only, shared by callers."""
+    lams = _lambda_grid(step)
+    counts = _counts_on_grid(alpha, lams)
+    lams.flags.writeable = False
+    counts.flags.writeable = False
+    return lams, counts
+
+
+def _true_runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Inclusive (first, last) index pairs of the maximal runs of True in `mask`."""
+    padded = np.concatenate(([False], mask, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
+
+
 @functools.lru_cache(maxsize=128)
 def _superlevel_runs(alpha: float, level: int, step: float) -> tuple[tuple[float, float], ...]:
     """Maximal intervals of {lam in (1/3, 1] : count(lam) >= level}.
@@ -275,22 +292,13 @@ def _superlevel_runs(alpha: float, level: int, step: float) -> tuple[tuple[float
     Grid scan at `step` resolution, endpoints bisection-refined to 1e-6.
     Features narrower than the scan step can be missed by construction.
     """
-    lams = _lambda_grid(step)
-    satisfied = _counts_on_grid(alpha, lams) >= level
+    lams, counts = _count_grid(alpha, step)
+    last = len(lams) - 1
     runs: list[tuple[float, float]] = []
-    n = len(lams)
-    i = 0
-    while i < n:
-        if not satisfied[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and satisfied[j + 1]:
-            j += 1
+    for i, j in _true_runs(counts >= level):
         lo = LAMBDA_WINDOW[0] if i == 0 else _refine_boundary(alpha, level, lams[i - 1], lams[i])
-        hi = lams[j] if j == n - 1 else _refine_boundary(alpha, level, lams[j], lams[j + 1])
+        hi = lams[j] if j == last else _refine_boundary(alpha, level, lams[j], lams[j + 1])
         runs.append((lo, hi))
-        i = j + 1
     return tuple(runs)
 
 
@@ -306,7 +314,7 @@ def n_max_over_lambda(alpha: float, step: float = 1e-3) -> tuple[int, list[tuple
     """
     if step > 1e-3:
         raise ValueError(f"grid step must be at most 1e-3; got {step}")
-    counts = _counts_on_grid(alpha, _lambda_grid(step))
+    _, counts = _count_grid(alpha, step)
     best = int(counts.max())
     if best == 0:
         return 0, []
@@ -327,7 +335,7 @@ def lambda_range(alpha: float, n: int, step: float = 1e-4) -> float:
 
 def lambda_range_table(alpha: float, step: float = 1e-4) -> list[tuple[int, float]]:
     """(n, lambda_range) for every achievable count of this state."""
-    counts = _counts_on_grid(alpha, _lambda_grid(step))
+    _, counts = _count_grid(alpha, step)
     best = int(counts.max())
     return [(n, lambda_range(alpha, n, step)) for n in range(1, best + 1)]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityOperator, is_hermitian, tensor
+from .linalg import DensityOperator, _kron, is_hermitian, tensor
 from .measurement import bell_projector, unsharp_pair
 from .states import InputEnsemble, input_ensemble, werner_strength
 
@@ -84,15 +84,18 @@ def mdi_ew_numeric(rho: DensityOperator, beta: WitnessCoefficients, lam: float) 
     """Witness payoff by the full 16-dimensional trace."""
     if rho.dims != (2, 2):
         raise ValueError(f"witness expects a two-qubit state; layout dims {rho.dims}")
-    taus = input_ensemble("tau")
-    omegas = input_ensemble("omega")
+    taus = np.stack([state.matrix for state in input_ensemble("tau").states])
+    omegas = np.stack([state.matrix for state in input_ensemble("omega").states])
     op = tensor(bell_projector(), unsharp_pair(lam).plus)
+    # etas[s, t] = tau_s (x) rho (x) omega_t, each a full 16x16 operator.
+    etas = _kron(_kron(taus, rho.matrix)[:, None], omegas)
+    traces = np.trace(op @ etas, axis1=2, axis2=3).real
+    # Row-major accumulation, one pair at a time: a contraction over (s, t)
+    # would reorder the sum and move the result in its last bits.
     value = 0.0
     for s in range(4):
-        tau = taus.states[s].matrix
         for t in range(4):
-            eta = tensor(tau, rho.matrix, omegas.states[t].matrix)
-            value += beta.beta[s, t] * np.trace(op @ eta).real
+            value += beta.beta[s, t] * traces[s, t]
     return WitnessValue(float(value), float(lam))
 
 

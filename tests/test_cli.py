@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -119,6 +120,26 @@ def test_byte_identical_reruns(tmp_path):
     assert cli.main(vargs + ["--out", str(jf)]) == 0
     assert cli.main(vargs + ["--out", str(js)]) == 0
     assert jf.read_bytes() == js.read_bytes()
+
+
+# sha256 of the default-grid CSV on stdout.  Refactors keep these bytes; a
+# change that makes a figure more exact updates its hash and says by how much
+# in CHANGES.md.
+GOLDEN_FIGURE_SHA256 = {
+    ("fig1",): "efbeaf9368b6e4c71ff8e71e237c72b424798aa84d5c2a9777c8a2723ea13d6d",
+    ("fig2", "--entanglement", "1.0"):
+        "f1dc575b63b858f361411cd82b6335c30dcb177b0a9237a02414c5e558caa4c5",
+    ("fig2", "--entanglement", "0.935"):
+        "cb6827e5a02d49c836f6d4a3afe169564e988f96cc9c5dc3c121174ce2a8c01c",
+    ("fig3",): "a5fccfd39399d5b6a95a59a50697287605cfab92105a119fa1e03e6209f5db41",
+}
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_FIGURE_SHA256), ids=" ".join)
+def test_figure_stdout_matches_golden_hash(args, capsys):
+    assert cli.main(list(args)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FIGURE_SHA256[args]
 
 
 def test_verify_reports_pass(tmp_path, capsys):

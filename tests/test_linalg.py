@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mdiew.linalg import (
     DensityOperator,
     SubsystemLayout,
+    _kron,
     embed_operator,
     herm_sqrt,
     min_eigenvalue,
@@ -98,6 +100,69 @@ def test_tensor_associative(seed):
     # generic floats agree up to rounding of the reassociated products
     x, y, z = (random_hermitian(rng, 2) for _ in range(3))
     assert np.abs(tensor(tensor(x, y), z) - tensor(x, tensor(y, z))).max() < 1e-14
+
+
+matrix_shapes = st.tuples(st.integers(1, 4), st.integers(1, 4))
+finite = {"allow_nan": False, "allow_infinity": False}
+real_matrices = hnp.arrays(np.float64, matrix_shapes,
+                           elements=st.floats(-1e6, 1e6, **finite))
+complex_matrices = hnp.arrays(np.complex128, matrix_shapes,
+                              elements=st.complex_numbers(max_magnitude=1e6, **finite))
+matrices = st.one_of(real_matrices, complex_matrices)
+
+
+@given(matrices, matrices)
+@example(np.array([[2.0 - 1.0j]]), SX)
+@example(SX, np.array([[2.0 - 1.0j]]))
+@example(np.array([[3.0]]), np.array([[-0.5]]))
+def test_kron_helper_is_bit_identical_to_np_kron(a, b):
+    got = _kron(a, b)
+    want = np.kron(a, b)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(tensor(a, b), np.kron(a.astype(complex), b.astype(complex)))
+
+
+@given(complex_matrices, complex_matrices, complex_matrices)
+def test_tensor_of_three_is_bit_identical_to_nested_np_kron(a, b, c):
+    assert np.array_equal(tensor(a, b, c), np.kron(np.kron(a, b), c))
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_kron_helper_broadcasts_over_leading_axes_bit_exactly(seed):
+    rng = np.random.default_rng(seed)
+    left = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    middle = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    right = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+    stack = _kron(_kron(left, middle)[:, None], right)
+    assert stack.shape == (3, 5, 16, 16)
+    for s in range(3):
+        for t in range(5):
+            assert np.array_equal(stack[s, t], np.kron(np.kron(left[s], middle), right[t]))
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([1.0, 0.0]),                 # vector
+    np.array(1.0),                        # scalar
+    np.zeros((2, 2, 2)),                  # stack of matrices
+])
+def test_tensor_rejects_non_matrix_operands(bad):
+    with pytest.raises(ValueError, match="2-D"):
+        tensor(SX, bad)
+    with pytest.raises(ValueError, match="2-D"):
+        tensor(bad, SX)
+    with pytest.raises(ValueError, match="2-D"):
+        tensor(bad)
+
+
+def test_embed_operator_is_bit_identical_to_np_kron_route(rng):
+    layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))
+    op = random_hermitian(rng, 4)
+    assert np.array_equal(embed_operator(op, layout, ["A", "B"]), np.kron(op, I2))
+    assert np.array_equal(embed_operator(op, layout, ["B", "C"]),
+                          permute_subsystems(np.kron(op, I2),
+                                             SubsystemLayout((("B", 2), ("C", 2), ("A", 2))),
+                                             (2, 0, 1)))
 
 
 def test_tensor_states_concatenates_layouts(rng):

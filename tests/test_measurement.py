@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mdiew.linalg import (
     DensityOperator,
     SubsystemLayout,
+    embed_operator,
     herm_sqrt,
     min_eigenvalue,
     partial_trace,
@@ -13,6 +14,7 @@ from mdiew.linalg import (
     tensor_states,
 )
 from mdiew.measurement import (
+    OUTCOMES,
     DegenerateOutcomeError,
     averaged_channel,
     bell_projector,
@@ -22,7 +24,8 @@ from mdiew.measurement import (
     unsharp_pair,
 )
 from mdiew.protocol import f_of_lambda
-from mdiew.states import ALPHA_MAX, input_state, psi_alpha, werner_alpha
+from mdiew.states import ALPHA_MAX, input_ensemble, input_state, psi_alpha, werner_alpha
+from mdiew.verify import random_separable_two_qubit
 
 from conftest import random_density_matrix
 
@@ -214,3 +217,31 @@ def test_nonselective_sharp_step_halves_the_weight():
     # full averaging at lam=1 on the pure maximally entangled state
     out = averaged_channel(werner_alpha(1.0, ALPHA_MAX), 1.0)
     assert np.abs(out.matrix - werner_alpha(0.5, ALPHA_MAX).matrix).max() < 1e-12
+
+
+def _eight_embed_channel(rho, lam):
+    """Reference: the channel with both Kraus operators embedded anew for every input."""
+    omegas = input_ensemble("omega")
+    measured = (rho.labels[1], omegas.states[0].labels[0])
+    total = np.zeros((rho.layout.dim * 2,) * 2, dtype=complex)
+    layout = None
+    for weight, omega in zip(omegas.prior, omegas.states):
+        eta = tensor_states(rho, omega)
+        layout = eta.layout
+        for outcome in OUTCOMES:
+            kraus = embed_operator(effect_sqrt(lam, outcome), eta.layout, measured)
+            total += weight * (kraus @ eta.matrix @ kraus)
+    return partial_trace(DensityOperator(total, layout, validate=False), rho.labels)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0])
+def test_channel_is_bit_identical_to_eight_embed_loop(lam):
+    rng = np.random.default_rng(11)
+    inputs = [werner_alpha(q, alpha) for q in (0.25, 1.0) for alpha in (0.2, ALPHA_MAX)]
+    inputs += [random_separable_two_qubit(rng) for _ in range(4)]
+    inputs.append(DensityOperator(random_density_matrix(rng, 4), inputs[0].layout))
+    for rho in inputs:
+        got = averaged_channel(rho, lam)
+        want = _eight_embed_channel(rho, lam)
+        assert got.labels == want.labels
+        assert np.array_equal(got.matrix, want.matrix)

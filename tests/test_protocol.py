@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mdiew import protocol
 from mdiew.linalg import negativity as negativity_oracle
 from mdiew.measurement import averaged_channel
 from mdiew.protocol import (
+    LAMBDA_WINDOW,
     POLICY_EQUAL,
     POLICY_THRESHOLD,
     boundary_alpha_for_n,
@@ -250,6 +252,88 @@ def test_lambda_range_covers_full_window_with_failures():
 def test_two_observer_range_includes_sharp_endpoint():
     assert equal_sharpness_count(ALPHA_MAX, 1.0) == 2
     assert lambda_range(ALPHA_MAX, 2) > 0.0
+
+
+def _scan_runs(mask):
+    """Reference: inclusive (first, last) runs of True by an element-by-element scan."""
+    runs = []
+    n = len(mask)
+    i = 0
+    while i < n:
+        if not mask[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and mask[j + 1]:
+            j += 1
+        runs.append((i, j))
+        i = j + 1
+    return runs
+
+
+@pytest.mark.parametrize("mask", [
+    [],
+    [True],
+    [False],
+    [True] * 7,
+    [False] * 7,
+    [True, False] * 5,                          # alternating, starts true
+    [False, True] * 5,                          # alternating, ends true
+    [False, True, False, False, True, False],   # single-point runs inside
+    [True, True, False, True],                  # runs touching both ends
+    [True, False, False, True, True],
+    [False, False, True, True, True, False],
+])
+def test_true_runs_match_python_scan_on_edge_cases(mask):
+    assert protocol._true_runs(np.array(mask, dtype=bool)) == _scan_runs(mask)
+
+
+@given(st.lists(st.booleans(), max_size=60))
+def test_true_runs_match_python_scan(mask):
+    got = protocol._true_runs(np.array(mask, dtype=bool))
+    assert got == _scan_runs(mask)
+    assert all(type(i) is int and type(j) is int for i, j in got)
+
+
+def _scanned_superlevel_runs(alpha, level, step):
+    """Reference: the superlevel runs by a per-element scan of a freshly computed grid."""
+    refine = protocol._refine_boundary
+    lams = protocol._lambda_grid(step)
+    satisfied = protocol._counts_on_grid(alpha, lams) >= level
+    last = len(lams) - 1
+    runs = []
+    for i, j in _scan_runs(list(satisfied)):
+        lo = LAMBDA_WINDOW[0] if i == 0 else refine(alpha, level, lams[i - 1], lams[i])
+        hi = lams[j] if j == last else refine(alpha, level, lams[j], lams[j + 1])
+        runs.append((lo, hi))
+    return tuple(runs)
+
+
+@pytest.mark.parametrize("entropy", [1.0, 0.935, 0.6])
+def test_superlevel_runs_match_element_scan(entropy):
+    alpha = alpha_from_entanglement(entropy)
+    for level in range(0, 8):
+        got = protocol._superlevel_runs(alpha, level, 1e-3)
+        want = _scanned_superlevel_runs(alpha, level, 1e-3)
+        assert got == want
+        assert [tuple(map(type, run)) for run in got] == [tuple(map(type, run)) for run in want]
+
+
+def test_count_grid_is_computed_once_per_alpha_and_step():
+    alpha = alpha_from_entanglement(0.8)
+    step = 1e-3
+    protocol._count_grid.cache_clear()
+    protocol._superlevel_runs.cache_clear()
+    table = lambda_range_table(alpha, step)
+    best, _ = n_max_over_lambda(alpha, step)
+    assert best == len(table)
+    info = protocol._count_grid.cache_info()
+    assert info.misses == 1 and info.hits >= len(table)
+    lams, counts = protocol._count_grid(alpha, step)
+    assert np.array_equal(lams, protocol._lambda_grid(step))
+    assert np.array_equal(counts, protocol._counts_on_grid(alpha, lams))
+    with pytest.raises(ValueError, match="read-only"):
+        counts[0] = 99
 
 
 # --- negativity bookkeeping -----------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdiew.linalg import DensityOperator, SubsystemLayout, tensor
+from mdiew.measurement import bell_projector, unsharp_pair
 from mdiew.states import (
     ALPHA_MAX,
     input_ensemble,
@@ -82,6 +83,37 @@ def test_numeric_uses_single_probabilities():
     total = sum(beta.beta[s, t] * joint_success_probability(rho, lam, s, t)
                 for s in range(4) for t in range(4))
     assert mdi_ew_numeric(rho, beta, lam).value == pytest.approx(total, abs=1e-14)
+
+
+def _per_pair_loop_payoff(rho, beta, lam):
+    """Reference: one np.kron-built 16x16 operator and trace per (s, t) pair."""
+    taus = input_ensemble("tau")
+    omegas = input_ensemble("omega")
+    op = np.kron(bell_projector(), unsharp_pair(lam).plus)
+    value = 0.0
+    for s in range(4):
+        tau = taus.states[s].matrix
+        for t in range(4):
+            eta = np.kron(np.kron(tau, rho.matrix), omegas.states[t].matrix)
+            value += beta.beta[s, t] * np.trace(op @ eta).real
+    return float(value)
+
+
+def _reference_states():
+    rng = np.random.default_rng(20241017)
+    werner = [werner_alpha(q, alpha) for q in (0.0, 0.4, 1.0) for alpha in (0.2, ALPHA_MAX)]
+    werner += [werner_alpha(rng.uniform(), rng.uniform(0.0, ALPHA_MAX)) for _ in range(6)]
+    return werner + [random_separable_two_qubit(rng) for _ in range(12)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0 / 3.0, 0.5, 1.0])
+def test_numeric_is_bit_identical_to_per_pair_loop(lam):
+    beta = werner_beta()
+    rng = np.random.default_rng(7)
+    tables = [beta, WitnessCoefficients(rng.standard_normal((4, 4)))]
+    for rho in _reference_states():
+        for table in tables:
+            assert mdi_ew_numeric(rho, table, lam).value == _per_pair_loop_payoff(rho, table, lam)
 
 
 def test_numeric_rejects_wrong_layout(rng):
