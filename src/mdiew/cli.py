@@ -174,26 +174,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sequential measurement-device-independent entanglement witnessing.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, state: bool = False) -> None:
+    def add_common(p: argparse.ArgumentParser, state: bool = False,
+                   grid: bool = False) -> None:
         if state:
             group = p.add_mutually_exclusive_group()
             group.add_argument("--alpha", type=float,
                                help="pure-state amplitude in (0, 1/sqrt(2)]")
             group.add_argument("--entanglement", type=float,
                                help="initial entanglement in ebits, in (0, 1]")
-        p.add_argument("--grid-step", type=float, dest="grid_step")
+        if grid:
+            p.add_argument("--grid-step", type=float, dest="grid_step")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
 
     p_fig1 = sub.add_parser("fig1", help="threshold-policy count vs entanglement")
-    add_common(p_fig1)
+    add_common(p_fig1, grid=True)
 
     p_fig2 = sub.add_parser("fig2", help="equal-sharpness count vs common sharpness")
-    add_common(p_fig2, state=True)
+    add_common(p_fig2, state=True, grid=True)
 
     p_fig3 = sub.add_parser("fig3", help="sharpness ranges vs entanglement")
-    add_common(p_fig3)
+    add_common(p_fig3, grid=True)
 
     p_run = sub.add_parser("run", help="trace one protocol run")
     add_common(p_run, state=True)
@@ -205,6 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the oracle and property suite")
     add_common(p_verify)
+    p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
 
     return parser
 
@@ -234,10 +236,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         entanglement=getattr(args, "entanglement", None),
         lam=getattr(args, "lam", None),
         margin=getattr(args, "margin", None),
-        grid_step=args.grid_step,
+        grid_step=getattr(args, "grid_step", None),
         out=args.out,
         fmt=args.format,
-        seed=args.seed,
+        seed=getattr(args, "seed", verify.DEFAULT_SEED),
     )
     try:
         if args.command == "fig1":

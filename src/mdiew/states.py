@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .linalg import DensityOperator, SubsystemLayout
 
@@ -26,6 +25,7 @@ BOB = "B"
 BOB_INPUT = "B'"
 
 ALPHA_MAX = 2 ** -0.5
+_LN2 = math.log(2.0)
 
 PAULI = (
     np.eye(2, dtype=complex),
@@ -146,15 +146,62 @@ def entanglement_entropy(alpha: float) -> float:
 def _binary_entropy(x: float) -> float:
     if x <= 0.0 or x >= 1.0:
         return 0.0
-    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+    return -x * math.log2(x) - (1.0 - x) * math.log1p(-x) / _LN2
+
+
+def _increasing_root(func, upper: float) -> float:
+    """Root in (0, upper] of an increasing func with func(upper) >= 0.
+
+    func(x) returns (value, slope).  Newton steps start at `upper`; a step
+    that leaves the bracket kept around the root is replaced by bisection.
+    """
+    lower, x = 0.0, upper
+    for _ in range(200):
+        value, slope = func(x)
+        if value < 0.0:
+            lower = x
+        else:
+            upper = x
+        step = value / slope
+        if abs(step) <= 4e-16 * x:
+            return x - step
+        x = x - step if lower < x - step < upper else 0.5 * (lower + upper)
+    return x
 
 
 def alpha_from_entanglement(entropy: float) -> float:
-    """Inverse of entanglement_entropy on (0, 1]."""
+    """Inverse of entanglement_entropy on (0, 1], to within a few ulps of alpha.
+
+    Below E = 1/2 the unknown is alpha itself: sqrt(E ln 2) = alpha sqrt(h)
+    with h = -2 log(alpha) - (1 - t) log1p(-t) / t and t = alpha^2, the
+    entropy in nats over t.  This holds even where t underflows.  From
+    E = 1/2 up the unknown is y = 1 - 2 alpha^2, and the exact gap is
+    1 - E = (2 y atanh(y) + log1p(-y^2)) / (2 ln 2).  This stays well
+    conditioned at alpha^2 = 1/2, where the entropy is flat.  Both starting
+    points lie above the root: sqrt(E ln 2) >= alpha and
+    sqrt(2 ln 2 (1 - E)) >= y.
+    """
     entropy = float(entropy)
     if not 0.0 < entropy <= 1.0:
         raise ValueError(f"entanglement must lie in (0, 1]; got {entropy}")
     if entropy == 1.0:
         return ALPHA_MAX
-    x = brentq(lambda t: _binary_entropy(t) - entropy, 1e-300, 0.5, xtol=1e-15)
-    return math.sqrt(x)
+    if entropy < 0.5:
+        target = math.sqrt(entropy) * math.sqrt(_LN2)
+
+        def sqrt_entropy(alpha):
+            t = alpha * alpha
+            log_alpha = math.log(alpha)
+            log1p_t = math.log1p(-t)
+            root_h = math.sqrt(-2.0 * log_alpha - (1.0 - t) * (log1p_t / t if t else -1.0))
+            return alpha * root_h - target, (log1p_t - 2.0 * log_alpha) / root_h
+
+        return _increasing_root(sqrt_entropy, target)
+    gap = 1.0 - entropy
+
+    def entropy_gap(y):
+        atanh = math.atanh(y)
+        return (2.0 * y * atanh + math.log1p(-y * y)) / (2.0 * _LN2) - gap, atanh / _LN2
+
+    y = _increasing_root(entropy_gap, math.sqrt(2.0 * _LN2 * gap))
+    return math.sqrt(0.5 * (1.0 - y))

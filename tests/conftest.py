@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -26,3 +27,32 @@ def random_density_matrix(rng, dim):
 def random_hermitian(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2
+
+
+def mp_alpha_from_entanglement(entropy):
+    """alpha with H(alpha^2) = entropy, as a 50-digit mpmath number.
+
+    The unknown is u = log(alpha^2), so alpha^2 far below the float range is
+    no problem, and (1 - x) log(1 - x) uses log1p: at 50 digits without it
+    the term loses x entirely below x ~ 1e-50.  Forty bisection halvings on
+    u in [-800, -log 2] bracket the unique root; the secant method then
+    polishes it, and findroot raises unless the residual is at working
+    precision.
+    """
+    with mpmath.workdps(50):
+        target = mpmath.mpf(entropy)
+        if target == 1:
+            return mpmath.sqrt(mpmath.mpf(1) / 2)
+
+        def excess(u):
+            x = mpmath.exp(u)
+            return (-x * u - (1 - x) * mpmath.log1p(-x)) / mpmath.log(2) - target
+
+        lo, hi = mpmath.mpf(-800), -mpmath.log(2)
+        for _ in range(40):
+            mid = (lo + hi) / 2
+            if excess(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return mpmath.exp(mpmath.findroot(excess, (lo, hi)) / 2)

@@ -1,10 +1,18 @@
 import csv
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
+import mpmath
 import pytest
 
+import mdiew
 from mdiew import cli, verify
+
+from conftest import mp_alpha_from_entanglement
 
 ALPHA_MAX = 2 ** -0.5
 
@@ -124,9 +132,11 @@ def test_byte_identical_reruns(tmp_path):
 
 # sha256 of the default-grid CSV on stdout.  Refactors keep these bytes; a
 # change that makes a figure more exact updates its hash and says by how much
-# in CHANGES.md.
+# in CHANGES.md.  fig1 was re-pinned when the exact entropy inverse moved its
+# E = 0.0005 row to the correctly rounded alpha (see
+# test_fig1_small_entanglement_row_matches_mpmath).
 GOLDEN_FIGURE_SHA256 = {
-    ("fig1",): "efbeaf9368b6e4c71ff8e71e237c72b424798aa84d5c2a9777c8a2723ea13d6d",
+    ("fig1",): "180587811f426deaf71f9e1fc92198ca129d89a28f1e30006ef52b1403ff53a8",
     ("fig2", "--entanglement", "1.0"):
         "f1dc575b63b858f361411cd82b6335c30dcb177b0a9237a02414c5e558caa4c5",
     ("fig2", "--entanglement", "0.935"):
@@ -176,11 +186,42 @@ def test_stdout_default(capsys):
     ["fig1", "--grid-step", "0"],
     ["fig1", "--format", "yaml"],
     ["bogus"],
+    ["run", "--alpha", "0.5", "--seed", "3"],            # --seed is verify's only
+    ["fig1", "--seed", "3"],
+    ["run", "--alpha", "0.5", "--grid-step", "0.1"],     # --grid-step is the figures' only
+    ["verify", "--grid-step", "0.1"],
 ])
 def test_usage_errors_exit_two(args):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(args)
     assert excinfo.value.code == 2
+
+
+def test_tiny_entanglement_runs(tmp_path):
+    out = tmp_path / "trace.json"
+    assert cli.main(["run", "--entanglement", "1e-300", "--format", "json",
+                     "--out", str(out)]) == 0
+    alpha = json.loads(out.read_text())["params"]["alpha"]
+    assert alpha == float(mpmath.nstr(mp_alpha_from_entanglement(1e-300), 12))
+
+
+def test_fig1_small_entanglement_row_matches_mpmath(capsys):
+    assert cli.main(["fig1"]) == 0
+    rows = csv.DictReader(capsys.readouterr().out.splitlines())
+    row = next(r for r in rows if r["e_alpha"] == "0.0005")
+    assert row["alpha"] == mpmath.nstr(mp_alpha_from_entanglement(0.0005), 12)
+
+
+def test_import_does_not_load_scipy():
+    # a fresh interpreter, so modules imported by other tests do not count
+    env = dict(os.environ)
+    src = str(pathlib.Path(mdiew.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, mdiew.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_unwritable_path_is_usage_error(tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mdiew.linalg import min_eigenvalue, partial_transpose, tensor
@@ -20,7 +20,7 @@ from mdiew.states import (
     werner_strength,
 )
 
-from conftest import random_hermitian
+from conftest import mp_alpha_from_entanglement, random_hermitian
 
 alphas = st.floats(0.01, ALPHA_MAX)
 qs = st.floats(0.0, 1.0)
@@ -208,3 +208,36 @@ def test_entropy_range_errors():
 def test_werner_strength_spot_values():
     assert werner_strength(ALPHA_MAX) == pytest.approx(3.0, abs=1e-12)
     assert werner_strength(0.1) == pytest.approx(1.0 + 0.4 * math.sqrt(0.99), abs=1e-15)
+
+
+# E log-uniform in [1e-300, 1/2], and 1 - E log-uniform in [1e-16, 1/2].
+entropies = st.one_of(
+    st.floats(-300.0, math.log10(0.5)).map(lambda k: 10.0 ** k),
+    st.floats(-16.0, math.log10(0.5)).map(lambda k: 1.0 - 10.0 ** k),
+)
+
+
+@given(entropies)
+@example(1e-300)
+@example(1e-16)
+@example(1e-14)
+@example(0.0005)
+@example(0.5)
+@example(0.935)
+@example(math.nextafter(1.0, 0.0))
+@example(1.0)
+@example(5e-324)  # smallest subnormal: alpha^2 underflows, alpha does not
+def test_alpha_from_entanglement_matches_mpmath_root(entropy):
+    reference = mp_alpha_from_entanglement(entropy)
+    assert abs((alpha_from_entanglement(entropy) - reference) / reference) <= 1e-15
+
+
+@given(entropies)
+@example(1e-300)
+@example(math.nextafter(1.0, 0.0))
+def test_entropy_of_inverse_round_trips(entropy):
+    # alpha is within 1e-15 relative (above), squaring doubles that, and
+    # the entropy's slope in log x is at most 1: 2e-15 plus a few roundings.
+    back = entanglement_entropy(alpha_from_entanglement(entropy))
+    assert abs(back - entropy) <= 3e-15 * entropy
+
