@@ -40,7 +40,6 @@ from .protocol import (
     f_of_lambda,
     lambda_range,
     lambda_range_table,
-    max_bobs_vs_entanglement,
     n_max_over_lambda,
     negativity_walpha,
     run_equal_sharpness,

@@ -30,7 +30,6 @@ FIG1_DEFAULT_STEP = 0.0005
 FIG2_DEFAULT_STEP = 0.001
 FIG3_DEFAULT_STEP = 0.01
 FIG3_E_MIN = 0.5
-FIG3_LAMBDA_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -101,10 +100,9 @@ def cmd_fig1(config: RunConfig) -> int:
     step = config.grid_step if config.grid_step is not None else FIG1_DEFAULT_STEP
     count = int(1.0 / step)
     entropies = [step * k for k in range(1, count + 1) if step * k <= 1.0]
-    rows = []
-    for entropy in entropies:
-        alpha = states.alpha_from_entanglement(entropy)
-        rows.append((alpha, entropy, protocol.threshold_success_count(alpha)))
+    alphas = [states.alpha_from_entanglement(entropy) for entropy in entropies]
+    counts = protocol.threshold_success_count(alphas).tolist()
+    rows = list(zip(alphas, entropies, counts))
     boundary_alpha, boundary_e = protocol.boundary_alpha_for_n(14)
     boundary_row = (boundary_alpha, boundary_e,
                     protocol.threshold_success_count(boundary_alpha))
@@ -132,7 +130,7 @@ def cmd_fig3(config: RunConfig) -> int:
     max_n = 0
     for entropy in entropies:
         alpha = states.alpha_from_entanglement(entropy)
-        table = dict(protocol.lambda_range_table(alpha, FIG3_LAMBDA_STEP))
+        table = dict(protocol.lambda_range_table(alpha))
         tables.append((entropy, table))
         max_n = max(max_n, max(table, default=0))
     rows = []
@@ -140,8 +138,7 @@ def cmd_fig3(config: RunConfig) -> int:
         for n in range(1, max_n + 1):
             rows.append((entropy, n, table.get(n, 0.0)))
     _write_table(config, ("e_alpha", "n", "delta_lambda_n"), rows,
-                 {"e_min": FIG3_E_MIN, "grid_step": step,
-                  "lambda_step": FIG3_LAMBDA_STEP})
+                 {"e_min": FIG3_E_MIN, "grid_step": step})
     return 0
 
 

@@ -16,11 +16,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
-
 import numpy as np
 
-from .states import alpha_from_entanglement, entanglement_entropy, werner_strength
+from .states import _increasing_root, alpha_from_entanglement, werner_strength
 from .witness import DETECTION_THRESHOLD, mdi_ew_closed_form_unsharp, threshold_lambda
 
 # An exact-threshold measurement leaves the payoff at exactly zero, which the
@@ -29,7 +27,6 @@ from .witness import DETECTION_THRESHOLD, mdi_ew_closed_form_unsharp, threshold_
 FEASIBILITY_TOL = 1e-12
 
 LAMBDA_WINDOW = (1.0 / 3.0, 1.0)
-ENDPOINT_REFINE_TOL = 1e-6
 
 POLICY_THRESHOLD = "threshold"
 POLICY_EQUAL = "equal-sharpness"
@@ -73,10 +70,15 @@ def f_of_lambda(lam: float) -> float:
 
 
 def negativity_walpha(q: float, alpha: float) -> float:
-    """Closed-form negativity max{(q c - 1)/4, 0} of the noisy pair."""
+    """Closed-form negativity max{(q c - 1)/4, 0} of the noisy pair.
+
+    Evaluated as q alpha sqrt(1 - alpha^2) - (1 - q)/4, which keeps its
+    relative accuracy for tiny alpha, where q c - 1 rounds away.
+    """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1]; got {q}")
-    return max((q * werner_strength(alpha) - 1.0) / 4.0, 0.0)
+    werner_strength(alpha)  # validates the range
+    return max(q * alpha * math.sqrt(1.0 - alpha * alpha) - (1.0 - q) / 4.0, 0.0)
 
 
 def delta_negativity(negativity: float, lam: float) -> float:
@@ -181,36 +183,53 @@ def run_equal_sharpness(alpha: float, lam: float) -> ProtocolTrace:
                          tuple(records), n_success)
 
 
-def threshold_success_count(alpha: float) -> int:
-    """Lean success counter of the threshold-schedule policy."""
-    strength = werner_strength(alpha)
-    q, count = 1.0, 0
-    while q * strength > 1.0 / (1.0 - FEASIBILITY_TOL):
-        lam = 1.0 / (q * strength)
-        q = f_of_lambda(lam) * q
-        count += 1
-    return count
+def _decay(lams: np.ndarray) -> np.ndarray:
+    """f_of_lambda elementwise, with the same operations in the same order."""
+    return 0.5 * (1.0 + (np.sqrt((1.0 + 3.0 * lams) * (1.0 - lams))
+                         + np.sqrt((3.0 - 3.0 * lams) * (3.0 + lams))) / 4.0)
 
 
-def equal_sharpness_count(alpha: float, lam: float) -> int:
-    """Lean success counter of the equal-sharpness policy."""
+def threshold_success_count(alpha: float | np.ndarray) -> int | np.ndarray:
+    """Lean success counter of the threshold-schedule policy.
+
+    A scalar alpha gives an int; an array of alphas gives an int array of
+    the same shape, each entry equal to the scalar count.
+    """
+    flat = np.ravel(alpha)
+    strength = np.fromiter(map(werner_strength, flat), float, flat.size)
+    limit = 1.0 / (1.0 - FEASIBILITY_TOL)
+    q = np.ones_like(strength)
+    counts = np.zeros(strength.shape, dtype=int)
+    while True:
+        weight = q * strength
+        alive = weight > limit
+        if not alive.any():
+            return counts.reshape(np.shape(alpha)) if np.ndim(alpha) else int(counts[0])
+        counts += alive
+        # q only falls, so a failed entry stays failed while the loop runs on;
+        # the clip keeps its sharpness, above 1 - FEASIBILITY_TOL, in range
+        q = _decay(np.minimum(1.0 / weight, 1.0)) * q
+
+
+def equal_sharpness_count(alpha: float, lam: float | np.ndarray) -> int | np.ndarray:
+    """Lean success counter of the equal-sharpness policy.
+
+    A scalar lam gives an int; an array of sharpness values gives an int
+    array of the same shape, each entry equal to the scalar count.
+    """
     strength = werner_strength(alpha)
-    if not 0.0 < lam <= 1.0:
+    lams = np.asarray(lam, dtype=float)
+    if not np.all((lams > 0.0) & (lams <= 1.0)):
         raise ValueError(f"common sharpness must lie in (0, 1]; got {lam}")
-    decay = f_of_lambda(lam)
-    q, count = 1.0, 0
-    while (1.0 - lam * q * strength) / 16.0 < -DETECTION_THRESHOLD:
-        count += 1
-        q *= decay
-    return count
-
-
-def max_bobs_vs_entanglement(alphas: Iterable[float]) -> list[tuple[float, float, int]]:
-    """Rows (alpha, entanglement, threshold-policy count) for an alpha grid."""
-    rows = []
-    for alpha in alphas:
-        rows.append((float(alpha), entanglement_entropy(alpha), threshold_success_count(alpha)))
-    return rows
+    decay = _decay(lams)
+    q = np.ones_like(lams)
+    counts = np.zeros(lams.shape, dtype=int)
+    while True:
+        alive = (1.0 - lams * q * strength) / 16.0 < -DETECTION_THRESHOLD
+        if not alive.any():
+            return counts if counts.ndim else int(counts)
+        counts += alive
+        q = q * decay  # q only falls, so a failed entry stays failed
 
 
 def boundary_alpha_for_n(n_target: int, e_lo: float = 1e-6, e_hi: float = 1.0,
@@ -241,107 +260,102 @@ def _lambda_grid(step: float) -> np.ndarray:
     return (hi - step * np.arange(count + 1))[::-1]
 
 
-def _counts_on_grid(alpha: float, lams: np.ndarray) -> np.ndarray:
-    """equal_sharpness_count evaluated elementwise, by vectorized iteration."""
-    strength = werner_strength(alpha)
-    decay = 0.5 * (1.0 + (np.sqrt((1.0 + 3.0 * lams) * (1.0 - lams))
-                          + np.sqrt((3.0 - 3.0 * lams) * (3.0 + lams))) / 4.0)
-    q = np.ones_like(lams)
-    counts = np.zeros(lams.shape, dtype=int)
-    while True:
-        alive = (1.0 - lams * q * strength) / 16.0 < -DETECTION_THRESHOLD
-        if not alive.any():
-            return counts
-        counts += alive
-        q = np.where(alive, q * decay, q)
+def _log_gain(lam: float, level: int) -> float:
+    """log(lam f(lam)^(level - 1)).
+
+    Observer `level` succeeds at common sharpness lam iff lam f^(level-1) c
+    exceeds 1 + 16 DETECTION_THRESHOLD, i.e. iff this exceeds
+    log((1 + 16 DETECTION_THRESHOLD)/c).  It is concave in lam, so each
+    superlevel set is one interval.
+    """
+    return math.log(lam) + (level - 1) * math.log(f_of_lambda(lam))
 
 
-def _refine_boundary(alpha: float, level: int, lo: float, hi: float) -> float:
-    """Bisect the edge of {lam : count(lam) >= level} between two grid points."""
-    lo_sat = equal_sharpness_count(alpha, lo) >= level if lo > LAMBDA_WINDOW[0] else False
-    while hi - lo > ENDPOINT_REFINE_TOL:
+def _log_gain_slope(lam: float, level: int) -> float:
+    """Derivative of _log_gain in lam, for lam < 1 (it tends to -inf at 1)."""
+    root_a = math.sqrt((1.0 + 3.0 * lam) * (1.0 - lam))
+    root_b = math.sqrt((3.0 - 3.0 * lam) * (3.0 + lam))
+    decay = 0.5 * (1.0 + (root_a + root_b) / 4.0)
+    decay_slope = ((1.0 - 3.0 * lam) / root_a - 3.0 * (1.0 + lam) / root_b) / 8.0
+    return 1.0 / lam + (level - 1) * decay_slope / decay
+
+
+@functools.cache
+def _peak_sharpness(level: int) -> float:
+    """Maximizer of _log_gain over [1/3, 1]; the state does not enter it.
+
+    Bisection on the sign of the decreasing slope, down to adjacent floats.
+    """
+    lo, hi = LAMBDA_WINDOW
+    if _log_gain_slope(lo, level) <= 0.0:
+        return lo
+    while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if (equal_sharpness_count(alpha, mid) >= level) == lo_sat:
+        if _log_gain_slope(mid, level) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return hi
 
 
-@functools.lru_cache(maxsize=64)
-def _count_grid(alpha: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """(lams, counts) on the sharpness grid at `step`; read-only, shared by callers."""
-    lams = _lambda_grid(step)
-    counts = _counts_on_grid(alpha, lams)
-    lams.flags.writeable = False
-    counts.flags.writeable = False
-    return lams, counts
+def _superlevel_windows(alpha: float) -> list[tuple[float, float]]:
+    """Intervals {lam in (1/3, 1] : count(lam) >= n} for n = 1, 2, ..., while nonempty.
 
-
-def _true_runs(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Inclusive (first, last) index pairs of the maximal runs of True in `mask`."""
-    padded = np.concatenate(([False], mask, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return list(zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()))
-
-
-@functools.lru_cache(maxsize=128)
-def _superlevel_runs(alpha: float, level: int, step: float) -> tuple[tuple[float, float], ...]:
-    """Maximal intervals of {lam in (1/3, 1] : count(lam) >= level}.
-
-    Grid scan at `step` resolution, endpoints bisection-refined to 1e-6.
-    Features narrower than the scan step can be missed by construction.
+    Count >= n iff observer n succeeds, since q falls along the sequence.
+    An edge is the window end when the rule already holds there, else the
+    root of the log-margin on its side of the peak, by bracketed Newton.
     """
-    lams, counts = _count_grid(alpha, step)
-    last = len(lams) - 1
-    runs: list[tuple[float, float]] = []
-    for i, j in _true_runs(counts >= level):
-        lo = LAMBDA_WINDOW[0] if i == 0 else _refine_boundary(alpha, level, lams[i - 1], lams[i])
-        hi = lams[j] if j == last else _refine_boundary(alpha, level, lams[j], lams[j + 1])
-        runs.append((lo, hi))
-    return tuple(runs)
+    log_target = math.log1p(16.0 * DETECTION_THRESHOLD) - math.log(werner_strength(alpha))
+    windows: list[tuple[float, float]] = []
+    level = 1
+    while True:
+        peak = _peak_sharpness(level)
+        if _log_gain(peak, level) <= log_target:
+            return windows
+
+        def rising(lam):
+            return _log_gain(lam, level) - log_target, _log_gain_slope(lam, level)
+
+        def falling(lam):
+            return log_target - _log_gain(lam, level), -_log_gain_slope(lam, level)
+
+        lo, hi = LAMBDA_WINDOW
+        if _log_gain(lo, level) <= log_target:
+            lo = _increasing_root(rising, lo, peak, lo)
+        if _log_gain(hi, level) <= log_target:
+            hi = _increasing_root(falling, peak, hi, 0.5 * (peak + hi))
+        windows.append((lo, hi))
+        level += 1
 
 
-def _superlevel_measure(alpha: float, level: int, step: float) -> float:
-    return sum(hi - lo for lo, hi in _superlevel_runs(alpha, level, step))
-
-
-def n_max_over_lambda(alpha: float, step: float = 1e-3) -> tuple[int, list[tuple[float, float]]]:
+def n_max_over_lambda(alpha: float) -> tuple[int, list[tuple[float, float]]]:
     """Best equal-sharpness count over the window (1/3, 1].
 
-    Returns the maximum count and the sharpness interval(s) achieving it,
-    endpoints refined to 1e-6.
+    Returns the maximum count and the sharpness interval achieving it, as a
+    one-element list (empty when no sharpness succeeds).
     """
-    if step > 1e-3:
-        raise ValueError(f"grid step must be at most 1e-3; got {step}")
-    _, counts = _count_grid(alpha, step)
-    best = int(counts.max())
-    if best == 0:
-        return 0, []
-    return best, list(_superlevel_runs(alpha, best, step))
+    windows = _superlevel_windows(alpha)
+    return len(windows), windows[-1:]
 
 
-def lambda_range(alpha: float, n: int, step: float = 1e-4) -> float:
+def lambda_range(alpha: float, n: int) -> float:
     """Measure of the sharpness set where the count equals exactly n.
 
     Zero when no sharpness in the window achieves the count.
     """
     if n < 1:
         raise ValueError(f"observer count must be positive; got {n}")
-    measure = (_superlevel_measure(alpha, n, step)
-               - _superlevel_measure(alpha, n + 1, step))
-    return max(measure, 0.0)
+    return dict(lambda_range_table(alpha)).get(n, 0.0)
 
 
-def lambda_range_table(alpha: float, step: float = 1e-4) -> list[tuple[int, float]]:
+def lambda_range_table(alpha: float) -> list[tuple[int, float]]:
     """(n, lambda_range) for every achievable count of this state."""
-    _, counts = _count_grid(alpha, step)
-    best = int(counts.max())
-    return [(n, lambda_range(alpha, n, step)) for n in range(1, best + 1)]
+    lengths = [hi - lo for lo, hi in _superlevel_windows(alpha)] + [0.0]
+    return [(n, max(lengths[n - 1] - lengths[n], 0.0)) for n in range(1, len(lengths))]
 
 
 def equal_sharpness_curve(alpha: float, step: float = 1e-3) -> list[tuple[float, int]]:
     """(lambda, count) over the ascending sharpness grid inside (1/3, 1]."""
     lams = _lambda_grid(step)
-    counts = _counts_on_grid(alpha, lams)
+    counts = equal_sharpness_count(alpha, lams)
     return [(float(lam), int(count)) for lam, count in zip(lams, counts)]

@@ -149,22 +149,26 @@ def _binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log1p(-x) / _LN2
 
 
-def _increasing_root(func, upper: float) -> float:
-    """Root in (0, upper] of an increasing func with func(upper) >= 0.
+def _increasing_root(func, lower: float, upper: float, x: float) -> float:
+    """Root in (lower, upper] of an increasing func with func(upper) >= 0.
 
-    func(x) returns (value, slope).  Newton steps start at `upper`; a step
-    that leaves the bracket kept around the root is replaced by bisection.
+    func(x) returns (value, slope).  Newton steps start at x in the bracket;
+    a step that leaves the bracket kept around the root, or a zero slope,
+    is replaced by bisection.  The solve stops when the step or the bracket
+    falls to rounding size; the bracket stops it where rounding noise in
+    func keeps the steps from shrinking further.
     """
-    lower, x = 0.0, upper
     for _ in range(200):
         value, slope = func(x)
         if value < 0.0:
             lower = x
         else:
             upper = x
-        step = value / slope
+        step = value / slope if slope else math.inf
         if abs(step) <= 4e-16 * x:
             return x - step
+        if upper - lower <= 4e-16 * x:
+            return x
         x = x - step if lower < x - step < upper else 0.5 * (lower + upper)
     return x
 
@@ -196,12 +200,13 @@ def alpha_from_entanglement(entropy: float) -> float:
             root_h = math.sqrt(-2.0 * log_alpha - (1.0 - t) * (log1p_t / t if t else -1.0))
             return alpha * root_h - target, (log1p_t - 2.0 * log_alpha) / root_h
 
-        return _increasing_root(sqrt_entropy, target)
+        return _increasing_root(sqrt_entropy, 0.0, target, target)
     gap = 1.0 - entropy
 
     def entropy_gap(y):
         atanh = math.atanh(y)
         return (2.0 * y * atanh + math.log1p(-y * y)) / (2.0 * _LN2) - gap, atanh / _LN2
 
-    y = _increasing_root(entropy_gap, math.sqrt(2.0 * _LN2 * gap))
+    start = math.sqrt(2.0 * _LN2 * gap)
+    y = _increasing_root(entropy_gap, 0.0, start, start)
     return math.sqrt(0.5 * (1.0 - y))

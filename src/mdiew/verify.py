@@ -225,7 +225,8 @@ def check_range_shape(e_step: float = 0.025) -> CheckResult:
     table = {}
     for entropy in grid:
         alpha = states.alpha_from_entanglement(min(float(entropy), 1.0))
-        ranges = [protocol.lambda_range(alpha, n) for n in range(1, 8)]
+        achieved = dict(protocol.lambda_range_table(alpha))
+        ranges = [achieved.get(n, 0.0) for n in range(1, 8)]
         best = max(n for n in range(1, 8) if ranges[n - 1] > 0)
         table[float(entropy)] = (best, ranges)
     keys = sorted(table)

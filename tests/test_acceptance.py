@@ -246,7 +246,7 @@ def test_criterion_09_sharpness_range_shape():
         best = max(n for n in range(1, 8) if ranges[n - 1] > 0)
         table[float(entropy)] = (best, ranges)
     keys = sorted(table)
-    slack = 1e-5  # endpoints are bisection-refined to 1e-6
+    slack = 1e-5  # edges are exact to the success rule; the slack is a margin
     for n in range(1, 8):
         for e_low, e_high in zip(keys, keys[1:]):
             best_low, ranges_low = table[e_low]

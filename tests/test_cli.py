@@ -134,14 +134,16 @@ def test_byte_identical_reruns(tmp_path):
 # change that makes a figure more exact updates its hash and says by how much
 # in CHANGES.md.  fig1 was re-pinned when the exact entropy inverse moved its
 # E = 0.0005 row to the correctly rounded alpha (see
-# test_fig1_small_entanglement_row_matches_mpmath).
+# test_fig1_small_entanglement_row_matches_mpmath).  fig3 was re-pinned when
+# exact window edges replaced the grid scan with 1e-6 bisection: the same 306
+# rows and zero pattern, delta_lambda_n moved by at most 9.8e-7.
 GOLDEN_FIGURE_SHA256 = {
     ("fig1",): "180587811f426deaf71f9e1fc92198ca129d89a28f1e30006ef52b1403ff53a8",
     ("fig2", "--entanglement", "1.0"):
         "f1dc575b63b858f361411cd82b6335c30dcb177b0a9237a02414c5e558caa4c5",
     ("fig2", "--entanglement", "0.935"):
         "cb6827e5a02d49c836f6d4a3afe169564e988f96cc9c5dc3c121174ce2a8c01c",
-    ("fig3",): "a5fccfd39399d5b6a95a59a50697287605cfab92105a119fa1e03e6209f5db41",
+    ("fig3",): "3421eaecb32b8cfe584ee6dedb1f3d7817b8be4f7ffc77e2738d2d9c1208edf3",
 }
 
 

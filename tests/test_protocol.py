@@ -1,15 +1,15 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdiew import protocol
 from mdiew.linalg import negativity as negativity_oracle
 from mdiew.measurement import averaged_channel
 from mdiew.protocol import (
-    LAMBDA_WINDOW,
     POLICY_EQUAL,
     POLICY_THRESHOLD,
     boundary_alpha_for_n,
@@ -20,7 +20,6 @@ from mdiew.protocol import (
     f_of_lambda,
     lambda_range,
     lambda_range_table,
-    max_bobs_vs_entanglement,
     n_max_over_lambda,
     negativity_walpha,
     run_equal_sharpness,
@@ -28,7 +27,13 @@ from mdiew.protocol import (
     threshold_from_negativity,
     threshold_success_count,
 )
-from mdiew.states import ALPHA_MAX, alpha_from_entanglement, werner_alpha, werner_strength
+from mdiew.states import (
+    ALPHA_MAX,
+    alpha_from_entanglement,
+    entanglement_entropy,
+    werner_alpha,
+    werner_strength,
+)
 from mdiew.witness import mdi_ew_closed_form_unsharp, mdi_ew_numeric, werner_beta
 
 alphas = st.floats(0.05, ALPHA_MAX)
@@ -103,14 +108,37 @@ def test_threshold_protocol_with_margin():
 
 
 def test_threshold_counts_monotone_in_entanglement():
-    rows = max_bobs_vs_entanglement(
-        [alpha_from_entanglement(e) for e in np.linspace(0.01, 1.0, 40)])
-    counts = [n for _, _, n in rows]
+    alphas = [alpha_from_entanglement(e) for e in np.linspace(0.01, 1.0, 40)]
+    counts = threshold_success_count(np.array(alphas)).tolist()
     assert all(a <= b for a, b in zip(counts, counts[1:]))
     assert counts[-1] == 14
     assert counts[0] == 1  # barely entangled pairs still serve one observer
-    entropies = [e for _, e, _ in rows]
+    entropies = [entanglement_entropy(alpha) for alpha in alphas]
     assert all(a < b for a, b in zip(entropies, entropies[1:]))
+
+
+@given(st.floats(0.0, ALPHA_MAX, exclude_min=True))
+@example(ALPHA_MAX)
+@example(1e-300)
+def test_threshold_count_matches_trace(alpha):
+    assert threshold_success_count(alpha) == run_threshold_protocol(alpha).n_success
+
+
+@given(st.lists(st.floats(0.0, ALPHA_MAX, exclude_min=True), max_size=30))
+def test_threshold_count_array_matches_scalar_calls(alphas):
+    counts = threshold_success_count(np.array(alphas))
+    assert counts.shape == (len(alphas),)
+    assert counts.tolist() == [threshold_success_count(alpha) for alpha in alphas]
+    assert type(threshold_success_count(ALPHA_MAX)) is int
+    grid = np.array(alphas + [ALPHA_MAX]).reshape(-1, 1)
+    assert np.array_equal(threshold_success_count(grid).ravel(),
+                          threshold_success_count(grid.ravel()))
+
+
+def test_threshold_count_rejects_out_of_range_alpha():
+    for bad in (0.0, -0.1, 0.8, [0.5, 0.9]):
+        with pytest.raises(ValueError, match="alpha"):
+            threshold_success_count(bad)
 
 
 def test_boundary_for_fourteen_observers():
@@ -167,6 +195,31 @@ def test_equal_count_matches_trace(alpha, lam):
     assert equal_sharpness_count(alpha, lam) == run_equal_sharpness(alpha, lam).n_success
 
 
+@given(alphas)
+@example(ALPHA_MAX)
+def test_equal_count_matches_trace_on_window_edges(alpha):
+    for window in protocol._superlevel_windows(alpha):
+        for edge in window:
+            for lam in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)):
+                if 0.0 < lam <= 1.0:
+                    assert (equal_sharpness_count(alpha, lam)
+                            == run_equal_sharpness(alpha, lam).n_success)
+
+
+@given(alphas, st.lists(st.floats(0.0, 1.0, exclude_min=True), max_size=30))
+def test_equal_count_array_matches_scalar_calls(alpha, lams):
+    counts = equal_sharpness_count(alpha, np.array(lams))
+    assert counts.shape == (len(lams),)
+    assert counts.tolist() == [equal_sharpness_count(alpha, lam) for lam in lams]
+    assert type(equal_sharpness_count(alpha, 0.5)) is int
+
+
+def test_equal_count_rejects_out_of_range_sharpness():
+    for bad in (0.0, 1.5, [0.5, 0.0]):
+        with pytest.raises(ValueError, match="sharpness"):
+            equal_sharpness_count(ALPHA_MAX, bad)
+
+
 @given(alphas, lambdas_open)
 def test_success_flags_form_prefix(alpha, lam):
     trace = run_equal_sharpness(alpha, lam)
@@ -206,11 +259,6 @@ def test_n_max_for_maximal_and_near_maximal():
 
     best_935, _ = n_max_over_lambda(alpha_from_entanglement(0.935))
     assert best_935 == 5
-
-
-def test_n_max_rejects_coarse_grids():
-    with pytest.raises(ValueError, match="step"):
-        n_max_over_lambda(ALPHA_MAX, step=0.01)
 
 
 def test_equal_sharpness_curve_shape():
@@ -254,86 +302,76 @@ def test_two_observer_range_includes_sharp_endpoint():
     assert lambda_range(ALPHA_MAX, 2) > 0.0
 
 
-def _scan_runs(mask):
-    """Reference: inclusive (first, last) runs of True by an element-by-element scan."""
-    runs = []
-    n = len(mask)
-    i = 0
-    while i < n:
-        if not mask[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and mask[j + 1]:
-            j += 1
-        runs.append((i, j))
-        i = j + 1
-    return runs
+WINDOW_ENTROPIES = [1.0, 0.935, 0.6]
 
 
-@pytest.mark.parametrize("mask", [
-    [],
-    [True],
-    [False],
-    [True] * 7,
-    [False] * 7,
-    [True, False] * 5,                          # alternating, starts true
-    [False, True] * 5,                          # alternating, ends true
-    [False, True, False, False, True, False],   # single-point runs inside
-    [True, True, False, True],                  # runs touching both ends
-    [True, False, False, True, True],
-    [False, False, True, True, True, False],
-])
-def test_true_runs_match_python_scan_on_edge_cases(mask):
-    assert protocol._true_runs(np.array(mask, dtype=bool)) == _scan_runs(mask)
-
-
-@given(st.lists(st.booleans(), max_size=60))
-def test_true_runs_match_python_scan(mask):
-    got = protocol._true_runs(np.array(mask, dtype=bool))
-    assert got == _scan_runs(mask)
-    assert all(type(i) is int and type(j) is int for i, j in got)
-
-
-def _scanned_superlevel_runs(alpha, level, step):
-    """Reference: the superlevel runs by a per-element scan of a freshly computed grid."""
-    refine = protocol._refine_boundary
-    lams = protocol._lambda_grid(step)
-    satisfied = protocol._counts_on_grid(alpha, lams) >= level
-    last = len(lams) - 1
-    runs = []
-    for i, j in _scan_runs(list(satisfied)):
-        lo = LAMBDA_WINDOW[0] if i == 0 else refine(alpha, level, lams[i - 1], lams[i])
-        hi = lams[j] if j == last else refine(alpha, level, lams[j], lams[j + 1])
-        runs.append((lo, hi))
-    return tuple(runs)
-
-
-@pytest.mark.parametrize("entropy", [1.0, 0.935, 0.6])
-def test_superlevel_runs_match_element_scan(entropy):
+@pytest.mark.parametrize("entropy", WINDOW_ENTROPIES)
+def test_window_edges_flip_the_count(entropy):
     alpha = alpha_from_entanglement(entropy)
-    for level in range(0, 8):
-        got = protocol._superlevel_runs(alpha, level, 1e-3)
-        want = _scanned_superlevel_runs(alpha, level, 1e-3)
-        assert got == want
-        assert [tuple(map(type, run)) for run in got] == [tuple(map(type, run)) for run in want]
+    windows = protocol._superlevel_windows(alpha)
+    assert windows
+    for level, (lo, hi) in enumerate(windows, start=1):
+        assert 1 / 3 < lo < hi <= 1.0
+        if lo > 1 / 3:
+            assert equal_sharpness_count(alpha, lo - 1e-13) < level
+            assert equal_sharpness_count(alpha, lo + 1e-13) >= level
+        if hi < 1.0:
+            assert equal_sharpness_count(alpha, hi - 1e-13) >= level
+            assert equal_sharpness_count(alpha, hi + 1e-13) < level
+    # the next level has no window: its count is never reached
+    best = len(windows)
+    assert n_max_over_lambda(alpha) == (best, [windows[-1]])
+    assert equal_sharpness_count(alpha, protocol._peak_sharpness(best + 1)) == best
 
 
-def test_count_grid_is_computed_once_per_alpha_and_step():
-    alpha = alpha_from_entanglement(0.8)
-    step = 1e-3
-    protocol._count_grid.cache_clear()
-    protocol._superlevel_runs.cache_clear()
-    table = lambda_range_table(alpha, step)
-    best, _ = n_max_over_lambda(alpha, step)
-    assert best == len(table)
-    info = protocol._count_grid.cache_info()
-    assert info.misses == 1 and info.hits >= len(table)
-    lams, counts = protocol._count_grid(alpha, step)
-    assert np.array_equal(lams, protocol._lambda_grid(step))
-    assert np.array_equal(counts, protocol._counts_on_grid(alpha, lams))
-    with pytest.raises(ValueError, match="read-only"):
-        counts[0] = 99
+@pytest.mark.parametrize("entropy", WINDOW_ENTROPIES)
+def test_window_lengths_match_dense_grid(entropy):
+    alpha = alpha_from_entanglement(entropy)
+    step = 1e-5
+    counts = equal_sharpness_count(alpha, protocol._lambda_grid(step))
+    windows = protocol._superlevel_windows(alpha)
+    for level in range(1, 10):
+        lo, hi = windows[level - 1] if level <= len(windows) else (0.0, 0.0)
+        assert abs((hi - lo) - step * np.count_nonzero(counts >= level)) <= 2 * step
+
+
+def test_peak_sharpness_does_not_depend_on_the_state():
+    lams = protocol._lambda_grid(1e-5)
+    decay = np.array([f_of_lambda(lam) for lam in lams])
+    for level in range(1, 7):
+        peak = protocol._peak_sharpness(level)
+        for entropy in WINDOW_ENTROPIES:
+            strength = werner_strength(alpha_from_entanglement(entropy))
+            margin = lams * decay ** (level - 1) * strength
+            assert abs(lams[np.argmax(margin)] - peak) <= 1e-5
+    assert protocol._peak_sharpness(1) == 1.0
+
+
+def test_window_edge_solves_stop_at_rounding_noise(monkeypatch):
+    # near an edge, rounding noise in the log-margin keeps Newton steps at a
+    # few ulps; the collapsed bracket, not the iteration cap, ends the solve
+    evaluations = []
+    solve = protocol._increasing_root
+
+    def counted(func, lower, upper, x):
+        calls = []
+        root = solve(lambda lam: calls.append(lam) or func(lam), lower, upper, x)
+        evaluations.append(len(calls))
+        return root
+
+    monkeypatch.setattr(protocol, "_increasing_root", counted)
+    for entropy in np.linspace(0.5, 1.0, 51):
+        protocol._superlevel_windows(alpha_from_entanglement(entropy))
+    assert len(evaluations) > 100
+    assert max(evaluations) <= 40
+
+
+@pytest.mark.parametrize("entropy", WINDOW_ENTROPIES)
+def test_level_one_window_starts_at_the_threshold(entropy):
+    strength = werner_strength(alpha_from_entanglement(entropy))
+    lo, hi = protocol._superlevel_windows(alpha_from_entanglement(entropy))[0]
+    assert abs(lo - (1 + 16e-12) / strength) <= 1e-15
+    assert hi == 1.0
 
 
 # --- negativity bookkeeping -----------------------------------------------------------
@@ -344,6 +382,23 @@ def test_negativity_closed_form_spot_values():
     assert negativity_walpha(1.0, 0.3) == pytest.approx(0.2861817604250837, abs=1e-12)
     explicit = (1 + 1.2 * math.sqrt(0.91) - 1) / 4
     assert negativity_walpha(1.0, 0.3) == pytest.approx(explicit, abs=1e-15)
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, ALPHA_MAX, exclude_min=True))
+@example(1.0, 1e-300)
+@example(1.0, 5e-324)
+@example(1.0, ALPHA_MAX)
+@example(1 / 3, ALPHA_MAX)
+@example(0.5, 0.3)
+def test_negativity_closed_form_matches_mpmath(q, alpha):
+    with mpmath.workdps(50):
+        q_mp, alpha_mp = mpmath.mpf(q), mpmath.mpf(alpha)
+        entangled = q_mp * alpha_mp * mpmath.sqrt(1 - alpha_mp ** 2)
+        noise = (1 - q_mp) / 4
+        exact = max(entangled - noise, 0)
+        # both terms carry a few roundings; their difference can cancel
+        bound = 4 * 2.0 ** -52 * (entangled + noise)
+        assert abs(negativity_walpha(q, alpha) - exact) <= bound
 
 
 @given(st.floats(0.0, 1.0), alphas)
