@@ -27,6 +27,8 @@ from .witness import DETECTION_THRESHOLD, mdi_ew_closed_form_unsharp, threshold_
 FEASIBILITY_TOL = 1e-12
 
 LAMBDA_WINDOW = (1.0 / 3.0, 1.0)
+# Bisection halvings of boundary_alpha_for_n decided by one counter call.
+BISECTION_DEPTH = 4
 
 POLICY_THRESHOLD = "threshold"
 POLICY_EQUAL = "equal-sharpness"
@@ -237,19 +239,34 @@ def boundary_alpha_for_n(n_target: int, e_lo: float = 1e-6, e_hi: float = 1.0,
     """Smallest entanglement whose threshold-policy count reaches n_target.
 
     Bisection on the pure-state family; the count is non-decreasing in the
-    entanglement.  Returns (alpha, entanglement) at the located boundary.
+    entanglement.  Each counter call takes every midpoint the next
+    BISECTION_DEPTH halvings can visit, so the halvings are exactly those of
+    one-at-a-time bisection.  Returns (alpha, entanglement) at the located
+    boundary.
     """
-    if threshold_success_count(alpha_from_entanglement(e_hi)) < n_target:
+    top, bottom = threshold_success_count(
+        [alpha_from_entanglement(e_hi), alpha_from_entanglement(e_lo)])
+    if top < n_target:
         raise ValueError(f"count never reaches {n_target} below E = {e_hi}")
-    if threshold_success_count(alpha_from_entanglement(e_lo)) >= n_target:
+    if bottom >= n_target:
         raise ValueError(f"count already reaches {n_target} at E = {e_lo}")
     lo, hi = e_lo, e_hi
     while hi - lo > e_tol:
-        mid = 0.5 * (lo + hi)
-        if threshold_success_count(alpha_from_entanglement(mid)) >= n_target:
-            hi = mid
-        else:
-            lo = mid
+        # heap order: node k's lower half is node 2k + 1, its upper half 2k + 2
+        mids: list[float] = []
+        brackets = [(lo, hi)]
+        for _ in range(BISECTION_DEPTH):
+            level = [0.5 * (a + b) for a, b in brackets]
+            brackets = [half for (a, b), m in zip(brackets, level) for half in ((a, m), (m, b))]
+            mids += level
+        reached = threshold_success_count(
+            [alpha_from_entanglement(e) for e in mids]) >= n_target
+        node = 0
+        while node < len(mids) and hi - lo > e_tol:
+            if reached[node]:
+                hi, node = mids[node], 2 * node + 1
+            else:
+                lo, node = mids[node], 2 * node + 2
     return alpha_from_entanglement(hi), hi
 
 

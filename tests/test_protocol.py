@@ -148,6 +148,25 @@ def test_boundary_for_fourteen_observers():
     assert threshold_success_count(alpha_from_entanglement(entropy - 1e-4)) == 13
 
 
+def _bisected_boundary(n_target, lo=1e-6, hi=1.0, tol=1e-6):
+    """Reference: one-at-a-time bisection with one scalar count per halving."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if threshold_success_count(alpha_from_entanglement(mid)) >= n_target:
+            hi = mid
+        else:
+            lo = mid
+    return alpha_from_entanglement(hi), hi
+
+
+@pytest.mark.parametrize("args", [
+    (2,), (5,), (9,), (13,), (14,),
+    (9, 0.5, 0.99, 1e-9), (14, 0.5, 0.99, 1e-12), (14, 0.9, 1.0, 0.05),
+])
+def test_boundary_matches_one_at_a_time_bisection(args):
+    assert boundary_alpha_for_n(*args) == _bisected_boundary(*args)
+
+
 def test_boundary_rejects_unreachable_targets():
     with pytest.raises(ValueError, match="never reaches"):
         boundary_alpha_for_n(15)
