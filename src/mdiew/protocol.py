@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+
 import numpy as np
 
 from .states import _increasing_root, alpha_from_entanglement, werner_strength
