@@ -10,6 +10,7 @@ from mdiew import protocol
 from mdiew.linalg import negativity as negativity_oracle
 from mdiew.measurement import averaged_channel
 from mdiew.protocol import (
+    LAMBDA_WINDOW,
     POLICY_EQUAL,
     POLICY_THRESHOLD,
     boundary_alpha_for_n,
@@ -352,6 +353,79 @@ def test_window_lengths_match_dense_grid(entropy):
     for level in range(1, 10):
         lo, hi = windows[level - 1] if level <= len(windows) else (0.0, 0.0)
         assert abs((hi - lo) - step * np.count_nonzero(counts >= level)) <= 2 * step
+
+
+def _scan_runs(mask):
+    """Reference: inclusive (first, last) runs of True by an element-by-element scan."""
+    runs = []
+    n = len(mask)
+    i = 0
+    while i < n:
+        if not mask[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < n and mask[j + 1]:
+            j += 1
+        runs.append((i, j))
+        i = j + 1
+    return runs
+
+
+def _true_runs(mask):
+    """Inclusive (first, last) runs of True, from the edges of the padded mask.
+
+    Reads the superlevel sets off a dense count grid, where the element scan
+    would loop over every grid point.
+    """
+    padded = np.concatenate(([False], np.asarray(mask, dtype=bool), [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return [(int(i), int(j) - 1) for i, j in zip(edges[::2], edges[1::2])]
+
+
+@pytest.mark.parametrize("mask", [
+    [],
+    [True],
+    [False],
+    [True] * 7,
+    [False] * 7,
+    [True, False] * 5,                          # alternating, starts true
+    [False, True] * 5,                          # alternating, ends true
+    [False, True, False, False, True, False],   # single-point runs inside
+    [True, True, False, True],                  # runs touching both ends
+    [True, False, False, True, True],
+    [False, False, True, True, True, False],
+])
+def test_true_runs_match_python_scan_on_edge_cases(mask):
+    assert _true_runs(np.array(mask, dtype=bool)) == _scan_runs(mask)
+
+
+@given(st.lists(st.booleans(), max_size=60))
+def test_true_runs_match_python_scan(mask):
+    got = _true_runs(np.array(mask, dtype=bool))
+    assert got == _scan_runs(mask)
+    assert all(type(i) is int and type(j) is int for i, j in got)
+
+
+@pytest.mark.parametrize("entropy", WINDOW_ENTROPIES)
+def test_superlevel_runs_match_element_scan(entropy):
+    # each exact window is the one run of {count >= level} on a dense grid:
+    # its first and last grid points are the grid points just inside the edges
+    alpha = alpha_from_entanglement(entropy)
+    lams = protocol._lambda_grid(1e-5)
+    counts = equal_sharpness_count(alpha, lams)
+    windows = [LAMBDA_WINDOW] + protocol._superlevel_windows(alpha)
+    last = len(lams) - 1
+    for level in range(0, 10):
+        runs = _true_runs(counts >= level)
+        if level >= len(windows):
+            assert runs == []
+            continue
+        lo, hi = windows[level]
+        assert len(runs) == 1
+        i, j = runs[0]
+        assert lo <= lams[i] and (i == 0 or lams[i - 1] < lo)
+        assert lams[j] <= hi and (j == last or lams[j + 1] > hi)
 
 
 def test_peak_sharpness_does_not_depend_on_the_state():
