@@ -4,8 +4,9 @@ The payoff of the semi-quantum game is
 
     I_lam(rho) = sum_st beta_st P_lam(1,1 | tau_s, omega_t),
 
-evaluated here both by the full 16-dimensional trace and by the closed form
-(1 - lam q c)/16 for the noisy partially entangled family, where
+evaluated here by the full 16-dimensional trace, as tr(W(lam) rho) with the
+reduced 4x4 witness operator W(lam), and by the closed form (1 - lam q c)/16
+for the noisy partially entangled family, where
 c = 1 + 4 alpha sqrt(1 - alpha^2).  A strictly negative value certifies
 entanglement; separable states can never go below zero.
 """
@@ -25,8 +26,9 @@ DETECTION_THRESHOLD = 1e-12
 
 # Pairing the game probabilities with a witness operator W carries a fixed
 # factor from the two |Phi+> contractions: sum_st beta_st P(1,1|.) = tr(W rho)/4
-# when beta decomposes W over the transposed inputs.  The constant is
-# calibrated empirically in the test suite against the identity target.
+# when beta decomposes W over the transposed inputs.  Each sharp projection
+# gives <Phi+| X (x) Y |Phi+> = tr(X^T Y)/2, so at lam = 1 the reduced operator
+# of the identity target, reduced_witness_operator(1.0, beta), is I/4.
 CONTRACTION_FACTOR = 0.25
 
 
@@ -97,6 +99,21 @@ def mdi_ew_numeric(rho: DensityOperator, beta: WitnessCoefficients, lam: float) 
         for t in range(4):
             value += beta.beta[s, t] * traces[s, t]
     return WitnessValue(float(value), float(lam))
+
+
+def reduced_witness_operator(lam: float, beta: WitnessCoefficients) -> np.ndarray:
+    """4x4 operator W(lam) on (A, B) with mdi_ew_numeric(rho, beta, lam) = tr(W(lam) rho).
+
+    The payoff is linear in rho, so the literal P+ (x) E+_lam contracted with
+    sum_st beta_st tau_s (x) omega_t over A' and B' leaves W(lam).  For
+    werner_beta() it is (1 + lam)/16 I - (lam/4) |psi-><psi-|.
+    """
+    taus = np.stack([state.matrix for state in input_ensemble("tau").states])
+    omegas = np.stack([state.matrix for state in input_ensemble("omega").states])
+    # Axes: (A', A, B, B') of the output index, then of the input index.
+    op = tensor(bell_projector(), unsharp_pair(lam).plus).reshape((2,) * 8)
+    inputs = np.einsum("st,sea,thd->eahd", beta.beta, taus, omegas)
+    return np.einsum("abcdefgh,eahd->bcfg", op, inputs).reshape(4, 4)
 
 
 def mdi_ew_closed_form(q: float) -> float:

@@ -116,11 +116,11 @@ def test_criterion_06_channel_recursion_entrywise_full_grid():
     invariant and the weight a channel step takes off |psi><psi| moves onto
     rho_A (x) I/2, not onto white noise:
     rho(q, alpha) -> f q |psi><psi| + q(1-f) rho_A (x) I/2 + (1-q) I/4.
-    Checked at tolerance 1e-10 for one step at every (lam, q, alpha) grid
-    point, and chained along CHANNEL_LAMS and along the threshold schedule,
-    where the fidelity weight after k steps is the protocol's own q_k.  The
-    white-noise shorthand rho(q, alpha) -> rho(f q, alpha) holds at
-    alpha = 1/sqrt(2) only; elsewhere its deviation is asserted to equal
+    Checked at tolerance 1e-12 for one step at every (lam, q, alpha) grid
+    point, and at 1e-10 chained along CHANNEL_LAMS and along the threshold
+    schedule, where the fidelity weight after k steps is the protocol's own
+    q_k.  The white-noise shorthand rho(q, alpha) -> rho(f q, alpha) holds
+    at alpha = 1/sqrt(2) only; elsewhere its deviation is asserted to equal
     q(1-f)(rho_A (x) I/2 - I/4).
     """
     worst_step = worst_chain = worst_shorthand = 0.0
@@ -153,7 +153,7 @@ def test_criterion_06_channel_recursion_entrywise_full_grid():
             target = _sequential_state(following.q, 1.0, alpha)
             worst_chain = max(worst_chain, float(np.abs(rho.matrix - target).max()))
 
-    assert worst_step < 1e-10
+    assert worst_step < 1e-12
     assert worst_chain < 1e-10
     assert worst_shorthand < 1e-10
     _announce(6, f"exact sequential state on the full grid: one step {worst_step:.1e}, "
@@ -161,40 +161,29 @@ def test_criterion_06_channel_recursion_entrywise_full_grid():
 
 
 def test_criterion_06_attainable_scope():
-    """What the averaged channel does satisfy, at the stated tolerances.
+    """What the averaged channel's statistics satisfy, at the stated tolerances.
 
-    (a) entrywise closure at alpha = 1/sqrt(2); (b) exact output form with
-    rho_A (x) I/2 noise for every alpha; (c) witness statistics follow
-    q -> f(lam) q for every alpha; (d) decay-factor spot values.
+    (c) witness statistics follow q -> f(lam) q for every alpha; (d)
+    decay-factor spot values.  The entrywise closure at alpha = 1/sqrt(2)
+    and the exact output form (parts (a) and (b)) are asserted on the same
+    grid by test_criterion_06_channel_recursion_entrywise_full_grid.
     """
     beta = witness.werner_beta()
-    worst_closure = worst_form = worst_stats = 0.0
+    worst_stats = 0.0
     for lam in CHANNEL_LAMS:
         decay = protocol.f_of_lambda(lam)
         for q in CHANNEL_QS:
-            out = measurement.averaged_channel(states.werner_alpha(q, ALPHA_MAX), lam)
-            target = states.werner_alpha(decay * q, ALPHA_MAX)
-            worst_closure = max(worst_closure, float(np.abs(out.matrix - target.matrix).max()))
             for alpha in CHANNEL_ALPHAS:
                 out = measurement.averaged_channel(states.werner_alpha(q, alpha), lam)
-                vec = states.psi_alpha(alpha)
-                reduced_a = np.diag([alpha**2, 1 - alpha**2]).astype(complex)
-                form = (decay * q * np.outer(vec, vec.conj())
-                        + q * (1 - decay) * np.kron(reduced_a, np.eye(2) / 2)
-                        + (1 - q) / 4 * np.eye(4))
-                worst_form = max(worst_form, float(np.abs(out.matrix - form).max()))
                 for probe in (0.5, 1.0):
                     numeric = witness.mdi_ew_numeric(out, beta, probe).value
                     closed = witness.mdi_ew_closed_form_unsharp(decay * q, alpha, probe)
                     worst_stats = max(worst_stats, abs(numeric - closed))
-    assert worst_closure < 1e-10
-    assert worst_form < 1e-12
     assert worst_stats < 1e-10
     assert protocol.f_of_lambda(0.0) == 1.0
     assert protocol.f_of_lambda(1.0) == 0.5
     assert abs(protocol.f_of_lambda(1 / 3) - 0.9670862) < 1e-6
-    _announce(6, "channel closure at maximal alpha, exact output form and "
-                 "statistics recursion everywhere")
+    _announce(6, "statistics recursion everywhere and decay-factor spot values")
 
 
 def test_criterion_07_separable_states_never_flag():

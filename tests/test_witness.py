@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdiew.linalg import DensityOperator, SubsystemLayout, tensor
@@ -26,6 +26,7 @@ from mdiew.witness import (
     mdi_ew_closed_form,
     mdi_ew_closed_form_unsharp,
     mdi_ew_numeric,
+    reduced_witness_operator,
     threshold_lambda,
     werner_beta,
 )
@@ -122,6 +123,36 @@ def test_numeric_rejects_wrong_layout(rng):
         SubsystemLayout((("A", 2), ("B", 2), ("C", 2))))
     with pytest.raises(ValueError, match="two-qubit"):
         mdi_ew_numeric(three_qubits, werner_beta(), 1.0)
+
+
+# --- reduced 4x4 operator --------------------------------------------------------
+
+@example(seed=1, lam=0.0)
+@example(seed=2, lam=1.0 / 3.0)
+@example(seed=3, lam=1.0)
+@given(seed=st.integers(0, 2**32 - 1), lam=lambdas)
+def test_reduced_operator_reproduces_literal_payoff(seed, lam):
+    rho = DensityOperator(random_density_matrix(np.random.default_rng(seed), 4), pair_layout())
+    beta = werner_beta()
+    reduced = np.trace(reduced_witness_operator(lam, beta) @ rho.matrix).real
+    assert abs(reduced - mdi_ew_numeric(rho, beta, lam).value) <= 1e-15
+
+
+def test_reduced_operator_matches_closed_form():
+    singlet = psi_alpha(ALPHA_MAX)
+    projector = np.outer(singlet, singlet.conj())
+    for lam in np.linspace(0.0, 1.0, 101):
+        closed = (1.0 + lam) / 16.0 * np.eye(4) - lam / 4.0 * projector
+        assert np.abs(reduced_witness_operator(lam, werner_beta()) - closed).max() <= 1e-15
+
+
+def test_reduced_operator_of_decomposed_target_is_a_quarter_of_it(rng):
+    # the derivation of CONTRACTION_FACTOR: at lam = 1, W = CONTRACTION_FACTOR * target
+    taus, omegas = input_ensemble("tau"), input_ensemble("omega")
+    targets = [np.eye(4)] + [random_hermitian(rng, 4) for _ in range(10)]
+    for target in targets:
+        reduced = reduced_witness_operator(1.0, decompose_witness(target, taus, omegas))
+        assert np.abs(reduced - CONTRACTION_FACTOR * target).max() <= 1e-15
 
 
 # --- closed forms ---------------------------------------------------------------
