@@ -49,7 +49,6 @@ from .protocol import (
 )
 from .states import (
     InputEnsemble,
-    WernerAlphaState,
     alpha_from_entanglement,
     bell_phi_plus,
     entanglement_entropy,

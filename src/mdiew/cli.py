@@ -216,7 +216,7 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     if lam is not None and not 0.0 < lam <= 1.0:
         parser.error(f"--lambda must lie in (0, 1]; got {lam}")
     margin = getattr(args, "margin", None)
-    if margin is not None and margin < 0.0:
+    if margin is not None and not margin >= 0.0:
         parser.error(f"--margin must be non-negative; got {margin}")
     entanglement = getattr(args, "entanglement", None)
     if entanglement is not None and not 0.0 < entanglement <= 1.0:

@@ -212,15 +212,21 @@ def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
     return DensityOperator(out.reshape(dim, dim), new_layout, validate=False)
 
 
+def _partial_transposes(matrices: np.ndarray, layout: SubsystemLayout,
+                        subsystem: str) -> np.ndarray:
+    """Transpose one factor of each matrix in a stack over a two-factor layout."""
+    if len(layout.factors) != 2:
+        raise ValueError("partial_transpose expects a two-factor layout")
+    pos = layout.position(subsystem)
+    da, db = layout.dims
+    tensor_form = matrices.reshape(-1, da, db, da, db)
+    axes = (0, 3, 2, 1, 4) if pos == 0 else (0, 1, 4, 3, 2)
+    return tensor_form.transpose(axes).reshape(-1, da * db, da * db)
+
+
 def partial_transpose(rho: DensityOperator, subsystem: str) -> np.ndarray:
     """Transpose one factor of a two-factor state."""
-    if len(rho.layout.factors) != 2:
-        raise ValueError("partial_transpose expects a two-factor layout")
-    pos = rho.layout.position(subsystem)
-    da, db = rho.dims
-    tensor_form = rho.matrix.reshape(da, db, da, db)
-    axes = (2, 1, 0, 3) if pos == 0 else (0, 3, 2, 1)
-    return tensor_form.transpose(axes).reshape(da * db, da * db)
+    return _partial_transposes(rho.matrix[None], rho.layout, subsystem)[0]
 
 
 def min_eigenvalue(matrix: np.ndarray) -> float:
@@ -246,7 +252,16 @@ def herm_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
 
 
+def _negativities(matrices: np.ndarray, layout: SubsystemLayout, subsystem: str) -> np.ndarray:
+    """negativity of each matrix in a stack: one eigvalsh over the stacked partial transposes.
+
+    eigvalsh sorts ascending, so the negative eigenvalues lead each row and
+    adding the zeros that replace the rest leaves their sum unchanged.
+    """
+    eigvals = np.linalg.eigvalsh(_partial_transposes(matrices, layout, subsystem))
+    return -np.where(eigvals < 0, eigvals, 0.0).sum(axis=-1)
+
+
 def negativity(rho: DensityOperator, subsystem: str) -> float:
     """Entanglement negativity: |sum of negative eigenvalues| of the partial transpose."""
-    eigvals = np.linalg.eigvalsh(partial_transpose(rho, subsystem))
-    return float(-eigvals[eigvals < 0].sum())
+    return float(_negativities(rho.matrix[None], rho.layout, subsystem)[0])

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import DensityOperator, embed_operator, partial_trace, tensor_states
+from .linalg import DensityOperator, SubsystemLayout, _kron, embed_operator
 from .states import bell_phi_plus, input_ensemble
 
 DEGENERATE_OUTCOME_ATOL = 1e-14
@@ -115,6 +115,27 @@ def luders_update(rho_with_input: DensityOperator, pair: BinaryEffectPair,
     return DensityOperator(post, rho_with_input.layout, validate=False), probability
 
 
+def _averaged_channel(matrices: np.ndarray, layout: SubsystemLayout, lam: float) -> np.ndarray:
+    """averaged_channel on a stack of shared-state matrices over the two-factor `layout`.
+
+    Every output takes the same operations as a one-state call: the Kraus
+    products kraus @ eta @ kraus summed input by input, outcome by outcome,
+    then the trace over the input B'.
+    """
+    omegas = input_ensemble("omega")
+    full = layout.concat(omegas.states[0].layout)
+    measured = (layout.labels[1], omegas.states[0].labels[0])
+    krauses = [embed_operator(effect_sqrt(lam, outcome), full, measured) for outcome in OUTCOMES]
+    total = np.zeros((len(matrices),) + (full.dim,) * 2, dtype=complex)
+    for weight, omega in zip(omegas.prior, omegas.states):
+        etas = _kron(matrices, omega.matrix)
+        for kraus in krauses:
+            total += weight * (kraus @ etas @ kraus)
+    dims = full.dims
+    traced = total.reshape(-1, *dims, *dims).trace(axis1=len(dims), axis2=2 * len(dims))
+    return traced.reshape(-1, layout.dim, layout.dim)
+
+
 def averaged_channel(rho: DensityOperator, lam: float) -> DensityOperator:
     """Shared state left for the next observer after one unsharp measurement.
 
@@ -125,14 +146,5 @@ def averaged_channel(rho: DensityOperator, lam: float) -> DensityOperator:
     if len(rho.layout.factors) != 2:
         raise ValueError("averaged_channel expects a two-factor shared state")
     lam = _check_lambda(lam)
-    omegas = input_ensemble("omega")
-    layout = rho.layout.concat(omegas.states[0].layout)
-    measured = (rho.labels[1], omegas.states[0].labels[0])
-    krauses = [embed_operator(effect_sqrt(lam, outcome), layout, measured) for outcome in OUTCOMES]
-    total = np.zeros((layout.dim,) * 2, dtype=complex)
-    for weight, omega in zip(omegas.prior, omegas.states):
-        eta = tensor_states(rho, omega)
-        for kraus in krauses:
-            total += weight * (kraus @ eta.matrix @ kraus)
-    averaged = DensityOperator(total, layout, validate=False)
-    return partial_trace(averaged, rho.labels)
+    matrix = _averaged_channel(rho.matrix[None], rho.layout, lam)[0]
+    return DensityOperator(matrix, rho.layout, validate=False)

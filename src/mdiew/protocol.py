@@ -128,7 +128,7 @@ def run_threshold_protocol(alpha: float, margin: float = 0.0) -> ProtocolTrace:
     is the sharp-limit value of the state observer i receives.
     """
     werner_strength(alpha)  # validates the range before the loop
-    if margin < 0.0:
+    if not margin >= 0.0:
         raise ValueError(f"margin must be non-negative; got {margin}")
     records: list[BobRecord] = []
     q = 1.0

@@ -72,25 +72,13 @@ def bell_phi_plus() -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
-class WernerAlphaState:
-    """Mixing weight q on |psi(alpha)><psi(alpha)|, white noise otherwise."""
-
-    q: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _check_q(self.q))
-        object.__setattr__(self, "alpha", _check_alpha(self.alpha))
-
-    def densify(self) -> DensityOperator:
-        vec = psi_alpha(self.alpha)
-        matrix = self.q * np.outer(vec, vec.conj()) + (1.0 - self.q) / 4.0 * np.eye(4)
-        return DensityOperator(matrix, pair_layout())
-
-
 def werner_alpha(q: float, alpha: float) -> DensityOperator:
-    return WernerAlphaState(q, alpha).densify()
+    """Mixing weight q on |psi(alpha)><psi(alpha)|, white noise otherwise."""
+    q = _check_q(q)
+    alpha = _check_alpha(alpha)
+    vec = psi_alpha(alpha)
+    matrix = q * np.outer(vec, vec.conj()) + (1.0 - q) / 4.0 * np.eye(4)
+    return DensityOperator(matrix, pair_layout())
 
 
 def werner_strength(alpha: float) -> float:

@@ -33,6 +33,7 @@ _CERTIFIED_SAMPLES = 4
 _CHANNEL_LAMS = (0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0)
 _CHANNEL_QS = (0.25, 0.5, 1.0)
 _CHANNEL_ALPHAS = (0.2, 0.4, states.ALPHA_MAX)
+_CHANNEL_PROBES = (0.5, 1.0)
 
 
 @dataclass(frozen=True)
@@ -51,15 +52,14 @@ def _result(name: str, deviation: float, tolerance: float, detail: str = "") -> 
 
 def check_witness_grid() -> CheckResult:
     """Full-trace payoff vs closed form on the 5x5x5 (q, alpha, lam) grid."""
-    beta = witness.werner_beta()
+    points = [(q, alpha) for q in _QS for alpha in _ALPHAS]
+    matrices = np.stack([states.werner_alpha(q, alpha).matrix for q, alpha in points])
+    numeric = witness._payoffs(matrices, witness.werner_beta(), _LAMS)
     worst = 0.0
-    for q in _QS:
-        for alpha in _ALPHAS:
-            rho = states.werner_alpha(q, alpha)
-            for lam in _LAMS:
-                numeric = witness.mdi_ew_numeric(rho, beta, lam).value
-                closed = witness.mdi_ew_closed_form_unsharp(q, alpha, lam)
-                worst = max(worst, abs(numeric - closed))
+    for column, (q, alpha) in enumerate(points):
+        for row, lam in enumerate(_LAMS):
+            closed = witness.mdi_ew_closed_form_unsharp(q, alpha, lam)
+            worst = max(worst, abs(numeric[row, column] - closed))
     return _result("witness_numeric_vs_closed_grid", worst, WITNESS_GRID_TOL)
 
 
@@ -116,10 +116,10 @@ def check_separable_nonnegativity(seed: int = DEFAULT_SEED, samples: int = 200) 
         closed = (1.0 + lam) / 16.0 * np.eye(4) - lam / 4.0 * singlet_projector
         certification = max(certification, float(np.abs(
             witness.reduced_witness_operator(lam, beta) - closed).max()))
-    for row, lam in enumerate(_SEPARABLE_LAMS):
-        for column, rho in enumerate(rhos[:_CERTIFIED_SAMPLES]):
-            literal = witness.mdi_ew_numeric(rho, beta, lam).value
-            certification = max(certification, abs(payoffs[row, column] - literal))
+    certified = np.stack([rho.matrix for rho in rhos[:_CERTIFIED_SAMPLES]])
+    literal = witness._payoffs(certified, beta, _SEPARABLE_LAMS)
+    certification = max(certification,
+                        float(np.abs(payoffs[:, :_CERTIFIED_SAMPLES] - literal).max()))
     lowest = float(payoffs.min())
     deviation = max(0.0, -lowest)
     return CheckResult("separable_nonnegativity",
@@ -134,10 +134,11 @@ def check_channel_closure_maximal() -> CheckResult:
     worst = 0.0
     alpha = states.ALPHA_MAX
     for lam in _CHANNEL_LAMS:
-        for q in _CHANNEL_QS:
-            out = measurement.averaged_channel(states.werner_alpha(q, alpha), lam)
+        matrices = np.stack([states.werner_alpha(q, alpha).matrix for q in _CHANNEL_QS])
+        outs = measurement._averaged_channel(matrices, states.pair_layout(), lam)
+        for out, q in zip(outs, _CHANNEL_QS):
             want = states.werner_alpha(protocol.f_of_lambda(lam) * q, alpha)
-            worst = max(worst, float(np.abs(out.matrix - want.matrix).max()))
+            worst = max(worst, float(np.abs(out - want.matrix).max()))
     return _result("channel_closure_maximal_alpha", worst, CHANNEL_TOL)
 
 
@@ -148,17 +149,19 @@ def check_channel_statistics() -> CheckResult:
     family member (the invariant noise is rho_A (x) I/2), but every witness
     statistic follows the q-recursion exactly.
     """
-    beta = witness.werner_beta()
+    points = [(q, alpha) for q in _CHANNEL_QS for alpha in _CHANNEL_ALPHAS]
+    matrices = np.stack([states.werner_alpha(q, alpha).matrix for q, alpha in points])
+    outs = np.concatenate([measurement._averaged_channel(matrices, states.pair_layout(), lam)
+                           for lam in _CHANNEL_LAMS])
+    numeric = witness._payoffs(outs, witness.werner_beta(), _CHANNEL_PROBES).reshape(
+        len(_CHANNEL_PROBES), len(_CHANNEL_LAMS), len(points))
     worst = 0.0
-    for lam in _CHANNEL_LAMS:
+    for block, lam in enumerate(_CHANNEL_LAMS):
         decay = protocol.f_of_lambda(lam)
-        for q in _CHANNEL_QS:
-            for alpha in _CHANNEL_ALPHAS:
-                out = measurement.averaged_channel(states.werner_alpha(q, alpha), lam)
-                for probe in (0.5, 1.0):
-                    numeric = witness.mdi_ew_numeric(out, beta, probe).value
-                    closed = witness.mdi_ew_closed_form_unsharp(decay * q, alpha, probe)
-                    worst = max(worst, abs(numeric - closed))
+        for index, (q, alpha) in enumerate(points):
+            for row, probe in enumerate(_CHANNEL_PROBES):
+                closed = witness.mdi_ew_closed_form_unsharp(decay * q, alpha, probe)
+                worst = max(worst, abs(numeric[row, block, index] - closed))
     return _result("channel_statistics_general_alpha", worst, CHANNEL_TOL)
 
 
@@ -172,12 +175,13 @@ def check_decay_spot_values() -> CheckResult:
 
 def check_negativity_grid() -> CheckResult:
     """Closed-form negativity vs the partial-transpose eigenvalue oracle, 20x20."""
+    points = [(q, alpha) for q in np.linspace(0.0, 1.0, 20)
+              for alpha in np.linspace(0.05, states.ALPHA_MAX, 20)]
+    matrices = np.stack([states.werner_alpha(q, alpha).matrix for q, alpha in points])
+    oracles = linalg._negativities(matrices, states.pair_layout(), states.BOB)
     worst = 0.0
-    for q in np.linspace(0.0, 1.0, 20):
-        for alpha in np.linspace(0.05, states.ALPHA_MAX, 20):
-            closed = protocol.negativity_walpha(q, alpha)
-            oracle = linalg.negativity(states.werner_alpha(q, alpha), states.BOB)
-            worst = max(worst, abs(closed - oracle))
+    for (q, alpha), oracle in zip(points, oracles):
+        worst = max(worst, abs(protocol.negativity_walpha(q, alpha) - oracle))
     return _result("negativity_closed_vs_oracle", worst, NEGATIVITY_TOL)
 
 

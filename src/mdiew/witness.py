@@ -69,36 +69,34 @@ def werner_beta() -> WitnessCoefficients:
     return WitnessCoefficients(beta)
 
 
-def joint_success_probability(rho: DensityOperator, lam: float, s: int, t: int) -> float:
-    """P_lam(1,1 | tau_s, omega_t): both parties project onto their pair effect.
+def _payoffs(matrices: np.ndarray, beta: WitnessCoefficients, lams) -> np.ndarray:
+    """Payoffs by the full 16-dimensional trace, one row per sharpness, one column per state.
 
-    Alice measures sharply on (A', A); Bob applies the unsharp plus effect on
-    (B, B').  The state is assembled as tau_s (x) rho (x) omega_t.
+    `matrices` is a stack of 4x4 two-qubit density matrices and `lams` a
+    sequence of sharpness values.  Every payoff
+    takes the same operations as a one-state call: one op @ eta product per
+    (lam, state, s, t) and the beta sum accumulated pair by pair.
     """
-    taus = input_ensemble("tau")
-    omegas = input_ensemble("omega")
-    op = tensor(bell_projector(), unsharp_pair(lam).plus)
-    eta = tensor(taus.states[s].matrix, rho.matrix, omegas.states[t].matrix)
-    return float(np.trace(op @ eta).real)
+    taus = np.stack([state.matrix for state in input_ensemble("tau").states])
+    omegas = np.stack([state.matrix for state in input_ensemble("omega").states])
+    ops = np.stack([tensor(bell_projector(), unsharp_pair(lam).plus) for lam in lams])
+    # etas[n, s, t] = tau_s (x) rho_n (x) omega_t, each a full 16x16 operator.
+    etas = _kron(_kron(taus, matrices[:, None])[:, :, None], omegas)
+    traces = np.trace(ops[:, None, None, None] @ etas, axis1=-2, axis2=-1).real
+    # Row-major accumulation, one pair at a time: a contraction over (s, t)
+    # would reorder the sum and move the result in its last bits.
+    values = np.zeros(traces.shape[:2])
+    for s in range(4):
+        for t in range(4):
+            values += beta.beta[s, t] * traces[..., s, t]
+    return values
 
 
 def mdi_ew_numeric(rho: DensityOperator, beta: WitnessCoefficients, lam: float) -> WitnessValue:
     """Witness payoff by the full 16-dimensional trace."""
     if rho.dims != (2, 2):
         raise ValueError(f"witness expects a two-qubit state; layout dims {rho.dims}")
-    taus = np.stack([state.matrix for state in input_ensemble("tau").states])
-    omegas = np.stack([state.matrix for state in input_ensemble("omega").states])
-    op = tensor(bell_projector(), unsharp_pair(lam).plus)
-    # etas[s, t] = tau_s (x) rho (x) omega_t, each a full 16x16 operator.
-    etas = _kron(_kron(taus, rho.matrix)[:, None], omegas)
-    traces = np.trace(op @ etas, axis1=2, axis2=3).real
-    # Row-major accumulation, one pair at a time: a contraction over (s, t)
-    # would reorder the sum and move the result in its last bits.
-    value = 0.0
-    for s in range(4):
-        for t in range(4):
-            value += beta.beta[s, t] * traces[s, t]
-    return WitnessValue(float(value), float(lam))
+    return WitnessValue(float(_payoffs(rho.matrix[None], beta, (lam,))[0, 0]), float(lam))
 
 
 def reduced_witness_operator(lam: float, beta: WitnessCoefficients) -> np.ndarray:

@@ -3,6 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from mdiew.linalg import DensityOperator
+from mdiew.states import ALPHA_MAX, pair_layout, werner_alpha
+
 settings.register_profile(
     "suite",
     max_examples=50,
@@ -22,6 +25,17 @@ def random_density_matrix(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = g @ g.conj().T
     return rho / rho.trace()
+
+
+def werner_and_random_states(rng, size):
+    """`size` two-qubit states, alternating Werner-alpha and random full-rank ones."""
+    states = []
+    for index in range(size):
+        if index % 2:
+            states.append(DensityOperator(random_density_matrix(rng, 4), pair_layout()))
+        else:
+            states.append(werner_alpha(rng.uniform(), rng.uniform(0.01, ALPHA_MAX)))
+    return states
 
 
 def random_hermitian(rng, dim):

@@ -192,6 +192,7 @@ def test_stdout_default(capsys):
     ["fig1", "--seed", "3"],
     ["run", "--alpha", "0.5", "--grid-step", "0.1"],     # --grid-step is the figures' only
     ["verify", "--grid-step", "0.1"],
+    ["run", "--entanglement", "1e-30", "--margin", "nan"],  # NaN margin
 ])
 def test_usage_errors_exit_two(args):
     with pytest.raises(SystemExit) as excinfo:

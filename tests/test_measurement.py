@@ -16,6 +16,7 @@ from mdiew.linalg import (
 from mdiew.measurement import (
     OUTCOMES,
     DegenerateOutcomeError,
+    _averaged_channel,
     averaged_channel,
     bell_projector,
     effect_sqrt,
@@ -27,7 +28,7 @@ from mdiew.protocol import f_of_lambda
 from mdiew.states import ALPHA_MAX, input_ensemble, input_state, psi_alpha, werner_alpha
 from mdiew.verify import random_separable_two_qubit
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, werner_and_random_states
 
 I4 = np.eye(4)
 lambdas = st.floats(0.0, 1.0)
@@ -269,3 +270,12 @@ def test_channel_is_bit_identical_to_eight_embed_loop(lam):
         want = _eight_embed_channel(rho, lam)
         assert got.labels == want.labels
         assert np.array_equal(got.matrix, want.matrix)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_channel_kernel_is_bit_identical_to_per_state_calls(size):
+    rhos = werner_and_random_states(np.random.default_rng(size), size)
+    matrices = np.stack([rho.matrix for rho in rhos])
+    for lam in (0.0, 1.0 / 3.0, 0.5, 1.0):
+        per_state = np.stack([averaged_channel(rho, lam).matrix for rho in rhos])
+        assert np.array_equal(_averaged_channel(matrices, rhos[0].layout, lam), per_state)

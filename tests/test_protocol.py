@@ -108,6 +108,13 @@ def test_threshold_protocol_with_margin():
         run_threshold_protocol(0.5, -0.1)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 1e-10])
+def test_threshold_protocol_rejects_nan_margin(alpha):
+    # at alpha = 1e-10 the first observer already fails, so no later check sees the margin
+    with pytest.raises(ValueError, match="margin must be non-negative"):
+        run_threshold_protocol(alpha, math.nan)
+
+
 def test_threshold_counts_monotone_in_entanglement():
     alphas = [alpha_from_entanglement(e) for e in np.linspace(0.01, 1.0, 40)]
     counts = threshold_success_count(np.array(alphas)).tolist()

@@ -9,7 +9,6 @@ from mdiew.linalg import min_eigenvalue, partial_transpose, tensor
 from mdiew.states import (
     ALPHA_MAX,
     PAULI,
-    WernerAlphaState,
     alpha_from_entanglement,
     bell_phi_plus,
     entanglement_entropy,
@@ -78,9 +77,9 @@ def test_werner_alpha_is_valid_density_operator(q, alpha):
 
 def test_werner_alpha_state_rejects_bad_parameters():
     with pytest.raises(ValueError, match="q"):
-        WernerAlphaState(1.2, 0.5)
+        werner_alpha(1.2, 0.5)
     with pytest.raises(ValueError, match="alpha"):
-        WernerAlphaState(0.5, 0.9)
+        werner_alpha(0.5, 0.9)
 
 
 def test_entangled_iff_strength_exceeds_one():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mdiew import verify, witness
+from mdiew import linalg, measurement, protocol, states, verify, witness
 from mdiew.verify import check_separable_nonnegativity, random_separable_two_qubit
 
 
@@ -52,3 +52,65 @@ def test_separable_check_certifies_the_reduced_operator(monkeypatch):
     result = check_separable_nonnegativity()
     assert result.deviation <= verify.SEPARABLE_BOUND
     assert not result.passed
+
+
+# --- stacked checks against per-point loops over the public functions ------------
+
+def _witness_grid_loop():
+    worst = 0.0
+    for q in np.linspace(0.0, 1.0, 5):
+        for alpha in np.linspace(0.1, states.ALPHA_MAX, 5):
+            rho = states.werner_alpha(q, alpha)
+            for lam in np.linspace(0.0, 1.0, 5):
+                numeric = witness.mdi_ew_numeric(rho, witness.werner_beta(), lam).value
+                worst = max(worst, abs(numeric - witness.mdi_ew_closed_form_unsharp(q, alpha, lam)))
+    return worst
+
+
+_CHANNEL_LAMS = (0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0)
+_CHANNEL_QS = (0.25, 0.5, 1.0)
+
+
+def _channel_closure_loop():
+    worst = 0.0
+    for lam in _CHANNEL_LAMS:
+        for q in _CHANNEL_QS:
+            out = measurement.averaged_channel(states.werner_alpha(q, states.ALPHA_MAX), lam)
+            want = states.werner_alpha(protocol.f_of_lambda(lam) * q, states.ALPHA_MAX)
+            worst = max(worst, float(np.abs(out.matrix - want.matrix).max()))
+    return worst
+
+
+def _channel_statistics_loop():
+    worst = 0.0
+    for lam in _CHANNEL_LAMS:
+        for q in _CHANNEL_QS:
+            for alpha in (0.2, 0.4, states.ALPHA_MAX):
+                out = measurement.averaged_channel(states.werner_alpha(q, alpha), lam)
+                for probe in (0.5, 1.0):
+                    numeric = witness.mdi_ew_numeric(out, witness.werner_beta(), probe).value
+                    closed = witness.mdi_ew_closed_form_unsharp(
+                        protocol.f_of_lambda(lam) * q, alpha, probe)
+                    worst = max(worst, abs(numeric - closed))
+    return worst
+
+
+def _negativity_grid_loop():
+    worst = 0.0
+    for q in np.linspace(0.0, 1.0, 20):
+        for alpha in np.linspace(0.05, states.ALPHA_MAX, 20):
+            oracle = linalg.negativity(states.werner_alpha(q, alpha), states.BOB)
+            worst = max(worst, abs(protocol.negativity_walpha(q, alpha) - oracle))
+    return worst
+
+
+@pytest.mark.parametrize("check, loop", [
+    (verify.check_witness_grid, _witness_grid_loop),
+    (verify.check_channel_closure_maximal, _channel_closure_loop),
+    (verify.check_channel_statistics, _channel_statistics_loop),
+    (verify.check_negativity_grid, _negativity_grid_loop),
+], ids=["witness_grid", "channel_closure_maximal", "channel_statistics", "negativity_grid"])
+def test_stacked_check_equals_per_point_loop(check, loop):
+    result = check()
+    assert result.passed
+    assert result.deviation == loop()

@@ -21,8 +21,8 @@ from mdiew.witness import (
     SingularEnsembleError,
     WitnessCoefficients,
     WitnessValue,
+    _payoffs,
     decompose_witness,
-    joint_success_probability,
     mdi_ew_closed_form,
     mdi_ew_closed_form_unsharp,
     mdi_ew_numeric,
@@ -31,7 +31,7 @@ from mdiew.witness import (
     werner_beta,
 )
 
-from conftest import random_density_matrix, random_hermitian
+from conftest import random_density_matrix, random_hermitian, werner_and_random_states
 
 qs = st.floats(0.0, 1.0)
 alphas = st.floats(0.01, ALPHA_MAX)
@@ -77,6 +77,19 @@ def test_numeric_payoff_spot_values():
     assert not at_threshold.entangled
 
 
+def joint_success_probability(rho, lam, s, t):
+    """Reference: P_lam(1,1 | tau_s, omega_t) from one tau_s (x) rho (x) omega_t trace.
+
+    Alice measures sharply on (A', A); Bob applies the unsharp plus effect on
+    (B, B').
+    """
+    taus = input_ensemble("tau")
+    omegas = input_ensemble("omega")
+    op = tensor(bell_projector(), unsharp_pair(lam).plus)
+    eta = tensor(taus.states[s].matrix, rho.matrix, omegas.states[t].matrix)
+    return float(np.trace(op @ eta).real)
+
+
 def test_numeric_uses_single_probabilities():
     beta = werner_beta()
     rho = werner_alpha(0.7, 0.5)
@@ -115,6 +128,17 @@ def test_numeric_is_bit_identical_to_per_pair_loop(lam):
     for rho in _reference_states():
         for table in tables:
             assert mdi_ew_numeric(rho, table, lam).value == _per_pair_loop_payoff(rho, table, lam)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_payoff_kernel_is_bit_identical_to_per_state_calls(size):
+    rhos = werner_and_random_states(np.random.default_rng(size), size)
+    matrices = np.stack([rho.matrix for rho in rhos])
+    lams = (0.0, 1.0 / 3.0, 0.5, 1.0)
+    random_table = WitnessCoefficients(np.random.default_rng(7).standard_normal((4, 4)))
+    for table in (werner_beta(), random_table):
+        per_state = [[mdi_ew_numeric(rho, table, lam).value for rho in rhos] for lam in lams]
+        assert np.array_equal(_payoffs(matrices, table, lams), per_state)
 
 
 def test_numeric_rejects_wrong_layout(rng):
