@@ -51,11 +51,6 @@ class BinaryEffectPair:
     plus: np.ndarray
     minus: np.ndarray
 
-    def effect(self, outcome: str) -> np.ndarray:
-        if outcome not in OUTCOMES:
-            raise ValueError(f"outcome must be '+' or '-'; got {outcome!r}")
-        return self.plus if outcome == "+" else self.minus
-
 
 def unsharp_pair(lam: float) -> BinaryEffectPair:
     """Effects interpolating between the trivial (lam=0) and sharp (lam=1) measurement.

@@ -14,13 +14,14 @@ all observers at one common sharpness.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _increasing_root, alpha_from_entanglement, werner_strength
-from .witness import DETECTION_THRESHOLD, mdi_ew_closed_form_unsharp, threshold_lambda
+from .states import ALPHA_MAX, _increasing_root, entanglement_entropy, werner_strength
+from .witness import DETECTION_THRESHOLD, threshold_lambda
 
 # An exact-threshold measurement leaves the payoff at exactly zero, which the
 # strict detection rule rejects; observer i counts as successful iff a valid
@@ -28,8 +29,6 @@ from .witness import DETECTION_THRESHOLD, mdi_ew_closed_form_unsharp, threshold_
 FEASIBILITY_TOL = 1e-12
 
 LAMBDA_WINDOW = (1.0 / 3.0, 1.0)
-# Bisection halvings of boundary_alpha_for_n decided by one counter call.
-BISECTION_DEPTH = 4
 
 POLICY_THRESHOLD = "threshold"
 POLICY_EQUAL = "equal-sharpness"
@@ -90,14 +89,14 @@ def delta_negativity(negativity: float, lam: float) -> float:
     (1 + 4N)/4 (1 - f(lam)) while the remaining state stays entangled; the
     full N once the measurement destroys the entanglement (clip at N).
     """
-    if negativity < 0.0:
+    if not negativity >= 0.0:
         raise ValueError(f"negativity must be non-negative; got {negativity}")
     return min((1.0 + 4.0 * negativity) / 4.0 * (1.0 - f_of_lambda(lam)), negativity)
 
 
 def threshold_from_negativity(negativity: float) -> float:
     """Threshold sharpness 1/(4N + 1); N = 0 gives the infeasible boundary 1."""
-    if negativity < 0.0:
+    if not negativity >= 0.0:
         raise ValueError(f"negativity must be non-negative; got {negativity}")
     return 1.0 / (4.0 * negativity + 1.0)
 
@@ -109,15 +108,45 @@ def delta_negativity_at_threshold(negativity: float) -> float:
     [1 + 4N - sqrt(N(1+N)) - sqrt(3N(1+3N))]/8, identical to composing
     delta_negativity with threshold_from_negativity before the clip.
     """
-    if negativity <= 0.0:
+    if not negativity > 0.0:
         raise ValueError(f"negativity must be positive; got {negativity}")
     return (1.0 + 4.0 * negativity
             - math.sqrt(negativity * (1.0 + negativity))
             - math.sqrt(3.0 * negativity * (1.0 + 3.0 * negativity))) / 8.0
 
 
-def _sharp_payoff(q: float, alpha: float) -> float:
-    return mdi_ew_closed_form_unsharp(q, alpha, 1.0)
+def _observers(alpha: float, margin: float = 0.0, lam: float | None = None):
+    """Yield (q, lam_i, payoff, success) for observers 1, 2, ... up to the first failure.
+
+    With lam None each observer measures at their threshold 1/(q c) plus
+    `margin` and succeeds iff that threshold is below 1 - FEASIBILITY_TOL;
+    the payoff is the sharp-limit (lam = 1) value.  Otherwise everyone
+    measures at `lam` and succeeds iff the payoff there is below
+    -DETECTION_THRESHOLD.  Callers validate `margin` and `lam`.
+    """
+    strength = werner_strength(alpha)
+    q = 1.0
+    while True:
+        if lam is None:
+            threshold = threshold_lambda(q, alpha)
+            success = threshold < 1.0 - FEASIBILITY_TOL
+            lam_i = min(threshold + margin, 1.0)
+            payoff = (1.0 - q * strength) / 16.0
+        else:
+            lam_i = lam
+            payoff = (1.0 - lam * q * strength) / 16.0
+            success = payoff < -DETECTION_THRESHOLD
+        yield q, lam_i, payoff, success
+        if not success:
+            return
+        q = f_of_lambda(lam_i) * q
+
+
+def _trace(alpha: float, policy: str, param: float, steps) -> ProtocolTrace:
+    records = tuple(
+        BobRecord(index, lam_i, q, payoff, negativity_walpha(q, alpha), success)
+        for index, (q, lam_i, payoff, success) in enumerate(steps, 1))
+    return ProtocolTrace(float(alpha), policy, float(param), records, len(records) - 1)
 
 
 def run_threshold_protocol(alpha: float, margin: float = 0.0) -> ProtocolTrace:
@@ -127,31 +156,10 @@ def run_threshold_protocol(alpha: float, margin: float = 0.0) -> ProtocolTrace:
     the trace ends with the first infeasible observer.  The recorded payoff
     is the sharp-limit value of the state observer i receives.
     """
-    werner_strength(alpha)  # validates the range before the loop
+    werner_strength(alpha)  # validates the range before the margin
     if not margin >= 0.0:
         raise ValueError(f"margin must be non-negative; got {margin}")
-    records: list[BobRecord] = []
-    q = 1.0
-    index = 1
-    while True:
-        lam_th = threshold_lambda(q, alpha)
-        feasible = lam_th < 1.0 - FEASIBILITY_TOL
-        lam_used = min(lam_th + margin, 1.0)
-        records.append(BobRecord(
-            index=index,
-            lam=lam_used,
-            q=q,
-            witness_value=_sharp_payoff(q, alpha),
-            negativity=negativity_walpha(q, alpha),
-            success=feasible,
-        ))
-        if not feasible:
-            break
-        q = f_of_lambda(lam_used) * q
-        index += 1
-    n_success = sum(record.success for record in records)
-    return ProtocolTrace(float(alpha), POLICY_THRESHOLD, float(margin),
-                         tuple(records), n_success)
+    return _trace(alpha, POLICY_THRESHOLD, margin, _observers(alpha, margin))
 
 
 def run_equal_sharpness(alpha: float, lam: float) -> ProtocolTrace:
@@ -162,28 +170,7 @@ def run_equal_sharpness(alpha: float, lam: float) -> ProtocolTrace:
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"common sharpness must lie in (0, 1]; got {lam}")
-    werner_strength(alpha)  # validates the range before the loop
-    records: list[BobRecord] = []
-    q = 1.0
-    index = 1
-    while True:
-        value = mdi_ew_closed_form_unsharp(q, alpha, lam)
-        success = value < -DETECTION_THRESHOLD
-        records.append(BobRecord(
-            index=index,
-            lam=lam,
-            q=q,
-            witness_value=value,
-            negativity=negativity_walpha(q, alpha),
-            success=success,
-        ))
-        if not success:
-            break
-        q = f_of_lambda(lam) * q
-        index += 1
-    n_success = sum(record.success for record in records)
-    return ProtocolTrace(float(alpha), POLICY_EQUAL, float(lam),
-                         tuple(records), n_success)
+    return _trace(alpha, POLICY_EQUAL, lam, _observers(alpha, lam=lam))
 
 
 def _decay(lams: np.ndarray) -> np.ndarray:
@@ -200,18 +187,17 @@ def threshold_success_count(alpha: float | np.ndarray) -> int | np.ndarray:
     """
     flat = np.ravel(alpha)
     strength = np.fromiter(map(werner_strength, flat), float, flat.size)
-    limit = 1.0 / (1.0 - FEASIBILITY_TOL)
     q = np.ones_like(strength)
     counts = np.zeros(strength.shape, dtype=int)
     while True:
-        weight = q * strength
-        alive = weight > limit
+        lam = 1.0 / (q * strength)  # threshold_lambda, tested as _observers does
+        alive = lam < 1.0 - FEASIBILITY_TOL
         if not alive.any():
             return counts.reshape(np.shape(alpha)) if np.ndim(alpha) else int(counts[0])
         counts += alive
         # q only falls, so a failed entry stays failed while the loop runs on;
-        # the clip keeps its sharpness, above 1 - FEASIBILITY_TOL, in range
-        q = _decay(np.minimum(1.0 / weight, 1.0)) * q
+        # the clip keeps its sharpness, at least 1 - FEASIBILITY_TOL, in range
+        q = _decay(np.minimum(lam, 1.0)) * q
 
 
 def equal_sharpness_count(alpha: float, lam: float | np.ndarray) -> int | np.ndarray:
@@ -235,40 +221,30 @@ def equal_sharpness_count(alpha: float, lam: float | np.ndarray) -> int | np.nda
         q = q * decay  # q only falls, so a failed entry stays failed
 
 
-def boundary_alpha_for_n(n_target: int, e_lo: float = 1e-6, e_hi: float = 1.0,
-                         e_tol: float = 1e-6) -> tuple[float, float]:
-    """Smallest entanglement whose threshold-policy count reaches n_target.
+def boundary_alpha_for_n(n_target: int) -> tuple[float, float]:
+    """Smallest alpha whose threshold-policy count reaches n_target.
 
-    Bisection on the pure-state family; the count is non-decreasing in the
-    entanglement.  Each counter call takes every midpoint the next
-    BISECTION_DEPTH halvings can visit, so the halvings are exactly those of
-    one-at-a-time bisection.  Returns (alpha, entanglement) at the located
-    boundary.
+    Bisection over (0, ALPHA_MAX] down to adjacent floats: the count is
+    n_target or more at the returned alpha and below it one float lower.
+    Each probe follows the recursion only until observer n_target decides.
+    Returns (alpha, entanglement) at that edge.
     """
-    top, bottom = threshold_success_count(
-        [alpha_from_entanglement(e_hi), alpha_from_entanglement(e_lo)])
-    if top < n_target:
-        raise ValueError(f"count never reaches {n_target} below E = {e_hi}")
-    if bottom >= n_target:
-        raise ValueError(f"count already reaches {n_target} at E = {e_lo}")
-    lo, hi = e_lo, e_hi
-    while hi - lo > e_tol:
-        # heap order: node k's lower half is node 2k + 1, its upper half 2k + 2
-        mids: list[float] = []
-        brackets = [(lo, hi)]
-        for _ in range(BISECTION_DEPTH):
-            level = [0.5 * (a + b) for a, b in brackets]
-            brackets = [half for (a, b), m in zip(brackets, level) for half in ((a, m), (m, b))]
-            mids += level
-        reached = threshold_success_count(
-            [alpha_from_entanglement(e) for e in mids]) >= n_target
-        node = 0
-        while node < len(mids) and hi - lo > e_tol:
-            if reached[node]:
-                hi, node = mids[node], 2 * node + 1
-            else:
-                lo, node = mids[node], 2 * node + 2
-    return alpha_from_entanglement(hi), hi
+    if n_target < 1:
+        raise ValueError(f"observer count must be positive; got {n_target}")
+
+    def reached(alpha):
+        return all(step[3] for step in itertools.islice(_observers(alpha), n_target))
+
+    lo, hi = 0.0, ALPHA_MAX
+    if not reached(hi):
+        raise ValueError(f"count never reaches {n_target}, even at alpha = {hi}")
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, entanglement_entropy(hi)
 
 
 def _lambda_grid(step: float) -> np.ndarray:

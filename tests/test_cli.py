@@ -137,8 +137,9 @@ def test_byte_identical_reruns(tmp_path):
 # test_fig1_small_entanglement_row_matches_mpmath).  fig3 was re-pinned when
 # exact window edges replaced the grid scan with 1e-6 bisection: the same 306
 # rows and zero pattern, delta_lambda_n moved by at most 9.8e-7.
+# fig1 re-pinned: boundary row alpha, e_alpha moved to the exact 13 -> 14 edge.
 GOLDEN_FIGURE_SHA256 = {
-    ("fig1",): "180587811f426deaf71f9e1fc92198ca129d89a28f1e30006ef52b1403ff53a8",
+    ("fig1",): "f410d853aa3b26efdb9e427df881ae7204623466cfc9b071f61ca498b958c91d",
     ("fig2", "--entanglement", "1.0"):
         "f1dc575b63b858f361411cd82b6335c30dcb177b0a9237a02414c5e558caa4c5",
     ("fig2", "--entanglement", "0.935"):

@@ -128,6 +128,8 @@ def test_threshold_counts_monotone_in_entanglement():
 @given(st.floats(0.0, ALPHA_MAX, exclude_min=True))
 @example(ALPHA_MAX)
 @example(1e-300)
+@example(0.5923410886765756)  # the 13 -> 14 edge
+@example(2.499944695699696e-13)  # the 0 -> 1 edge
 def test_threshold_count_matches_trace(alpha):
     assert threshold_success_count(alpha) == run_threshold_protocol(alpha).n_success
 
@@ -156,30 +158,26 @@ def test_boundary_for_fourteen_observers():
     assert threshold_success_count(alpha_from_entanglement(entropy - 1e-4)) == 13
 
 
-def _bisected_boundary(n_target, lo=1e-6, hi=1.0, tol=1e-6):
-    """Reference: one-at-a-time bisection with one scalar count per halving."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if threshold_success_count(alpha_from_entanglement(mid)) >= n_target:
-            hi = mid
-        else:
-            lo = mid
-    return alpha_from_entanglement(hi), hi
-
-
-@pytest.mark.parametrize("args", [
-    (2,), (5,), (9,), (13,), (14,),
-    (9, 0.5, 0.99, 1e-9), (14, 0.5, 0.99, 1e-12), (14, 0.9, 1.0, 0.05),
-])
-def test_boundary_matches_one_at_a_time_bisection(args):
-    assert boundary_alpha_for_n(*args) == _bisected_boundary(*args)
+@pytest.mark.parametrize("n_target", range(1, 15))
+def test_boundary_is_exact_to_adjacent_floats(n_target):
+    alpha, entropy = boundary_alpha_for_n(n_target)
+    below = math.nextafter(alpha, 0.0)
+    assert run_threshold_protocol(alpha).n_success >= n_target
+    assert run_threshold_protocol(below).n_success < n_target
+    assert entropy == entanglement_entropy(alpha)
+    for point in (below, alpha, math.nextafter(alpha, 1.0)):
+        assert threshold_success_count(point) == run_threshold_protocol(point).n_success
 
 
 def test_boundary_rejects_unreachable_targets():
     with pytest.raises(ValueError, match="never reaches"):
         boundary_alpha_for_n(15)
-    with pytest.raises(ValueError, match="already"):
-        boundary_alpha_for_n(1)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="positive"):
+            boundary_alpha_for_n(bad)
+    # one observer needs only 1/c < 1 - FEASIBILITY_TOL, i.e. alpha ~ 2.5e-13
+    alpha, _ = boundary_alpha_for_n(1)
+    assert alpha == pytest.approx(2.5e-13, rel=1e-4)
 
 
 # --- equal sharpness ---------------------------------------------------------------
@@ -549,6 +547,16 @@ def test_delta_at_threshold_closed_form():
     assert delta_negativity_at_threshold(0.5) == pytest.approx(0.0246853653889816, abs=1e-14)
     with pytest.raises(ValueError):
         delta_negativity_at_threshold(0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: delta_negativity(math.nan, 0.5),
+    lambda: threshold_from_negativity(math.nan),
+    lambda: delta_negativity_at_threshold(math.nan),
+], ids=["delta_negativity", "threshold_from_negativity", "delta_negativity_at_threshold"])
+def test_negativity_helpers_reject_nan(call):
+    with pytest.raises(ValueError, match="negativity must be"):
+        call()
 
 
 def test_delta_at_threshold_identity_with_composition():
