@@ -10,8 +10,6 @@ from .linalg import (
     DensityOperator,
     SubsystemLayout,
     embed_operator,
-    herm_sqrt,
-    min_eigenvalue,
     negativity,
     partial_trace,
     partial_transpose,

@@ -88,14 +88,7 @@ class DensityOperator:
         if matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {matrix.shape} does not match layout dimension {dim}")
         if validate:
-            if not is_hermitian(matrix, HERMITICITY_ATOL):
-                raise ValueError("density operator is not Hermitian within 1e-12")
-            trace = matrix.trace()
-            if abs(trace - 1.0) > TRACE_ATOL:
-                raise ValueError(f"density operator trace {trace} is not 1 within 1e-12")
-            low = float(np.linalg.eigvalsh(matrix)[0])
-            if low < -PSD_ATOL:
-                raise ValueError(f"density operator has negative eigenvalue {low}")
+            _check_density_matrices(matrix[None])
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -109,6 +102,34 @@ class DensityOperator:
 def is_hermitian(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
     matrix = np.asarray(matrix)
     return bool(np.max(np.abs(matrix - matrix.conj().T)) <= atol)
+
+
+def _check_density_matrices(matrices: np.ndarray) -> None:
+    """DensityOperator's checks on every matrix of a stack: Hermitian, unit trace, PSD.
+
+    Each check runs over the whole stack before the next one starts; the
+    first matrix that fails raises ValueError, and in a stack of more than
+    one the message names its index.
+    """
+    def first(flags: np.ndarray) -> tuple[int, str]:
+        index = int(np.argmax(flags))
+        return index, (f" (stack index {index})" if len(matrices) > 1 else "")
+
+    asymmetry = np.abs(matrices - matrices.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+    not_hermitian = ~(asymmetry <= HERMITICITY_ATOL)
+    if not_hermitian.any():
+        _, where = first(not_hermitian)
+        raise ValueError("density operator is not Hermitian within 1e-12" + where)
+    traces = np.trace(matrices, axis1=-2, axis2=-1)
+    off_trace = np.abs(traces - 1.0) > TRACE_ATOL
+    if off_trace.any():
+        index, where = first(off_trace)
+        raise ValueError(f"density operator trace {traces[index]} is not 1 within 1e-12" + where)
+    lows = np.linalg.eigvalsh(matrices)[:, 0]
+    negative = lows < -PSD_ATOL
+    if negative.any():
+        index, where = first(negative)
+        raise ValueError(f"density operator has negative eigenvalue {float(lows[index])}" + where)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -227,29 +248,6 @@ def _partial_transposes(matrices: np.ndarray, layout: SubsystemLayout,
 def partial_transpose(rho: DensityOperator, subsystem: str) -> np.ndarray:
     """Transpose one factor of a two-factor state."""
     return _partial_transposes(rho.matrix[None], rho.layout, subsystem)[0]
-
-
-def min_eigenvalue(matrix: np.ndarray) -> float:
-    if not is_hermitian(matrix):
-        raise ValueError("min_eigenvalue requires a Hermitian matrix")
-    return float(np.linalg.eigvalsh(matrix)[0])
-
-
-def herm_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Positive square root of a Hermitian PSD matrix via eigendecomposition.
-
-    Rounding can leave the eigenvalues of a PSD matrix slightly negative:
-    those in [-PSD_ATOL, 0) are set to zero, and any below -PSD_ATOL raise
-    ValueError.  Every non-negative eigenvalue keeps its own square root.
-    """
-    matrix = np.asarray(matrix, dtype=complex)
-    if not is_hermitian(matrix):
-        raise ValueError("herm_sqrt requires a Hermitian matrix")
-    eigvals, eigvecs = np.linalg.eigh(matrix)
-    if eigvals[0] < -PSD_ATOL:
-        raise ValueError(f"herm_sqrt requires a PSD matrix; min eigenvalue {eigvals[0]}")
-    eigvals = np.where(eigvals < 0.0, 0.0, eigvals)
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
 
 
 def _negativities(matrices: np.ndarray, layout: SubsystemLayout, subsystem: str) -> np.ndarray:

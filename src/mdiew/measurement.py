@@ -68,7 +68,7 @@ def effect_sqrt(lam: float, outcome: str) -> np.ndarray:
     """Square root of an unsharp effect via its two-eigenspace spectral form.
 
     Exact fast path; it squares back to the effect within 1e-15.  A generic
-    eigen-route such as herm_sqrt agrees with it within 1e-12 for
+    eigendecomposition route agrees with it within 1e-12 for
     1 - lam >= 1e-6.  Closer to lam = 1 the effect's smallest eigenvalue mu
     sinks towards the rounding of its entries, and the generic route's error
     grows like eps/sqrt(mu) (eps = float64 machine epsilon); this form keeps

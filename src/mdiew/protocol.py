@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import ALPHA_MAX, _increasing_root, entanglement_entropy, werner_strength
+from .states import (ALPHA_MAX, _increasing_root, _werner_strengths, entanglement_entropy,
+                     werner_strength)
 from .witness import DETECTION_THRESHOLD, threshold_lambda
 
 # An exact-threshold measurement leaves the payoff at exactly zero, which the
@@ -185,8 +186,7 @@ def threshold_success_count(alpha: float | np.ndarray) -> int | np.ndarray:
     A scalar alpha gives an int; an array of alphas gives an int array of
     the same shape, each entry equal to the scalar count.
     """
-    flat = np.ravel(alpha)
-    strength = np.fromiter(map(werner_strength, flat), float, flat.size)
+    strength = _werner_strengths(np.ravel(alpha))
     q = np.ones_like(strength)
     counts = np.zeros(strength.shape, dtype=int)
     while True:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityOperator, SubsystemLayout
+from .linalg import DensityOperator, SubsystemLayout, _check_density_matrices
 
 ALICE_INPUT = "A'"
 ALICE = "A"
@@ -49,11 +49,22 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1]; got {q}")
-    return q
+def _check_alphas(alphas) -> np.ndarray:
+    """_check_alpha over an array: the first entry outside (0, 1/sqrt(2)] raises."""
+    alphas = np.asarray(alphas, dtype=float)
+    outside = ~((alphas > 0.0) & (alphas <= ALPHA_MAX))
+    if outside.any():
+        raise ValueError(f"alpha must lie in (0, 1/sqrt(2)]; got {float(alphas[outside][0])}")
+    return alphas
+
+
+def _check_qs(qs) -> np.ndarray:
+    """Mixing weights as a float array; the first entry outside [0, 1] raises."""
+    qs = np.asarray(qs, dtype=float)
+    outside = ~((qs >= 0.0) & (qs <= 1.0))
+    if outside.any():
+        raise ValueError(f"q must lie in [0, 1]; got {float(qs[outside][0])}")
+    return qs
 
 
 def psi_alpha(alpha: float) -> np.ndarray:
@@ -72,13 +83,29 @@ def bell_phi_plus() -> np.ndarray:
     return vec
 
 
+def _werner_alphas(qs, alphas) -> np.ndarray:
+    """Validated matrices of werner_alpha(q, alpha), one per pair of `qs` and `alphas`.
+
+    The two 1-D sequences broadcast against each other.  All q are checked
+    before all alpha, and the whole stack is validated once.  Every matrix
+    takes the one-state operations: q times the outer product of
+    psi_alpha(alpha) with its conjugate, plus (1 - q)/4 I.
+    """
+    qs = _check_qs(qs)
+    alphas = _check_alphas(alphas)
+    qs, alphas = np.broadcast_arrays(qs, alphas)
+    vecs = np.zeros((len(alphas), 4), dtype=complex)
+    vecs[:, 1] = alphas
+    vecs[:, 2] = -np.sqrt(1.0 - alphas * alphas)
+    projectors = vecs[:, :, None] * vecs.conj()[:, None, :]
+    matrices = qs[:, None, None] * projectors + ((1.0 - qs) / 4.0)[:, None, None] * np.eye(4)
+    _check_density_matrices(matrices)
+    return matrices
+
+
 def werner_alpha(q: float, alpha: float) -> DensityOperator:
     """Mixing weight q on |psi(alpha)><psi(alpha)|, white noise otherwise."""
-    q = _check_q(q)
-    alpha = _check_alpha(alpha)
-    vec = psi_alpha(alpha)
-    matrix = q * np.outer(vec, vec.conj()) + (1.0 - q) / 4.0 * np.eye(4)
-    return DensityOperator(matrix, pair_layout())
+    return DensityOperator(_werner_alphas([q], [alpha])[0], pair_layout(), validate=False)
 
 
 def werner_strength(alpha: float) -> float:
@@ -88,6 +115,12 @@ def werner_strength(alpha: float) -> float:
     """
     alpha = _check_alpha(alpha)
     return 1.0 + 4.0 * alpha * math.sqrt(1.0 - alpha * alpha)
+
+
+def _werner_strengths(alphas) -> np.ndarray:
+    """werner_strength elementwise, with the same operations in the same order."""
+    alphas = _check_alphas(alphas)
+    return 1.0 + 4.0 * alphas * np.sqrt(1.0 - alphas * alphas)
 
 
 def _input_matrix(index: int) -> np.ndarray:

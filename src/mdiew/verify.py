@@ -2,7 +2,9 @@
 
 Each check recomputes one of the package's oracle equivalences or structural
 properties and reports its worst deviation against a pinned tolerance.  The
-suite is seeded and finishes in a few seconds.
+suite is seeded and finishes in tens of milliseconds.  The grid checks build
+and validate their states as stacks and evaluate them with the stacked
+literal kernels, each the many-state case of one public function.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _result(name: str, deviation: float, tolerance: float, detail: str = "") -> 
 def check_witness_grid() -> CheckResult:
     """Full-trace payoff vs closed form on the 5x5x5 (q, alpha, lam) grid."""
     points = [(q, alpha) for q in _QS for alpha in _ALPHAS]
-    matrices = np.stack([states.werner_alpha(q, alpha).matrix for q, alpha in points])
+    matrices = states._werner_alphas(*zip(*points))
     numeric = witness._payoffs(matrices, witness.werner_beta(), _LAMS)
     worst = 0.0
     for column, (q, alpha) in enumerate(points):
@@ -71,32 +73,59 @@ def check_witness_sharp_corner() -> CheckResult:
     return _result("witness_sharp_corner", dev, 1e-12)
 
 
+def _random_separable_matrices(rng: np.random.Generator, samples: int,
+                               max_terms: int = 4) -> np.ndarray:
+    """Validated stack of `samples` random mixtures of up to `max_terms` pure product states.
+
+    Each state draws its term count, then its weights, then one
+    standard_normal(8 * terms): per term, re and im of Alice's vector, then
+    of Bob's, the stream that 4 * terms calls of standard_normal(2) give.
+    Every matrix takes the one-state operations: the norms as np.linalg.norm
+    takes them, the same broadcast products as np.kron and np.outer, and the
+    weighted terms added to zero one at a time.
+    """
+    counts, weights, normals = [], [], []
+    for _ in range(samples):
+        terms = int(rng.integers(1, max_terms + 1))
+        counts.append(terms)
+        weights.append(rng.dirichlet(np.ones(terms)))
+        normals.append(rng.standard_normal(8 * terms))
+    # parts[term, factor, re/im, component]; vecs[term, factor] is Alice's or Bob's vector.
+    parts = np.concatenate(normals).reshape(-1, 2, 2, 2)
+    vecs = parts[:, :, 0] + 1j * parts[:, :, 1]
+    # np.linalg.norm of a complex vector is sqrt(re . re + im . im); a vector @ vector
+    # matmul is that same dot product (np.vecdot would need NumPy 2).
+    re, im = vecs.real[..., None, :], vecs.imag[..., None, :]
+    norms = np.sqrt(re @ re.swapaxes(-2, -1) + im @ im.swapaxes(-2, -1))[..., 0]
+    units = vecs / norms
+    products = (units[:, 0, :, None] * units[:, 1, None, :]).reshape(-1, 4)
+    outers = products[:, :, None] * products.conj()[:, None, :]
+    weighted = np.concatenate(weights)[:, None, None] * outers
+    owner = np.repeat(np.arange(samples), counts)
+    position = np.concatenate([np.arange(terms) for terms in counts])
+    matrices = np.zeros((samples, 4, 4), dtype=complex)
+    for k in range(max_terms):
+        rows = position == k
+        matrices[owner[rows]] += weighted[rows]
+    linalg._check_density_matrices(matrices)
+    return matrices
+
+
 def random_separable_two_qubit(rng: np.random.Generator, max_terms: int = 4) -> linalg.DensityOperator:
     """Random mixture of up to `max_terms` pure product states."""
-    terms = int(rng.integers(1, max_terms + 1))
-    weights = rng.dirichlet(np.ones(terms))
-    matrix = np.zeros((4, 4), dtype=complex)
-    for weight in weights:
-        vec_a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        vec_b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        # Broadcast products: the same single product per entry as np.kron and np.outer.
-        vec = ((vec_a / np.linalg.norm(vec_a))[:, None] * (vec_b / np.linalg.norm(vec_b))).reshape(4)
-        matrix += weight * (vec[:, None] * vec.conj())
-    return linalg.DensityOperator(matrix, states.pair_layout())
+    matrix = _random_separable_matrices(rng, 1, max_terms)[0]
+    return linalg.DensityOperator(matrix, states.pair_layout(), validate=False)
 
 
-def _separable_payoffs(seed: int, samples: int) -> tuple[list[linalg.DensityOperator], np.ndarray]:
-    """Seeded separable states and their payoffs tr(W(lam) rho) for the Werner table.
+def _separable_payoffs(seed: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded separable state matrices and their payoffs tr(W(lam) rho) for the Werner table.
 
     The payoff array has one row per entry of _SEPARABLE_LAMS and one column
     per state.
     """
-    rng = np.random.default_rng(seed)
-    rhos = [random_separable_two_qubit(rng) for _ in range(samples)]
-    beta = witness.werner_beta()
-    operators = np.stack([witness.reduced_witness_operator(lam, beta) for lam in _SEPARABLE_LAMS])
-    matrices = np.stack([rho.matrix for rho in rhos])
-    return rhos, np.einsum("lij,nji->ln", operators, matrices).real
+    matrices = _random_separable_matrices(np.random.default_rng(seed), samples)
+    operators = witness._reduced_witness_operators(_SEPARABLE_LAMS, witness.werner_beta())
+    return matrices, np.einsum("lij,nji->ln", operators, matrices).real
 
 
 def check_separable_nonnegativity(seed: int = DEFAULT_SEED, samples: int = 200) -> CheckResult:
@@ -107,17 +136,15 @@ def check_separable_nonnegativity(seed: int = DEFAULT_SEED, samples: int = 200) 
     on a 101-point sharpness grid and against the literal 16-dim trace on the
     first sampled states.
     """
-    rhos, payoffs = _separable_payoffs(seed, samples)
+    matrices, payoffs = _separable_payoffs(seed, samples)
     beta = witness.werner_beta()
     singlet = states.psi_alpha(states.ALPHA_MAX)
     singlet_projector = np.outer(singlet, singlet.conj())
-    certification = 0.0
-    for lam in np.linspace(0.0, 1.0, 101):
-        closed = (1.0 + lam) / 16.0 * np.eye(4) - lam / 4.0 * singlet_projector
-        certification = max(certification, float(np.abs(
-            witness.reduced_witness_operator(lam, beta) - closed).max()))
-    certified = np.stack([rho.matrix for rho in rhos[:_CERTIFIED_SAMPLES]])
-    literal = witness._payoffs(certified, beta, _SEPARABLE_LAMS)
+    lams = np.linspace(0.0, 1.0, 101)[:, None, None]
+    closed = (1.0 + lams) / 16.0 * np.eye(4) - lams / 4.0 * singlet_projector
+    certification = float(np.abs(
+        witness._reduced_witness_operators(lams.ravel(), beta) - closed).max())
+    literal = witness._payoffs(matrices[:_CERTIFIED_SAMPLES], beta, _SEPARABLE_LAMS)
     certification = max(certification,
                         float(np.abs(payoffs[:, :_CERTIFIED_SAMPLES] - literal).max()))
     lowest = float(payoffs.min())
@@ -131,14 +158,13 @@ def check_separable_nonnegativity(seed: int = DEFAULT_SEED, samples: int = 200) 
 
 def check_channel_closure_maximal() -> CheckResult:
     """At alpha = 1/sqrt(2) the channel maps the family onto itself, q -> f q."""
-    worst = 0.0
     alpha = states.ALPHA_MAX
-    for lam in _CHANNEL_LAMS:
-        matrices = np.stack([states.werner_alpha(q, alpha).matrix for q in _CHANNEL_QS])
-        outs = measurement._averaged_channel(matrices, states.pair_layout(), lam)
-        for out, q in zip(outs, _CHANNEL_QS):
-            want = states.werner_alpha(protocol.f_of_lambda(lam) * q, alpha)
-            worst = max(worst, float(np.abs(out - want.matrix).max()))
+    matrices = states._werner_alphas(_CHANNEL_QS, alpha)
+    outs = np.concatenate([measurement._averaged_channel(matrices, states.pair_layout(), lam)
+                           for lam in _CHANNEL_LAMS])
+    wants = states._werner_alphas(
+        [protocol.f_of_lambda(lam) * q for lam in _CHANNEL_LAMS for q in _CHANNEL_QS], alpha)
+    worst = float(np.abs(outs - wants).max())
     return _result("channel_closure_maximal_alpha", worst, CHANNEL_TOL)
 
 
@@ -150,7 +176,7 @@ def check_channel_statistics() -> CheckResult:
     statistic follows the q-recursion exactly.
     """
     points = [(q, alpha) for q in _CHANNEL_QS for alpha in _CHANNEL_ALPHAS]
-    matrices = np.stack([states.werner_alpha(q, alpha).matrix for q, alpha in points])
+    matrices = states._werner_alphas(*zip(*points))
     outs = np.concatenate([measurement._averaged_channel(matrices, states.pair_layout(), lam)
                            for lam in _CHANNEL_LAMS])
     numeric = witness._payoffs(outs, witness.werner_beta(), _CHANNEL_PROBES).reshape(
@@ -177,7 +203,7 @@ def check_negativity_grid() -> CheckResult:
     """Closed-form negativity vs the partial-transpose eigenvalue oracle, 20x20."""
     points = [(q, alpha) for q in np.linspace(0.0, 1.0, 20)
               for alpha in np.linspace(0.05, states.ALPHA_MAX, 20)]
-    matrices = np.stack([states.werner_alpha(q, alpha).matrix for q, alpha in points])
+    matrices = states._werner_alphas(*zip(*points))
     oracles = linalg._negativities(matrices, states.pair_layout(), states.BOB)
     worst = 0.0
     for (q, alpha), oracle in zip(points, oracles):

@@ -99,6 +99,19 @@ def mdi_ew_numeric(rho: DensityOperator, beta: WitnessCoefficients, lam: float) 
     return WitnessValue(float(_payoffs(rho.matrix[None], beta, (lam,))[0, 0]), float(lam))
 
 
+def _reduced_witness_operators(lams, beta: WitnessCoefficients) -> np.ndarray:
+    """reduced_witness_operator at each sharpness of `lams`, as one (len(lams), 4, 4) stack.
+
+    One contraction over the stacked literal operators P+ (x) E+_lam.
+    """
+    taus = np.stack([state.matrix for state in input_ensemble("tau").states])
+    omegas = np.stack([state.matrix for state in input_ensemble("omega").states])
+    # Axes: sharpness, then (A', A, B, B') of the output index, then of the input index.
+    ops = np.stack([tensor(bell_projector(), unsharp_pair(lam).plus) for lam in lams])
+    inputs = np.einsum("st,sea,thd->eahd", beta.beta, taus, omegas)
+    return np.einsum("labcdefgh,eahd->lbcfg", ops.reshape(-1, *(2,) * 8), inputs).reshape(-1, 4, 4)
+
+
 def reduced_witness_operator(lam: float, beta: WitnessCoefficients) -> np.ndarray:
     """4x4 operator W(lam) on (A, B) with mdi_ew_numeric(rho, beta, lam) = tr(W(lam) rho).
 
@@ -106,12 +119,7 @@ def reduced_witness_operator(lam: float, beta: WitnessCoefficients) -> np.ndarra
     sum_st beta_st tau_s (x) omega_t over A' and B' leaves W(lam).  For
     werner_beta() it is (1 + lam)/16 I - (lam/4) |psi-><psi-|.
     """
-    taus = np.stack([state.matrix for state in input_ensemble("tau").states])
-    omegas = np.stack([state.matrix for state in input_ensemble("omega").states])
-    # Axes: (A', A, B, B') of the output index, then of the input index.
-    op = tensor(bell_projector(), unsharp_pair(lam).plus).reshape((2,) * 8)
-    inputs = np.einsum("st,sea,thd->eahd", beta.beta, taus, omegas)
-    return np.einsum("abcdefgh,eahd->bcfg", op, inputs).reshape(4, 4)
+    return _reduced_witness_operators((lam,), beta)[0]
 
 
 def mdi_ew_closed_form(q: float) -> float:

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from mdiew.linalg import DensityOperator
+from mdiew.linalg import PSD_ATOL, DensityOperator, is_hermitian
 from mdiew.states import ALPHA_MAX, pair_layout, werner_alpha
 
 settings.register_profile(
@@ -41,6 +41,30 @@ def werner_and_random_states(rng, size):
 def random_hermitian(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g + g.conj().T) / 2
+
+
+def min_eigenvalue(matrix):
+    """Smallest eigenvalue of a Hermitian matrix (test oracle)."""
+    if not is_hermitian(matrix):
+        raise ValueError("min_eigenvalue requires a Hermitian matrix")
+    return float(np.linalg.eigvalsh(matrix)[0])
+
+
+def herm_sqrt(matrix):
+    """Positive square root of a Hermitian PSD matrix via eigendecomposition (test oracle).
+
+    Rounding can leave the eigenvalues of a PSD matrix slightly negative:
+    those in [-PSD_ATOL, 0) are set to zero, and any below -PSD_ATOL raise
+    ValueError.  Every non-negative eigenvalue keeps its own square root.
+    """
+    matrix = np.asarray(matrix, dtype=complex)
+    if not is_hermitian(matrix):
+        raise ValueError("herm_sqrt requires a Hermitian matrix")
+    eigvals, eigvecs = np.linalg.eigh(matrix)
+    if eigvals[0] < -PSD_ATOL:
+        raise ValueError(f"herm_sqrt requires a PSD matrix; min eigenvalue {eigvals[0]}")
+    eigvals = np.where(eigvals < 0.0, 0.0, eigvals)
+    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
 
 
 def mp_alpha_from_entanglement(entropy):

@@ -7,11 +7,10 @@ from hypothesis.extra import numpy as hnp
 from mdiew.linalg import (
     DensityOperator,
     SubsystemLayout,
+    _check_density_matrices,
     _kron,
     _negativities,
     embed_operator,
-    herm_sqrt,
-    min_eigenvalue,
     negativity,
     partial_trace,
     partial_transpose,
@@ -20,7 +19,13 @@ from mdiew.linalg import (
     tensor_states,
 )
 
-from conftest import random_density_matrix, random_hermitian, werner_and_random_states
+from conftest import (
+    herm_sqrt,
+    min_eigenvalue,
+    random_density_matrix,
+    random_hermitian,
+    werner_and_random_states,
+)
 
 I2 = np.eye(2)
 I4 = np.eye(4)
@@ -64,6 +69,33 @@ def test_density_operator_validation():
         density(np.eye(4))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         density(np.diag([1.5, -0.5, 0, 0]).astype(complex))
+
+
+ONE_BAD_MEMBER = {
+    "Hermitian": np.eye(4) / 4 + np.triu(np.full((4, 4), 1e-9), 1),
+    "trace": np.eye(4) / 2,
+    "negative eigenvalue": np.diag([1.5, -0.5, 0, 0]),
+}
+
+
+@pytest.mark.parametrize("message", ONE_BAD_MEMBER)
+def test_stacked_validation_names_the_one_bad_member(message, rng):
+    stack = np.stack([random_density_matrix(rng, 4) for _ in range(6)])
+    _check_density_matrices(stack)
+    stack[3] = ONE_BAD_MEMBER[message]
+    with pytest.raises(ValueError, match=rf"{message}.*\(stack index 3\)$"):
+        _check_density_matrices(stack)
+    with pytest.raises(ValueError, match=message) as one:
+        density(stack[3])
+    assert "stack index" not in str(one.value)
+
+
+def test_stacked_validation_runs_each_check_over_the_whole_stack(rng):
+    stack = np.stack([random_density_matrix(rng, 4) for _ in range(6)])
+    stack[1] = ONE_BAD_MEMBER["trace"]
+    stack[4] = ONE_BAD_MEMBER["Hermitian"]
+    with pytest.raises(ValueError, match=r"Hermitian.*\(stack index 4\)$"):
+        _check_density_matrices(stack)
     with pytest.raises(ValueError, match="shape"):
         density(np.eye(2) / 2)
 

@@ -7,8 +7,6 @@ from mdiew.linalg import (
     DensityOperator,
     SubsystemLayout,
     embed_operator,
-    herm_sqrt,
-    min_eigenvalue,
     partial_trace,
     tensor,
     tensor_states,
@@ -28,7 +26,12 @@ from mdiew.protocol import f_of_lambda
 from mdiew.states import ALPHA_MAX, input_ensemble, input_state, psi_alpha, werner_alpha
 from mdiew.verify import random_separable_two_qubit
 
-from conftest import random_density_matrix, werner_and_random_states
+from conftest import (
+    herm_sqrt,
+    min_eigenvalue,
+    random_density_matrix,
+    werner_and_random_states,
+)
 
 I4 = np.eye(4)
 lambdas = st.floats(0.0, 1.0)

@@ -5,10 +5,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mdiew.linalg import min_eigenvalue, partial_transpose, tensor
+from mdiew import verify
+from mdiew.cli import FIG1_DEFAULT_STEP
+from mdiew.linalg import partial_transpose, tensor
 from mdiew.states import (
     ALPHA_MAX,
     PAULI,
+    _werner_alphas,
+    _werner_strengths,
     alpha_from_entanglement,
     bell_phi_plus,
     entanglement_entropy,
@@ -19,7 +23,7 @@ from mdiew.states import (
     werner_strength,
 )
 
-from conftest import mp_alpha_from_entanglement, random_hermitian
+from conftest import min_eigenvalue, mp_alpha_from_entanglement, random_hermitian
 
 alphas = st.floats(0.01, ALPHA_MAX)
 qs = st.floats(0.0, 1.0)
@@ -80,6 +84,57 @@ def test_werner_alpha_state_rejects_bad_parameters():
         werner_alpha(1.2, 0.5)
     with pytest.raises(ValueError, match="alpha"):
         werner_alpha(0.5, 0.9)
+
+
+# --- stacked builders ------------------------------------------------------------
+
+VERIFY_GRIDS = {
+    "witness_grid": (verify._QS, verify._ALPHAS),
+    "channel_grid": (verify._CHANNEL_QS, verify._CHANNEL_ALPHAS),
+    "negativity_grid": (np.linspace(0.0, 1.0, 20), np.linspace(0.05, ALPHA_MAX, 20)),
+}
+
+
+@pytest.mark.parametrize("grid", VERIFY_GRIDS.values(), ids=VERIFY_GRIDS.keys())
+def test_stacked_werner_builder_is_bit_identical_on_verify_grids(grid):
+    points = [(q, alpha) for q in grid[0] for alpha in grid[1]]
+    got = _werner_alphas(*zip(*points))
+    assert np.array_equal(got, [werner_alpha(q, alpha).matrix for q, alpha in points])
+
+
+def _outer_product_werner(q, alpha):
+    """Reference: the noisy pair written with np.outer and the scalar psi_alpha."""
+    vec = psi_alpha(alpha)
+    return q * np.outer(vec, vec.conj()) + (1.0 - q) / 4.0 * np.eye(4)
+
+
+@given(st.lists(st.tuples(qs, st.floats(0.0, ALPHA_MAX, exclude_min=True)), min_size=1, max_size=30))
+def test_stacked_werner_builder_is_bit_identical_to_per_state_calls(points):
+    got = _werner_alphas(*zip(*points))
+    assert np.array_equal(got, [werner_alpha(q, alpha).matrix for q, alpha in points])
+    assert np.array_equal(got, [_outer_product_werner(q, alpha) for q, alpha in points])
+
+
+def test_stacked_werner_builder_rejects_bad_parameters_with_scalar_messages():
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]; got 1.2$"):
+        _werner_alphas([0.5, 1.2, -1.0], 0.3)
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1/sqrt\(2\)\]; got 0.9$"):
+        _werner_alphas(0.5, [0.3, 0.9, 0.0])
+    with pytest.raises(ValueError, match="q must"):  # every q is checked before any alpha
+        _werner_alphas([0.5, 2.0], [0.9, 0.3])
+    with pytest.raises(ValueError, match="alpha must.*got nan"):
+        _werner_strengths([0.3, math.nan])
+
+
+def test_stacked_strength_is_bit_identical_on_the_fig1_grid():
+    count = int(1.0 / FIG1_DEFAULT_STEP)
+    grid = [alpha_from_entanglement(FIG1_DEFAULT_STEP * k) for k in range(1, count + 1)]
+    assert np.array_equal(_werner_strengths(grid), [werner_strength(alpha) for alpha in grid])
+
+
+@given(st.lists(st.floats(0.0, ALPHA_MAX, exclude_min=True), min_size=1, max_size=30))
+def test_stacked_strength_is_bit_identical_to_scalar_calls(alphas):
+    assert np.array_equal(_werner_strengths(alphas), [werner_strength(alpha) for alpha in alphas])
 
 
 def test_entangled_iff_strength_exceeds_one():

@@ -21,9 +21,12 @@ def _kron_outer_sampler(rng, max_terms=4):
 @pytest.mark.parametrize("seed", [1234, 1, 7, 99, 2**31 - 1])
 def test_sampler_is_bit_identical_to_kron_outer_route(seed):
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(200):
-        got = random_separable_two_qubit(rng).matrix
-        assert np.array_equal(got, _kron_outer_sampler(reference_rng))
+    references = [_kron_outer_sampler(reference_rng) for _ in range(200)]
+    for reference in references:
+        assert np.array_equal(random_separable_two_qubit(rng).matrix, reference)
+    stacked_rng = np.random.default_rng(seed)
+    assert np.array_equal(verify._random_separable_matrices(stacked_rng, 200), references)
+    assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("seed", [1234, 7])
@@ -43,12 +46,12 @@ def test_batched_separable_minimum_matches_literal_path(seed):
 
 
 def test_separable_check_certifies_the_reduced_operator(monkeypatch):
-    exact = witness.reduced_witness_operator
+    exact = witness._reduced_witness_operators
 
-    def shifted(lam, beta):
-        return exact(lam, beta) + 1e-13
+    def shifted(lams, beta):
+        return exact(lams, beta) + 1e-13
 
-    monkeypatch.setattr(witness, "reduced_witness_operator", shifted)
+    monkeypatch.setattr(witness, "_reduced_witness_operators", shifted)
     result = check_separable_nonnegativity()
     assert result.deviation <= verify.SEPARABLE_BOUND
     assert not result.passed

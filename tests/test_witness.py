@@ -22,6 +22,7 @@ from mdiew.witness import (
     WitnessCoefficients,
     WitnessValue,
     _payoffs,
+    _reduced_witness_operators,
     decompose_witness,
     mdi_ew_closed_form,
     mdi_ew_closed_form_unsharp,
@@ -168,6 +169,14 @@ def test_reduced_operator_matches_closed_form():
     for lam in np.linspace(0.0, 1.0, 101):
         closed = (1.0 + lam) / 16.0 * np.eye(4) - lam / 4.0 * projector
         assert np.abs(reduced_witness_operator(lam, werner_beta()) - closed).max() <= 1e-15
+
+
+def test_stacked_reduced_operators_are_bit_identical_to_per_lambda_calls(rng):
+    lams = np.linspace(0.0, 1.0, 101)
+    taus, omegas = input_ensemble("tau"), input_ensemble("omega")
+    for beta in (werner_beta(), decompose_witness(random_hermitian(rng, 4), taus, omegas)):
+        got = _reduced_witness_operators(lams, beta)
+        assert np.array_equal(got, [reduced_witness_operator(lam, beta) for lam in lams])
 
 
 def test_reduced_operator_of_decomposed_target_is_a_quarter_of_it(rng):
