@@ -22,6 +22,8 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from . import protocol, states, verify
 
 SCHEMA_VERSION = "1"
@@ -30,6 +32,8 @@ FIG1_DEFAULT_STEP = 0.0005
 FIG2_DEFAULT_STEP = 0.001
 FIG3_DEFAULT_STEP = 0.01
 FIG3_E_MIN = 0.5
+
+_BOOL_TEXT = ("false", "true")
 
 
 @dataclass(frozen=True)
@@ -47,12 +51,25 @@ class RunConfig:
     seed: int = verify.DEFAULT_SEED
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+def _csv_lines(columns: Sequence[str], rows: list[tuple]) -> list[str]:
+    """Header and rows as CSV lines: floats to 12 significant digits, bools as
+    true/false, anything else as str.
+
+    Each column holds one type, so the first row fixes one format template
+    for the table; bool columns are spelled out column by column first.
+    """
+    lines = [",".join(columns)]
+    if not rows:
+        return lines
+    template = ",".join("{:.12g}" if isinstance(v, float) else "{}" for v in rows[0])
+    bools = [i for i, v in enumerate(rows[0]) if isinstance(v, bool)]
+    if bools:
+        cells = list(zip(*rows))
+        for i in bools:
+            cells[i] = [_BOOL_TEXT[v] for v in cells[i]]
+        rows = zip(*cells)
+    lines += [template.format(*row) for row in rows]
+    return lines
 
 
 def _json_value(value):
@@ -73,9 +90,7 @@ def _write_table(config: RunConfig, columns: Sequence[str], rows: list[tuple],
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
-        lines = [",".join(columns)]
-        lines += [",".join(_fmt_value(v) for v in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(_csv_lines(columns, rows)) + "\n"
     if config.out is None:
         sys.stdout.write(text)
     else:
@@ -98,17 +113,16 @@ def _resolve_alpha(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 def cmd_fig1(config: RunConfig) -> int:
     step = config.grid_step if config.grid_step is not None else FIG1_DEFAULT_STEP
-    count = int(1.0 / step)
-    entropies = [step * k for k in range(1, count + 1) if step * k <= 1.0]
-    alphas = [states.alpha_from_entanglement(entropy) for entropy in entropies]
-    counts = protocol.threshold_success_count(alphas).tolist()
-    rows = list(zip(alphas, entropies, counts))
+    entropies = step * np.arange(1, int(1.0 / step) + 1)
+    entropies = entropies[entropies <= 1.0]
+    alphas = states._alphas_from_entanglement(entropies)
+    counts = protocol.threshold_success_count(alphas)
+    rows = list(zip(alphas.tolist(), entropies.tolist(), counts.tolist()))
     boundary_alpha, boundary_e = protocol.boundary_alpha_for_n(14)
-    boundary_row = (boundary_alpha, boundary_e,
-                    protocol.threshold_success_count(boundary_alpha))
-    if all(abs(row[1] - boundary_e) > 1e-12 for row in rows):
-        rows.append(boundary_row)
-    rows.sort(key=lambda row: row[1])
+    if np.all(np.abs(entropies - boundary_e) > 1e-12):
+        rows.insert(int(np.searchsorted(entropies, boundary_e, side="right")),
+                    (boundary_alpha, boundary_e,
+                     protocol.threshold_success_count(boundary_alpha)))
     _write_table(config, ("alpha", "e_alpha", "n"), rows,
                  {"grid_step": step})
     return 0

@@ -231,3 +231,72 @@ def alpha_from_entanglement(entropy: float) -> float:
     start = math.sqrt(2.0 * _LN2 * gap)
     y = _increasing_root(entropy_gap, 0.0, start, start)
     return math.sqrt(0.5 * (1.0 - y))
+
+
+def _increasing_roots(func, upper: np.ndarray) -> np.ndarray:
+    """_increasing_root elementwise, each root bracketed in (0, upper] and started at upper.
+
+    func(x, index) returns (values, slopes) at the points x of the entries
+    `index`.  Every entry takes the scalar solve's steps and stopping rules;
+    an entry leaves the loop once it stops.
+    """
+    roots = np.empty_like(upper)
+    index = np.arange(len(upper))
+    x, lower = upper, np.zeros_like(upper)
+    for _ in range(200):
+        if not len(index):
+            break
+        value, slope = func(x, index)
+        below = value < 0.0
+        lower = np.where(below, x, lower)
+        upper = np.where(below, upper, x)
+        step = np.divide(value, slope, out=np.full_like(value, math.inf), where=slope != 0.0)
+        tol = 4e-16 * x
+        converged = np.abs(step) <= tol
+        roots[index[converged]] = (x - step)[converged]
+        pinched = ~converged & (upper - lower <= tol)
+        roots[index[pinched]] = x[pinched]
+        newton = x - step
+        x = np.where((lower < newton) & (newton < upper), newton, 0.5 * (lower + upper))
+        going = ~(converged | pinched)
+        index, x, lower, upper = index[going], x[going], lower[going], upper[going]
+    roots[index] = x
+    return roots
+
+
+def _alphas_from_entanglement(entropies) -> np.ndarray:
+    """alpha_from_entanglement elementwise, each entry within a few ulps of the scalar solve.
+
+    The same residuals, start points and stopping rules, taken with NumPy's
+    log, log1p, sqrt and arctanh.  The first entry outside (0, 1] raises.
+    One scalar call is faster than a one-entry array; this is for grids.
+    """
+    entropies = np.asarray(entropies, dtype=float)
+    outside = ~((entropies > 0.0) & (entropies <= 1.0))
+    if outside.any():
+        raise ValueError(f"entanglement must lie in (0, 1]; got {float(entropies[outside][0])}")
+    alphas = np.full(entropies.shape, ALPHA_MAX)
+    low = entropies < 0.5
+    if low.any():
+        target = np.sqrt(entropies[low]) * math.sqrt(_LN2)
+
+        def sqrt_entropy(alpha, index):
+            t = alpha * alpha
+            log_alpha = np.log(alpha)
+            log1p_t = np.log1p(-t)
+            ratio = np.divide(log1p_t, t, out=np.full_like(t, -1.0), where=t != 0.0)
+            root_h = np.sqrt(-2.0 * log_alpha - (1.0 - t) * ratio)
+            return alpha * root_h - target[index], (log1p_t - 2.0 * log_alpha) / root_h
+
+        alphas[low] = _increasing_roots(sqrt_entropy, target)
+    high = (entropies >= 0.5) & (entropies < 1.0)
+    if high.any():
+        gap = 1.0 - entropies[high]
+
+        def entropy_gap(y, index):
+            atanh = np.arctanh(y)
+            return (2.0 * y * atanh + np.log1p(-y * y)) / (2.0 * _LN2) - gap[index], atanh / _LN2
+
+        y = _increasing_roots(entropy_gap, np.sqrt(2.0 * _LN2 * gap))
+        alphas[high] = np.sqrt(0.5 * (1.0 - y))
+    return alphas

@@ -47,6 +47,16 @@ class CheckResult:
     detail: str
 
 
+def _worst(deviations) -> float:
+    """max(0.0, *deviations), except that one NaN deviation makes it NaN.
+
+    Python's max keeps its running value when the next one is NaN, so a NaN
+    from an oracle would pass its check; np.max propagates it.
+    """
+    worst = float(np.max(deviations, initial=0.0))
+    return worst if worst > 0.0 or np.isnan(worst) else 0.0
+
+
 def _result(name: str, deviation: float, tolerance: float, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(deviation <= tolerance), float(deviation),
                        float(tolerance), detail)
@@ -57,19 +67,16 @@ def check_witness_grid() -> CheckResult:
     points = [(q, alpha) for q in _QS for alpha in _ALPHAS]
     matrices = states._werner_alphas(*zip(*points))
     numeric = witness._payoffs(matrices, witness.werner_beta(), _LAMS)
-    worst = 0.0
-    for column, (q, alpha) in enumerate(points):
-        for row, lam in enumerate(_LAMS):
-            closed = witness.mdi_ew_closed_form_unsharp(q, alpha, lam)
-            worst = max(worst, abs(numeric[row, column] - closed))
-    return _result("witness_numeric_vs_closed_grid", worst, WITNESS_GRID_TOL)
+    deviations = [abs(numeric[row, column] - witness.mdi_ew_closed_form_unsharp(q, alpha, lam))
+                  for column, (q, alpha) in enumerate(points) for row, lam in enumerate(_LAMS)]
+    return _result("witness_numeric_vs_closed_grid", _worst(deviations), WITNESS_GRID_TOL)
 
 
 def check_witness_sharp_corner() -> CheckResult:
     """Sharp maximal corner: payoff -1/8 for the pure singlet-weight state."""
     rho = states.werner_alpha(1.0, states.ALPHA_MAX)
     numeric = witness.mdi_ew_numeric(rho, witness.werner_beta(), 1.0).value
-    dev = max(abs(numeric + 0.125), abs(witness.mdi_ew_closed_form(1.0) + 0.125))
+    dev = _worst([abs(numeric + 0.125), abs(witness.mdi_ew_closed_form(1.0) + 0.125)])
     return _result("witness_sharp_corner", dev, 1e-12)
 
 
@@ -142,13 +149,12 @@ def check_separable_nonnegativity(seed: int = DEFAULT_SEED, samples: int = 200) 
     singlet_projector = np.outer(singlet, singlet.conj())
     lams = np.linspace(0.0, 1.0, 101)[:, None, None]
     closed = (1.0 + lams) / 16.0 * np.eye(4) - lams / 4.0 * singlet_projector
-    certification = float(np.abs(
-        witness._reduced_witness_operators(lams.ravel(), beta) - closed).max())
     literal = witness._payoffs(matrices[:_CERTIFIED_SAMPLES], beta, _SEPARABLE_LAMS)
-    certification = max(certification,
-                        float(np.abs(payoffs[:, :_CERTIFIED_SAMPLES] - literal).max()))
+    certification = _worst([
+        np.abs(witness._reduced_witness_operators(lams.ravel(), beta) - closed).max(),
+        np.abs(payoffs[:, :_CERTIFIED_SAMPLES] - literal).max()])
     lowest = float(payoffs.min())
-    deviation = max(0.0, -lowest)
+    deviation = _worst([-lowest])
     return CheckResult("separable_nonnegativity",
                        bool(deviation <= SEPARABLE_BOUND and certification <= WITNESS_OPERATOR_TOL),
                        deviation, SEPARABLE_BOUND,
@@ -181,21 +187,21 @@ def check_channel_statistics() -> CheckResult:
                            for lam in _CHANNEL_LAMS])
     numeric = witness._payoffs(outs, witness.werner_beta(), _CHANNEL_PROBES).reshape(
         len(_CHANNEL_PROBES), len(_CHANNEL_LAMS), len(points))
-    worst = 0.0
+    deviations = []
     for block, lam in enumerate(_CHANNEL_LAMS):
         decay = protocol.f_of_lambda(lam)
         for index, (q, alpha) in enumerate(points):
             for row, probe in enumerate(_CHANNEL_PROBES):
                 closed = witness.mdi_ew_closed_form_unsharp(decay * q, alpha, probe)
-                worst = max(worst, abs(numeric[row, block, index] - closed))
-    return _result("channel_statistics_general_alpha", worst, CHANNEL_TOL)
+                deviations.append(abs(numeric[row, block, index] - closed))
+    return _result("channel_statistics_general_alpha", _worst(deviations), CHANNEL_TOL)
 
 
 def check_decay_spot_values() -> CheckResult:
     """f(0) = 1, f(1) = 1/2, f(1/3) = 0.9670862 within 1e-6."""
-    dev = max(abs(protocol.f_of_lambda(0.0) - 1.0),
-              abs(protocol.f_of_lambda(1.0) - 0.5),
-              abs(protocol.f_of_lambda(1.0 / 3.0) - 0.9670862))
+    dev = _worst([abs(protocol.f_of_lambda(0.0) - 1.0),
+                  abs(protocol.f_of_lambda(1.0) - 0.5),
+                  abs(protocol.f_of_lambda(1.0 / 3.0) - 0.9670862)])
     return _result("decay_factor_spot_values", dev, 1e-6)
 
 
@@ -205,32 +211,31 @@ def check_negativity_grid() -> CheckResult:
               for alpha in np.linspace(0.05, states.ALPHA_MAX, 20)]
     matrices = states._werner_alphas(*zip(*points))
     oracles = linalg._negativities(matrices, states.pair_layout(), states.BOB)
-    worst = 0.0
-    for (q, alpha), oracle in zip(points, oracles):
-        worst = max(worst, abs(protocol.negativity_walpha(q, alpha) - oracle))
-    return _result("negativity_closed_vs_oracle", worst, NEGATIVITY_TOL)
+    deviations = [abs(protocol.negativity_walpha(q, alpha) - oracle)
+                  for (q, alpha), oracle in zip(points, oracles)]
+    return _result("negativity_closed_vs_oracle", _worst(deviations), NEGATIVITY_TOL)
 
 
 def check_delta_negativity_identity() -> CheckResult:
     """Threshold-loss closed form vs composing the loss and threshold formulas."""
-    worst = 0.0
+    deviations = []
     for negativity in np.arange(0.05, 0.501, 0.05):
         composed = ((1.0 + 4.0 * negativity) / 4.0
                     * (1.0 - protocol.f_of_lambda(protocol.threshold_from_negativity(negativity))))
-        worst = max(worst, abs(composed - protocol.delta_negativity_at_threshold(negativity)))
-    return _result("delta_negativity_threshold_identity", worst, DELTA_IDENTITY_TOL)
+        deviations.append(abs(composed - protocol.delta_negativity_at_threshold(negativity)))
+    return _result("delta_negativity_threshold_identity", _worst(deviations), DELTA_IDENTITY_TOL)
 
 
 def check_delta_negativity_monotone() -> CheckResult:
     """Loss is non-negative everywhere and non-decreasing in the sharpness."""
-    worst = 0.0
+    deviations = []
     for negativity in np.linspace(0.0, 0.5, 11):
         previous = -np.inf
         for lam in np.linspace(0.0, 1.0, 101):
             loss = protocol.delta_negativity(negativity, lam)
-            worst = max(worst, -loss, previous - loss)
+            deviations += [-loss, previous - loss]
             previous = loss
-    return _result("delta_negativity_monotone_in_lambda", worst, 1e-15)
+    return _result("delta_negativity_monotone_in_lambda", _worst(deviations), 1e-15)
 
 
 def check_threshold_protocol_count() -> CheckResult:
@@ -277,7 +282,7 @@ def check_decomposition_roundtrip() -> CheckResult:
     recomposed = sum(identity_beta.beta[s, t]
                      * linalg.tensor(taus.states[s].matrix.T, omegas.states[t].matrix.T)
                      for s in range(4) for t in range(4))
-    dev = max(dev, float(np.abs(recomposed - np.eye(4)).max()))
+    dev = _worst([dev, np.abs(recomposed - np.eye(4)).max()])
     return _result("witness_decomposition_roundtrip", dev, 1e-10)
 
 
@@ -296,16 +301,16 @@ def check_range_shape(e_step: float = 0.025) -> CheckResult:
         best = max(n for n in range(1, 8) if ranges[n - 1] > 0)
         table[float(entropy)] = (best, ranges)
     keys = sorted(table)
-    worst = 0.0
+    deviations = []
     for n in range(1, 8):
         for e_low, e_high in zip(keys, keys[1:]):
             best_low, ranges_low = table[e_low]
             best_high, ranges_high = table[e_high]
             if n >= best_low and n >= best_high:
-                worst = max(worst, ranges_low[n - 1] - ranges_high[n - 1])
+                deviations.append(ranges_low[n - 1] - ranges_high[n - 1])
             if n < best_low and n < best_high:
-                worst = max(worst, ranges_high[n - 1] - ranges_low[n - 1])
-    return _result("sharpness_range_shape", worst, FIG3_SLACK)
+                deviations.append(ranges_high[n - 1] - ranges_low[n - 1])
+    return _result("sharpness_range_shape", _worst(deviations), FIG3_SLACK)
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:

@@ -7,10 +7,11 @@ import subprocess
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 
 import mdiew
-from mdiew import cli, verify
+from mdiew import cli, protocol, states, verify
 
 from conftest import mp_alpha_from_entanglement
 
@@ -148,11 +149,47 @@ GOLDEN_FIGURE_SHA256 = {
 }
 
 
+# sha256 of other tables on stdout: the JSON writer, and CSV rows with int and
+# bool columns.  Taken before the CSV writer switched to one format template
+# per table, which kept every byte.
+GOLDEN_TABLE_SHA256 = {
+    ("run", "--entanglement", "0.8", "--margin", "0.01"):
+        "2afc8045bccce4d23e79c4991afff1a77b776df9a4ef1fa63808aa5b7fdb0e8f",
+    ("run", "--entanglement", "0.8", "--margin", "0.01", "--format", "json"):
+        "35e5542bf8fe5d73e3a2bc09fe90bdd188a485256e0b326ed8aea463be42b346",
+    ("run", "--alpha", "0.5", "--lambda", "0.6"):
+        "894e35f47890c955da9b961c5cc79826e701aeb012049e94b70de46a5aa9c645",
+    ("fig1", "--format", "json"):
+        "f90ab44c505bc8df2a9ef1a7496d5dc21740beb83ad01cdc257f251ae10339ad",
+}
+
+
 @pytest.mark.parametrize("args", list(GOLDEN_FIGURE_SHA256), ids=" ".join)
 def test_figure_stdout_matches_golden_hash(args, capsys):
     assert cli.main(list(args)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FIGURE_SHA256[args]
+
+
+@pytest.mark.parametrize("args", list(GOLDEN_TABLE_SHA256), ids=" ".join)
+def test_table_stdout_matches_golden_hash(args, capsys):
+    assert cli.main(list(args)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE_SHA256[args]
+
+
+@pytest.mark.parametrize("step", ["0.0005", "0.0001", "0.00037"])
+def test_fig1_rows_match_the_scalar_inverse(step, capsys):
+    assert cli.main(["fig1", "--grid-step", step]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    boundary_alpha, boundary_e = protocol.boundary_alpha_for_n(14)
+    rows.remove({"alpha": f"{boundary_alpha:.12g}", "e_alpha": f"{boundary_e:.12g}", "n": "14"})
+    step = float(step)
+    entropies = [step * k for k in range(1, int(1.0 / step) + 1) if step * k <= 1.0]
+    alphas = [states.alpha_from_entanglement(entropy) for entropy in entropies]
+    counts = protocol.threshold_success_count(np.array(alphas))
+    assert rows == [{"alpha": f"{alpha:.12g}", "e_alpha": f"{entropy:.12g}", "n": str(n)}
+                    for alpha, entropy, n in zip(alphas, entropies, counts)]
 
 
 def test_verify_reports_pass(tmp_path, capsys):

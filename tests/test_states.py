@@ -11,6 +11,7 @@ from mdiew.linalg import partial_transpose, tensor
 from mdiew.states import (
     ALPHA_MAX,
     PAULI,
+    _alphas_from_entanglement,
     _werner_alphas,
     _werner_strengths,
     alpha_from_entanglement,
@@ -295,3 +296,49 @@ def test_entropy_of_inverse_round_trips(entropy):
     back = entanglement_entropy(alpha_from_entanglement(entropy))
     assert abs(back - entropy) <= 3e-15 * entropy
 
+
+# --- the array inverse takes the scalar solve's steps elementwise ------------
+
+_ARRAY_EXAMPLES = [1e-300, 0.5, math.nextafter(1.0, 0.0), 1.0]
+
+
+@given(st.lists(entropies, min_size=1, max_size=30))
+@example(_ARRAY_EXAMPLES)
+@example([1e-300])
+@example([0.5])
+@example([math.nextafter(1.0, 0.0)])
+@example([1.0])
+def test_array_inverse_is_within_four_ulp_of_the_scalar(grid):
+    # NumPy's log, log1p and arctanh may round differently from math's, by an ulp
+    scalar = np.array([alpha_from_entanglement(entropy) for entropy in grid])
+    array = _alphas_from_entanglement(grid)
+    assert array.shape == scalar.shape
+    assert np.all(np.abs(array - scalar) <= 4 * np.spacing(scalar))
+    assert np.all(array[np.asarray(grid) == 1.0] == ALPHA_MAX)
+
+
+@given(st.lists(entropies, min_size=1, max_size=5))
+@example(_ARRAY_EXAMPLES)
+@example([5e-324, 1e-16, 0.0005, 0.935])
+def test_array_inverse_matches_mpmath_root(grid):
+    for entropy, alpha in zip(grid, _alphas_from_entanglement(grid)):
+        reference = mp_alpha_from_entanglement(entropy)
+        assert abs((alpha - reference) / reference) <= 1e-15
+
+
+def test_array_inverse_on_the_fig1_grid_is_within_four_ulp_of_the_scalar():
+    grid = FIG1_DEFAULT_STEP * np.arange(1, int(1.0 / FIG1_DEFAULT_STEP) + 1)
+    scalar = np.array([alpha_from_entanglement(entropy) for entropy in grid])
+    assert np.all(np.abs(_alphas_from_entanglement(grid) - scalar) <= 4 * np.spacing(scalar))
+
+
+@pytest.mark.parametrize("grid, bad", [
+    ([0.5, 0.0, 1.1], "0.0"),
+    ([0.5, 1.1, 0.0], "1.1"),
+    ([-1e-300], "-1e-300"),
+    ([0.3, math.nan], "nan"),
+    ([math.inf], "inf"),
+])
+def test_array_inverse_rejects_the_first_entry_outside_its_range(grid, bad):
+    with pytest.raises(ValueError, match=rf"entanglement must lie in \(0, 1\]; got {bad}$"):
+        _alphas_from_entanglement(grid)

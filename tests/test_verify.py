@@ -117,3 +117,33 @@ def test_stacked_check_equals_per_point_loop(check, loop):
     result = check()
     assert result.passed
     assert result.deviation == loop()
+
+
+# --- a NaN from a literal oracle fails its check ------------------------------
+
+def _with_one_nan(kernel):
+    def patched(*args, **kwargs):
+        values = kernel(*args, **kwargs).copy()
+        values.flat[values.size // 2] = np.nan
+        return values
+    return patched
+
+
+@pytest.mark.parametrize("module, kernel, check", [
+    (witness, "_payoffs", verify.check_witness_grid),
+    (linalg, "_negativities", verify.check_negativity_grid),
+], ids=["witness_grid", "negativity_grid"])
+def test_one_nan_from_the_oracle_fails_the_check(monkeypatch, module, kernel, check):
+    monkeypatch.setattr(module, kernel, _with_one_nan(getattr(module, kernel)))
+    result = check()
+    assert not result.passed
+    assert np.isnan(result.deviation)
+
+
+def test_worst_deviation_propagates_nan_and_floors_at_zero():
+    assert np.isnan(verify._worst([1e-17, np.nan, 2e-17]))
+    assert np.isnan(verify._worst([np.nan, 1e-17]))
+    assert verify._worst([3e-17, 1e-17]) == 3e-17
+    assert verify._worst([-1.0, -0.0]) == 0.0
+    assert np.copysign(1.0, verify._worst([-0.0])) == 1.0
+    assert verify._worst([]) == 0.0
