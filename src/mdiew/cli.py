@@ -17,6 +17,7 @@ Identical invocations produce byte-identical files.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -55,20 +56,21 @@ def _csv_lines(columns: Sequence[str], rows: list[tuple]) -> list[str]:
     """Header and rows as CSV lines: floats to 12 significant digits, bools as
     true/false, anything else as str.
 
-    Each column holds one type, so the first row fixes one format template
-    for the table; bool columns are spelled out column by column first.
+    Each column holds one type, so the first row fixes one printf-style
+    template for the table; bool columns are spelled out column by column
+    first.
     """
     lines = [",".join(columns)]
     if not rows:
         return lines
-    template = ",".join("{:.12g}" if isinstance(v, float) else "{}" for v in rows[0])
+    template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0])
     bools = [i for i, v in enumerate(rows[0]) if isinstance(v, bool)]
     if bools:
         cells = list(zip(*rows))
         for i in bools:
             cells[i] = [_BOOL_TEXT[v] for v in cells[i]]
         rows = zip(*cells)
-    lines += [template.format(*row) for row in rows]
+    lines += [template % row for row in rows]
     return lines
 
 
@@ -179,7 +181,13 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later call.
+
+    Parsing keeps no state on the parser, so each `main` call sees a fresh
+    namespace; building it costs far more than a `run` query's own work.
+    """
     parser = argparse.ArgumentParser(
         prog="mdiew",
         description="Sequential measurement-device-independent entanglement witnessing.")

@@ -265,31 +265,47 @@ def _log_gain(lam: float, level: int) -> float:
     return math.log(lam) + (level - 1) * math.log(f_of_lambda(lam))
 
 
-def _log_gain_slope(lam: float, level: int) -> float:
-    """Derivative of _log_gain in lam, for lam < 1 (it tends to -inf at 1)."""
+def _log_gain_and_slope(lam: float, level: int) -> tuple[float, float]:
+    """_log_gain and its derivative in lam, for lam < 1 (the slope tends to -inf at 1).
+
+    The two square roots are taken once; the value takes f_of_lambda's
+    operations in the same order, so it equals _log_gain bit for bit.
+    """
     root_a = math.sqrt((1.0 + 3.0 * lam) * (1.0 - lam))
     root_b = math.sqrt((3.0 - 3.0 * lam) * (3.0 + lam))
     decay = 0.5 * (1.0 + (root_a + root_b) / 4.0)
     decay_slope = ((1.0 - 3.0 * lam) / root_a - 3.0 * (1.0 + lam) / root_b) / 8.0
-    return 1.0 / lam + (level - 1) * decay_slope / decay
+    return (math.log(lam) + (level - 1) * math.log(decay),
+            1.0 / lam + (level - 1) * decay_slope / decay)
 
 
-@functools.cache
 def _peak_sharpness(level: int) -> float:
     """Maximizer of _log_gain over [1/3, 1]; the state does not enter it.
 
     Bisection on the sign of the decreasing slope, down to adjacent floats.
     """
     lo, hi = LAMBDA_WINDOW
-    if _log_gain_slope(lo, level) <= 0.0:
+    if _log_gain_and_slope(lo, level)[1] <= 0.0:
         return lo
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if _log_gain_slope(mid, level) > 0.0:
+        if _log_gain_and_slope(mid, level)[1] > 0.0:
             lo = mid
         else:
             hi = mid
     return hi
+
+
+@functools.cache
+def _level_profile(level: int) -> tuple[float, float, float, float]:
+    """(peak, gain at peak, gain at 1/3, gain at 1) of _log_gain at `level`.
+
+    All four are state-free, so each level is solved once per process and
+    every state only compares them against its own target.
+    """
+    peak = _peak_sharpness(level)
+    lo, hi = LAMBDA_WINDOW
+    return peak, _log_gain(peak, level), _log_gain(lo, level), _log_gain(hi, level)
 
 
 def _superlevel_windows(alpha: float) -> list[tuple[float, float]]:
@@ -303,20 +319,22 @@ def _superlevel_windows(alpha: float) -> list[tuple[float, float]]:
     windows: list[tuple[float, float]] = []
     level = 1
     while True:
-        peak = _peak_sharpness(level)
-        if _log_gain(peak, level) <= log_target:
+        peak, gain_peak, gain_lo, gain_hi = _level_profile(level)
+        if gain_peak <= log_target:
             return windows
 
         def rising(lam):
-            return _log_gain(lam, level) - log_target, _log_gain_slope(lam, level)
+            value, slope = _log_gain_and_slope(lam, level)
+            return value - log_target, slope
 
         def falling(lam):
-            return log_target - _log_gain(lam, level), -_log_gain_slope(lam, level)
+            value, slope = _log_gain_and_slope(lam, level)
+            return log_target - value, -slope
 
         lo, hi = LAMBDA_WINDOW
-        if _log_gain(lo, level) <= log_target:
+        if gain_lo <= log_target:
             lo = _increasing_root(rising, lo, peak, lo)
-        if _log_gain(hi, level) <= log_target:
+        if gain_hi <= log_target:
             hi = _increasing_root(falling, peak, hi, 0.5 * (peak + hi))
         windows.append((lo, hi))
         level += 1

@@ -178,6 +178,21 @@ def test_table_stdout_matches_golden_hash(args, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE_SHA256[args]
 
 
+def test_shared_parser_keeps_no_per_call_state(capsys):
+    # a usage error and an equal-sharpness run on the one parser leave no
+    # --lambda behind for the threshold run that follows
+    assert cli._build_parser() is cli._build_parser()
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main(["run", "--entanglement", "2"])
+    assert excinfo.value.code == 2
+    assert cli.main(["run", "--lambda", "0.6", "--alpha", "0.5"]) == 0
+    capsys.readouterr()
+    args = ("run", "--entanglement", "0.8", "--margin", "0.01")
+    assert cli.main(list(args)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE_SHA256[args]
+
+
 @pytest.mark.parametrize("step", ["0.0005", "0.0001", "0.00037"])
 def test_fig1_rows_match_the_scalar_inverse(step, capsys):
     assert cli.main(["fig1", "--grid-step", step]) == 0

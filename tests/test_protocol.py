@@ -464,6 +464,29 @@ def test_window_edge_solves_stop_at_rounding_noise(monkeypatch):
     assert max(evaluations) <= 40
 
 
+def _two_pass_log_gain_and_slope(lam, level):
+    # the arithmetic of the separate value and slope functions the fused one replaced
+    value = math.log(lam) + (level - 1) * math.log(f_of_lambda(lam))
+    root_a = math.sqrt((1.0 + 3.0 * lam) * (1.0 - lam))
+    root_b = math.sqrt((3.0 - 3.0 * lam) * (3.0 + lam))
+    decay = 0.5 * (1.0 + (root_a + root_b) / 4.0)
+    decay_slope = ((1.0 - 3.0 * lam) / root_a - 3.0 * (1.0 + lam) / root_b) / 8.0
+    return value, 1.0 / lam + (level - 1) * decay_slope / decay
+
+
+def test_fused_log_gain_matches_two_pass_arithmetic():
+    lo, hi = LAMBDA_WINDOW
+    lams = np.concatenate([np.linspace(lo, hi, 4001)[:-1], [np.nextafter(hi, 0.0)],
+                           protocol._lambda_grid(1e-3)[:-1]])
+    for level in range(1, 9):
+        for lam in lams.tolist():
+            fused = protocol._log_gain_and_slope(lam, level)
+            assert fused == _two_pass_log_gain_and_slope(lam, level)
+        peak, *gains = protocol._level_profile(level)
+        assert peak == protocol._peak_sharpness(level)
+        assert gains == [protocol._log_gain(x, level) for x in (peak, lo, hi)]
+
+
 @pytest.mark.parametrize("entropy", WINDOW_ENTROPIES)
 def test_level_one_window_starts_at_the_threshold(entropy):
     strength = werner_strength(alpha_from_entanglement(entropy))
