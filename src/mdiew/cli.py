@@ -42,8 +42,6 @@ class RunConfig:
     """Resolved parameters of one invocation; equal configs give equal bytes."""
 
     command: str
-    alpha: float | None = None
-    entanglement: float | None = None
     lam: float | None = None
     margin: float | None = None
     grid_step: float | None = None
@@ -251,8 +249,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     _validate(parser, args)
     config = RunConfig(
         command=args.command,
-        alpha=getattr(args, "alpha", None),
-        entanglement=getattr(args, "entanglement", None),
         lam=getattr(args, "lam", None),
         margin=getattr(args, "margin", None),
         grid_step=getattr(args, "grid_step", None),

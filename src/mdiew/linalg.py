@@ -60,10 +60,6 @@ class SubsystemLayout:
             raise ValueError(f"unknown subsystem labels {sorted(missing)}; have {self.labels}")
         return SubsystemLayout(tuple(f for f in self.factors if f[0] in wanted))
 
-    def permuted(self, perm: Sequence[int]) -> "SubsystemLayout":
-        _check_permutation(perm, len(self.factors))
-        return SubsystemLayout(tuple(self.factors[p] for p in perm))
-
     def concat(self, other: "SubsystemLayout") -> "SubsystemLayout":
         return SubsystemLayout(self.factors + other.factors)
 
@@ -157,39 +153,12 @@ def tensor(*ops: np.ndarray) -> np.ndarray:
     return out
 
 
-def tensor_states(*states: DensityOperator) -> DensityOperator:
-    """Tensor product of states with concatenated layouts."""
-    if not states:
-        raise ValueError("tensor_states() needs at least one state")
-    layout = states[0].layout
-    for state in states[1:]:
-        layout = layout.concat(state.layout)
-    matrix = tensor(*(state.matrix for state in states))
-    return DensityOperator(matrix, layout, validate=False)
-
-
-def _check_permutation(perm: Sequence[int], n: int) -> None:
-    if len(perm) != n:
-        raise ValueError(f"permutation length {len(perm)} does not match {n} subsystems")
-    if sorted(perm) != list(range(n)):
-        raise ValueError(f"{tuple(perm)} is not a permutation of 0..{n - 1}")
-
-
 def _permute(matrix: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     n = len(dims)
     dim = int(np.prod(dims))
     tensor_form = np.asarray(matrix, dtype=complex).reshape(*dims, *dims)
     axes = [*perm, *(p + n for p in perm)]
     return tensor_form.transpose(axes).reshape(dim, dim)
-
-
-def permute_subsystems(matrix: np.ndarray, layout: SubsystemLayout, perm: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors: position k of the result is factor perm[k].
-
-    Applying a permutation and then its inverse (argsort) is the identity.
-    """
-    _check_permutation(perm, len(layout.factors))
-    return _permute(matrix, layout.dims, perm)
 
 
 def embed_operator(op: np.ndarray, layout: SubsystemLayout, acting_on: Sequence[str]) -> np.ndarray:

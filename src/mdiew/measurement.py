@@ -14,20 +14,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .linalg import DensityOperator, SubsystemLayout, _kron, embed_operator
 from .states import bell_phi_plus, input_ensemble
 
-DEGENERATE_OUTCOME_ATOL = 1e-14
-
 OUTCOMES = ("+", "-")
-
-
-class DegenerateOutcomeError(ValueError):
-    """Raised when conditioning on an outcome of (numerically) zero probability."""
 
 
 @functools.cache
@@ -84,30 +77,6 @@ def effect_sqrt(lam: float, outcome: str) -> np.ndarray:
     else:
         raise ValueError(f"outcome must be '+' or '-'; got {outcome!r}")
     return (on_bell - off_bell) * bell_projector() + off_bell * np.eye(4)
-
-
-def outcome_probability(rho: DensityOperator, effect: np.ndarray,
-                        acting_on: Sequence[str]) -> float:
-    """tr(E rho) with the effect extended by identity outside `acting_on`."""
-    full = embed_operator(effect, rho.layout, acting_on)
-    return float(np.trace(full @ rho.matrix).real)
-
-
-def luders_update(rho_with_input: DensityOperator, pair: BinaryEffectPair,
-                  outcome: str, acting_on: Sequence[str]) -> tuple[DensityOperator, float]:
-    """Apply sqrt(E) . sqrt(E) for the given outcome.
-
-    Returns the unnormalized post-measurement operator (its trace is the
-    outcome probability) together with that probability.  Conditioning on an
-    outcome with probability below 1e-14 raises DegenerateOutcomeError.
-    """
-    kraus = embed_operator(effect_sqrt(pair.lam, outcome), rho_with_input.layout, acting_on)
-    post = kraus @ rho_with_input.matrix @ kraus
-    probability = float(post.trace().real)
-    if probability < DEGENERATE_OUTCOME_ATOL:
-        raise DegenerateOutcomeError(
-            f"outcome {outcome!r} has probability {probability} below {DEGENERATE_OUTCOME_ATOL}")
-    return DensityOperator(post, rho_with_input.layout, validate=False), probability
 
 
 def _averaged_channel(matrices: np.ndarray, layout: SubsystemLayout, lam: float) -> np.ndarray:

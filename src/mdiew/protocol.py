@@ -350,18 +350,12 @@ def n_max_over_lambda(alpha: float) -> tuple[int, list[tuple[float, float]]]:
     return len(windows), windows[-1:]
 
 
-def lambda_range(alpha: float, n: int) -> float:
-    """Measure of the sharpness set where the count equals exactly n.
-
-    Zero when no sharpness in the window achieves the count.
-    """
-    if n < 1:
-        raise ValueError(f"observer count must be positive; got {n}")
-    return dict(lambda_range_table(alpha)).get(n, 0.0)
-
-
 def lambda_range_table(alpha: float) -> list[tuple[int, float]]:
-    """(n, lambda_range) for every achievable count of this state."""
+    """(n, width) for every achievable count n of this state.
+
+    The width is the measure of the sharpness set where the count equals
+    exactly n.
+    """
     lengths = [hi - lo for lo, hi in _superlevel_windows(alpha)] + [0.0]
     return [(n, max(lengths[n - 1] - lengths[n], 0.0)) for n in range(1, len(lengths))]
 

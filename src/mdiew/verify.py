@@ -76,7 +76,8 @@ def check_witness_sharp_corner() -> CheckResult:
     """Sharp maximal corner: payoff -1/8 for the pure singlet-weight state."""
     rho = states.werner_alpha(1.0, states.ALPHA_MAX)
     numeric = witness.mdi_ew_numeric(rho, witness.werner_beta(), 1.0).value
-    dev = _worst([abs(numeric + 0.125), abs(witness.mdi_ew_closed_form(1.0) + 0.125)])
+    closed = witness.mdi_ew_closed_form_unsharp(1.0, states.ALPHA_MAX, 1.0)
+    dev = _worst([abs(numeric + 0.125), abs(closed + 0.125)])
     return _result("witness_sharp_corner", dev, 1e-12)
 
 

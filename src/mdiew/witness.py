@@ -24,14 +24,6 @@ from .states import InputEnsemble, input_ensemble, werner_strength
 
 DETECTION_THRESHOLD = 1e-12
 
-# Pairing the game probabilities with a witness operator W carries a fixed
-# factor from the two |Phi+> contractions: sum_st beta_st P(1,1|.) = tr(W rho)/4
-# when beta decomposes W over the transposed inputs.  Each sharp projection
-# gives <Phi+| X (x) Y |Phi+> = tr(X^T Y)/2, so at lam = 1 the reduced operator
-# of the identity target, reduced_witness_operator(1.0, beta), is I/4.
-CONTRACTION_FACTOR = 0.25
-
-
 class SingularEnsembleError(ValueError):
     """Raised when the input ensembles do not span the operator space."""
 
@@ -122,18 +114,11 @@ def reduced_witness_operator(lam: float, beta: WitnessCoefficients) -> np.ndarra
     return _reduced_witness_operators((lam,), beta)[0]
 
 
-def mdi_ew_closed_form(q: float) -> float:
-    """Sharp-measurement payoff (1 - 3q)/16 of the isotropic singlet mixture."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1]; got {q}")
-    return (1.0 - 3.0 * q) / 16.0
-
-
 def mdi_ew_closed_form_unsharp(q: float, alpha: float, lam: float) -> float:
     """Payoff (1 - lam q c)/16 with c = 1 + 4 alpha sqrt(1 - alpha^2).
 
-    Equivalently -lam q alpha sqrt(1-alpha^2)/4 + (1 - lam q)/16; reduces to
-    the sharp closed form at lam = 1, alpha = 1/sqrt(2).
+    Equivalently -lam q alpha sqrt(1-alpha^2)/4 + (1 - lam q)/16; at lam = 1,
+    alpha = 1/sqrt(2) it is the sharp isotropic payoff (1 - 3q)/16.
     """
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1]; got {q}")

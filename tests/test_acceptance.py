@@ -88,7 +88,7 @@ def test_criterion_05_witness_closed_form_equivalence():
     assert worst < 1e-10
     corner = witness.mdi_ew_numeric(states.werner_alpha(1.0, ALPHA_MAX), beta, 1.0)
     assert abs(corner.value - (-0.125)) < 1e-12
-    assert abs(witness.mdi_ew_closed_form(1.0) - (-0.125)) < 1e-15
+    assert abs(witness.mdi_ew_closed_form_unsharp(1.0, ALPHA_MAX, 1.0) - (-0.125)) < 1e-15
     _announce(5, f"witness numeric vs closed form, max dev {worst:.2e} < 1e-10")
 
 
@@ -231,7 +231,8 @@ def test_criterion_09_sharpness_range_shape():
     table = {}
     for entropy in grid:
         alpha = states.alpha_from_entanglement(min(float(entropy), 1.0))
-        ranges = [protocol.lambda_range(alpha, n) for n in range(1, 8)]
+        achieved = dict(protocol.lambda_range_table(alpha))
+        ranges = [achieved.get(n, 0.0) for n in range(1, 8)]
         best = max(n for n in range(1, 8) if ranges[n - 1] > 0)
         table[float(entropy)] = (best, ranges)
     keys = sorted(table)

@@ -10,13 +10,12 @@ from mdiew.linalg import (
     _check_density_matrices,
     _kron,
     _negativities,
+    _permute,
     embed_operator,
     negativity,
     partial_trace,
     partial_transpose,
-    permute_subsystems,
     tensor,
-    tensor_states,
 )
 
 from conftest import (
@@ -48,11 +47,14 @@ def test_layout_basic_properties():
     assert layout.dims == (2, 2, 2, 2)
     assert layout.dim == 16
     assert layout.position("B") == 2
+    assert SubsystemLayout((("A'", 2),)).concat(layout.keep(["A"])).labels == ("A'", "A")
 
 
 def test_layout_rejects_duplicate_labels():
     with pytest.raises(ValueError, match="duplicate"):
         SubsystemLayout((("A", 2), ("A", 2)))
+    with pytest.raises(ValueError, match="duplicate"):
+        PAIR.concat(PAIR)
 
 
 def test_layout_keep_preserves_order():
@@ -192,53 +194,33 @@ def test_embed_operator_is_bit_identical_to_np_kron_route(rng):
     layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))
     op = random_hermitian(rng, 4)
     assert np.array_equal(embed_operator(op, layout, ["A", "B"]), np.kron(op, I2))
-    assert np.array_equal(embed_operator(op, layout, ["B", "C"]),
-                          permute_subsystems(np.kron(op, I2),
-                                             SubsystemLayout((("B", 2), ("C", 2), ("A", 2))),
-                                             (2, 0, 1)))
+    # np.kron(op, I2) orders the factors (B, C, A); move them to (A, B, C)
+    want = np.kron(op, I2).reshape((2,) * 6).transpose(2, 0, 1, 5, 3, 4).reshape(8, 8)
+    assert np.array_equal(embed_operator(op, layout, ["B", "C"]), want)
 
 
-def test_tensor_states_concatenates_layouts(rng):
-    a = density(random_density_matrix(rng, 2), SubsystemLayout((("X", 2),)))
-    b = density(random_density_matrix(rng, 2), SubsystemLayout((("Y", 2),)))
-    joint = tensor_states(a, b)
-    assert joint.labels == ("X", "Y")
-    assert np.allclose(joint.matrix, np.kron(a.matrix, b.matrix))
-    with pytest.raises(ValueError, match="duplicate"):
-        tensor_states(a, a)
-
-
-# --- permutation -----------------------------------------------------------
+# --- permutation (the factor reordering inside embed_operator) -------------------
 
 def test_permute_identity_is_noop(rng):
     m = random_hermitian(rng, 4)
-    assert np.array_equal(permute_subsystems(m, PAIR, (0, 1)), m)
+    assert np.array_equal(_permute(m, PAIR.dims, (0, 1)), m)
 
 
 def test_permute_swap_law(rng):
     x, y = random_hermitian(rng, 2), random_hermitian(rng, 2)
-    swapped = permute_subsystems(tensor(x, y), PAIR, (1, 0))
+    swapped = _permute(tensor(x, y), PAIR.dims, (1, 0))
     assert np.array_equal(swapped, tensor(y, x))
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_permute_round_trip_exact(seed):
     rng = np.random.default_rng(seed)
-    layout = SubsystemLayout((("A'", 2), ("A", 2), ("B", 2), ("B'", 2)))
-    m = random_hermitian(rng, 16)
+    dims = (2, 3, 2, 2)
+    m = random_hermitian(rng, 24)
     perm = tuple(rng.permutation(4))
     inverse = tuple(np.argsort(perm))
-    back = permute_subsystems(permute_subsystems(m, layout, perm),
-                              layout.permuted(perm), inverse)
+    back = _permute(_permute(m, dims, perm), [dims[p] for p in perm], inverse)
     assert np.array_equal(back, m)
-
-
-def test_permute_rejects_bad_permutation(rng):
-    m = random_hermitian(rng, 4)
-    with pytest.raises(ValueError, match="length"):
-        permute_subsystems(m, PAIR, (0,))
-    with pytest.raises(ValueError, match="not a permutation"):
-        permute_subsystems(m, PAIR, (0, 0))
 
 
 def test_embed_operator_places_factor(rng):
@@ -247,11 +229,11 @@ def test_embed_operator_places_factor(rng):
     assert np.allclose(embed_operator(op, layout, ["B"]), tensor(I2, op, I2))
     pair_op = random_hermitian(rng, 4)
     assert np.allclose(embed_operator(pair_op, layout, ["B", "C"]), tensor(I2, pair_op))
-    # non-adjacent and reordered placement, checked against a swap oracle
+    # non-adjacent and reordered placement: tensor(pair_op, I2) orders the
+    # factors (C, A, B), and an explicit axis transpose moves them to (A, B, C)
     got = embed_operator(pair_op, layout, ["C", "A"])
-    swap = permute_subsystems(tensor(pair_op, I2),
-                              SubsystemLayout((("C", 2), ("A", 2), ("B", 2))), (1, 2, 0))
-    assert np.allclose(got, swap)
+    want = tensor(pair_op, I2).reshape((2,) * 6).transpose(1, 2, 0, 4, 5, 3).reshape(8, 8)
+    assert np.array_equal(got, want)
 
 
 # --- partial trace ----------------------------------------------------------

@@ -5,25 +5,19 @@ from hypothesis import strategies as st
 
 from mdiew.linalg import (
     DensityOperator,
-    SubsystemLayout,
     embed_operator,
     partial_trace,
-    tensor,
-    tensor_states,
 )
 from mdiew.measurement import (
     OUTCOMES,
-    DegenerateOutcomeError,
     _averaged_channel,
     averaged_channel,
     bell_projector,
     effect_sqrt,
-    luders_update,
-    outcome_probability,
     unsharp_pair,
 )
 from mdiew.protocol import f_of_lambda
-from mdiew.states import ALPHA_MAX, input_ensemble, input_state, psi_alpha, werner_alpha
+from mdiew.states import ALPHA_MAX, input_ensemble, psi_alpha, werner_alpha
 from mdiew.verify import random_separable_two_qubit
 
 from conftest import (
@@ -43,6 +37,7 @@ def test_sharp_limit_gives_projectors():
     pair = unsharp_pair(1.0)
     assert np.abs(pair.plus - bell_projector()).max() < 1e-14
     assert np.abs(pair.minus - (I4 - bell_projector())).max() < 1e-14
+    assert np.array_equal(pair.plus + pair.minus, I4)
 
 
 def test_trivial_limit_gives_scaled_identities():
@@ -101,6 +96,9 @@ def test_effect_sqrt_agrees_with_generic_path(lam):
         assert np.abs(root @ root - effect).max() < 1e-15
         tolerance = generic_root_tolerance(lam, smallest)
         assert np.abs(root - herm_sqrt(effect)).max() < tolerance
+    # the two Kraus operators are complete, so the update preserves the trace
+    plus_root, minus_root = effect_sqrt(lam, "+"), effect_sqrt(lam, "-")
+    assert np.abs(plus_root @ plus_root + minus_root @ minus_root - I4).max() < 2e-15
 
 
 def test_effect_sqrt_closed_spectral_form():
@@ -114,81 +112,9 @@ def test_effect_sqrt_closed_spectral_form():
     assert np.abs(effect_sqrt(lam, "-") - minus_root).max() < 1e-14
 
 
-# --- probabilities ------------------------------------------------------------------
-
-def game_state(rho, s=0, t=0):
-    return tensor_states(input_state(s, "tau"), rho, input_state(t, "omega"))
-
-
-def test_identity_effect_has_unit_probability(rng):
-    rho = werner_alpha(0.6, 0.5)
-    assert outcome_probability(rho, I4, ("A", "B")) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_double_projection_on_white_noise():
-    eta = game_state(werner_alpha(0.0, 0.5))
-    effect = tensor(bell_projector(), bell_projector())
-    got = outcome_probability(eta, effect, ("A'", "A", "B", "B'"))
-    assert got == pytest.approx(1 / 16, abs=1e-12)
-
-
-@given(lambdas, st.integers(0, 2**32 - 1))
-def test_outcome_probabilities_complete(lam, seed):
-    rng = np.random.default_rng(seed)
-    layout = SubsystemLayout((("A", 2), ("B", 2), ("B'", 2)))
-    rho = DensityOperator(random_density_matrix(rng, 8), layout)
-    pair = unsharp_pair(lam)
-    p_plus = outcome_probability(rho, pair.plus, ("B", "B'"))
-    p_minus = outcome_probability(rho, pair.minus, ("B", "B'"))
-    assert p_plus + p_minus == pytest.approx(1.0, abs=1e-12)
-    assert -1e-12 <= p_plus <= 1 + 1e-12
-
-
-# --- state update ---------------------------------------------------------------------
-
-def test_trivial_measurement_leaves_state_unchanged():
-    eta = tensor_states(werner_alpha(0.8, 0.4), input_state(2, "omega"))
-    for outcome in "+-":
-        post, prob = luders_update(eta, unsharp_pair(0.0), outcome, ("B", "B'"))
-        expected_prob = 0.25 if outcome == "+" else 0.75
-        assert prob == pytest.approx(expected_prob, abs=1e-12)
-        assert np.abs(post.matrix / prob - eta.matrix).max() < 1e-12
-
-
-def test_sharp_plus_outcome_projects():
-    eta = tensor_states(werner_alpha(1.0, ALPHA_MAX), input_state(1, "omega"))
-    pair = unsharp_pair(1.0)
-    post, prob = luders_update(eta, pair, "+", ("B", "B'"))
-    kraus = tensor(np.eye(2), bell_projector())
-    expected = kraus @ eta.matrix @ kraus
-    assert np.abs(post.matrix - expected).max() < 1e-12
-    assert prob == pytest.approx(expected.trace().real, abs=1e-14)
-    assert min_eigenvalue(post.matrix) >= -1e-12
-
-
-def test_update_trace_equals_probability(rng):
-    layout = SubsystemLayout((("A", 2), ("B", 2), ("B'", 2)))
-    rho = DensityOperator(random_density_matrix(rng, 8), layout)
-    pair = unsharp_pair(0.7)
-    post, prob = luders_update(rho, pair, "-", ("B", "B'"))
-    assert post.matrix.trace().real == pytest.approx(prob, abs=1e-14)
-    renormalized = DensityOperator(post.matrix / prob, layout)  # validates
-    assert renormalized.labels == ("A", "B", "B'")
-
-
-def test_zero_probability_outcome_is_degenerate():
-    # B in |0>, input in |1>: no |Phi+> component, so '+' never fires sharply
-    matrix = tensor(np.diag([1.0, 0]), np.diag([1.0, 0]), np.diag([0, 1.0]))
-    layout = SubsystemLayout((("A", 2), ("B", 2), ("B'", 2)))
-    eta = DensityOperator(matrix.astype(complex), layout)
-    with pytest.raises(DegenerateOutcomeError):
-        luders_update(eta, unsharp_pair(1.0), "+", ("B", "B'"))
-
-
-def test_luders_update_rejects_bad_outcome():
-    eta = tensor_states(werner_alpha(0.5, 0.5), input_state(0, "omega"))
+def test_effect_sqrt_rejects_bad_outcome():
     with pytest.raises(ValueError, match="outcome"):
-        luders_update(eta, unsharp_pair(0.5), "0", ("B", "B'"))
+        effect_sqrt(0.5, "0")
 
 
 # --- averaged channel -------------------------------------------------------------------
@@ -228,19 +154,6 @@ def test_channel_output_form_general_alpha():
                 assert np.abs(marginal - input_marginal).max() < 1e-12
 
 
-def test_channel_matches_explicit_update_sum():
-    rho = werner_alpha(0.8, 0.35)
-    lam = 0.6
-    total = np.zeros((4, 4), dtype=complex)
-    for t in range(4):
-        eta = tensor_states(rho, input_state(t, "omega"))
-        for outcome in "+-":
-            post, _ = luders_update(eta, unsharp_pair(lam), outcome, ("B", "B'"))
-            total += partial_trace(post, ["A", "B"]).matrix / 4
-    out = averaged_channel(rho, lam)
-    assert np.abs(out.matrix - total).max() < 1e-13
-
-
 def test_nonselective_sharp_step_halves_the_weight():
     # full averaging at lam=1 on the pure maximally entangled state
     out = averaged_channel(werner_alpha(1.0, ALPHA_MAX), 1.0)
@@ -252,13 +165,12 @@ def _eight_embed_channel(rho, lam):
     omegas = input_ensemble("omega")
     measured = (rho.labels[1], omegas.states[0].labels[0])
     total = np.zeros((rho.layout.dim * 2,) * 2, dtype=complex)
-    layout = None
+    layout = rho.layout.concat(omegas.states[0].layout)
     for weight, omega in zip(omegas.prior, omegas.states):
-        eta = tensor_states(rho, omega)
-        layout = eta.layout
+        eta = np.kron(rho.matrix, omega.matrix)
         for outcome in OUTCOMES:
-            kraus = embed_operator(effect_sqrt(lam, outcome), eta.layout, measured)
-            total += weight * (kraus @ eta.matrix @ kraus)
+            kraus = embed_operator(effect_sqrt(lam, outcome), layout, measured)
+            total += weight * (kraus @ eta @ kraus)
     return partial_trace(DensityOperator(total, layout, validate=False), rho.labels)
 
 

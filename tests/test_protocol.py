@@ -19,7 +19,6 @@ from mdiew.protocol import (
     equal_sharpness_count,
     equal_sharpness_curve,
     f_of_lambda,
-    lambda_range,
     lambda_range_table,
     n_max_over_lambda,
     negativity_walpha,
@@ -305,10 +304,6 @@ def test_lambda_range_partitions_the_window():
     assert set(table) == {1, 2, 3, 4, 5, 6}
     # measures of {count = n} tile (1/3, 1] together with the count-0 set
     assert sum(table.values()) <= 2 / 3 + 1e-9
-    assert lambda_range(ALPHA_MAX, 7) == 0.0
-    assert lambda_range(ALPHA_MAX, 99) == 0.0
-    with pytest.raises(ValueError, match="count"):
-        lambda_range(ALPHA_MAX, 0)
 
 
 def test_lambda_range_covers_full_window_with_failures():
@@ -324,7 +319,7 @@ def test_lambda_range_covers_full_window_with_failures():
 
 def test_two_observer_range_includes_sharp_endpoint():
     assert equal_sharpness_count(ALPHA_MAX, 1.0) == 2
-    assert lambda_range(ALPHA_MAX, 2) > 0.0
+    assert dict(lambda_range_table(ALPHA_MAX)).get(2, 0.0) > 0.0
 
 
 WINDOW_ENTROPIES = [1.0, 0.935, 0.6]
@@ -527,6 +522,17 @@ def test_negativity_closed_form_matches_oracle(q, alpha):
     closed = negativity_walpha(q, alpha)
     oracle = negativity_oracle(werner_alpha(q, alpha), "B")
     assert abs(closed - oracle) < 1e-10
+
+
+def test_true_negativity_exceeds_white_noise_value_after_one_sharp_step():
+    # README's example: one sharp step from q = 1 halves q (f(1) = 1/2), but the
+    # lost weight lands on rho_A (x) I/2, not on I/4
+    assert f_of_lambda(1.0) == 0.5
+    true_value = negativity_oracle(averaged_channel(werner_alpha(1.0, 0.3), 1.0), "B")
+    white_noise_value = negativity_walpha(0.5, 0.3)
+    assert true_value == pytest.approx(0.05101, abs=1e-4)
+    assert white_noise_value == pytest.approx(0.01809, abs=1e-4)
+    assert true_value > white_noise_value
 
 
 def test_delta_negativity_spot_values():

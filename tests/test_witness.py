@@ -17,14 +17,12 @@ from mdiew.states import (
 )
 from mdiew.verify import random_separable_two_qubit
 from mdiew.witness import (
-    CONTRACTION_FACTOR,
     SingularEnsembleError,
     WitnessCoefficients,
     WitnessValue,
     _payoffs,
     _reduced_witness_operators,
     decompose_witness,
-    mdi_ew_closed_form,
     mdi_ew_closed_form_unsharp,
     mdi_ew_numeric,
     reduced_witness_operator,
@@ -37,6 +35,13 @@ from conftest import random_density_matrix, random_hermitian, werner_and_random_
 qs = st.floats(0.0, 1.0)
 alphas = st.floats(0.01, ALPHA_MAX)
 lambdas = st.floats(0.0, 1.0)
+
+# Pairing the game probabilities with a witness operator W carries a fixed
+# factor from the two |Phi+> contractions: sum_st beta_st P(1,1|.) = tr(W rho)/4
+# when beta decomposes W over the transposed inputs.  Each sharp projection
+# gives <Phi+| X (x) Y |Phi+> = tr(X^T Y)/2, so at lam = 1 the reduced operator
+# of the identity target, reduced_witness_operator(1.0, beta), is I/4.
+CONTRACTION_FACTOR = 0.25
 
 
 def recompose(beta, taus, omegas):
@@ -191,9 +196,10 @@ def test_reduced_operator_of_decomposed_target_is_a_quarter_of_it(rng):
 # --- closed forms ---------------------------------------------------------------
 
 def test_closed_form_spot_values():
-    assert mdi_ew_closed_form(1.0) == pytest.approx(-0.125, abs=0)
-    assert mdi_ew_closed_form(1 / 3) == pytest.approx(0.0, abs=1e-16)
-    assert mdi_ew_closed_form(0.0) == pytest.approx(0.0625, abs=0)
+    # sharp measurement on the isotropic singlet mixture: (1 - 3q)/16
+    assert mdi_ew_closed_form_unsharp(1.0, ALPHA_MAX, 1.0) == pytest.approx(-0.125, abs=0)
+    assert mdi_ew_closed_form_unsharp(1 / 3, ALPHA_MAX, 1.0) == pytest.approx(0.0, abs=1e-16)
+    assert mdi_ew_closed_form_unsharp(0.0, ALPHA_MAX, 1.0) == pytest.approx(0.0625, abs=0)
 
 
 def test_unsharp_closed_form_spot_values():
@@ -205,7 +211,7 @@ def test_unsharp_closed_form_spot_values():
 @given(qs)
 def test_unsharp_reduces_to_sharp_form(q):
     sharp = mdi_ew_closed_form_unsharp(q, ALPHA_MAX, 1.0)
-    assert sharp == pytest.approx(mdi_ew_closed_form(q), abs=1e-14)
+    assert sharp == pytest.approx((1 - 3 * q) / 16, abs=1e-14)
 
 
 def test_unsharp_matches_product_form():
