@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -236,8 +237,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     if lam is not None and not 0.0 < lam <= 1.0:
         parser.error(f"--lambda must lie in (0, 1]; got {lam}")
     margin = getattr(args, "margin", None)
-    if margin is not None and not margin >= 0.0:
-        parser.error(f"--margin must be non-negative; got {margin}")
+    if margin is not None and not 0.0 <= margin < math.inf:
+        parser.error(f"--margin must be non-negative and finite; got {margin}")
     entanglement = getattr(args, "entanglement", None)
     if entanglement is not None and not 0.0 < entanglement <= 1.0:
         parser.error(f"--entanglement must lie in (0, 1]; got {entanglement}")

@@ -6,7 +6,9 @@ sharpness lam uses the effects
 
     E+ = lam P+ + (1 - lam)/4 I_4,      E- = I_4 - E+,
 
-and updates the state through the square-root (Lueders) rule.
+and updates the state through the square-root (Lueders) rule.  Bob measures
+the qubits (B, B') of the space (A, B, B'), so each Kraus operator is
+I_2 (x) sqrt(E) in that order.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityOperator, SubsystemLayout, _kron, embed_operator
+from .linalg import DensityOperator, _kron, _two_qubit_matrix
 from .states import bell_phi_plus, input_ensemble
 
 OUTCOMES = ("+", "-")
@@ -79,25 +81,21 @@ def effect_sqrt(lam: float, outcome: str) -> np.ndarray:
     return (on_bell - off_bell) * bell_projector() + off_bell * np.eye(4)
 
 
-def _averaged_channel(matrices: np.ndarray, layout: SubsystemLayout, lam: float) -> np.ndarray:
-    """averaged_channel on a stack of shared-state matrices over the two-factor `layout`.
+def _averaged_channel(matrices: np.ndarray, lam: float) -> np.ndarray:
+    """averaged_channel on a stack of 4x4 shared-state matrices.
 
     Every output takes the same operations as a one-state call: the Kraus
     products kraus @ eta @ kraus summed input by input, outcome by outcome,
-    then the trace over the input B'.
+    on (A, B, B'), then the trace over the input B'.
     """
-    omegas = input_ensemble("omega")
-    full = layout.concat(omegas.states[0].layout)
-    measured = (layout.labels[1], omegas.states[0].labels[0])
-    krauses = [embed_operator(effect_sqrt(lam, outcome), full, measured) for outcome in OUTCOMES]
-    total = np.zeros((len(matrices),) + (full.dim,) * 2, dtype=complex)
+    omegas = input_ensemble()
+    krauses = [_kron(np.eye(2), effect_sqrt(lam, outcome)) for outcome in OUTCOMES]
+    total = np.zeros((len(matrices), 8, 8), dtype=complex)
     for weight, omega in zip(omegas.prior, omegas.states):
         etas = _kron(matrices, omega.matrix)
         for kraus in krauses:
             total += weight * (kraus @ etas @ kraus)
-    dims = full.dims
-    traced = total.reshape(-1, *dims, *dims).trace(axis1=len(dims), axis2=2 * len(dims))
-    return traced.reshape(-1, layout.dim, layout.dim)
+    return total.reshape(-1, 4, 2, 4, 2).trace(axis1=2, axis2=4)
 
 
 def averaged_channel(rho: DensityOperator, lam: float) -> DensityOperator:
@@ -105,10 +103,8 @@ def averaged_channel(rho: DensityOperator, lam: float) -> DensityOperator:
 
     Attaches each referee input on B' with weight 1/4, applies the
     square-root update non-selectively (both outcomes summed), and traces the
-    input back out.  The measured share is the second factor of `rho`.
+    input back out.  The measured share is B, the second qubit of `rho`.
     """
-    if len(rho.layout.factors) != 2:
-        raise ValueError("averaged_channel expects a two-factor shared state")
+    matrix = _two_qubit_matrix(rho, "averaged_channel")
     lam = _check_lambda(lam)
-    matrix = _averaged_channel(rho.matrix[None], rho.layout, lam)[0]
-    return DensityOperator(matrix, rho.layout, validate=False)
+    return DensityOperator(_averaged_channel(matrix[None], lam)[0], validate=False)

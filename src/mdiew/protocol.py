@@ -158,8 +158,8 @@ def run_threshold_protocol(alpha: float, margin: float = 0.0) -> ProtocolTrace:
     is the sharp-limit value of the state observer i receives.
     """
     werner_strength(alpha)  # validates the range before the margin
-    if not margin >= 0.0:
-        raise ValueError(f"margin must be non-negative; got {margin}")
+    if not 0.0 <= margin < math.inf:
+        raise ValueError(f"margin must be non-negative and finite; got {margin}")
     return _trace(alpha, POLICY_THRESHOLD, margin, _observers(alpha, margin))
 
 

@@ -6,7 +6,8 @@ The shared family is the noisy partially entangled pair
     |psi> = alpha |01> - sqrt(1 - alpha^2) |10>,   0 < alpha <= 1/sqrt(2),
 
 and the referee hands out the four qubit states sigma_s (I + n.sigma)/2 sigma_s
-with n = (1, 1, 1)/sqrt(3).
+with n = (1, 1, 1)/sqrt(3), as tau_s to Alice and as omega_t to Bob.  A shared
+state's qubits are ordered (A, B), Alice's share first.
 """
 
 from __future__ import annotations
@@ -17,12 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityOperator, SubsystemLayout, _check_density_matrices
-
-ALICE_INPUT = "A'"
-ALICE = "A"
-BOB = "B"
-BOB_INPUT = "B'"
+from .linalg import DensityOperator, _check_density_matrices
 
 ALPHA_MAX = 2 ** -0.5
 _LN2 = math.log(2.0)
@@ -35,11 +31,6 @@ PAULI = (
 )
 
 BLOCH_AXIS = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-
-
-def pair_layout() -> SubsystemLayout:
-    """Layout of the shared two-qubit state."""
-    return SubsystemLayout(((ALICE, 2), (BOB, 2)))
 
 
 def _check_alpha(alpha: float) -> float:
@@ -105,7 +96,7 @@ def _werner_alphas(qs, alphas) -> np.ndarray:
 
 def werner_alpha(q: float, alpha: float) -> DensityOperator:
     """Mixing weight q on |psi(alpha)><psi(alpha)|, white noise otherwise."""
-    return DensityOperator(_werner_alphas([q], [alpha])[0], pair_layout(), validate=False)
+    return DensityOperator(_werner_alphas([q], [alpha])[0], validate=False)
 
 
 def werner_strength(alpha: float) -> float:
@@ -123,26 +114,16 @@ def _werner_strengths(alphas) -> np.ndarray:
     return 1.0 + 4.0 * alphas * np.sqrt(1.0 - alphas * alphas)
 
 
-def _input_matrix(index: int) -> np.ndarray:
+def input_state(index: int) -> DensityOperator:
+    """Referee input number `index`, handed to Alice on A' (tau) or to Bob on B' (omega).
+
+    The tau and omega families follow the same formula, so one state serves both.
+    """
     if index not in (0, 1, 2, 3):
         raise ValueError(f"input index must be 0..3; got {index}")
     base = (PAULI[0] + BLOCH_AXIS[0] * PAULI[1] + BLOCH_AXIS[1] * PAULI[2]
             + BLOCH_AXIS[2] * PAULI[3]) / 2.0
-    return PAULI[index] @ base @ PAULI[index]
-
-
-_INPUT_LABEL = {"tau": ALICE_INPUT, "omega": BOB_INPUT}
-
-
-def input_state(index: int, kind: str = "tau") -> DensityOperator:
-    """Referee input number `index`; tau states live on A', omega states on B'.
-
-    Both families follow the same formula, so their matrices coincide.
-    """
-    if kind not in _INPUT_LABEL:
-        raise ValueError(f"kind must be 'tau' or 'omega'; got {kind!r}")
-    layout = SubsystemLayout(((_INPUT_LABEL[kind], 2),))
-    return DensityOperator(_input_matrix(index), layout)
+    return DensityOperator(PAULI[index] @ base @ PAULI[index])
 
 
 @dataclass(frozen=True)
@@ -154,8 +135,8 @@ class InputEnsemble:
 
 
 @functools.cache
-def input_ensemble(kind: str = "tau") -> InputEnsemble:
-    return InputEnsemble(tuple(input_state(s, kind) for s in range(4)))
+def input_ensemble() -> InputEnsemble:
+    return InputEnsemble(tuple(input_state(s) for s in range(4)))
 
 
 def entanglement_entropy(alpha: float) -> float:

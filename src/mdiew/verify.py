@@ -122,7 +122,7 @@ def _random_separable_matrices(rng: np.random.Generator, samples: int,
 def random_separable_two_qubit(rng: np.random.Generator, max_terms: int = 4) -> linalg.DensityOperator:
     """Random mixture of up to `max_terms` pure product states."""
     matrix = _random_separable_matrices(rng, 1, max_terms)[0]
-    return linalg.DensityOperator(matrix, states.pair_layout(), validate=False)
+    return linalg.DensityOperator(matrix, validate=False)
 
 
 def _separable_payoffs(seed: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
@@ -167,7 +167,7 @@ def check_channel_closure_maximal() -> CheckResult:
     """At alpha = 1/sqrt(2) the channel maps the family onto itself, q -> f q."""
     alpha = states.ALPHA_MAX
     matrices = states._werner_alphas(_CHANNEL_QS, alpha)
-    outs = np.concatenate([measurement._averaged_channel(matrices, states.pair_layout(), lam)
+    outs = np.concatenate([measurement._averaged_channel(matrices, lam)
                            for lam in _CHANNEL_LAMS])
     wants = states._werner_alphas(
         [protocol.f_of_lambda(lam) * q for lam in _CHANNEL_LAMS for q in _CHANNEL_QS], alpha)
@@ -184,7 +184,7 @@ def check_channel_statistics() -> CheckResult:
     """
     points = [(q, alpha) for q in _CHANNEL_QS for alpha in _CHANNEL_ALPHAS]
     matrices = states._werner_alphas(*zip(*points))
-    outs = np.concatenate([measurement._averaged_channel(matrices, states.pair_layout(), lam)
+    outs = np.concatenate([measurement._averaged_channel(matrices, lam)
                            for lam in _CHANNEL_LAMS])
     numeric = witness._payoffs(outs, witness.werner_beta(), _CHANNEL_PROBES).reshape(
         len(_CHANNEL_PROBES), len(_CHANNEL_LAMS), len(points))
@@ -211,7 +211,7 @@ def check_negativity_grid() -> CheckResult:
     points = [(q, alpha) for q in np.linspace(0.0, 1.0, 20)
               for alpha in np.linspace(0.05, states.ALPHA_MAX, 20)]
     matrices = states._werner_alphas(*zip(*points))
-    oracles = linalg._negativities(matrices, states.pair_layout(), states.BOB)
+    oracles = linalg._negativities(matrices)
     deviations = [abs(protocol.negativity_walpha(q, alpha) - oracle)
                   for (q, alpha), oracle in zip(points, oracles)]
     return _result("negativity_closed_vs_oracle", _worst(deviations), NEGATIVITY_TOL)
@@ -271,8 +271,7 @@ def check_sharp_survival() -> CheckResult:
 
 def check_decomposition_roundtrip() -> CheckResult:
     """Recomposing a decomposed witness operator reproduces it."""
-    taus = states.input_ensemble("tau")
-    omegas = states.input_ensemble("omega")
+    taus = omegas = states.input_ensemble()
     beta = witness.werner_beta()
     target = sum(beta.beta[s, t]
                  * linalg.tensor(taus.states[s].matrix.T, omegas.states[t].matrix.T)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityOperator, _kron, is_hermitian, tensor
+from .linalg import DensityOperator, _kron, _two_qubit_matrix, is_hermitian, tensor
 from .measurement import bell_projector, unsharp_pair
 from .states import InputEnsemble, input_ensemble, werner_strength
 
@@ -69,8 +69,7 @@ def _payoffs(matrices: np.ndarray, beta: WitnessCoefficients, lams) -> np.ndarra
     takes the same operations as a one-state call: one op @ eta product per
     (lam, state, s, t) and the beta sum accumulated pair by pair.
     """
-    taus = np.stack([state.matrix for state in input_ensemble("tau").states])
-    omegas = np.stack([state.matrix for state in input_ensemble("omega").states])
+    taus = omegas = np.stack([state.matrix for state in input_ensemble().states])
     ops = np.stack([tensor(bell_projector(), unsharp_pair(lam).plus) for lam in lams])
     # etas[n, s, t] = tau_s (x) rho_n (x) omega_t, each a full 16x16 operator.
     etas = _kron(_kron(taus, matrices[:, None])[:, :, None], omegas)
@@ -86,9 +85,8 @@ def _payoffs(matrices: np.ndarray, beta: WitnessCoefficients, lams) -> np.ndarra
 
 def mdi_ew_numeric(rho: DensityOperator, beta: WitnessCoefficients, lam: float) -> WitnessValue:
     """Witness payoff by the full 16-dimensional trace."""
-    if rho.dims != (2, 2):
-        raise ValueError(f"witness expects a two-qubit state; layout dims {rho.dims}")
-    return WitnessValue(float(_payoffs(rho.matrix[None], beta, (lam,))[0, 0]), float(lam))
+    matrix = _two_qubit_matrix(rho, "mdi_ew_numeric")
+    return WitnessValue(float(_payoffs(matrix[None], beta, (lam,))[0, 0]), float(lam))
 
 
 def _reduced_witness_operators(lams, beta: WitnessCoefficients) -> np.ndarray:
@@ -96,8 +94,7 @@ def _reduced_witness_operators(lams, beta: WitnessCoefficients) -> np.ndarray:
 
     One contraction over the stacked literal operators P+ (x) E+_lam.
     """
-    taus = np.stack([state.matrix for state in input_ensemble("tau").states])
-    omegas = np.stack([state.matrix for state in input_ensemble("omega").states])
+    taus = omegas = np.stack([state.matrix for state in input_ensemble().states])
     # Axes: sharpness, then (A', A, B, B') of the output index, then of the input index.
     ops = np.stack([tensor(bell_projector(), unsharp_pair(lam).plus) for lam in lams])
     inputs = np.einsum("st,sea,thd->eahd", beta.beta, taus, omegas)

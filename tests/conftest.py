@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from mdiew.linalg import PSD_ATOL, DensityOperator, is_hermitian
-from mdiew.states import ALPHA_MAX, pair_layout, werner_alpha
+from mdiew.states import ALPHA_MAX, werner_alpha
 
 settings.register_profile(
     "suite",
@@ -32,7 +32,7 @@ def werner_and_random_states(rng, size):
     states = []
     for index in range(size):
         if index % 2:
-            states.append(DensityOperator(random_density_matrix(rng, 4), pair_layout()))
+            states.append(DensityOperator(random_density_matrix(rng, 4)))
         else:
             states.append(werner_alpha(rng.uniform(), rng.uniform(0.01, ALPHA_MAX)))
     return states
@@ -48,6 +48,16 @@ def min_eigenvalue(matrix):
     if not is_hermitian(matrix):
         raise ValueError("min_eigenvalue requires a Hermitian matrix")
     return float(np.linalg.eigvalsh(matrix)[0])
+
+
+def partial_trace(matrix, keep):
+    """Reduced 2x2 state on qubit `keep` ("A" or "B") of a 4x4 matrix on (A, B) (test oracle)."""
+    if keep not in ("A", "B"):
+        raise ValueError(f"unknown qubit {keep!r}; have 'A' and 'B'")
+    tensor_form = np.asarray(matrix).reshape(2, 2, 2, 2)
+    if keep == "A":
+        return tensor_form.trace(axis1=1, axis2=3)
+    return tensor_form.trace(axis1=0, axis2=2)
 
 
 def herm_sqrt(matrix):

@@ -203,7 +203,7 @@ def test_criterion_08_negativity_consistency():
     for q in np.linspace(0.0, 1.0, 20):
         for alpha in np.linspace(0.05, ALPHA_MAX, 20):
             closed = protocol.negativity_walpha(q, alpha)
-            oracle = linalg.negativity(states.werner_alpha(q, alpha), states.BOB)
+            oracle = linalg.negativity(states.werner_alpha(q, alpha))
             worst_grid = max(worst_grid, abs(closed - oracle))
     assert worst_grid < 1e-10
 

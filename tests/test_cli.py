@@ -246,6 +246,7 @@ def test_stdout_default(capsys):
     ["run", "--alpha", "0.5", "--grid-step", "0.1"],     # --grid-step is the figures' only
     ["verify", "--grid-step", "0.1"],
     ["run", "--entanglement", "1e-30", "--margin", "nan"],  # NaN margin
+    ["run", "--entanglement", "0.9", "--margin", "inf", "--format", "json"],  # infinite margin
 ])
 def test_usage_errors_exit_two(args):
     with pytest.raises(SystemExit) as excinfo:

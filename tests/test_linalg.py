@@ -6,21 +6,20 @@ from hypothesis.extra import numpy as hnp
 
 from mdiew.linalg import (
     DensityOperator,
-    SubsystemLayout,
     _check_density_matrices,
     _kron,
     _negativities,
-    _permute,
-    embed_operator,
     negativity,
-    partial_trace,
     partial_transpose,
     tensor,
 )
+from mdiew.measurement import averaged_channel
+from mdiew.witness import mdi_ew_numeric, werner_beta
 
 from conftest import (
     herm_sqrt,
     min_eigenvalue,
+    partial_trace,
     random_density_matrix,
     random_hermitian,
     werner_and_random_states,
@@ -32,45 +31,13 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 SINGLET = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
-PAIR = SubsystemLayout((("A", 2), ("B", 2)))
-
-
-def density(matrix, layout=PAIR):
-    return DensityOperator(matrix, layout)
-
-
-# --- layout ---------------------------------------------------------------
-
-def test_layout_basic_properties():
-    layout = SubsystemLayout((("A'", 2), ("A", 2), ("B", 2), ("B'", 2)))
-    assert layout.labels == ("A'", "A", "B", "B'")
-    assert layout.dims == (2, 2, 2, 2)
-    assert layout.dim == 16
-    assert layout.position("B") == 2
-    assert SubsystemLayout((("A'", 2),)).concat(layout.keep(["A"])).labels == ("A'", "A")
-
-
-def test_layout_rejects_duplicate_labels():
-    with pytest.raises(ValueError, match="duplicate"):
-        SubsystemLayout((("A", 2), ("A", 2)))
-    with pytest.raises(ValueError, match="duplicate"):
-        PAIR.concat(PAIR)
-
-
-def test_layout_keep_preserves_order():
-    layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))
-    assert layout.keep(["C", "A"]).labels == ("A", "C")
-    with pytest.raises(ValueError, match="unknown"):
-        layout.keep(["X"])
-
-
 def test_density_operator_validation():
     with pytest.raises(ValueError, match="Hermitian"):
-        density(np.array([[0.5, 1.0], [0.0, 0.5]]), SubsystemLayout((("A", 2),)))
+        DensityOperator(np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(ValueError, match="trace"):
-        density(np.eye(4))
+        DensityOperator(np.eye(4))
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        density(np.diag([1.5, -0.5, 0, 0]).astype(complex))
+        DensityOperator(np.diag([1.5, -0.5, 0, 0]).astype(complex))
 
 
 ONE_BAD_MEMBER = {
@@ -88,7 +55,7 @@ def test_stacked_validation_names_the_one_bad_member(message, rng):
     with pytest.raises(ValueError, match=rf"{message}.*\(stack index 3\)$"):
         _check_density_matrices(stack)
     with pytest.raises(ValueError, match=message) as one:
-        density(stack[3])
+        DensityOperator(stack[3])
     assert "stack index" not in str(one.value)
 
 
@@ -98,8 +65,8 @@ def test_stacked_validation_runs_each_check_over_the_whole_stack(rng):
     stack[4] = ONE_BAD_MEMBER["Hermitian"]
     with pytest.raises(ValueError, match=r"Hermitian.*\(stack index 4\)$"):
         _check_density_matrices(stack)
-    with pytest.raises(ValueError, match="shape"):
-        density(np.eye(2) / 2)
+    with pytest.raises(ValueError, match="square; got shape"):
+        DensityOperator(np.ones((2, 4)) / 2)
 
 
 # --- tensor ----------------------------------------------------------------
@@ -190,112 +157,54 @@ def test_tensor_rejects_non_matrix_operands(bad):
         tensor(bad)
 
 
-def test_embed_operator_is_bit_identical_to_np_kron_route(rng):
-    layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))
-    op = random_hermitian(rng, 4)
-    assert np.array_equal(embed_operator(op, layout, ["A", "B"]), np.kron(op, I2))
-    # np.kron(op, I2) orders the factors (B, C, A); move them to (A, B, C)
-    want = np.kron(op, I2).reshape((2,) * 6).transpose(2, 0, 1, 5, 3, 4).reshape(8, 8)
-    assert np.array_equal(embed_operator(op, layout, ["B", "C"]), want)
-
-
-# --- permutation (the factor reordering inside embed_operator) -------------------
-
-def test_permute_identity_is_noop(rng):
-    m = random_hermitian(rng, 4)
-    assert np.array_equal(_permute(m, PAIR.dims, (0, 1)), m)
-
-
-def test_permute_swap_law(rng):
-    x, y = random_hermitian(rng, 2), random_hermitian(rng, 2)
-    swapped = _permute(tensor(x, y), PAIR.dims, (1, 0))
-    assert np.array_equal(swapped, tensor(y, x))
-
-
-@given(st.integers(0, 2**32 - 1))
-def test_permute_round_trip_exact(seed):
-    rng = np.random.default_rng(seed)
-    dims = (2, 3, 2, 2)
-    m = random_hermitian(rng, 24)
-    perm = tuple(rng.permutation(4))
-    inverse = tuple(np.argsort(perm))
-    back = _permute(_permute(m, dims, perm), [dims[p] for p in perm], inverse)
-    assert np.array_equal(back, m)
-
-
-def test_embed_operator_places_factor(rng):
-    layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))
-    op = random_hermitian(rng, 2)
-    assert np.allclose(embed_operator(op, layout, ["B"]), tensor(I2, op, I2))
-    pair_op = random_hermitian(rng, 4)
-    assert np.allclose(embed_operator(pair_op, layout, ["B", "C"]), tensor(I2, pair_op))
-    # non-adjacent and reordered placement: tensor(pair_op, I2) orders the
-    # factors (C, A, B), and an explicit axis transpose moves them to (A, B, C)
-    got = embed_operator(pair_op, layout, ["C", "A"])
-    want = tensor(pair_op, I2).reshape((2,) * 6).transpose(1, 2, 0, 4, 5, 3).reshape(8, 8)
-    assert np.array_equal(got, want)
-
-
-# --- partial trace ----------------------------------------------------------
+# --- partial trace (the test oracle for Alice's marginal) -----------------------
 
 @given(st.integers(0, 2**32 - 1))
 def test_partial_trace_recovers_product_factor(seed):
     rng = np.random.default_rng(seed)
     rho1 = random_density_matrix(rng, 2)
     rho2 = random_density_matrix(rng, 2)
-    joint = density(np.kron(rho1, rho2))
-    reduced = partial_trace(joint, ["A"])
-    assert reduced.labels == ("A",)
-    assert np.abs(reduced.matrix - rho1).max() < 1e-12
-    assert np.abs(partial_trace(joint, ["B"]).matrix - rho2).max() < 1e-12
+    joint = np.kron(rho1, rho2)
+    assert np.abs(partial_trace(joint, "A") - rho1).max() < 1e-12
+    assert np.abs(partial_trace(joint, "B") - rho2).max() < 1e-12
 
 
 def test_partial_trace_of_bell_is_maximally_mixed():
     phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    rho = density(np.outer(phi, phi.conj()))
+    rho = np.outer(phi, phi.conj())
     for keep in ("A", "B"):
-        assert np.abs(partial_trace(rho, [keep]).matrix - I2 / 2).max() < 1e-14
+        assert np.abs(partial_trace(rho, keep) - I2 / 2).max() < 1e-14
 
 
 def test_partial_trace_preserves_trace_and_checks_labels(rng):
-    rho = density(random_density_matrix(rng, 4))
-    reduced = partial_trace(rho, ["B"])
-    assert abs(reduced.matrix.trace() - 1.0) < 1e-12
+    rho = random_density_matrix(rng, 4)
+    for keep in ("A", "B"):
+        assert abs(partial_trace(rho, keep).trace() - 1.0) < 1e-12
     with pytest.raises(ValueError, match="unknown"):
-        partial_trace(rho, ["Q"])
-    with pytest.raises(ValueError, match="at least one"):
-        partial_trace(rho, [])
+        partial_trace(rho, "Q")
 
 
 # --- partial transpose -------------------------------------------------------
 
 def test_partial_transpose_keeps_product_states_positive(rng):
-    rho = density(np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)))
-    for label in ("A", "B"):
-        assert min_eigenvalue(partial_transpose(rho, label)) >= -1e-12
+    rho = DensityOperator(np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)))
+    assert min_eigenvalue(partial_transpose(rho)) >= -1e-12
 
 
 def test_partial_transpose_of_singlet():
-    rho = density(np.outer(SINGLET, SINGLET.conj()))
-    pt = partial_transpose(rho, "B")
+    rho = DensityOperator(np.outer(SINGLET, SINGLET.conj()))
+    pt = partial_transpose(rho)
     assert np.abs(pt - pt.conj().T).max() < 1e-14
     assert abs(pt.trace() - 1.0) < 1e-14
     assert abs(min_eigenvalue(pt) + 0.5) < 1e-12
 
 
 def test_partial_transpose_is_involution(rng):
-    rho = density(random_density_matrix(rng, 4))
-    for label in ("A", "B"):
-        once = partial_transpose(rho, label)
-        # the intermediate operator may be non-positive, so skip validation
-        twice = partial_transpose(DensityOperator(once, PAIR, validate=False), label)
-        assert np.array_equal(twice, rho.matrix)
-
-
-def test_partial_transpose_rejects_unknown_label(rng):
-    rho = density(random_density_matrix(rng, 4))
-    with pytest.raises(ValueError, match="unknown"):
-        partial_transpose(rho, "Q")
+    rho = DensityOperator(random_density_matrix(rng, 4))
+    once = partial_transpose(rho)
+    # the intermediate operator may be non-positive, so skip validation
+    twice = partial_transpose(DensityOperator(once, validate=False))
+    assert np.array_equal(twice, rho.matrix)
 
 
 # --- spectral helpers ---------------------------------------------------------
@@ -330,16 +239,15 @@ def test_herm_sqrt_rejects_bad_inputs():
 
 
 def test_negativity_spot_values(rng):
-    singlet = density(np.outer(SINGLET, SINGLET.conj()))
-    assert negativity(singlet, "B") == pytest.approx(0.5, abs=1e-12)
-    product = density(np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)))
-    assert negativity(product, "B") < 1e-12
+    singlet = DensityOperator(np.outer(SINGLET, SINGLET.conj()))
+    assert negativity(singlet) == pytest.approx(0.5, abs=1e-12)
+    product = DensityOperator(np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)))
+    assert negativity(product) < 1e-12
 
 
-def _masked_sum_negativity(rho, label):
-    """Reference: the partial transpose by explicit axis swap, then a boolean-mask sum."""
-    axes = (2, 1, 0, 3) if label == "A" else (0, 3, 2, 1)
-    transposed = rho.matrix.reshape(2, 2, 2, 2).transpose(axes).reshape(4, 4)
+def _masked_sum_negativity(rho):
+    """Reference: the partial transpose of B by explicit axis swap, then a boolean-mask sum."""
+    transposed = rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     eigvals = np.linalg.eigvalsh(transposed)
     return float(-eigvals[eigvals < 0].sum())
 
@@ -348,7 +256,26 @@ def _masked_sum_negativity(rho, label):
 def test_negativity_kernel_is_bit_identical_to_per_state_calls(size):
     rhos = werner_and_random_states(np.random.default_rng(size), size)
     matrices = np.stack([rho.matrix for rho in rhos])
-    for label in ("A", "B"):
-        got = _negativities(matrices, PAIR, label)
-        assert np.array_equal(got, [negativity(rho, label) for rho in rhos])
-        assert np.array_equal(got, [_masked_sum_negativity(rho, label) for rho in rhos])
+    got = _negativities(matrices)
+    assert np.array_equal(got, [negativity(rho) for rho in rhos])
+    assert np.array_equal(got, [_masked_sum_negativity(rho) for rho in rhos])
+
+
+# --- shape guards ------------------------------------------------------------------
+
+TWO_QUBIT_FUNCTIONS = {
+    "negativity": negativity,
+    "partial_transpose": partial_transpose,
+    "averaged_channel": lambda rho: averaged_channel(rho, 0.5),
+    "mdi_ew_numeric": lambda rho: mdi_ew_numeric(rho, werner_beta(), 0.5),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 8])
+@pytest.mark.parametrize("name", TWO_QUBIT_FUNCTIONS)
+def test_two_qubit_functions_reject_other_shapes(name, dim, rng):
+    # the stacked kernels would read the 64 entries of an 8x8 matrix as four 4x4 matrices
+    rho = DensityOperator(random_density_matrix(rng, dim))
+    with pytest.raises(ValueError, match=rf"^{name} expects a two-qubit \(4x4\) state; "
+                                         rf"got shape \({dim}, {dim}\)$"):
+        TWO_QUBIT_FUNCTIONS[name](rho)

@@ -114,6 +114,12 @@ def test_threshold_protocol_rejects_nan_margin(alpha):
         run_threshold_protocol(alpha, math.nan)
 
 
+def test_threshold_protocol_rejects_infinite_margin():
+    # an infinite margin would run (every sharpness clips to 1) but has no JSON form
+    with pytest.raises(ValueError, match="margin must be non-negative and finite; got inf"):
+        run_threshold_protocol(0.5, math.inf)
+
+
 def test_threshold_counts_monotone_in_entanglement():
     alphas = [alpha_from_entanglement(e) for e in np.linspace(0.01, 1.0, 40)]
     counts = threshold_success_count(np.array(alphas)).tolist()
@@ -520,7 +526,7 @@ def test_negativity_closed_form_matches_mpmath(q, alpha):
 @given(st.floats(0.0, 1.0), alphas)
 def test_negativity_closed_form_matches_oracle(q, alpha):
     closed = negativity_walpha(q, alpha)
-    oracle = negativity_oracle(werner_alpha(q, alpha), "B")
+    oracle = negativity_oracle(werner_alpha(q, alpha))
     assert abs(closed - oracle) < 1e-10
 
 
@@ -528,7 +534,7 @@ def test_true_negativity_exceeds_white_noise_value_after_one_sharp_step():
     # README's example: one sharp step from q = 1 halves q (f(1) = 1/2), but the
     # lost weight lands on rho_A (x) I/2, not on I/4
     assert f_of_lambda(1.0) == 0.5
-    true_value = negativity_oracle(averaged_channel(werner_alpha(1.0, 0.3), 1.0), "B")
+    true_value = negativity_oracle(averaged_channel(werner_alpha(1.0, 0.3), 1.0))
     white_noise_value = negativity_walpha(0.5, 0.3)
     assert true_value == pytest.approx(0.05101, abs=1e-4)
     assert white_noise_value == pytest.approx(0.01809, abs=1e-4)

@@ -77,7 +77,7 @@ def test_werner_alpha_eigenvalues_at_half():
 @given(qs, alphas)
 def test_werner_alpha_is_valid_density_operator(q, alpha):
     rho = werner_alpha(q, alpha)  # construction validates
-    assert rho.labels == ("A", "B")
+    assert rho.matrix.shape == (4, 4)
 
 
 def test_werner_alpha_state_rejects_bad_parameters():
@@ -143,7 +143,7 @@ def test_entangled_iff_strength_exceeds_one():
     for q in np.linspace(0.05, 1.0, 20):
         for alpha in np.linspace(0.05, ALPHA_MAX, 20):
             entangled = q * werner_strength(alpha) > 1.0
-            low = min_eigenvalue(partial_transpose(werner_alpha(q, alpha), "B"))
+            low = min_eigenvalue(partial_transpose(werner_alpha(q, alpha)))
             assert (low < -1e-12) == entangled or abs(q * werner_strength(alpha) - 1) < 1e-9
 
 
@@ -169,24 +169,13 @@ def test_input_states_are_rank_one_with_unit_bloch():
         assert np.linalg.norm(bloch_vector(state.matrix)) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_tau_and_omega_families_coincide():
-    for index in range(4):
-        tau = input_state(index, "tau")
-        omega = input_state(index, "omega")
-        assert np.array_equal(tau.matrix, omega.matrix)
-    assert input_state(0, "tau").labels == ("A'",)
-    assert input_state(0, "omega").labels == ("B'",)
-
-
 def test_input_state_rejects_bad_arguments():
     with pytest.raises(ValueError, match="index"):
         input_state(4)
-    with pytest.raises(ValueError, match="kind"):
-        input_state(0, "sigma")
 
 
 def test_input_ensemble_gram_matrix_nonsingular():
-    ensemble = input_ensemble("tau")
+    ensemble = input_ensemble()
     gram = np.array([[np.trace(a.matrix @ b.matrix).real for b in ensemble.states]
                      for a in ensemble.states])
     assert abs(np.linalg.det(gram)) > 1e-6

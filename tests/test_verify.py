@@ -102,7 +102,7 @@ def _negativity_grid_loop():
     worst = 0.0
     for q in np.linspace(0.0, 1.0, 20):
         for alpha in np.linspace(0.05, states.ALPHA_MAX, 20):
-            oracle = linalg.negativity(states.werner_alpha(q, alpha), states.BOB)
+            oracle = linalg.negativity(states.werner_alpha(q, alpha))
             worst = max(worst, abs(protocol.negativity_walpha(q, alpha) - oracle))
     return worst
 

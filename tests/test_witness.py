@@ -5,12 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdiew.linalg import DensityOperator, SubsystemLayout, tensor
+from mdiew.linalg import DensityOperator, tensor
 from mdiew.measurement import bell_projector, unsharp_pair
 from mdiew.states import (
     ALPHA_MAX,
     input_ensemble,
-    pair_layout,
     psi_alpha,
     werner_alpha,
     werner_strength,
@@ -89,8 +88,7 @@ def joint_success_probability(rho, lam, s, t):
     Alice measures sharply on (A', A); Bob applies the unsharp plus effect on
     (B, B').
     """
-    taus = input_ensemble("tau")
-    omegas = input_ensemble("omega")
+    taus = omegas = input_ensemble()
     op = tensor(bell_projector(), unsharp_pair(lam).plus)
     eta = tensor(taus.states[s].matrix, rho.matrix, omegas.states[t].matrix)
     return float(np.trace(op @ eta).real)
@@ -107,8 +105,7 @@ def test_numeric_uses_single_probabilities():
 
 def _per_pair_loop_payoff(rho, beta, lam):
     """Reference: one np.kron-built 16x16 operator and trace per (s, t) pair."""
-    taus = input_ensemble("tau")
-    omegas = input_ensemble("omega")
+    taus = omegas = input_ensemble()
     op = np.kron(bell_projector(), unsharp_pair(lam).plus)
     value = 0.0
     for s in range(4):
@@ -148,9 +145,7 @@ def test_payoff_kernel_is_bit_identical_to_per_state_calls(size):
 
 
 def test_numeric_rejects_wrong_layout(rng):
-    three_qubits = DensityOperator(
-        random_density_matrix(rng, 8),
-        SubsystemLayout((("A", 2), ("B", 2), ("C", 2))))
+    three_qubits = DensityOperator(random_density_matrix(rng, 8))
     with pytest.raises(ValueError, match="two-qubit"):
         mdi_ew_numeric(three_qubits, werner_beta(), 1.0)
 
@@ -162,7 +157,7 @@ def test_numeric_rejects_wrong_layout(rng):
 @example(seed=3, lam=1.0)
 @given(seed=st.integers(0, 2**32 - 1), lam=lambdas)
 def test_reduced_operator_reproduces_literal_payoff(seed, lam):
-    rho = DensityOperator(random_density_matrix(np.random.default_rng(seed), 4), pair_layout())
+    rho = DensityOperator(random_density_matrix(np.random.default_rng(seed), 4))
     beta = werner_beta()
     reduced = np.trace(reduced_witness_operator(lam, beta) @ rho.matrix).real
     assert abs(reduced - mdi_ew_numeric(rho, beta, lam).value) <= 1e-15
@@ -178,7 +173,7 @@ def test_reduced_operator_matches_closed_form():
 
 def test_stacked_reduced_operators_are_bit_identical_to_per_lambda_calls(rng):
     lams = np.linspace(0.0, 1.0, 101)
-    taus, omegas = input_ensemble("tau"), input_ensemble("omega")
+    taus = omegas = input_ensemble()
     for beta in (werner_beta(), decompose_witness(random_hermitian(rng, 4), taus, omegas)):
         got = _reduced_witness_operators(lams, beta)
         assert np.array_equal(got, [reduced_witness_operator(lam, beta) for lam in lams])
@@ -186,7 +181,7 @@ def test_stacked_reduced_operators_are_bit_identical_to_per_lambda_calls(rng):
 
 def test_reduced_operator_of_decomposed_target_is_a_quarter_of_it(rng):
     # the derivation of CONTRACTION_FACTOR: at lam = 1, W = CONTRACTION_FACTOR * target
-    taus, omegas = input_ensemble("tau"), input_ensemble("omega")
+    taus = omegas = input_ensemble()
     targets = [np.eye(4)] + [random_hermitian(rng, 4) for _ in range(10)]
     for target in targets:
         reduced = reduced_witness_operator(1.0, decompose_witness(target, taus, omegas))
@@ -274,7 +269,7 @@ def test_separable_states_never_score_negative(seed, lam):
 # --- decomposition ---------------------------------------------------------------------
 
 def test_decompose_round_trips_werner_table():
-    taus, omegas = input_ensemble("tau"), input_ensemble("omega")
+    taus = omegas = input_ensemble()
     beta = werner_beta().beta
     target = recompose(beta, taus, omegas)
     recovered = decompose_witness(target, taus, omegas)
@@ -283,7 +278,7 @@ def test_decompose_round_trips_werner_table():
 
 def test_decompose_witness_of_singlet_projector_gives_werner_table():
     # the 5/8 / -1/8 table decomposes exactly W = I/2 - |psi_max><psi_max|
-    taus, omegas = input_ensemble("tau"), input_ensemble("omega")
+    taus = omegas = input_ensemble()
     vec = psi_alpha(ALPHA_MAX)
     witness_op = np.eye(4) / 2 - np.outer(vec, vec.conj())
     recovered = decompose_witness(witness_op, taus, omegas)
@@ -291,20 +286,20 @@ def test_decompose_witness_of_singlet_projector_gives_werner_table():
 
 
 def test_decompose_identity_target():
-    taus, omegas = input_ensemble("tau"), input_ensemble("omega")
+    taus = omegas = input_ensemble()
     beta = decompose_witness(np.eye(4), taus, omegas)
     assert np.abs(recompose(beta.beta, taus, omegas) - np.eye(4)).max() < 1e-10
 
 
 def test_decompose_rejects_degenerate_ensemble():
-    taus = input_ensemble("tau")
+    taus = input_ensemble()
     duplicated = type(taus)((taus.states[0],) * 4)
     with pytest.raises(SingularEnsembleError):
-        decompose_witness(np.eye(4), duplicated, input_ensemble("omega"))
+        decompose_witness(np.eye(4), duplicated, taus)
 
 
 def test_decompose_rejects_non_hermitian():
-    taus, omegas = input_ensemble("tau"), input_ensemble("omega")
+    taus = omegas = input_ensemble()
     with pytest.raises(ValueError, match="Hermitian"):
         decompose_witness(np.triu(np.ones((4, 4))), taus, omegas)
 
@@ -312,9 +307,9 @@ def test_decompose_rejects_non_hermitian():
 def test_contraction_factor_calibration(rng):
     # beta-weighted success probabilities evaluate tr(W rho) times a fixed
     # constant; calibrate it on the identity target, then cross-check
-    taus, omegas = input_ensemble("tau"), input_ensemble("omega")
+    taus = omegas = input_ensemble()
     identity_beta = decompose_witness(np.eye(4), taus, omegas)
-    rho = DensityOperator(random_density_matrix(rng, 4), pair_layout())
+    rho = DensityOperator(random_density_matrix(rng, 4))
     calibrated = mdi_ew_numeric(rho, identity_beta, 1.0).value  # tr(I rho) * k = k
     assert calibrated == pytest.approx(CONTRACTION_FACTOR, abs=1e-12)
     for _ in range(5):
