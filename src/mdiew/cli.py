@@ -117,13 +117,14 @@ def cmd_fig1(config: RunConfig) -> int:
     entropies = step * np.arange(1, int(1.0 / step) + 1)
     entropies = entropies[entropies <= 1.0]
     alphas = states._alphas_from_entanglement(entropies)
-    counts = protocol.threshold_success_count(alphas)
+    edges = protocol._count_edges()
+    counts = np.searchsorted(edges, alphas, side="right")
     rows = list(zip(alphas.tolist(), entropies.tolist(), counts.tolist()))
-    boundary_alpha, boundary_e = protocol.boundary_alpha_for_n(14)
-    if np.all(np.abs(entropies - boundary_e) > 1e-12):
+    # the exact edge of the top count, unless a grid row already sits on it
+    boundary_alpha, boundary_e = protocol.boundary_alpha_for_n(len(edges))
+    if not np.any(alphas == boundary_alpha):
         rows.insert(int(np.searchsorted(entropies, boundary_e, side="right")),
-                    (boundary_alpha, boundary_e,
-                     protocol.threshold_success_count(boundary_alpha)))
+                    (boundary_alpha, boundary_e, len(edges)))
     _write_table(config, ("alpha", "e_alpha", "n"), rows,
                  {"grid_step": step})
     return 0

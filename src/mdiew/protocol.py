@@ -7,14 +7,20 @@ unsharp measurement at sharpness lam shrinks the mixing weight by
     f(lam) = 1/2 [1 + (sqrt((1+3 lam)(1-lam)) + sqrt((3-3 lam)(3+lam)))/4],
 
 so q_{i+1} = f(lam_i) q_i from q_1 = 1.  Two policies are studied: every
-observer at their personal threshold sharpness (maximizes the count), and
-all observers at one common sharpness.
+observer at their personal threshold sharpness, and all observers at one
+common sharpness.
+
+With x_i = q_i c, observer i's threshold is 1/x_i and the threshold policy
+passes on x_{i+1} = g(x_i) = x_i f(1/x_i); the state enters only as x_1 = c.
+Observer i succeeds only at a sharpness of at least 1/x_i, and f decreases on
+[0, 1], so any successful measurement leaves at most g(x_i); g increases on
+[1, 3], so no schedule ever gets ahead of the threshold one.  Measuring at the
+threshold therefore maximizes the count over every sharpness schedule.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -221,30 +227,83 @@ def equal_sharpness_count(alpha: float, lam: float | np.ndarray) -> int | np.nda
         q = q * decay  # q only falls, so a failed entry stays failed
 
 
-def boundary_alpha_for_n(n_target: int) -> tuple[float, float]:
-    """Smallest alpha whose threshold-policy count reaches n_target.
+@functools.cache
+def _threshold_orbit() -> tuple[float, ...]:
+    """First-observer thresholds 1/c at the count edges n = 1, 2, ..., and one past the last.
 
-    Bisection over (0, ALPHA_MAX] down to adjacent floats: the count is
-    n_target or more at the returned alpha and below it one float lower.
-    Each probe follows the recursion only until observer n_target decides.
-    Returns (alpha, entanglement) at that edge.
+    Under the threshold policy an observer at threshold lam leaves the next
+    one the threshold lam/f(lam), which increases in lam.  So the count is n
+    or more iff n - 1 such steps from 1/c stay below 1 - FEASIBILITY_TOL, and
+    the edges form one backward orbit from 1 - FEASIBILITY_TOL, each step a
+    bracketed Newton solve of _log_gain(lam, 0) = log(previous threshold).
+    The last entry is the first below 1/c of the most entangled state: no
+    state reaches that count.
     """
-    if n_target < 1:
-        raise ValueError(f"observer count must be positive; got {n_target}")
+    orbit = [1.0 - FEASIBILITY_TOL]
+    while 1.0 / orbit[-1] <= werner_strength(ALPHA_MAX):
+        target = math.log(orbit[-1])
 
-    def reached(alpha):
-        return all(step[3] for step in itertools.islice(_observers(alpha), n_target))
+        def excess(lam):
+            value, slope = _log_gain_and_slope(lam, 0)
+            return value - target, slope
 
+        # lam/f(lam) < 2 lam, since f > 1/2 below lam = 1: the root lies above half
+        orbit.append(_increasing_root(excess, 0.5 * orbit[-1], orbit[-1], orbit[-1]))
+    return tuple(orbit)
+
+
+# Floats searched on each side of an edge mapped back from the orbit; the
+# rounding of the runner's recursion moves an edge by a few of them.
+_EDGE_WINDOW = 16
+
+
+@functools.cache
+def _count_edges() -> np.ndarray:
+    """Smallest alpha whose threshold-policy count is n or more, for n = 1, 2, ...
+
+    State-free, built on first use, ascending and read-only.  Edge 1 is a
+    bisection on observer 1's rule down to adjacent floats: there c - 1 ~
+    1e-12, and the inverse below would lose digits to the rounding of c.
+    Each later edge maps its orbit value c = 1/lam back by the stable
+    alpha = s / sqrt(2 (1 + sqrt(1 - s^2))), s = (c - 1)/2, then moves to the
+    first float near it where threshold_success_count reaches n.
+    """
     lo, hi = 0.0, ALPHA_MAX
-    if not reached(hi):
-        raise ValueError(f"count never reaches {n_target}, even at alpha = {hi}")
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if reached(mid):
+        if threshold_lambda(1.0, mid) < 1.0 - FEASIBILITY_TOL:
             hi = mid
         else:
             lo = mid
-    return hi, entanglement_entropy(hi)
+    orbit = np.array(_threshold_orbit()[1:-1])
+    s = (1.0 - orbit) / (2.0 * orbit)
+    guesses = s / np.sqrt(2.0 * (1.0 + np.sqrt(1.0 - s * s)))
+    # adjacent positive floats have adjacent integer bit patterns
+    windows = (guesses.view(np.int64)[:, None]
+               + np.arange(-_EDGE_WINDOW, _EDGE_WINDOW + 1)).view(np.float64)
+    reached = threshold_success_count(windows) >= np.arange(2, len(orbit) + 2)[:, None]
+    if reached[:, 0].any() or not reached[:, -1].all():
+        raise ArithmeticError(f"a count edge lies more than {_EDGE_WINDOW} floats "
+                              "from its orbit value")
+    edges = np.append(hi, windows[np.arange(len(orbit)), reached.argmax(axis=1)])
+    edges.setflags(write=False)
+    return edges
+
+
+def boundary_alpha_for_n(n_target: int) -> tuple[float, float]:
+    """Smallest alpha whose threshold-policy count reaches n_target.
+
+    Exact to adjacent floats: the count is n_target or more at the returned
+    alpha and below it one float lower.  Returns (alpha, entanglement) at
+    that edge, read from the state-free edge table.
+    """
+    if n_target < 1:
+        raise ValueError(f"observer count must be positive; got {n_target}")
+    edges = _count_edges()
+    if n_target > len(edges):
+        raise ValueError(f"count never reaches {n_target}, even at alpha = {ALPHA_MAX}")
+    alpha = float(edges[n_target - 1])
+    return alpha, entanglement_entropy(alpha)
 
 
 def _lambda_grid(step: float) -> np.ndarray:
@@ -259,8 +318,10 @@ def _log_gain(lam: float, level: int) -> float:
 
     Observer `level` succeeds at common sharpness lam iff lam f^(level-1) c
     exceeds 1 + 16 DETECTION_THRESHOLD, i.e. iff this exceeds
-    log((1 + 16 DETECTION_THRESHOLD)/c).  It is concave in lam, so each
-    superlevel set is one interval.
+    log((1 + 16 DETECTION_THRESHOLD)/c).  For level >= 1 it is concave in
+    lam, so each superlevel set is one interval.  At level 0 it is
+    log(lam/f(lam)): the log of the next observer's threshold under the
+    threshold policy, when this one's is lam.
     """
     return math.log(lam) + (level - 1) * math.log(f_of_lambda(lam))
 

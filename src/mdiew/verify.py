@@ -240,10 +240,16 @@ def check_delta_negativity_monotone() -> CheckResult:
 
 
 def check_threshold_protocol_count() -> CheckResult:
-    """Fourteen observers succeed at maximal initial entanglement."""
+    """Fourteen observers succeed at maximal initial entanglement.
+
+    The detail also gives why no state serves more: the strength c_15 that
+    a fifteenth observer would need exceeds the largest, c(1/sqrt(2)) = 3.
+    """
     count = protocol.run_threshold_protocol(states.ALPHA_MAX).n_success
+    orbit = protocol._threshold_orbit()
+    margin = 1.0 / orbit[-1] - states.werner_strength(states.ALPHA_MAX)
     return _result("threshold_protocol_count", abs(count - 14), 0.5,
-                   detail=f"n_success = {count}")
+                   detail=f"n_success = {count}; c_{len(orbit)} - 3 = {margin:.2e}")
 
 
 def check_threshold_boundary() -> CheckResult:

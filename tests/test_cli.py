@@ -193,10 +193,12 @@ def test_shared_parser_keeps_no_per_call_state(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE_SHA256[args]
 
 
-@pytest.mark.parametrize("step", ["0.0005", "0.0001", "0.00037"])
+# 0.2337... puts a grid point on n = 13 within 1e-12 below the 13 -> 14 edge
+@pytest.mark.parametrize("step", ["0.0005", "0.0001", "0.00037", "0.23371020854850043"])
 def test_fig1_rows_match_the_scalar_inverse(step, capsys):
     assert cli.main(["fig1", "--grid-step", step]) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [row["n"] for row in rows] == sorted((row["n"] for row in rows), key=int)
     boundary_alpha, boundary_e = protocol.boundary_alpha_for_n(14)
     rows.remove({"alpha": f"{boundary_alpha:.12g}", "e_alpha": f"{boundary_e:.12g}", "n": "14"})
     step = float(step)

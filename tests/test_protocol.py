@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdiew import protocol
+from mdiew import protocol, verify
 from mdiew.linalg import negativity as negativity_oracle
 from mdiew.measurement import averaged_channel
 from mdiew.protocol import (
@@ -137,6 +138,9 @@ def test_threshold_counts_monotone_in_entanglement():
 @example(2.499944695699696e-13)  # the 0 -> 1 edge
 def test_threshold_count_matches_trace(alpha):
     assert threshold_success_count(alpha) == run_threshold_protocol(alpha).n_success
+    # fig1's count: the number of count edges at or below alpha
+    assert (np.searchsorted(protocol._count_edges(), alpha, side="right")
+            == run_threshold_protocol(alpha).n_success)
 
 
 @given(st.lists(st.floats(0.0, ALPHA_MAX, exclude_min=True), max_size=30))
@@ -183,6 +187,87 @@ def test_boundary_rejects_unreachable_targets():
     # one observer needs only 1/c < 1 - FEASIBILITY_TOL, i.e. alpha ~ 2.5e-13
     alpha, _ = boundary_alpha_for_n(1)
     assert alpha == pytest.approx(2.5e-13, rel=1e-4)
+
+
+def test_count_edges_equal_the_adjacent_float_bisection():
+    def reached(alpha, n_target):
+        return all(step[3] for step in itertools.islice(protocol._observers(alpha), n_target))
+
+    edges = protocol._count_edges()
+    assert len(edges) == 14
+    assert not edges.flags.writeable
+    for n_target, edge in enumerate(edges, 1):
+        lo, hi = 0.0, ALPHA_MAX
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if reached(mid, n_target):
+                hi = mid
+            else:
+                lo = mid
+        assert edge == hi
+    assert boundary_alpha_for_n(14)[0] == 0.5923410886765756
+
+
+def _mp_decay(lam):
+    return (1 + (mpmath.sqrt((1 + 3 * lam) * (1 - lam))
+                 + mpmath.sqrt((3 - 3 * lam) * (3 + lam))) / 4) / 2
+
+
+def test_count_edges_match_mpmath_backward_orbit():
+    # x_1 = c and x_{k+1} = g(x_k) = x_k f(1/x_k); observer k succeeds iff
+    # 1/x_k < 1 - FEASIBILITY_TOL, so count >= n iff c >= c_n with
+    # c_1 = 1/(1 - FEASIBILITY_TOL) and c_{n+1} = g^-1(c_n)
+    with mpmath.workdps(50):
+        orbit = [1 / (1 - mpmath.mpf(protocol.FEASIBILITY_TOL))]
+        for _ in range(14):
+            target = orbit[-1]
+            orbit.append(mpmath.findroot(lambda x: x * _mp_decay(1 / x) - target,
+                                         (target, 2 * target), solver="anderson"))
+        edges = protocol._count_edges()
+        for n_target in range(2, 15):
+            s = (orbit[n_target - 1] - 1) / 2
+            alpha = mpmath.sqrt((1 - mpmath.sqrt(1 - s * s)) / 2)
+            assert abs(edges[n_target - 1] / alpha - 1) < 1e-15
+        # no fifteenth edge: c_15 exceeds the largest strength c(1/sqrt(2)) = 3
+        margin = orbit[14] - 3
+        assert margin == pytest.approx(7.47e-3, abs=5e-6)
+        assert float(margin) == pytest.approx(
+            1 / protocol._threshold_orbit()[-1] - werner_strength(ALPHA_MAX), abs=1e-13)
+    assert len(protocol._threshold_orbit()) == 15
+    assert (verify.check_threshold_protocol_count().detail
+            == f"n_success = 14; c_15 - 3 = {float(margin):.2e}")
+
+
+def _decay_and_slope(lam):
+    """f and its closed-form derivative f' on an array of sharpness values."""
+    root_a = np.sqrt((1 + 3 * lam) * (1 - lam))
+    root_b = np.sqrt((3 - 3 * lam) * (3 + lam))
+    return (1 + (root_a + root_b) / 4) / 2, ((1 - 3 * lam) / root_a - 3 * (1 + lam) / root_b) / 8
+
+
+def test_threshold_schedule_is_optimal():
+    # the closed forms are f and its derivative
+    probe = np.linspace(0.05, 0.95, 19)
+    decay, decay_slope = _decay_and_slope(probe)
+    assert np.array_equal(decay, protocol._decay(probe))
+    step = 1e-6
+    difference = (protocol._decay(probe + step) - protocol._decay(probe - step)) / (2 * step)
+    assert np.allclose(decay_slope, difference, rtol=1e-6, atol=0.0)
+    # f decreases on (0, 1): a sharper successful measurement leaves less
+    _, decay_slope = _decay_and_slope(np.linspace(0.0, 1.0, 1_000_001)[1:-1])
+    assert np.all(decay_slope < 0)
+    # g(x) = x f(1/x) increases on [1, 3]: a smaller x_k never overtakes;
+    # at x = 1 f' is -inf and g' +inf
+    x = np.linspace(1.0, 3.0, 1_000_001)[1:]
+    decay, decay_slope = _decay_and_slope(1 / x)
+    assert np.all(decay - decay_slope / x > 0)
+
+
+def test_count_edges_raise_when_an_edge_leaves_its_window(monkeypatch):
+    # with no float on either side, the edges that rounding moved are not bracketed
+    monkeypatch.setattr(protocol, "_EDGE_WINDOW", 0)
+    with pytest.raises(ArithmeticError, match="more than 0 floats"):
+        protocol._count_edges.__wrapped__()
 
 
 # --- equal sharpness ---------------------------------------------------------------
