@@ -24,9 +24,7 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from . import protocol, states, verify
+from . import protocol, states
 
 SCHEMA_VERSION = "1"
 
@@ -48,7 +46,7 @@ class RunConfig:
     grid_step: float | None = None
     out: str | None = None
     fmt: str = "csv"
-    seed: int = verify.DEFAULT_SEED
+    seed: int | None = None  # verify's --seed; None takes verify.DEFAULT_SEED
 
 
 def _csv_lines(columns: Sequence[str], rows: list[tuple]) -> list[str]:
@@ -113,6 +111,8 @@ def _resolve_alpha(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def cmd_fig1(config: RunConfig) -> int:
+    import numpy as np
+
     step = config.grid_step if config.grid_step is not None else FIG1_DEFAULT_STEP
     entropies = step * np.arange(1, int(1.0 / step) + 1)
     entropies = entropies[entropies <= 1.0]
@@ -174,10 +174,13 @@ def cmd_run(config: RunConfig, alpha: float) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    results = verify.run_all(config.seed)
+    from . import verify
+
+    seed = verify.DEFAULT_SEED if config.seed is None else config.seed
+    results = verify.run_all(seed)
     rows = [(r.name, r.passed, r.deviation, r.tolerance, r.detail) for r in results]
     _write_table(config, ("check", "passed", "deviation", "tolerance", "detail"),
-                 rows, {"seed": config.seed})
+                 rows, {"seed": seed})
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -225,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the oracle and property suite")
     add_common(p_verify)
-    p_verify.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p_verify.add_argument("--seed", type=int)
 
     return parser
 
@@ -243,6 +246,9 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
     entanglement = getattr(args, "entanglement", None)
     if entanglement is not None and not 0.0 < entanglement <= 1.0:
         parser.error(f"--entanglement must lie in (0, 1]; got {entanglement}")
+    seed = getattr(args, "seed", None)
+    if seed is not None and seed < 0:
+        parser.error(f"--seed must be a non-negative integer; got {seed}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -256,7 +262,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         grid_step=getattr(args, "grid_step", None),
         out=args.out,
         fmt=args.format,
-        seed=getattr(args, "seed", verify.DEFAULT_SEED),
+        seed=getattr(args, "seed", None),
     )
     try:
         if args.command == "fig1":

@@ -23,12 +23,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .states import (ALPHA_MAX, _increasing_root, _werner_strengths, entanglement_entropy,
                      werner_strength)
 from .witness import DETECTION_THRESHOLD, threshold_lambda
+
+if TYPE_CHECKING:  # the array functions import NumPy where they run
+    import numpy as np
 
 # An exact-threshold measurement leaves the payoff at exactly zero, which the
 # strict detection rule rejects; observer i counts as successful iff a valid
@@ -182,6 +184,8 @@ def run_equal_sharpness(alpha: float, lam: float) -> ProtocolTrace:
 
 def _decay(lams: np.ndarray) -> np.ndarray:
     """f_of_lambda elementwise, with the same operations in the same order."""
+    import numpy as np
+
     return 0.5 * (1.0 + (np.sqrt((1.0 + 3.0 * lams) * (1.0 - lams))
                          + np.sqrt((3.0 - 3.0 * lams) * (3.0 + lams))) / 4.0)
 
@@ -192,6 +196,8 @@ def threshold_success_count(alpha: float | np.ndarray) -> int | np.ndarray:
     A scalar alpha gives an int; an array of alphas gives an int array of
     the same shape, each entry equal to the scalar count.
     """
+    import numpy as np
+
     strength = _werner_strengths(np.ravel(alpha))
     q = np.ones_like(strength)
     counts = np.zeros(strength.shape, dtype=int)
@@ -212,6 +218,8 @@ def equal_sharpness_count(alpha: float, lam: float | np.ndarray) -> int | np.nda
     A scalar lam gives an int; an array of sharpness values gives an int
     array of the same shape, each entry equal to the scalar count.
     """
+    import numpy as np
+
     strength = werner_strength(alpha)
     lams = np.asarray(lam, dtype=float)
     if not np.all((lams > 0.0) & (lams <= 1.0)):
@@ -268,6 +276,8 @@ def _count_edges() -> np.ndarray:
     alpha = s / sqrt(2 (1 + sqrt(1 - s^2))), s = (c - 1)/2, then moves to the
     first float near it where threshold_success_count reaches n.
     """
+    import numpy as np
+
     lo, hi = 0.0, ALPHA_MAX
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
@@ -308,6 +318,8 @@ def boundary_alpha_for_n(n_target: int) -> tuple[float, float]:
 
 def _lambda_grid(step: float) -> np.ndarray:
     """Ascending grid inside (1/3, 1], anchored at 1 so the endpoint is exact."""
+    import numpy as np
+
     lo, hi = LAMBDA_WINDOW
     count = int(math.floor((hi - lo) / step))
     return (hi - step * np.arange(count + 1))[::-1]

@@ -15,22 +15,17 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # the array functions import NumPy where they run
+    import numpy as np
 
-from .linalg import DensityOperator, _check_density_matrices
+    from .linalg import DensityOperator
 
 ALPHA_MAX = 2 ** -0.5
 _LN2 = math.log(2.0)
 
-PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-BLOCH_AXIS = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
+BLOCH_AXIS = (1.0 / math.sqrt(3.0),) * 3
 
 
 def _check_alpha(alpha: float) -> float:
@@ -42,6 +37,8 @@ def _check_alpha(alpha: float) -> float:
 
 def _check_alphas(alphas) -> np.ndarray:
     """_check_alpha over an array: the first entry outside (0, 1/sqrt(2)] raises."""
+    import numpy as np
+
     alphas = np.asarray(alphas, dtype=float)
     outside = ~((alphas > 0.0) & (alphas <= ALPHA_MAX))
     if outside.any():
@@ -51,6 +48,8 @@ def _check_alphas(alphas) -> np.ndarray:
 
 def _check_qs(qs) -> np.ndarray:
     """Mixing weights as a float array; the first entry outside [0, 1] raises."""
+    import numpy as np
+
     qs = np.asarray(qs, dtype=float)
     outside = ~((qs >= 0.0) & (qs <= 1.0))
     if outside.any():
@@ -60,6 +59,8 @@ def _check_qs(qs) -> np.ndarray:
 
 def psi_alpha(alpha: float) -> np.ndarray:
     """Unit vector alpha |01> - sqrt(1 - alpha^2) |10>."""
+    import numpy as np
+
     alpha = _check_alpha(alpha)
     vec = np.zeros(4, dtype=complex)
     vec[1] = alpha
@@ -69,6 +70,8 @@ def psi_alpha(alpha: float) -> np.ndarray:
 
 def bell_phi_plus() -> np.ndarray:
     """Unit vector (|00> + |11>)/sqrt(2)."""
+    import numpy as np
+
     vec = np.zeros(4, dtype=complex)
     vec[0] = vec[3] = 2 ** -0.5
     return vec
@@ -82,6 +85,10 @@ def _werner_alphas(qs, alphas) -> np.ndarray:
     takes the one-state operations: q times the outer product of
     psi_alpha(alpha) with its conjugate, plus (1 - q)/4 I.
     """
+    import numpy as np
+
+    from .linalg import _check_density_matrices
+
     qs = _check_qs(qs)
     alphas = _check_alphas(alphas)
     qs, alphas = np.broadcast_arrays(qs, alphas)
@@ -96,6 +103,8 @@ def _werner_alphas(qs, alphas) -> np.ndarray:
 
 def werner_alpha(q: float, alpha: float) -> DensityOperator:
     """Mixing weight q on |psi(alpha)><psi(alpha)|, white noise otherwise."""
+    from .linalg import DensityOperator
+
     return DensityOperator(_werner_alphas([q], [alpha])[0], validate=False)
 
 
@@ -110,6 +119,8 @@ def werner_strength(alpha: float) -> float:
 
 def _werner_strengths(alphas) -> np.ndarray:
     """werner_strength elementwise, with the same operations in the same order."""
+    import numpy as np
+
     alphas = _check_alphas(alphas)
     return 1.0 + 4.0 * alphas * np.sqrt(1.0 - alphas * alphas)
 
@@ -119,6 +130,8 @@ def input_state(index: int) -> DensityOperator:
 
     The tau and omega families follow the same formula, so one state serves both.
     """
+    from .linalg import PAULI, DensityOperator
+
     if index not in (0, 1, 2, 3):
         raise ValueError(f"input index must be 0..3; got {index}")
     base = (PAULI[0] + BLOCH_AXIS[0] * PAULI[1] + BLOCH_AXIS[1] * PAULI[2]
@@ -221,6 +234,8 @@ def _increasing_roots(func, upper: np.ndarray) -> np.ndarray:
     `index`.  Every entry takes the scalar solve's steps and stopping rules;
     an entry leaves the loop once it stops.
     """
+    import numpy as np
+
     roots = np.empty_like(upper)
     index = np.arange(len(upper))
     x, lower = upper, np.zeros_like(upper)
@@ -252,6 +267,8 @@ def _alphas_from_entanglement(entropies) -> np.ndarray:
     log, log1p, sqrt and arctanh.  The first entry outside (0, 1] raises.
     One scalar call is faster than a one-entry array; this is for grids.
     """
+    import numpy as np
+
     entropies = np.asarray(entropies, dtype=float)
     outside = ~((entropies > 0.0) & (entropies <= 1.0))
     if outside.any():

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .linalg import DensityOperator, _kron, _two_qubit_matrix, is_hermitian, tensor
-from .measurement import bell_projector, unsharp_pair
 from .states import InputEnsemble, input_ensemble, werner_strength
+
+if TYPE_CHECKING:  # the array functions import NumPy where they run
+    import numpy as np
+
+    from .linalg import DensityOperator
 
 DETECTION_THRESHOLD = 1e-12
 
@@ -35,6 +37,8 @@ class WitnessCoefficients:
     beta: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         beta = np.asarray(self.beta, dtype=float)
         if beta.shape != (4, 4):
             raise ValueError(f"beta table must be 4x4; got shape {beta.shape}")
@@ -56,6 +60,8 @@ class WitnessValue:
 
 def werner_beta() -> WitnessCoefficients:
     """Coefficients 5/8 on matched inputs, -1/8 on mismatched ones."""
+    import numpy as np
+
     beta = np.full((4, 4), -1.0 / 8.0)
     np.fill_diagonal(beta, 5.0 / 8.0)
     return WitnessCoefficients(beta)
@@ -69,6 +75,11 @@ def _payoffs(matrices: np.ndarray, beta: WitnessCoefficients, lams) -> np.ndarra
     takes the same operations as a one-state call: one op @ eta product per
     (lam, state, s, t) and the beta sum accumulated pair by pair.
     """
+    import numpy as np
+
+    from .linalg import _kron, tensor
+    from .measurement import bell_projector, unsharp_pair
+
     taus = omegas = np.stack([state.matrix for state in input_ensemble().states])
     ops = np.stack([tensor(bell_projector(), unsharp_pair(lam).plus) for lam in lams])
     # etas[n, s, t] = tau_s (x) rho_n (x) omega_t, each a full 16x16 operator.
@@ -85,6 +96,8 @@ def _payoffs(matrices: np.ndarray, beta: WitnessCoefficients, lams) -> np.ndarra
 
 def mdi_ew_numeric(rho: DensityOperator, beta: WitnessCoefficients, lam: float) -> WitnessValue:
     """Witness payoff by the full 16-dimensional trace."""
+    from .linalg import _two_qubit_matrix
+
     matrix = _two_qubit_matrix(rho, "mdi_ew_numeric")
     return WitnessValue(float(_payoffs(matrix[None], beta, (lam,))[0, 0]), float(lam))
 
@@ -94,6 +107,11 @@ def _reduced_witness_operators(lams, beta: WitnessCoefficients) -> np.ndarray:
 
     One contraction over the stacked literal operators P+ (x) E+_lam.
     """
+    import numpy as np
+
+    from .linalg import tensor
+    from .measurement import bell_projector, unsharp_pair
+
     taus = omegas = np.stack([state.matrix for state in input_ensemble().states])
     # Axes: sharpness, then (A', A, B, B') of the output index, then of the input index.
     ops = np.stack([tensor(bell_projector(), unsharp_pair(lam).plus) for lam in lams])
@@ -144,6 +162,10 @@ def decompose_witness(w: np.ndarray, taus: InputEnsemble, omegas: InputEnsemble)
     Raises SingularEnsembleError when the sixteen products do not span the
     Hermitian operator space (e.g. duplicated inputs).
     """
+    import numpy as np
+
+    from .linalg import is_hermitian, tensor
+
     w = np.asarray(w, dtype=complex)
     if w.shape != (4, 4):
         raise ValueError(f"witness operator must be 4x4; got shape {w.shape}")

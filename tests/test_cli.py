@@ -220,7 +220,7 @@ def test_verify_reports_pass(tmp_path, capsys):
 
 def test_verify_fails_nonzero(monkeypatch, capsys):
     failing = verify.CheckResult("forced", False, 1.0, 0.0, "forced failure")
-    monkeypatch.setattr(cli.verify, "run_all", lambda seed: [failing])
+    monkeypatch.setattr(verify, "run_all", lambda seed: [failing])
     assert cli.main(["verify"]) == 1
     captured = capsys.readouterr()
     assert "forced" in captured.out
@@ -249,11 +249,14 @@ def test_stdout_default(capsys):
     ["verify", "--grid-step", "0.1"],
     ["run", "--entanglement", "1e-30", "--margin", "nan"],  # NaN margin
     ["run", "--entanglement", "0.9", "--margin", "inf", "--format", "json"],  # infinite margin
+    ["verify", "--seed", "-1"],                          # negative seed
 ])
-def test_usage_errors_exit_two(args):
+def test_usage_errors_exit_two(args, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(args)
     assert excinfo.value.code == 2
+    if "--seed" in args:
+        assert "--seed" in capsys.readouterr().err
 
 
 def test_tiny_entanglement_runs(tmp_path):
@@ -271,16 +274,51 @@ def test_fig1_small_entanglement_row_matches_mpmath(capsys):
     assert row["alpha"] == mpmath.nstr(mp_alpha_from_entanglement(0.0005), 12)
 
 
+# Commands that need no arrays, and the exit code each gives
+NUMPY_FREE_CALLS = (
+    (("run", "--entanglement", "0.8", "--margin", "0.01"), 0),
+    (("run", "--alpha", "0.5", "--lambda", "0.6", "--format", "json"), 0),
+    (("fig3", "--grid-step", "0.25"), 0),
+    (("--help",), 0),
+    (("run", "--entanglement", "2"), 2),
+)
+
+# In a fresh interpreter: the imported scipy and numpy modules after
+# `import mdiew.cli`, then the exit code and the numpy modules after each call.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+def loaded(package):
+    return sorted(m for m in sys.modules if m.split(".")[0] == package)
+import mdiew.cli
+report = [loaded("scipy"), loaded("numpy")]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = mdiew.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    report.append([code, loaded("numpy")])
+print(json.dumps(report))
+"""
+
+
 def test_import_does_not_load_scipy():
-    # a fresh interpreter, so modules imported by other tests do not count
+    # fresh interpreters, so modules imported by other tests do not count
     env = dict(os.environ)
     src = str(pathlib.Path(mdiew.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = ("import sys, mdiew.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, timeout=120, check=True)
-    assert result.stdout.strip() == "[]"
+    argvs = json.dumps([argv for argv, _ in NUMPY_FREE_CALLS])
+    result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, argvs], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    scipy_modules, numpy_modules, *calls = json.loads(result.stdout)
+    assert scipy_modules == []
+    assert numpy_modules == []
+    assert calls == [[code, []] for _, code in NUMPY_FREE_CALLS]
+    # the figures that do load numpy, each from a process that starts without it
+    for args in [("fig1",), ("fig2", "--entanglement", "0.935")]:
+        result = subprocess.run([sys.executable, "-m", "mdiew.cli", *args], env=env,
+                                capture_output=True, timeout=120, check=True)
+        assert hashlib.sha256(result.stdout).hexdigest() == GOLDEN_FIGURE_SHA256[args]
 
 
 def test_unwritable_path_is_usage_error(tmp_path):

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from mdiew import verify
 from mdiew.cli import FIG1_DEFAULT_STEP
-from mdiew.linalg import partial_transpose, tensor
+from mdiew.linalg import PAULI, partial_transpose, tensor
 from mdiew.states import (
     ALPHA_MAX,
-    PAULI,
     _alphas_from_entanglement,
     _werner_alphas,
     _werner_strengths,
