@@ -21,12 +21,12 @@ threshold therefore maximizes the count over every sharpness schedule.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .states import (ALPHA_MAX, _increasing_root, _werner_strengths, entanglement_entropy,
-                     werner_strength)
+from .states import ALPHA_MAX, _increasing_root, entanglement_entropy, werner_strength
 from .witness import DETECTION_THRESHOLD, threshold_lambda
 
 if TYPE_CHECKING:  # the array functions import NumPy where they run
@@ -98,15 +98,15 @@ def delta_negativity(negativity: float, lam: float) -> float:
     (1 + 4N)/4 (1 - f(lam)) while the remaining state stays entangled; the
     full N once the measurement destroys the entanglement (clip at N).
     """
-    if not negativity >= 0.0:
-        raise ValueError(f"negativity must be non-negative; got {negativity}")
+    if not 0.0 <= negativity <= 0.5:
+        raise ValueError(f"negativity must be in [0, 1/2]; got {negativity}")
     return min((1.0 + 4.0 * negativity) / 4.0 * (1.0 - f_of_lambda(lam)), negativity)
 
 
 def threshold_from_negativity(negativity: float) -> float:
     """Threshold sharpness 1/(4N + 1); N = 0 gives the infeasible boundary 1."""
-    if not negativity >= 0.0:
-        raise ValueError(f"negativity must be non-negative; got {negativity}")
+    if not 0.0 <= negativity <= 0.5:
+        raise ValueError(f"negativity must be in [0, 1/2]; got {negativity}")
     return 1.0 / (4.0 * negativity + 1.0)
 
 
@@ -117,8 +117,8 @@ def delta_negativity_at_threshold(negativity: float) -> float:
     [1 + 4N - sqrt(N(1+N)) - sqrt(3N(1+3N))]/8, identical to composing
     delta_negativity with threshold_from_negativity before the clip.
     """
-    if not negativity > 0.0:
-        raise ValueError(f"negativity must be positive; got {negativity}")
+    if not 0.0 < negativity <= 0.5:
+        raise ValueError(f"negativity must be in (0, 1/2]; got {negativity}")
     return (1.0 + 4.0 * negativity
             - math.sqrt(negativity * (1.0 + negativity))
             - math.sqrt(3.0 * negativity * (1.0 + 3.0 * negativity))) / 8.0
@@ -182,36 +182,6 @@ def run_equal_sharpness(alpha: float, lam: float) -> ProtocolTrace:
     return _trace(alpha, POLICY_EQUAL, lam, _observers(alpha, lam=lam))
 
 
-def _decay(lams: np.ndarray) -> np.ndarray:
-    """f_of_lambda elementwise, with the same operations in the same order."""
-    import numpy as np
-
-    return 0.5 * (1.0 + (np.sqrt((1.0 + 3.0 * lams) * (1.0 - lams))
-                         + np.sqrt((3.0 - 3.0 * lams) * (3.0 + lams))) / 4.0)
-
-
-def threshold_success_count(alpha: float | np.ndarray) -> int | np.ndarray:
-    """Lean success counter of the threshold-schedule policy.
-
-    A scalar alpha gives an int; an array of alphas gives an int array of
-    the same shape, each entry equal to the scalar count.
-    """
-    import numpy as np
-
-    strength = _werner_strengths(np.ravel(alpha))
-    q = np.ones_like(strength)
-    counts = np.zeros(strength.shape, dtype=int)
-    while True:
-        lam = 1.0 / (q * strength)  # threshold_lambda, tested as _observers does
-        alive = lam < 1.0 - FEASIBILITY_TOL
-        if not alive.any():
-            return counts.reshape(np.shape(alpha)) if np.ndim(alpha) else int(counts[0])
-        counts += alive
-        # q only falls, so a failed entry stays failed while the loop runs on;
-        # the clip keeps its sharpness, at least 1 - FEASIBILITY_TOL, in range
-        q = _decay(np.minimum(lam, 1.0)) * q
-
-
 def equal_sharpness_count(alpha: float, lam: float | np.ndarray) -> int | np.ndarray:
     """Lean success counter of the equal-sharpness policy.
 
@@ -224,7 +194,9 @@ def equal_sharpness_count(alpha: float, lam: float | np.ndarray) -> int | np.nda
     lams = np.asarray(lam, dtype=float)
     if not np.all((lams > 0.0) & (lams <= 1.0)):
         raise ValueError(f"common sharpness must lie in (0, 1]; got {lam}")
-    decay = _decay(lams)
+    # f_of_lambda elementwise, with the same operations in the same order
+    decay = 0.5 * (1.0 + (np.sqrt((1.0 + 3.0 * lams) * (1.0 - lams))
+                          + np.sqrt((3.0 - 3.0 * lams) * (3.0 + lams))) / 4.0)
     q = np.ones_like(lams)
     counts = np.zeros(lams.shape, dtype=int)
     while True:
@@ -260,44 +232,50 @@ def _threshold_orbit() -> tuple[float, ...]:
     return tuple(orbit)
 
 
+def _reaches(alpha: float, n: int) -> bool:
+    """Observer n succeeds under the threshold policy, i.e. the count is n or more."""
+    return all(step[3] for step in itertools.islice(_observers(alpha), n))
+
+
 # Floats searched on each side of an edge mapped back from the orbit; the
 # rounding of the runner's recursion moves an edge by a few of them.
 _EDGE_WINDOW = 16
 
 
 @functools.cache
-def _count_edges() -> np.ndarray:
+def _count_edges() -> tuple[float, ...]:
     """Smallest alpha whose threshold-policy count is n or more, for n = 1, 2, ...
 
-    State-free, built on first use, ascending and read-only.  Edge 1 is a
-    bisection on observer 1's rule down to adjacent floats: there c - 1 ~
-    1e-12, and the inverse below would lose digits to the rounding of c.
-    Each later edge maps its orbit value c = 1/lam back by the stable
-    alpha = s / sqrt(2 (1 + sqrt(1 - s^2))), s = (c - 1)/2, then moves to the
-    first float near it where threshold_success_count reaches n.
+    State-free, built on first use, ascending.  Edge 1 is a bisection on
+    observer 1's rule down to adjacent floats: there c - 1 ~ 1e-12, and the
+    inverse below would lose digits to the rounding of c.  Each later edge
+    maps its orbit value c = 1/lam back by the stable
+    alpha = s / sqrt(2 (1 + sqrt(1 - s^2))), s = (c - 1)/2, then steps float
+    by float to the first alpha where the runner's rule reaches n.
     """
-    import numpy as np
-
     lo, hi = 0.0, ALPHA_MAX
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if threshold_lambda(1.0, mid) < 1.0 - FEASIBILITY_TOL:
+        if _reaches(mid, 1):
             hi = mid
         else:
             lo = mid
-    orbit = np.array(_threshold_orbit()[1:-1])
-    s = (1.0 - orbit) / (2.0 * orbit)
-    guesses = s / np.sqrt(2.0 * (1.0 + np.sqrt(1.0 - s * s)))
-    # adjacent positive floats have adjacent integer bit patterns
-    windows = (guesses.view(np.int64)[:, None]
-               + np.arange(-_EDGE_WINDOW, _EDGE_WINDOW + 1)).view(np.float64)
-    reached = threshold_success_count(windows) >= np.arange(2, len(orbit) + 2)[:, None]
-    if reached[:, 0].any() or not reached[:, -1].all():
-        raise ArithmeticError(f"a count edge lies more than {_EDGE_WINDOW} floats "
-                              "from its orbit value")
-    edges = np.append(hi, windows[np.arange(len(orbit)), reached.argmax(axis=1)])
-    edges.setflags(write=False)
-    return edges
+    edges = [hi]
+    for n, lam in enumerate(_threshold_orbit()[1:-1], 2):
+        s = (1.0 - lam) / (2.0 * lam)
+        alpha = s / math.sqrt(2.0 * (1.0 + math.sqrt(1.0 - s * s)))
+        # step toward the edge until the rule flips; the edge is the side where it holds
+        reached = _reaches(alpha, n)
+        for _ in range(_EDGE_WINDOW):
+            step = math.nextafter(alpha, 0.0 if reached else 1.0)
+            if _reaches(step, n) != reached:
+                edges.append(alpha if reached else step)
+                break
+            alpha = step
+        else:
+            raise ArithmeticError(f"a count edge lies more than {_EDGE_WINDOW} floats "
+                                  "from its orbit value")
+    return tuple(edges)
 
 
 def boundary_alpha_for_n(n_target: int) -> tuple[float, float]:
@@ -312,7 +290,7 @@ def boundary_alpha_for_n(n_target: int) -> tuple[float, float]:
     edges = _count_edges()
     if n_target > len(edges):
         raise ValueError(f"count never reaches {n_target}, even at alpha = {ALPHA_MAX}")
-    alpha = float(edges[n_target - 1])
+    alpha = edges[n_target - 1]
     return alpha, entanglement_entropy(alpha)
 
 

@@ -117,14 +117,6 @@ def werner_strength(alpha: float) -> float:
     return 1.0 + 4.0 * alpha * math.sqrt(1.0 - alpha * alpha)
 
 
-def _werner_strengths(alphas) -> np.ndarray:
-    """werner_strength elementwise, with the same operations in the same order."""
-    import numpy as np
-
-    alphas = _check_alphas(alphas)
-    return 1.0 + 4.0 * alphas * np.sqrt(1.0 - alphas * alphas)
-
-
 def input_state(index: int) -> DensityOperator:
     """Referee input number `index`, handed to Alice on A' (tau) or to Bob on B' (omega).
 

@@ -119,12 +119,6 @@ def _random_separable_matrices(rng: np.random.Generator, samples: int,
     return matrices
 
 
-def random_separable_two_qubit(rng: np.random.Generator, max_terms: int = 4) -> linalg.DensityOperator:
-    """Random mixture of up to `max_terms` pure product states."""
-    matrix = _random_separable_matrices(rng, 1, max_terms)[0]
-    return linalg.DensityOperator(matrix, validate=False)
-
-
 def _separable_payoffs(seed: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded separable state matrices and their payoffs tr(W(lam) rho) for the Werner table.
 

@@ -3,8 +3,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from mdiew import verify
 from mdiew.linalg import PSD_ATOL, DensityOperator, is_hermitian
-from mdiew.states import ALPHA_MAX, werner_alpha
+from mdiew.protocol import FEASIBILITY_TOL
+from mdiew.states import ALPHA_MAX, _check_alphas, werner_alpha
 
 settings.register_profile(
     "suite",
@@ -104,3 +106,44 @@ def mp_alpha_from_entanglement(entropy):
             else:
                 hi = mid
         return mpmath.exp(mpmath.findroot(excess, (lo, hi)) / 2)
+
+
+def random_separable_two_qubit(rng, max_terms=4):
+    """Random mixture of up to `max_terms` pure product states.
+
+    The one-sample case of verify's stacked sampler, with the same draws.
+    """
+    matrix = verify._random_separable_matrices(rng, 1, max_terms)[0]
+    return DensityOperator(matrix, validate=False)
+
+
+def werner_strengths(alphas):
+    """werner_strength elementwise, with the same operations in the same order (test oracle)."""
+    alphas = _check_alphas(alphas)
+    return 1.0 + 4.0 * alphas * np.sqrt(1.0 - alphas * alphas)
+
+
+def decay(lams):
+    """f_of_lambda elementwise, with the same operations in the same order (test oracle)."""
+    return 0.5 * (1.0 + (np.sqrt((1.0 + 3.0 * lams) * (1.0 - lams))
+                         + np.sqrt((3.0 - 3.0 * lams) * (3.0 + lams))) / 4.0)
+
+
+def threshold_success_count(alpha):
+    """Success count of the threshold-schedule policy as an array recursion (test oracle).
+
+    A scalar alpha gives an int; an array of alphas gives an int array of
+    the same shape, each entry equal to the scalar count.
+    """
+    strength = werner_strengths(np.ravel(alpha))
+    q = np.ones_like(strength)
+    counts = np.zeros(strength.shape, dtype=int)
+    while True:
+        lam = 1.0 / (q * strength)  # threshold_lambda, tested as protocol._observers does
+        alive = lam < 1.0 - FEASIBILITY_TOL
+        if not alive.any():
+            return counts.reshape(np.shape(alpha)) if np.ndim(alpha) else int(counts[0])
+        counts += alive
+        # q only falls, so a failed entry stays failed while the loop runs on;
+        # the clip keeps its sharpness, at least 1 - FEASIBILITY_TOL, in range
+        q = decay(np.minimum(lam, 1.0)) * q

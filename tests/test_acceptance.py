@@ -13,7 +13,8 @@ from mpmath import mp, mpf
 from mpmath import sqrt as mp_sqrt
 
 from mdiew import linalg, measurement, protocol, states, witness
-from mdiew.verify import random_separable_two_qubit
+
+from conftest import random_separable_two_qubit
 
 ALPHA_MAX = states.ALPHA_MAX
 

@@ -13,7 +13,7 @@ import pytest
 import mdiew
 from mdiew import cli, protocol, states, verify
 
-from conftest import mp_alpha_from_entanglement
+from conftest import mp_alpha_from_entanglement, threshold_success_count
 
 ALPHA_MAX = 2 ** -0.5
 
@@ -204,7 +204,7 @@ def test_fig1_rows_match_the_scalar_inverse(step, capsys):
     step = float(step)
     entropies = [step * k for k in range(1, int(1.0 / step) + 1) if step * k <= 1.0]
     alphas = [states.alpha_from_entanglement(entropy) for entropy in entropies]
-    counts = protocol.threshold_success_count(np.array(alphas))
+    counts = threshold_success_count(np.array(alphas))
     assert rows == [{"alpha": f"{alpha:.12g}", "e_alpha": f"{entropy:.12g}", "n": str(n)}
                     for alpha, entropy, n in zip(alphas, entropies, counts)]
 
@@ -302,11 +302,17 @@ print(json.dumps(report))
 """
 
 
-def test_import_does_not_load_scipy():
-    # fresh interpreters, so modules imported by other tests do not count
+def _fresh_env():
+    """Environment for a fresh interpreter that imports this checkout's mdiew."""
     env = dict(os.environ)
     src = str(pathlib.Path(mdiew.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_import_does_not_load_scipy():
+    # fresh interpreters, so modules imported by other tests do not count
+    env = _fresh_env()
     argvs = json.dumps([argv for argv, _ in NUMPY_FREE_CALLS])
     result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, argvs], env=env,
                             capture_output=True, text=True, timeout=120, check=True)
@@ -319,6 +325,15 @@ def test_import_does_not_load_scipy():
         result = subprocess.run([sys.executable, "-m", "mdiew.cli", *args], env=env,
                                 capture_output=True, timeout=120, check=True)
         assert hashlib.sha256(result.stdout).hexdigest() == GOLDEN_FIGURE_SHA256[args]
+
+
+def test_count_edge_table_loads_no_numpy():
+    # the table is built from the runner's scalar rule, in a fresh interpreter
+    probe = ("import sys; from mdiew import protocol; "
+             "print(repr(protocol.boundary_alpha_for_n(14)[0]), 'numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.split() == ["0.5923410886765756", "False"]
 
 
 def test_unwritable_path_is_usage_error(tmp_path):

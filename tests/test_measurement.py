@@ -14,13 +14,13 @@ from mdiew.measurement import (
 )
 from mdiew.protocol import f_of_lambda
 from mdiew.states import ALPHA_MAX, input_ensemble, psi_alpha, werner_alpha
-from mdiew.verify import random_separable_two_qubit
 
 from conftest import (
     herm_sqrt,
     min_eigenvalue,
     partial_trace,
     random_density_matrix,
+    random_separable_two_qubit,
     werner_and_random_states,
 )
 

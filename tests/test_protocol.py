@@ -26,7 +26,6 @@ from mdiew.protocol import (
     run_equal_sharpness,
     run_threshold_protocol,
     threshold_from_negativity,
-    threshold_success_count,
 )
 from mdiew.states import (
     ALPHA_MAX,
@@ -36,6 +35,8 @@ from mdiew.states import (
     werner_strength,
 )
 from mdiew.witness import mdi_ew_closed_form_unsharp, mdi_ew_numeric, werner_beta
+
+from conftest import decay, threshold_success_count
 
 alphas = st.floats(0.05, ALPHA_MAX)
 lambdas_open = st.floats(0.05, 1.0)
@@ -195,7 +196,7 @@ def test_count_edges_equal_the_adjacent_float_bisection():
 
     edges = protocol._count_edges()
     assert len(edges) == 14
-    assert not edges.flags.writeable
+    assert type(edges) is tuple
     for n_target, edge in enumerate(edges, 1):
         lo, hi = 0.0, ALPHA_MAX
         while lo < 0.5 * (lo + hi) < hi:
@@ -248,10 +249,10 @@ def _decay_and_slope(lam):
 def test_threshold_schedule_is_optimal():
     # the closed forms are f and its derivative
     probe = np.linspace(0.05, 0.95, 19)
-    decay, decay_slope = _decay_and_slope(probe)
-    assert np.array_equal(decay, protocol._decay(probe))
+    decay_value, decay_slope = _decay_and_slope(probe)
+    assert np.array_equal(decay_value, decay(probe))
     step = 1e-6
-    difference = (protocol._decay(probe + step) - protocol._decay(probe - step)) / (2 * step)
+    difference = (decay(probe + step) - decay(probe - step)) / (2 * step)
     assert np.allclose(decay_slope, difference, rtol=1e-6, atol=0.0)
     # f decreases on (0, 1): a sharper successful measurement leaves less
     _, decay_slope = _decay_and_slope(np.linspace(0.0, 1.0, 1_000_001)[1:-1])
@@ -259,8 +260,18 @@ def test_threshold_schedule_is_optimal():
     # g(x) = x f(1/x) increases on [1, 3]: a smaller x_k never overtakes;
     # at x = 1 f' is -inf and g' +inf
     x = np.linspace(1.0, 3.0, 1_000_001)[1:]
-    decay, decay_slope = _decay_and_slope(1 / x)
-    assert np.all(decay - decay_slope / x > 0)
+    decay_value, decay_slope = _decay_and_slope(1 / x)
+    assert np.all(decay_value - decay_slope / x > 0)
+
+
+def test_count_edges_count_like_the_runner_near_every_edge():
+    # 64 floats on each side of each edge: the table, the array oracle and the runner agree
+    edges = protocol._count_edges()
+    points = (np.array(edges).view(np.int64)[:, None]
+              + np.arange(-64, 65)).view(np.float64).ravel()
+    counts = np.searchsorted(edges, points, side="right")
+    assert counts.tolist() == threshold_success_count(points).tolist()
+    assert counts.tolist() == [run_threshold_protocol(point).n_success for point in points]
 
 
 def test_count_edges_raise_when_an_edge_leaves_its_window(monkeypatch):
@@ -673,7 +684,17 @@ def test_delta_at_threshold_closed_form():
     lambda: delta_negativity(math.nan, 0.5),
     lambda: threshold_from_negativity(math.nan),
     lambda: delta_negativity_at_threshold(math.nan),
-], ids=["delta_negativity", "threshold_from_negativity", "delta_negativity_at_threshold"])
+    # a two-qubit negativity lies in [0, 1/2]
+    lambda: delta_negativity(math.inf, 0.5),
+    lambda: threshold_from_negativity(math.inf),
+    lambda: delta_negativity_at_threshold(math.inf),
+    lambda: delta_negativity(0.6, 0.5),
+    lambda: threshold_from_negativity(0.6),
+    lambda: delta_negativity_at_threshold(0.6),
+], ids=["delta_negativity", "threshold_from_negativity", "delta_negativity_at_threshold",
+        "delta_negativity-inf", "threshold_from_negativity-inf", "delta_negativity_at_threshold-inf",
+        "delta_negativity-0.6", "threshold_from_negativity-0.6",
+        "delta_negativity_at_threshold-0.6"])
 def test_negativity_helpers_reject_nan(call):
     with pytest.raises(ValueError, match="negativity must be"):
         call()
@@ -689,7 +710,7 @@ def test_delta_at_threshold_identity_with_composition():
 def test_delta_at_threshold_equals_clipped_route_above_critical():
     # the post-threshold state stays entangled for N >= 0.1, so the clipped
     # loss formula agrees there
-    for negativity in np.arange(0.1, 0.501, 0.05):
+    for negativity in np.linspace(0.1, 0.5, 9):  # ends at 1/2, the largest two-qubit negativity
         lam_th = threshold_from_negativity(negativity)
         assert delta_negativity_at_threshold(negativity) == pytest.approx(
             delta_negativity(negativity, lam_th), abs=1e-12)

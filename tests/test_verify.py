@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from mdiew import linalg, measurement, protocol, states, verify, witness
-from mdiew.verify import check_separable_nonnegativity, random_separable_two_qubit
+from mdiew.verify import check_separable_nonnegativity
+
+from conftest import random_separable_two_qubit
 
 
 def _kron_outer_sampler(rng, max_terms=4):

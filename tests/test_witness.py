@@ -14,7 +14,6 @@ from mdiew.states import (
     werner_alpha,
     werner_strength,
 )
-from mdiew.verify import random_separable_two_qubit
 from mdiew.witness import (
     SingularEnsembleError,
     WitnessCoefficients,
@@ -29,7 +28,12 @@ from mdiew.witness import (
     werner_beta,
 )
 
-from conftest import random_density_matrix, random_hermitian, werner_and_random_states
+from conftest import (
+    random_density_matrix,
+    random_hermitian,
+    random_separable_two_qubit,
+    werner_and_random_states,
+)
 
 qs = st.floats(0.0, 1.0)
 alphas = st.floats(0.01, ALPHA_MAX)
