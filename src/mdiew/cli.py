@@ -16,15 +16,16 @@ Identical invocations produce byte-identical files.  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from . import protocol, states
+
+if TYPE_CHECKING:
+    import argparse
 
 SCHEMA_VERSION = "1"
 
@@ -87,6 +88,8 @@ def _write_table(config: RunConfig, columns: Sequence[str], rows: list[tuple],
             "columns": list(columns),
             "rows": [[_json_value(v) for v in row] for row in rows],
         }
+        import json
+
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = "\n".join(_csv_lines(columns, rows)) + "\n"
@@ -97,17 +100,16 @@ def _write_table(config: RunConfig, columns: Sequence[str], rows: list[tuple],
             handle.write(text)
 
 
-def _resolve_alpha(parser: argparse.ArgumentParser, args: argparse.Namespace) -> float:
-    if args.alpha is None and args.entanglement is None:
-        parser.error("one of --alpha or --entanglement is required")
+def _resolve_alpha(args: dict) -> float:
+    if args["alpha"] is None and args["entanglement"] is None:
+        _usage_error("one of --alpha or --entanglement is required")
     try:
-        if args.alpha is not None:
-            states.werner_strength(args.alpha)  # range check
-            return float(args.alpha)
-        return states.alpha_from_entanglement(args.entanglement)
+        if args["alpha"] is not None:
+            states.werner_strength(args["alpha"])  # range check
+            return float(args["alpha"])
+        return states.alpha_from_entanglement(args["entanglement"])
     except ValueError as err:
-        parser.error(str(err))
-    raise AssertionError("unreachable")
+        _usage_error(str(err))
 
 
 def cmd_fig1(config: RunConfig) -> int:
@@ -184,101 +186,151 @@ def cmd_verify(config: RunConfig) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+# Each command's options, in --help order, as (flag, dest, type, choices,
+# default, help, mutually exclusive partner).  Both the argparse tree and the
+# scanner of well-formed command lines read this table.
+_ALPHA = ("--alpha", "alpha", float, None, None,
+          "pure-state amplitude in (0, 1/sqrt(2)]", "--entanglement")
+_ENTANGLEMENT = ("--entanglement", "entanglement", float, None, None,
+                 "initial entanglement in ebits, in (0, 1]", "--alpha")
+_GRID_STEP = ("--grid-step", "grid_step", float, None, None, None, None)
+_FORMAT = ("--format", "format", str, ("csv", "json"), "csv", None, None)
+_OUT = ("--out", "out", str, None, None, "output path (default: stdout)", None)
+_LAMBDA = ("--lambda", "lam", float, None, None,
+           "common sharpness (selects the equal-sharpness policy)", "--margin")
+_MARGIN = ("--margin", "margin", float, None, None,
+           "threshold-policy sharpness margin (default 0)", "--lambda")
+_SEED = ("--seed", "seed", int, None, None, None, None)
+
+_COMMANDS = {
+    "fig1": ("threshold-policy count vs entanglement", (_GRID_STEP, _FORMAT, _OUT)),
+    "fig2": ("equal-sharpness count vs common sharpness",
+             (_ALPHA, _ENTANGLEMENT, _GRID_STEP, _FORMAT, _OUT)),
+    "fig3": ("sharpness ranges vs entanglement", (_GRID_STEP, _FORMAT, _OUT)),
+    "run": ("trace one protocol run", (_ALPHA, _ENTANGLEMENT, _FORMAT, _OUT, _LAMBDA, _MARGIN)),
+    "verify": ("run the oracle and property suite", (_FORMAT, _OUT, _SEED)),
+}
+_FLAGS = {command: {option[0]: option for option in options}
+          for command, (_, options) in _COMMANDS.items()}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and shared by every later call.
+    """The argparse tree of `_COMMANDS`, built on first use and shared by every later call.
 
-    Parsing keeps no state on the parser, so each `main` call sees a fresh
-    namespace; building it costs far more than a `run` query's own work.
+    Only help, usage errors and command lines the scanner declines need it, so
+    argparse is imported here.  Parsing keeps no state on the parser, so each
+    call sees a fresh namespace.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mdiew",
         description="Sequential measurement-device-independent entanglement witnessing.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, state: bool = False,
-                   grid: bool = False) -> None:
-        if state:
-            group = p.add_mutually_exclusive_group()
-            group.add_argument("--alpha", type=float,
-                               help="pure-state amplitude in (0, 1/sqrt(2)]")
-            group.add_argument("--entanglement", type=float,
-                               help="initial entanglement in ebits, in (0, 1]")
-        if grid:
-            p.add_argument("--grid-step", type=float, dest="grid_step")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", help="output path (default: stdout)")
-
-    p_fig1 = sub.add_parser("fig1", help="threshold-policy count vs entanglement")
-    add_common(p_fig1, grid=True)
-
-    p_fig2 = sub.add_parser("fig2", help="equal-sharpness count vs common sharpness")
-    add_common(p_fig2, state=True, grid=True)
-
-    p_fig3 = sub.add_parser("fig3", help="sharpness ranges vs entanglement")
-    add_common(p_fig3, grid=True)
-
-    p_run = sub.add_parser("run", help="trace one protocol run")
-    add_common(p_run, state=True)
-    policy = p_run.add_mutually_exclusive_group()
-    policy.add_argument("--lambda", type=float, dest="lam",
-                        help="common sharpness (selects the equal-sharpness policy)")
-    policy.add_argument("--margin", type=float,
-                        help="threshold-policy sharpness margin (default 0)")
-
-    p_verify = sub.add_parser("verify", help="run the oracle and property suite")
-    add_common(p_verify)
-    p_verify.add_argument("--seed", type=int)
-
+    for command, (summary, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        groups = {}
+        for flag, dest, kind, choices, default, text, partner in options:
+            if partner is None:
+                container = p
+            elif partner in groups:
+                container = groups[partner]
+            else:
+                container = groups[flag] = p.add_mutually_exclusive_group()
+            container.add_argument(flag, dest=dest, type=kind, choices=choices,
+                                   default=default, help=text)
     return parser
 
 
-def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
-    step = getattr(args, "grid_step", None)
+def _scan(argv: Sequence[str]) -> dict | None:
+    """The parsed values of a well-formed command line, or None.
+
+    Well-formed is a known command followed by exact `--option value` pairs
+    that belong to it, each value non-empty, not starting with '-', and
+    passing its type and choices, with at most one option of each mutually
+    exclusive pair.  On such a line argparse would return the same values; on
+    any other line (help, `--`, `=` spellings, abbreviations, errors) the
+    caller parses with the argparse tree, so argparse writes every help text
+    and usage error.
+    """
+    if len(argv) % 2 == 0 or argv[0] not in _FLAGS:  # no argv, or an option without value
+        return None
+    flags = _FLAGS[argv[0]]
+    values = {"command": argv[0]}
+    for _, dest, _, _, default, _, _ in flags.values():
+        values[dest] = default
+    given = set()
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        option = flags.get(flag)
+        if option is None or not text or text[0] == "-":
+            return None
+        _, dest, kind, choices, _, _, partner = option
+        try:
+            value = kind(text)
+        except ValueError:
+            return None
+        if (choices is not None and value not in choices) or partner in given:
+            return None
+        values[dest] = value
+        given.add(flag)
+    return values
+
+
+def _usage_error(message: str) -> NoReturn:
+    """Exit 2 with `message` under the top-level usage line, as argparse does."""
+    _build_parser().error(message)
+
+
+def _validate(args: dict) -> None:
+    step = args.get("grid_step")
     if step is not None and not 0.0 < step <= 0.25:
-        parser.error(f"--grid-step must lie in (0, 0.25]; got {step}")
-    lam = getattr(args, "lam", None)
+        _usage_error(f"--grid-step must lie in (0, 0.25]; got {step}")
+    lam = args.get("lam")
     if lam is not None and not 0.0 < lam <= 1.0:
-        parser.error(f"--lambda must lie in (0, 1]; got {lam}")
-    margin = getattr(args, "margin", None)
+        _usage_error(f"--lambda must lie in (0, 1]; got {lam}")
+    margin = args.get("margin")
     if margin is not None and not 0.0 <= margin < math.inf:
-        parser.error(f"--margin must be non-negative and finite; got {margin}")
-    entanglement = getattr(args, "entanglement", None)
+        _usage_error(f"--margin must be non-negative and finite; got {margin}")
+    entanglement = args.get("entanglement")
     if entanglement is not None and not 0.0 < entanglement <= 1.0:
-        parser.error(f"--entanglement must lie in (0, 1]; got {entanglement}")
-    seed = getattr(args, "seed", None)
+        _usage_error(f"--entanglement must lie in (0, 1]; got {entanglement}")
+    seed = args.get("seed")
     if seed is not None and seed < 0:
-        parser.error(f"--seed must be a non-negative integer; got {seed}")
+        _usage_error(f"--seed must be a non-negative integer; got {seed}")
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    _validate(parser, args)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _scan(argv)
+    if args is None:
+        args = vars(_build_parser().parse_args(argv))
+    _validate(args)
     config = RunConfig(
-        command=args.command,
-        lam=getattr(args, "lam", None),
-        margin=getattr(args, "margin", None),
-        grid_step=getattr(args, "grid_step", None),
-        out=args.out,
-        fmt=args.format,
-        seed=getattr(args, "seed", None),
+        command=args["command"],
+        lam=args.get("lam"),
+        margin=args.get("margin"),
+        grid_step=args.get("grid_step"),
+        out=args["out"],
+        fmt=args["format"],
+        seed=args.get("seed"),
     )
     try:
-        if args.command == "fig1":
+        if config.command == "fig1":
             return cmd_fig1(config)
-        if args.command == "fig2":
-            return cmd_fig2(config, _resolve_alpha(parser, args))
-        if args.command == "fig3":
+        if config.command == "fig2":
+            return cmd_fig2(config, _resolve_alpha(args))
+        if config.command == "fig3":
             return cmd_fig3(config)
-        if args.command == "run":
-            return cmd_run(config, _resolve_alpha(parser, args))
-        if args.command == "verify":
+        if config.command == "run":
+            return cmd_run(config, _resolve_alpha(args))
+        if config.command == "verify":
             return cmd_verify(config)
     except OSError as err:
-        parser.error(f"cannot write output: {err}")
+        _usage_error(f"cannot write output: {err}")
     except ValueError as err:
-        parser.error(str(err))
+        _usage_error(str(err))
     raise AssertionError("unreachable")
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -9,6 +11,8 @@ import sys
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mdiew
 from mdiew import cli, protocol, states, verify
@@ -164,33 +168,143 @@ GOLDEN_TABLE_SHA256 = {
 }
 
 
+def tree_spelling(args):
+    """`args` with each `--option value` pair spelled `--option=value`, which
+    only the argparse tree parses; an argv without options gets the default
+    `--format=csv`."""
+    pairs = ["=".join(pair) for pair in zip(args[1::2], args[2::2])]
+    return [args[0], *(pairs or ["--format=csv"])]
+
+
+def stdout_sha256(args, capsys):
+    assert cli.main(list(args)) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("args", list(GOLDEN_FIGURE_SHA256), ids=" ".join)
 def test_figure_stdout_matches_golden_hash(args, capsys):
-    assert cli.main(list(args)) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_FIGURE_SHA256[args]
+    assert stdout_sha256(args, capsys) == GOLDEN_FIGURE_SHA256[args]
+    assert cli._scan(tree_spelling(args)) is None
+    assert stdout_sha256(tree_spelling(args), capsys) == GOLDEN_FIGURE_SHA256[args]
 
 
 @pytest.mark.parametrize("args", list(GOLDEN_TABLE_SHA256), ids=" ".join)
 def test_table_stdout_matches_golden_hash(args, capsys):
-    assert cli.main(list(args)) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE_SHA256[args]
+    assert stdout_sha256(args, capsys) == GOLDEN_TABLE_SHA256[args]
+    assert cli._scan(tree_spelling(args)) is None
+    assert stdout_sha256(tree_spelling(args), capsys) == GOLDEN_TABLE_SHA256[args]
 
 
 def test_shared_parser_keeps_no_per_call_state(capsys):
     # a usage error and an equal-sharpness run on the one parser leave no
-    # --lambda behind for the threshold run that follows
+    # --lambda behind for the threshold run that follows; the `=` spelling
+    # sends every call through the argparse tree
     assert cli._build_parser() is cli._build_parser()
     with pytest.raises(SystemExit) as excinfo:
-        cli.main(["run", "--entanglement", "2"])
+        cli.main(["run", "--entanglement=2"])
     assert excinfo.value.code == 2
-    assert cli.main(["run", "--lambda", "0.6", "--alpha", "0.5"]) == 0
+    assert cli.main(["run", "--lambda=0.6", "--alpha=0.5"]) == 0
     capsys.readouterr()
     args = ("run", "--entanglement", "0.8", "--margin", "0.01")
-    assert cli.main(list(args)) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TABLE_SHA256[args]
+    assert stdout_sha256(tree_spelling(args), capsys) == GOLDEN_TABLE_SHA256[args]
+
+
+# Each command's option strings, and values of each kind the scanner must
+# parse or decline exactly as argparse does
+COMMAND_OPTIONS = {
+    "fig1": ("--grid-step", "--format", "--out"),
+    "fig2": ("--alpha", "--entanglement", "--grid-step", "--format", "--out"),
+    "fig3": ("--grid-step", "--format", "--out"),
+    "run": ("--alpha", "--entanglement", "--format", "--out", "--lambda", "--margin"),
+    "verify": ("--format", "--out", "--seed"),
+}
+OPTIONS = tuple(sorted({flag for flags in COMMAND_OPTIONS.values() for flag in flags}))
+VALUES = ("0.5", "0.935", "1.0", "7", "-1", "-0.5", "nan", "inf", "-inf", "1e-300", "",
+          " 2", "1_0", "0x1", "json", "yaml", "csv", "out.csv", "a=b", "fig1", "-")
+commands = st.sampled_from(list(COMMAND_OPTIONS))
+values = st.sampled_from(VALUES) | st.text(max_size=4)
+tokens = (commands | st.sampled_from(OPTIONS + ("-h", "--help", "--")) | values
+          | st.builds("{}={}".format, st.sampled_from(OPTIONS), values)
+          | st.sampled_from(OPTIONS).flatmap(lambda flag: st.sampled_from(
+              [flag[:k] for k in range(3, len(flag))])))
+plain_values = st.sampled_from(("0.5", "1", "nan", "inf", "-inf", "-1", "1e-300", " 2", "1_0",
+                                "csv", "json"))
+
+
+def command_lines(command, flags, values):
+    """`command` and up to four `--option value` pairs drawn from `flags` and `values`."""
+    pairs = st.lists(st.tuples(flags, values), max_size=4)
+    return pairs.map(lambda pairs: [command, *(token for pair in pairs for token in pair)])
+
+
+# any tokens; any options and values after a command; its own options with
+# plain values, which are often well-formed
+argvs = (st.lists(tokens, max_size=7)
+         | commands.flatmap(lambda command: command_lines(
+             command, st.sampled_from(OPTIONS), values))
+         | commands.flatmap(lambda command: command_lines(
+             command, st.sampled_from(COMMAND_OPTIONS[command]), plain_values)))
+
+
+def tree_parse(argv):
+    """The argparse tree's values for `argv`, or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+def typed(parsed):
+    # by type and repr, so that nan equals nan and 0.0 differs from -0.0 and 0
+    return {key: (type(value), repr(value)) for key, value in parsed.items()}
+
+
+@settings(max_examples=400)
+@given(argvs)
+@example(["run", "--margin", "-inf"])            # not a negative number to argparse
+@example(["run", "--out", "--format"])           # an option where a value belongs
+@example(["fig2", "--alpha", "0.5", "--entanglement", "0.5"])
+@example(["fig1", "--format", "yaml"])
+@example(["fig1", "--format"])
+def test_scanner_agrees_with_the_argparse_tree(argv):
+    scanned = cli._scan(argv)
+    if scanned is not None:
+        parsed = tree_parse(argv)
+        assert isinstance(parsed, dict), f"the tree exits {parsed} on an accepted argv"
+        assert typed(scanned) == typed(parsed)
+
+
+# One argv of each shape the benchmark workloads send
+BENCHMARK_ARGV_SHAPES = (
+    ("fig1",),
+    ("fig2", "--entanglement", "0.935"),
+    ("fig3",),
+    ("verify", "--seed", "1234567"),
+    *(("run", state, "0.8", policy, value, "--format", fmt)
+      for state in ("--alpha", "--entanglement")
+      for policy, value in (("--margin", "0.01"), ("--lambda", "0.6"))
+      for fmt in ("csv", "json")),
+)
+
+
+@pytest.mark.parametrize("argv", BENCHMARK_ARGV_SHAPES, ids=" ".join)
+def test_scanner_takes_every_benchmark_argv_shape(argv):
+    scanned = cli._scan(argv)
+    assert scanned is not None
+    assert typed(scanned) == typed(tree_parse(argv))
+
+
+@pytest.mark.parametrize("argv", [
+    (), ("--help",), ("run", "-h"), ("fig2", "--help"), ("run", "--", "--alpha", "0.5"),
+    ("run", "--alpha=0.5"), ("run", "--alph", "0.5"), ("fig1", "--seed", "3"),
+    ("run", "--out", ""), ("verify", "--seed", "-1"), ("run", "--margin", "x"),
+    ("verify", "--seed", "1.5"), ("fig3", "--format", "yaml"), ("fig1", "--format"),
+    ("run", "--alpha", "0.5", "--entanglement", "0.5"),
+    ("run", "--lambda", "0.6", "--margin", "0.01"),
+], ids=repr)
+def test_scanner_declines_what_only_argparse_may_answer(argv):
+    assert cli._scan(argv) is None
 
 
 # 0.2337... puts a grid point on n = 13 within 1e-12 below the 13 -> 14 edge
@@ -232,31 +346,52 @@ def test_stdout_default(capsys):
     assert captured.out.startswith("i,lambda_i,q_i,")
 
 
-@pytest.mark.parametrize("args", [
-    ["fig2"],                                            # missing state
-    ["fig2", "--alpha", "0.9"],                          # alpha out of range
-    ["fig2", "--alpha", "0.5", "--entanglement", "0.5"],  # mutually exclusive
-    ["fig2", "--entanglement", "1.5"],                   # entanglement range
-    ["run", "--alpha", "0.5", "--lambda", "1.5"],        # sharpness range
-    ["run", "--alpha", "0.5", "--lambda", "0.5", "--margin", "0.1"],
-    ["run", "--alpha", "0.5", "--margin", "-1"],
-    ["fig1", "--grid-step", "0"],
-    ["fig1", "--format", "yaml"],
-    ["bogus"],
-    ["run", "--alpha", "0.5", "--seed", "3"],            # --seed is verify's only
-    ["fig1", "--seed", "3"],
-    ["run", "--alpha", "0.5", "--grid-step", "0.1"],     # --grid-step is the figures' only
-    ["verify", "--grid-step", "0.1"],
-    ["run", "--entanglement", "1e-30", "--margin", "nan"],  # NaN margin
-    ["run", "--entanglement", "0.9", "--margin", "inf", "--format", "json"],  # infinite margin
-    ["verify", "--seed", "-1"],                          # negative seed
-])
+# Each usage error and the exact last line it writes to stderr
+USAGE_ERRORS = {
+    ("fig2",):  # missing state
+        "mdiew: error: one of --alpha or --entanglement is required",
+    ("fig2", "--alpha", "0.9"):  # alpha out of range
+        "mdiew: error: alpha must lie in (0, 1/sqrt(2)]; got 0.9",
+    ("fig2", "--alpha", "0.5", "--entanglement", "0.5"):  # mutually exclusive
+        "mdiew fig2: error: argument --entanglement: not allowed with argument --alpha",
+    ("fig2", "--entanglement", "1.5"):  # entanglement range
+        "mdiew: error: --entanglement must lie in (0, 1]; got 1.5",
+    ("run", "--alpha", "0.5", "--lambda", "1.5"):  # sharpness range
+        "mdiew: error: --lambda must lie in (0, 1]; got 1.5",
+    ("run", "--alpha", "0.5", "--lambda", "0.5", "--margin", "0.1"):
+        "mdiew run: error: argument --margin: not allowed with argument --lambda",
+    ("run", "--alpha", "0.5", "--margin", "-1"):
+        "mdiew: error: --margin must be non-negative and finite; got -1.0",
+    ("fig1", "--grid-step", "0"):
+        "mdiew: error: --grid-step must lie in (0, 0.25]; got 0.0",
+    ("fig1", "--format", "yaml"):
+        "mdiew fig1: error: argument --format: invalid choice: 'yaml' (choose from 'csv', 'json')",
+    ("bogus",):
+        "mdiew: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'fig1', 'fig2', 'fig3', 'run', 'verify')",
+    ("run", "--alpha", "0.5", "--seed", "3"):  # --seed is verify's only
+        "mdiew: error: unrecognized arguments: --seed 3",
+    ("fig1", "--seed", "3"):
+        "mdiew: error: unrecognized arguments: --seed 3",
+    ("run", "--alpha", "0.5", "--grid-step", "0.1"):  # --grid-step is the figures' only
+        "mdiew: error: unrecognized arguments: --grid-step 0.1",
+    ("verify", "--grid-step", "0.1"):
+        "mdiew: error: unrecognized arguments: --grid-step 0.1",
+    ("run", "--entanglement", "1e-30", "--margin", "nan"):  # NaN margin
+        "mdiew: error: --margin must be non-negative and finite; got nan",
+    ("run", "--entanglement", "0.9", "--margin", "inf", "--format", "json"):  # infinite margin
+        "mdiew: error: --margin must be non-negative and finite; got inf",
+    ("verify", "--seed", "-1"):  # negative seed
+        "mdiew: error: --seed must be a non-negative integer; got -1",
+}
+
+
+@pytest.mark.parametrize("args", [list(args) for args in USAGE_ERRORS])
 def test_usage_errors_exit_two(args, capsys):
     with pytest.raises(SystemExit) as excinfo:
         cli.main(args)
     assert excinfo.value.code == 2
-    if "--seed" in args:
-        assert "--seed" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines()[-1] == USAGE_ERRORS[tuple(args)]
 
 
 def test_tiny_entanglement_runs(tmp_path):
@@ -274,33 +409,36 @@ def test_fig1_small_entanglement_row_matches_mpmath(capsys):
     assert row["alpha"] == mpmath.nstr(mp_alpha_from_entanglement(0.0005), 12)
 
 
-# Commands that need no arrays, and the exit code each gives
+# Commands that need no arrays, the exit code each gives, and whether argparse
+# is loaded after it: only help and usage errors build the argparse tree, and
+# the well-formed calls come first.
 NUMPY_FREE_CALLS = (
-    (("run", "--entanglement", "0.8", "--margin", "0.01"), 0),
-    (("run", "--alpha", "0.5", "--lambda", "0.6", "--format", "json"), 0),
-    (("fig3", "--grid-step", "0.25"), 0),
-    (("--help",), 0),
-    (("run", "--entanglement", "2"), 2),
+    (("run", "--entanglement", "0.8", "--margin", "0.01"), 0, False),
+    (("run", "--alpha", "0.5", "--lambda", "0.6", "--format", "json"), 0, False),
+    (("fig3", "--grid-step", "0.25"), 0, False),
+    (("--help",), 0, True),
+    (("run", "--entanglement", "2"), 2, True),
 )
 
-# In a fresh interpreter: the imported scipy and numpy modules after
-# `import mdiew.cli`, then the exit code and the numpy modules after each call.
+# In a fresh interpreter: the imported scipy, numpy, argparse and json modules
+# after `import mdiew.cli` (the probe imports json only after that), then the
+# exit code, the numpy modules and whether argparse is loaded after each call.
 _IMPORT_PROBE = """
-import contextlib, io, json, sys
+import sys
 def loaded(package):
     return sorted(m for m in sys.modules if m.split(".")[0] == package)
 import mdiew.cli
-report = [loaded("scipy"), loaded("numpy")]
+report = [loaded("scipy"), loaded("numpy"), loaded("argparse"), loaded("json")]
+import contextlib, io, json
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
             code = mdiew.cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    report.append([code, loaded("numpy")])
+    report.append([code, loaded("numpy"), "argparse" in sys.modules])
 print(json.dumps(report))
 """
-
 
 def _fresh_env():
     """Environment for a fresh interpreter that imports this checkout's mdiew."""
@@ -313,13 +451,15 @@ def _fresh_env():
 def test_import_does_not_load_scipy():
     # fresh interpreters, so modules imported by other tests do not count
     env = _fresh_env()
-    argvs = json.dumps([argv for argv, _ in NUMPY_FREE_CALLS])
+    argvs = json.dumps([argv for argv, _, _ in NUMPY_FREE_CALLS])
     result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, argvs], env=env,
                             capture_output=True, text=True, timeout=120, check=True)
-    scipy_modules, numpy_modules, *calls = json.loads(result.stdout)
+    scipy_modules, numpy_modules, argparse_modules, json_modules, *calls = json.loads(result.stdout)
     assert scipy_modules == []
     assert numpy_modules == []
-    assert calls == [[code, []] for _, code in NUMPY_FREE_CALLS]
+    assert argparse_modules == []
+    assert json_modules == []
+    assert calls == [[code, [], argparse] for _, code, argparse in NUMPY_FREE_CALLS]
     # the figures that do load numpy, each from a process that starts without it
     for args in [("fig1",), ("fig2", "--entanglement", "0.935")]:
         result = subprocess.run([sys.executable, "-m", "mdiew.cli", *args], env=env,
