@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NoReturn, Sequence
 
 from . import protocol, states
@@ -35,19 +34,6 @@ FIG3_DEFAULT_STEP = 0.01
 FIG3_E_MIN = 0.5
 
 _BOOL_TEXT = ("false", "true")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one invocation; equal configs give equal bytes."""
-
-    command: str
-    lam: float | None = None
-    margin: float | None = None
-    grid_step: float | None = None
-    out: str | None = None
-    fmt: str = "csv"
-    seed: int | None = None  # verify's --seed; None takes verify.DEFAULT_SEED
 
 
 def _csv_lines(columns: Sequence[str], rows: list[tuple]) -> list[str]:
@@ -78,12 +64,17 @@ def _json_value(value):
     return value
 
 
-def _write_table(config: RunConfig, columns: Sequence[str], rows: list[tuple],
+def _write_table(args: dict, columns: Sequence[str], rows: list[tuple],
                  params: dict) -> None:
-    if config.fmt == "json":
+    """Write the table as args["format"] to args["out"] or stdout.
+
+    `args`, here and in every cmd_*, is the parsed command line: the dict
+    `_scan` or the argparse tree returns, keyed by option dest.
+    """
+    if args["format"] == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "command": config.command,
+            "command": args["command"],
             "params": {k: _json_value(v) for k, v in sorted(params.items())},
             "columns": list(columns),
             "rows": [[_json_value(v) for v in row] for row in rows],
@@ -93,10 +84,10 @@ def _write_table(config: RunConfig, columns: Sequence[str], rows: list[tuple],
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
         text = "\n".join(_csv_lines(columns, rows)) + "\n"
-    if config.out is None:
+    if args["out"] is None:
         sys.stdout.write(text)
     else:
-        with open(config.out, "w", encoding="utf-8", newline="\n") as handle:
+        with open(args["out"], "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
 
 
@@ -112,10 +103,10 @@ def _resolve_alpha(args: dict) -> float:
         _usage_error(str(err))
 
 
-def cmd_fig1(config: RunConfig) -> int:
+def cmd_fig1(args: dict) -> int:
     import numpy as np
 
-    step = config.grid_step if config.grid_step is not None else FIG1_DEFAULT_STEP
+    step = args["grid_step"] if args["grid_step"] is not None else FIG1_DEFAULT_STEP
     entropies = step * np.arange(1, int(1.0 / step) + 1)
     entropies = entropies[entropies <= 1.0]
     alphas = states._alphas_from_entanglement(entropies)
@@ -127,21 +118,21 @@ def cmd_fig1(config: RunConfig) -> int:
     if not np.any(alphas == boundary_alpha):
         rows.insert(int(np.searchsorted(entropies, boundary_e, side="right")),
                     (boundary_alpha, boundary_e, len(edges)))
-    _write_table(config, ("alpha", "e_alpha", "n"), rows,
+    _write_table(args, ("alpha", "e_alpha", "n"), rows,
                  {"grid_step": step})
     return 0
 
 
-def cmd_fig2(config: RunConfig, alpha: float) -> int:
-    step = config.grid_step if config.grid_step is not None else FIG2_DEFAULT_STEP
+def cmd_fig2(args: dict, alpha: float) -> int:
+    step = args["grid_step"] if args["grid_step"] is not None else FIG2_DEFAULT_STEP
     rows = protocol.equal_sharpness_curve(alpha, step)
-    _write_table(config, ("lambda", "n"), rows,
+    _write_table(args, ("lambda", "n"), rows,
                  {"alpha": alpha, "grid_step": step})
     return 0
 
 
-def cmd_fig3(config: RunConfig) -> int:
-    step = config.grid_step if config.grid_step is not None else FIG3_DEFAULT_STEP
+def cmd_fig3(args: dict) -> int:
+    step = args["grid_step"] if args["grid_step"] is not None else FIG3_DEFAULT_STEP
     count = int((1.0 - FIG3_E_MIN) / step + 1e-9)
     entropies = [min(FIG3_E_MIN + k * step, 1.0) for k in range(count + 1)]
     tables = []
@@ -155,33 +146,33 @@ def cmd_fig3(config: RunConfig) -> int:
     for entropy, table in tables:
         for n in range(1, max_n + 1):
             rows.append((entropy, n, table.get(n, 0.0)))
-    _write_table(config, ("e_alpha", "n", "delta_lambda_n"), rows,
+    _write_table(args, ("e_alpha", "n", "delta_lambda_n"), rows,
                  {"e_min": FIG3_E_MIN, "grid_step": step})
     return 0
 
 
-def cmd_run(config: RunConfig, alpha: float) -> int:
-    if config.lam is not None:
-        trace = protocol.run_equal_sharpness(alpha, config.lam)
-        params = {"alpha": alpha, "policy": trace.policy, "lambda": config.lam}
+def cmd_run(args: dict, alpha: float) -> int:
+    if args["lam"] is not None:
+        trace = protocol.run_equal_sharpness(alpha, args["lam"])
+        params = {"alpha": alpha, "policy": trace.policy, "lambda": args["lam"]}
     else:
-        margin = config.margin if config.margin is not None else 0.0
+        margin = args["margin"] if args["margin"] is not None else 0.0
         trace = protocol.run_threshold_protocol(alpha, margin)
         params = {"alpha": alpha, "policy": trace.policy, "margin": margin}
     rows = [(r.index, r.lam, r.q, r.witness_value, r.negativity, r.success)
             for r in trace.records]
-    _write_table(config, ("i", "lambda_i", "q_i", "witness_value", "negativity", "success"),
+    _write_table(args, ("i", "lambda_i", "q_i", "witness_value", "negativity", "success"),
                  rows, params)
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: dict) -> int:
     from . import verify
 
-    seed = verify.DEFAULT_SEED if config.seed is None else config.seed
+    seed = verify.DEFAULT_SEED if args["seed"] is None else args["seed"]
     results = verify.run_all(seed)
     rows = [(r.name, r.passed, r.deviation, r.tolerance, r.detail) for r in results]
-    _write_table(config, ("check", "passed", "deviation", "tolerance", "detail"),
+    _write_table(args, ("check", "passed", "deviation", "tolerance", "detail"),
                  rows, {"seed": seed})
     return 0 if all(r.passed for r in results) else 1
 
@@ -307,26 +298,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args is None:
         args = vars(_build_parser().parse_args(argv))
     _validate(args)
-    config = RunConfig(
-        command=args["command"],
-        lam=args.get("lam"),
-        margin=args.get("margin"),
-        grid_step=args.get("grid_step"),
-        out=args["out"],
-        fmt=args["format"],
-        seed=args.get("seed"),
-    )
+    command = args["command"]
     try:
-        if config.command == "fig1":
-            return cmd_fig1(config)
-        if config.command == "fig2":
-            return cmd_fig2(config, _resolve_alpha(args))
-        if config.command == "fig3":
-            return cmd_fig3(config)
-        if config.command == "run":
-            return cmd_run(config, _resolve_alpha(args))
-        if config.command == "verify":
-            return cmd_verify(config)
+        if command == "fig1":
+            return cmd_fig1(args)
+        if command == "fig2":
+            return cmd_fig2(args, _resolve_alpha(args))
+        if command == "fig3":
+            return cmd_fig3(args)
+        if command == "run":
+            return cmd_run(args, _resolve_alpha(args))
+        if command == "verify":
+            return cmd_verify(args)
     except OSError as err:
         _usage_error(f"cannot write output: {err}")
     except ValueError as err:

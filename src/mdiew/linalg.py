@@ -30,8 +30,10 @@ class DensityOperator:
     """A square density matrix.
 
     Construction validates Hermiticity, unit trace and positivity unless
-    `validate=False`, which internal routines use to carry unnormalized
-    (e.g. post-measurement) operators in the same container.
+    `validate=False`.  That skips checks already done or not wanted: on
+    matrices of a stack that `_check_density_matrices` has checked
+    (`werner_alpha`), on the output of the averaged channel, and on
+    non-states in tests, such as a partial transpose.
     """
 
     matrix: np.ndarray

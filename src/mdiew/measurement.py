@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,17 +37,8 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
-@dataclass(frozen=True, eq=False)
-class BinaryEffectPair:
-    """Effects {plus, minus} of one two-outcome measurement; plus + minus = I exactly."""
-
-    lam: float
-    plus: np.ndarray
-    minus: np.ndarray
-
-
-def unsharp_pair(lam: float) -> BinaryEffectPair:
-    """Effects interpolating between the trivial (lam=0) and sharp (lam=1) measurement.
+def unsharp_pair(lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Effects (plus, minus) interpolating between the trivial (lam=0) and sharp (lam=1) measurement.
 
     The plus effect has eigenvalue (1+3 lam)/4 on |Phi+> and (1-lam)/4 on its
     complement; minus is built as I - plus so the pair sums to the identity
@@ -56,7 +46,7 @@ def unsharp_pair(lam: float) -> BinaryEffectPair:
     """
     lam = _check_lambda(lam)
     plus = lam * bell_projector() + (1.0 - lam) / 4.0 * np.eye(4)
-    return BinaryEffectPair(lam, plus, np.eye(4) - plus)
+    return plus, np.eye(4) - plus
 
 
 def effect_sqrt(lam: float, outcome: str) -> np.ndarray:
@@ -88,13 +78,12 @@ def _averaged_channel(matrices: np.ndarray, lam: float) -> np.ndarray:
     products kraus @ eta @ kraus summed input by input, outcome by outcome,
     on (A, B, B'), then the trace over the input B'.
     """
-    omegas = input_ensemble()
     krauses = [_kron(np.eye(2), effect_sqrt(lam, outcome)) for outcome in OUTCOMES]
     total = np.zeros((len(matrices), 8, 8), dtype=complex)
-    for weight, omega in zip(omegas.prior, omegas.states):
-        etas = _kron(matrices, omega.matrix)
+    for omega in input_ensemble():
+        etas = _kron(matrices, omega)
         for kraus in krauses:
-            total += weight * (kraus @ etas @ kraus)
+            total += 0.25 * (kraus @ etas @ kraus)
     return total.reshape(-1, 4, 2, 4, 2).trace(axis1=2, axis2=4)
 
 

@@ -65,9 +65,7 @@ class BobRecord:
 class ProtocolTrace:
     """Full run of one policy: records stop at the first failing observer."""
 
-    alpha: float
     policy: str
-    policy_param: float
     records: tuple[BobRecord, ...]
     n_success: int
 
@@ -151,11 +149,11 @@ def _observers(alpha: float, margin: float = 0.0, lam: float | None = None):
         q = f_of_lambda(lam_i) * q
 
 
-def _trace(alpha: float, policy: str, param: float, steps) -> ProtocolTrace:
+def _trace(alpha: float, policy: str, steps) -> ProtocolTrace:
     records = tuple(
         BobRecord(index, lam_i, q, payoff, negativity_walpha(q, alpha), success)
         for index, (q, lam_i, payoff, success) in enumerate(steps, 1))
-    return ProtocolTrace(float(alpha), policy, float(param), records, len(records) - 1)
+    return ProtocolTrace(policy, records, len(records) - 1)
 
 
 def run_threshold_protocol(alpha: float, margin: float = 0.0) -> ProtocolTrace:
@@ -168,7 +166,7 @@ def run_threshold_protocol(alpha: float, margin: float = 0.0) -> ProtocolTrace:
     werner_strength(alpha)  # validates the range before the margin
     if not 0.0 <= margin < math.inf:
         raise ValueError(f"margin must be non-negative and finite; got {margin}")
-    return _trace(alpha, POLICY_THRESHOLD, margin, _observers(alpha, margin))
+    return _trace(alpha, POLICY_THRESHOLD, _observers(alpha, margin))
 
 
 def run_equal_sharpness(alpha: float, lam: float) -> ProtocolTrace:
@@ -179,7 +177,7 @@ def run_equal_sharpness(alpha: float, lam: float) -> ProtocolTrace:
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"common sharpness must lie in (0, 1]; got {lam}")
-    return _trace(alpha, POLICY_EQUAL, lam, _observers(alpha, lam=lam))
+    return _trace(alpha, POLICY_EQUAL, _observers(alpha, lam=lam))
 
 
 def equal_sharpness_count(alpha: float, lam: float | np.ndarray) -> int | np.ndarray:
@@ -413,6 +411,8 @@ def lambda_range_table(alpha: float) -> list[tuple[int, float]]:
 
 def equal_sharpness_curve(alpha: float, step: float = 1e-3) -> list[tuple[float, int]]:
     """(lambda, count) over the ascending sharpness grid inside (1/3, 1]."""
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"grid step must be positive and finite; got {step}")
     lams = _lambda_grid(step)
     counts = equal_sharpness_count(alpha, lams)
     return [(float(lam), int(count)) for lam, count in zip(lams, counts)]

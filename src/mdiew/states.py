@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # the array functions import NumPy where they run
@@ -131,17 +130,17 @@ def input_state(index: int) -> DensityOperator:
     return DensityOperator(PAULI[index] @ base @ PAULI[index])
 
 
-@dataclass(frozen=True)
-class InputEnsemble:
-    """Four referee inputs drawn with uniform prior."""
-
-    states: tuple[DensityOperator, ...]
-    prior: tuple[float, ...] = (0.25, 0.25, 0.25, 0.25)
-
-
 @functools.cache
-def input_ensemble() -> InputEnsemble:
-    return InputEnsemble(tuple(input_state(s) for s in range(4)))
+def input_ensemble() -> np.ndarray:
+    """The four referee inputs input_state(0..3) as one read-only (4, 2, 2) stack.
+
+    The referee draws each with weight 1/4.
+    """
+    import numpy as np
+
+    stack = np.stack([input_state(s).matrix for s in range(4)])
+    stack.flags.writeable = False
+    return stack
 
 
 def entanglement_entropy(alpha: float) -> float:

@@ -75,7 +75,7 @@ def check_witness_grid() -> CheckResult:
 def check_witness_sharp_corner() -> CheckResult:
     """Sharp maximal corner: payoff -1/8 for the pure singlet-weight state."""
     rho = states.werner_alpha(1.0, states.ALPHA_MAX)
-    numeric = witness.mdi_ew_numeric(rho, witness.werner_beta(), 1.0).value
+    numeric = witness.mdi_ew_numeric(rho, witness.werner_beta(), 1.0)
     closed = witness.mdi_ew_closed_form_unsharp(1.0, states.ALPHA_MAX, 1.0)
     dev = _worst([abs(numeric + 0.125), abs(closed + 0.125)])
     return _result("witness_sharp_corner", dev, 1e-12)
@@ -274,13 +274,13 @@ def check_decomposition_roundtrip() -> CheckResult:
     taus = omegas = states.input_ensemble()
     beta = witness.werner_beta()
     target = sum(beta.beta[s, t]
-                 * linalg.tensor(taus.states[s].matrix.T, omegas.states[t].matrix.T)
+                 * linalg.tensor(taus[s].T, omegas[t].T)
                  for s in range(4) for t in range(4))
     recovered = witness.decompose_witness(target, taus, omegas)
     dev = float(np.abs(recovered.beta - beta.beta).max())
     identity_beta = witness.decompose_witness(np.eye(4), taus, omegas)
     recomposed = sum(identity_beta.beta[s, t]
-                     * linalg.tensor(taus.states[s].matrix.T, omegas.states[t].matrix.T)
+                     * linalg.tensor(taus[s].T, omegas[t].T)
                      for s in range(4) for t in range(4))
     dev = _worst([dev, np.abs(recomposed - np.eye(4)).max()])
     return _result("witness_decomposition_roundtrip", dev, 1e-10)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .states import InputEnsemble, input_ensemble, werner_strength
+from .states import input_ensemble, werner_strength
 
 if TYPE_CHECKING:  # the array functions import NumPy where they run
     import numpy as np
@@ -45,19 +45,6 @@ class WitnessCoefficients:
         object.__setattr__(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class WitnessValue:
-    """One evaluated witness payoff at a given sharpness."""
-
-    value: float
-    lam: float
-
-    @property
-    def entangled(self) -> bool:
-        """Strict detection: exactly zero does not count."""
-        return self.value < -DETECTION_THRESHOLD
-
-
 def werner_beta() -> WitnessCoefficients:
     """Coefficients 5/8 on matched inputs, -1/8 on mismatched ones."""
     import numpy as np
@@ -80,8 +67,8 @@ def _payoffs(matrices: np.ndarray, beta: WitnessCoefficients, lams) -> np.ndarra
     from .linalg import _kron, tensor
     from .measurement import bell_projector, unsharp_pair
 
-    taus = omegas = np.stack([state.matrix for state in input_ensemble().states])
-    ops = np.stack([tensor(bell_projector(), unsharp_pair(lam).plus) for lam in lams])
+    taus = omegas = input_ensemble()
+    ops = np.stack([tensor(bell_projector(), unsharp_pair(lam)[0]) for lam in lams])
     # etas[n, s, t] = tau_s (x) rho_n (x) omega_t, each a full 16x16 operator.
     etas = _kron(_kron(taus, matrices[:, None])[:, :, None], omegas)
     traces = np.trace(ops[:, None, None, None] @ etas, axis1=-2, axis2=-1).real
@@ -94,12 +81,12 @@ def _payoffs(matrices: np.ndarray, beta: WitnessCoefficients, lams) -> np.ndarra
     return values
 
 
-def mdi_ew_numeric(rho: DensityOperator, beta: WitnessCoefficients, lam: float) -> WitnessValue:
+def mdi_ew_numeric(rho: DensityOperator, beta: WitnessCoefficients, lam: float) -> float:
     """Witness payoff by the full 16-dimensional trace."""
     from .linalg import _two_qubit_matrix
 
     matrix = _two_qubit_matrix(rho, "mdi_ew_numeric")
-    return WitnessValue(float(_payoffs(matrix[None], beta, (lam,))[0, 0]), float(lam))
+    return float(_payoffs(matrix[None], beta, (lam,))[0, 0])
 
 
 def _reduced_witness_operators(lams, beta: WitnessCoefficients) -> np.ndarray:
@@ -112,9 +99,9 @@ def _reduced_witness_operators(lams, beta: WitnessCoefficients) -> np.ndarray:
     from .linalg import tensor
     from .measurement import bell_projector, unsharp_pair
 
-    taus = omegas = np.stack([state.matrix for state in input_ensemble().states])
+    taus = omegas = input_ensemble()
     # Axes: sharpness, then (A', A, B, B') of the output index, then of the input index.
-    ops = np.stack([tensor(bell_projector(), unsharp_pair(lam).plus) for lam in lams])
+    ops = np.stack([tensor(bell_projector(), unsharp_pair(lam)[0]) for lam in lams])
     inputs = np.einsum("st,sea,thd->eahd", beta.beta, taus, omegas)
     return np.einsum("labcdefgh,eahd->lbcfg", ops.reshape(-1, *(2,) * 8), inputs).reshape(-1, 4, 4)
 
@@ -156,8 +143,10 @@ def threshold_lambda(q: float, alpha: float) -> float:
     return 1.0 / (q * strength)
 
 
-def decompose_witness(w: np.ndarray, taus: InputEnsemble, omegas: InputEnsemble) -> WitnessCoefficients:
+def decompose_witness(w: np.ndarray, taus: np.ndarray, omegas: np.ndarray) -> WitnessCoefficients:
     """Solve sum_st beta_st tau_s^T (x) omega_t^T = w for a real beta table.
+
+    `taus` and `omegas` are stacks of four 2x2 inputs, as input_ensemble() gives.
 
     Raises SingularEnsembleError when the sixteen products do not span the
     Hermitian operator space (e.g. duplicated inputs).
@@ -172,7 +161,7 @@ def decompose_witness(w: np.ndarray, taus: InputEnsemble, omegas: InputEnsemble)
     if not is_hermitian(w):
         raise ValueError("witness operator must be Hermitian")
     columns = np.column_stack([
-        tensor(taus.states[s].matrix.T, omegas.states[t].matrix.T).reshape(-1)
+        tensor(taus[s].T, omegas[t].T).reshape(-1)
         for s in range(4) for t in range(4)
     ])
     system = np.vstack([columns.real, columns.imag])

@@ -83,12 +83,12 @@ def test_criterion_05_witness_closed_form_equivalence():
         for alpha in np.linspace(0.1, ALPHA_MAX, 5):
             rho = states.werner_alpha(q, alpha)
             for lam in np.linspace(0.0, 1.0, 5):
-                numeric = witness.mdi_ew_numeric(rho, beta, lam).value
+                numeric = witness.mdi_ew_numeric(rho, beta, lam)
                 closed = witness.mdi_ew_closed_form_unsharp(q, alpha, lam)
                 worst = max(worst, abs(numeric - closed))
     assert worst < 1e-10
     corner = witness.mdi_ew_numeric(states.werner_alpha(1.0, ALPHA_MAX), beta, 1.0)
-    assert abs(corner.value - (-0.125)) < 1e-12
+    assert abs(corner - (-0.125)) < 1e-12
     assert abs(witness.mdi_ew_closed_form_unsharp(1.0, ALPHA_MAX, 1.0) - (-0.125)) < 1e-15
     _announce(5, f"witness numeric vs closed form, max dev {worst:.2e} < 1e-10")
 
@@ -177,7 +177,7 @@ def test_criterion_06_attainable_scope():
             for alpha in CHANNEL_ALPHAS:
                 out = measurement.averaged_channel(states.werner_alpha(q, alpha), lam)
                 for probe in (0.5, 1.0):
-                    numeric = witness.mdi_ew_numeric(out, beta, probe).value
+                    numeric = witness.mdi_ew_numeric(out, beta, probe)
                     closed = witness.mdi_ew_closed_form_unsharp(decay * q, alpha, probe)
                     worst_stats = max(worst_stats, abs(numeric - closed))
     assert worst_stats < 1e-10
@@ -194,7 +194,7 @@ def test_criterion_07_separable_states_never_flag():
     for _ in range(200):
         rho = random_separable_two_qubit(rng)
         for lam in (0.25, 0.5, 1.0):
-            lowest = min(lowest, witness.mdi_ew_numeric(rho, beta, lam).value)
+            lowest = min(lowest, witness.mdi_ew_numeric(rho, beta, lam))
     assert lowest >= -1e-10
     _announce(7, f"200 seeded separable states score >= {lowest:.3e} > -1e-10")
 

@@ -31,29 +31,30 @@ lambdas = st.floats(0.0, 1.0)
 # --- effects ------------------------------------------------------------------
 
 def test_sharp_limit_gives_projectors():
-    pair = unsharp_pair(1.0)
-    assert np.abs(pair.plus - bell_projector()).max() < 1e-14
-    assert np.abs(pair.minus - (I4 - bell_projector())).max() < 1e-14
-    assert np.array_equal(pair.plus + pair.minus, I4)
+    plus, minus = unsharp_pair(1.0)
+    assert np.abs(plus - bell_projector()).max() < 1e-14
+    assert np.abs(minus - (I4 - bell_projector())).max() < 1e-14
+    assert np.array_equal(plus + minus, I4)
 
 
 def test_trivial_limit_gives_scaled_identities():
-    pair = unsharp_pair(0.0)
-    assert np.abs(pair.plus - I4 / 4).max() < 1e-15
-    assert np.abs(pair.minus - 3 * I4 / 4).max() < 1e-15
+    plus, minus = unsharp_pair(0.0)
+    assert np.abs(plus - I4 / 4).max() < 1e-15
+    assert np.abs(minus - 3 * I4 / 4).max() < 1e-15
 
 
 def test_effect_spectrum_at_one_third():
-    eigvals = np.sort(np.linalg.eigvalsh(unsharp_pair(1 / 3).plus))
+    plus, _ = unsharp_pair(1 / 3)
+    eigvals = np.sort(np.linalg.eigvalsh(plus))
     assert np.abs(eigvals - [1 / 6, 1 / 6, 1 / 6, 0.5]).max() < 1e-12
 
 
 @given(lambdas)
 def test_effects_sum_to_identity_exactly(lam):
-    pair = unsharp_pair(lam)
-    assert np.array_equal(pair.plus + pair.minus, I4)
-    assert min_eigenvalue(pair.plus) >= -1e-14
-    assert min_eigenvalue(pair.minus) >= -1e-14
+    plus, minus = unsharp_pair(lam)
+    assert np.array_equal(plus + minus, I4)
+    assert min_eigenvalue(plus) >= -1e-14
+    assert min_eigenvalue(minus) >= -1e-14
 
 
 def test_unsharp_pair_range_errors():
@@ -86,9 +87,9 @@ def generic_root_tolerance(lam, smallest_eigenvalue):
 @example(float(np.nextafter(1.0, 0.0)))
 @example(1.0 - 3.9e-10)
 def test_effect_sqrt_agrees_with_generic_path(lam):
-    pair = unsharp_pair(lam)
-    for outcome, effect, smallest in (("+", pair.plus, (1.0 - lam) / 4.0),
-                                      ("-", pair.minus, (3.0 - 3.0 * lam) / 4.0)):
+    plus, minus = unsharp_pair(lam)
+    for outcome, effect, smallest in (("+", plus, (1.0 - lam) / 4.0),
+                                      ("-", minus, (3.0 - 3.0 * lam) / 4.0)):
         root = effect_sqrt(lam, outcome)
         assert np.abs(root @ root - effect).max() < 1e-15
         tolerance = generic_root_tolerance(lam, smallest)
@@ -163,13 +164,12 @@ def _eight_embed_channel(rho, lam):
     On (A, B, B') each Kraus operator is I_2 (x) sqrt(E) by np.kron; the
     trace over B' adds the two diagonal blocks of that qubit by hand.
     """
-    omegas = input_ensemble()
     total = np.zeros((8, 8), dtype=complex)
-    for weight, omega in zip(omegas.prior, omegas.states):
-        eta = np.kron(rho.matrix, omega.matrix)
+    for omega in input_ensemble():
+        eta = np.kron(rho.matrix, omega)
         for outcome in OUTCOMES:
             kraus = np.kron(np.eye(2), effect_sqrt(lam, outcome))
-            total += weight * (kraus @ eta @ kraus)
+            total += 0.25 * (kraus @ eta @ kraus)
     blocks = total.reshape(4, 2, 4, 2)
     return blocks[:, 0, :, 0] + blocks[:, 1, :, 1]
 

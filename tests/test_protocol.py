@@ -34,7 +34,12 @@ from mdiew.states import (
     werner_alpha,
     werner_strength,
 )
-from mdiew.witness import mdi_ew_closed_form_unsharp, mdi_ew_numeric, werner_beta
+from mdiew.witness import (
+    DETECTION_THRESHOLD,
+    mdi_ew_closed_form_unsharp,
+    mdi_ew_numeric,
+    werner_beta,
+)
 
 from conftest import decay, threshold_success_count
 
@@ -91,7 +96,7 @@ def test_threshold_records_satisfy_recursion():
     for current, following in zip(trace.records, trace.records[1:]):
         assert following.q == pytest.approx(f_of_lambda(current.lam) * current.q, abs=1e-12)
         assert current.negativity == pytest.approx(
-            negativity_walpha(current.q, trace.alpha), abs=1e-12)
+            negativity_walpha(current.q, 0.6), abs=1e-12)
     assert trace.n_success == threshold_success_count(0.6)
 
 
@@ -306,6 +311,22 @@ def test_equal_sharpness_at_open_boundary():
     assert abs(trace.records[0].witness_value) < 1e-12
 
 
+def test_detection_is_strictly_below_the_threshold():
+    # At alpha = 1/sqrt(2), c = 3 and observer 1's payoff is (1 - 3 lam)/16.
+    cases = [(1 / 3, False),            # payoff exactly 0.0
+             ((1 + 8e-12) / 3, False),  # payoff in (-1e-12, 0)
+             ((1 + 32e-12) / 3, True)]  # payoff below -1e-12
+    payoffs = []
+    for lam, succeeds in cases:
+        trace = run_equal_sharpness(ALPHA_MAX, lam)
+        payoffs.append(trace.records[0].witness_value)
+        for count in (trace.n_success, equal_sharpness_count(ALPHA_MAX, lam)):
+            assert (count >= 1) == succeeds
+    assert payoffs[0] == 0.0
+    assert -DETECTION_THRESHOLD < payoffs[1] < 0.0
+    assert payoffs[2] < -DETECTION_THRESHOLD
+
+
 def test_equal_sharpness_records_track_payoff():
     trace = run_equal_sharpness(0.55, 0.8)
     for record in trace.records:
@@ -399,6 +420,12 @@ def test_equal_sharpness_curve_shape():
     peak = counts.index(max(counts))
     assert all(a <= b for a, b in zip(counts[:peak], counts[1:peak + 1]))
     assert all(a >= b for a, b in zip(counts[peak:], counts[peak + 1:]))
+
+
+@pytest.mark.parametrize("step", [-0.1, 0.0, math.inf, math.nan])
+def test_equal_sharpness_curve_rejects_bad_step(step):
+    with pytest.raises(ValueError, match="grid step"):
+        equal_sharpness_curve(ALPHA_MAX, step)
 
 
 def test_lambda_range_partitions_the_window():
@@ -743,6 +770,6 @@ def test_one_step_recursion_matches_channel():
                 want = werner_alpha(q_next, alpha)
                 assert np.abs(stepped.matrix - want.matrix).max() < 1e-10
             for probe in (0.6, 1.0):
-                numeric = mdi_ew_numeric(stepped, beta, probe).value
+                numeric = mdi_ew_numeric(stepped, beta, probe)
                 closed = mdi_ew_closed_form_unsharp(q_next, alpha, probe)
                 assert abs(numeric - closed) < 1e-10

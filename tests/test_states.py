@@ -174,10 +174,16 @@ def test_input_state_rejects_bad_arguments():
 
 def test_input_ensemble_gram_matrix_nonsingular():
     ensemble = input_ensemble()
-    gram = np.array([[np.trace(a.matrix @ b.matrix).real for b in ensemble.states]
-                     for a in ensemble.states])
+    gram = np.array([[np.trace(a @ b).real for b in ensemble] for a in ensemble])
     assert abs(np.linalg.det(gram)) > 1e-6
-    assert ensemble.prior == (0.25, 0.25, 0.25, 0.25)
+
+
+def test_input_ensemble_is_a_read_only_stack_of_the_inputs():
+    ensemble = input_ensemble()
+    assert ensemble.shape == (4, 2, 2)
+    assert all(np.array_equal(ensemble[s], input_state(s).matrix) for s in range(4))
+    with pytest.raises(ValueError, match="read-only"):
+        ensemble[0, 0, 0] = 0.0
 
 
 # --- Bell state ----------------------------------------------------------------

@@ -40,7 +40,7 @@ def test_batched_separable_minimum_matches_literal_path(seed):
     for _ in range(200):
         rho = random_separable_two_qubit(rng)
         for lam in (0.25, 0.5, 1.0):
-            literal = min(literal, witness.mdi_ew_numeric(rho, beta, lam).value)
+            literal = min(literal, witness.mdi_ew_numeric(rho, beta, lam))
     assert abs(payoffs.min() - literal) <= 1e-15
     result = check_separable_nonnegativity(seed)
     assert result.passed
@@ -67,7 +67,7 @@ def _witness_grid_loop():
         for alpha in np.linspace(0.1, states.ALPHA_MAX, 5):
             rho = states.werner_alpha(q, alpha)
             for lam in np.linspace(0.0, 1.0, 5):
-                numeric = witness.mdi_ew_numeric(rho, witness.werner_beta(), lam).value
+                numeric = witness.mdi_ew_numeric(rho, witness.werner_beta(), lam)
                 worst = max(worst, abs(numeric - witness.mdi_ew_closed_form_unsharp(q, alpha, lam)))
     return worst
 
@@ -93,7 +93,7 @@ def _channel_statistics_loop():
             for alpha in (0.2, 0.4, states.ALPHA_MAX):
                 out = measurement.averaged_channel(states.werner_alpha(q, alpha), lam)
                 for probe in (0.5, 1.0):
-                    numeric = witness.mdi_ew_numeric(out, witness.werner_beta(), probe).value
+                    numeric = witness.mdi_ew_numeric(out, witness.werner_beta(), probe)
                     closed = witness.mdi_ew_closed_form_unsharp(
                         protocol.f_of_lambda(lam) * q, alpha, probe)
                     worst = max(worst, abs(numeric - closed))

@@ -17,7 +17,6 @@ from mdiew.states import (
 from mdiew.witness import (
     SingularEnsembleError,
     WitnessCoefficients,
-    WitnessValue,
     _payoffs,
     _reduced_witness_operators,
     decompose_witness,
@@ -48,7 +47,7 @@ CONTRACTION_FACTOR = 0.25
 
 
 def recompose(beta, taus, omegas):
-    return sum(beta[s, t] * tensor(taus.states[s].matrix.T, omegas.states[t].matrix.T)
+    return sum(beta[s, t] * tensor(taus[s].T, omegas[t].T)
                for s in range(4) for t in range(4))
 
 
@@ -67,23 +66,15 @@ def test_coefficients_reject_wrong_shape():
         WitnessCoefficients(np.zeros((3, 3)))
 
 
-def test_detection_is_strictly_negative():
-    assert not WitnessValue(0.0, 1.0).entangled
-    assert not WitnessValue(-1e-13, 1.0).entangled
-    assert WitnessValue(-1e-11, 1.0).entangled
-
-
 # --- numeric evaluation ------------------------------------------------------
 
 def test_numeric_payoff_spot_values():
     beta = werner_beta()
     singlet = werner_alpha(1.0, ALPHA_MAX)
-    assert mdi_ew_numeric(singlet, beta, 1.0).value == pytest.approx(-0.125, abs=1e-12)
+    assert mdi_ew_numeric(singlet, beta, 1.0) == pytest.approx(-0.125, abs=1e-12)
     noise = werner_alpha(0.0, ALPHA_MAX)
-    assert mdi_ew_numeric(noise, beta, 1.0).value == pytest.approx(1 / 16, abs=1e-12)
-    at_threshold = mdi_ew_numeric(singlet, beta, 1 / 3)
-    assert abs(at_threshold.value) < 1e-12
-    assert not at_threshold.entangled
+    assert mdi_ew_numeric(noise, beta, 1.0) == pytest.approx(1 / 16, abs=1e-12)
+    assert abs(mdi_ew_numeric(singlet, beta, 1 / 3)) < 1e-12
 
 
 def joint_success_probability(rho, lam, s, t):
@@ -93,8 +84,9 @@ def joint_success_probability(rho, lam, s, t):
     (B, B').
     """
     taus = omegas = input_ensemble()
-    op = tensor(bell_projector(), unsharp_pair(lam).plus)
-    eta = tensor(taus.states[s].matrix, rho.matrix, omegas.states[t].matrix)
+    plus, _ = unsharp_pair(lam)
+    op = tensor(bell_projector(), plus)
+    eta = tensor(taus[s], rho.matrix, omegas[t])
     return float(np.trace(op @ eta).real)
 
 
@@ -104,18 +96,19 @@ def test_numeric_uses_single_probabilities():
     lam = 0.6
     total = sum(beta.beta[s, t] * joint_success_probability(rho, lam, s, t)
                 for s in range(4) for t in range(4))
-    assert mdi_ew_numeric(rho, beta, lam).value == pytest.approx(total, abs=1e-14)
+    assert mdi_ew_numeric(rho, beta, lam) == pytest.approx(total, abs=1e-14)
 
 
 def _per_pair_loop_payoff(rho, beta, lam):
     """Reference: one np.kron-built 16x16 operator and trace per (s, t) pair."""
     taus = omegas = input_ensemble()
-    op = np.kron(bell_projector(), unsharp_pair(lam).plus)
+    plus, _ = unsharp_pair(lam)
+    op = np.kron(bell_projector(), plus)
     value = 0.0
     for s in range(4):
-        tau = taus.states[s].matrix
+        tau = taus[s]
         for t in range(4):
-            eta = np.kron(np.kron(tau, rho.matrix), omegas.states[t].matrix)
+            eta = np.kron(np.kron(tau, rho.matrix), omegas[t])
             value += beta.beta[s, t] * np.trace(op @ eta).real
     return float(value)
 
@@ -134,7 +127,7 @@ def test_numeric_is_bit_identical_to_per_pair_loop(lam):
     tables = [beta, WitnessCoefficients(rng.standard_normal((4, 4)))]
     for rho in _reference_states():
         for table in tables:
-            assert mdi_ew_numeric(rho, table, lam).value == _per_pair_loop_payoff(rho, table, lam)
+            assert mdi_ew_numeric(rho, table, lam) == _per_pair_loop_payoff(rho, table, lam)
 
 
 @pytest.mark.parametrize("size", [1, 2, 7])
@@ -144,7 +137,7 @@ def test_payoff_kernel_is_bit_identical_to_per_state_calls(size):
     lams = (0.0, 1.0 / 3.0, 0.5, 1.0)
     random_table = WitnessCoefficients(np.random.default_rng(7).standard_normal((4, 4)))
     for table in (werner_beta(), random_table):
-        per_state = [[mdi_ew_numeric(rho, table, lam).value for rho in rhos] for lam in lams]
+        per_state = [[mdi_ew_numeric(rho, table, lam) for rho in rhos] for lam in lams]
         assert np.array_equal(_payoffs(matrices, table, lams), per_state)
 
 
@@ -164,7 +157,7 @@ def test_reduced_operator_reproduces_literal_payoff(seed, lam):
     rho = DensityOperator(random_density_matrix(np.random.default_rng(seed), 4))
     beta = werner_beta()
     reduced = np.trace(reduced_witness_operator(lam, beta) @ rho.matrix).real
-    assert abs(reduced - mdi_ew_numeric(rho, beta, lam).value) <= 1e-15
+    assert abs(reduced - mdi_ew_numeric(rho, beta, lam)) <= 1e-15
 
 
 def test_reduced_operator_matches_closed_form():
@@ -224,7 +217,7 @@ def test_unsharp_matches_product_form():
 @settings(max_examples=40)
 @given(qs, alphas, lambdas)
 def test_numeric_equals_closed_form(q, alpha, lam):
-    numeric = mdi_ew_numeric(werner_alpha(q, alpha), werner_beta(), lam).value
+    numeric = mdi_ew_numeric(werner_alpha(q, alpha), werner_beta(), lam)
     closed = mdi_ew_closed_form_unsharp(q, alpha, lam)
     assert abs(numeric - closed) < 1e-10
 
@@ -266,7 +259,7 @@ def test_threshold_infeasible_cases():
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.25, 0.5, 1.0]))
 def test_separable_states_never_score_negative(seed, lam):
     rho = random_separable_two_qubit(np.random.default_rng(seed))
-    value = mdi_ew_numeric(rho, werner_beta(), lam).value
+    value = mdi_ew_numeric(rho, werner_beta(), lam)
     assert value >= -1e-10
 
 
@@ -297,7 +290,7 @@ def test_decompose_identity_target():
 
 def test_decompose_rejects_degenerate_ensemble():
     taus = input_ensemble()
-    duplicated = type(taus)((taus.states[0],) * 4)
+    duplicated = np.stack([taus[0]] * 4)
     with pytest.raises(SingularEnsembleError):
         decompose_witness(np.eye(4), duplicated, taus)
 
@@ -314,11 +307,11 @@ def test_contraction_factor_calibration(rng):
     taus = omegas = input_ensemble()
     identity_beta = decompose_witness(np.eye(4), taus, omegas)
     rho = DensityOperator(random_density_matrix(rng, 4))
-    calibrated = mdi_ew_numeric(rho, identity_beta, 1.0).value  # tr(I rho) * k = k
+    calibrated = mdi_ew_numeric(rho, identity_beta, 1.0)  # tr(I rho) * k = k
     assert calibrated == pytest.approx(CONTRACTION_FACTOR, abs=1e-12)
     for _ in range(5):
         target = random_hermitian(rng, 4)
         beta = decompose_witness(target, taus, omegas)
-        value = mdi_ew_numeric(rho, beta, 1.0).value
+        value = mdi_ew_numeric(rho, beta, 1.0)
         expected = CONTRACTION_FACTOR * np.trace(target @ rho.matrix).real
         assert value == pytest.approx(expected, abs=1e-10)
