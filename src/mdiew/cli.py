@@ -64,6 +64,37 @@ def _json_value(value):
     return value
 
 
+@functools.cache
+def _json_encoder(depth: int):
+    """json's C encoder, starting each item after the first on a new line indented to `depth`."""
+    import json
+
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _json_text(payload: dict) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) for a table payload.
+
+    json.dumps indents only in json's pure-Python encoder, so each value here
+    is one call of the C encoder whose item separator carries the newline and
+    indent.  An encoded scalar never holds a raw newline, and the rows are
+    non-empty lists of scalars, so in the encoded row list "],\n      ["
+    occurs only between two rows.
+    """
+    parts = []
+    for key, value in sorted(payload.items()):
+        if value and isinstance(value, list) and isinstance(value[0], list):
+            text = _json_encoder(3)(value).replace("],\n      [", "\n    ],\n    [\n      ")
+            text = f"[\n    [\n      {text[2:-2]}\n    ]\n  ]"
+        elif value and isinstance(value, (dict, list)):
+            text = _json_encoder(2)(value)
+            text = f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
+        else:
+            text = _json_encoder(1)(value)
+        parts.append(f"{_json_encoder(1)(key)}: {text}")
+    return "{\n  " + ",\n  ".join(parts) + "\n}"
+
+
 def _write_table(args: dict, columns: Sequence[str], rows: list[tuple],
                  params: dict) -> None:
     """Write the table as args["format"] to args["out"] or stdout.
@@ -79,9 +110,7 @@ def _write_table(args: dict, columns: Sequence[str], rows: list[tuple],
             "columns": list(columns),
             "rows": [[_json_value(v) for v in row] for row in rows],
         }
-        import json
-
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = _json_text(payload) + "\n"
     else:
         text = "\n".join(_csv_lines(columns, rows)) + "\n"
     if args["out"] is None:
@@ -110,7 +139,7 @@ def cmd_fig1(args: dict) -> int:
     entropies = step * np.arange(1, int(1.0 / step) + 1)
     entropies = entropies[entropies <= 1.0]
     alphas = states._alphas_from_entanglement(entropies)
-    edges = protocol._count_edges()
+    edges = protocol._COUNT_EDGES
     counts = np.searchsorted(edges, alphas, side="right")
     rows = list(zip(alphas.tolist(), entropies.tolist(), counts.tolist()))
     # the exact edge of the top count, unless a grid row already sits on it

@@ -21,7 +21,6 @@ threshold therefore maximizes the count over every sharpness schedule.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -184,14 +183,16 @@ def equal_sharpness_count(alpha: float, lam: float | np.ndarray) -> int | np.nda
     """Lean success counter of the equal-sharpness policy.
 
     A scalar lam gives an int; an array of sharpness values gives an int
-    array of the same shape, each entry equal to the scalar count.
+    array of the same shape, each entry equal to the scalar count.  The first
+    entry outside (0, 1] raises.
     """
     import numpy as np
 
     strength = werner_strength(alpha)
     lams = np.asarray(lam, dtype=float)
-    if not np.all((lams > 0.0) & (lams <= 1.0)):
-        raise ValueError(f"common sharpness must lie in (0, 1]; got {lam}")
+    outside = ~((lams > 0.0) & (lams <= 1.0))
+    if outside.any():
+        raise ValueError(f"common sharpness must lie in (0, 1]; got {float(lams[outside][0])}")
     # f_of_lambda elementwise, with the same operations in the same order
     decay = 0.5 * (1.0 + (np.sqrt((1.0 + 3.0 * lams) * (1.0 - lams))
                           + np.sqrt((3.0 - 3.0 * lams) * (3.0 + lams))) / 4.0)
@@ -230,50 +231,16 @@ def _threshold_orbit() -> tuple[float, ...]:
     return tuple(orbit)
 
 
-def _reaches(alpha: float, n: int) -> bool:
-    """Observer n succeeds under the threshold policy, i.e. the count is n or more."""
-    return all(step[3] for step in itertools.islice(_observers(alpha), n))
-
-
-# Floats searched on each side of an edge mapped back from the orbit; the
-# rounding of the runner's recursion moves an edge by a few of them.
-_EDGE_WINDOW = 16
-
-
-@functools.cache
-def _count_edges() -> tuple[float, ...]:
-    """Smallest alpha whose threshold-policy count is n or more, for n = 1, 2, ...
-
-    State-free, built on first use, ascending.  Edge 1 is a bisection on
-    observer 1's rule down to adjacent floats: there c - 1 ~ 1e-12, and the
-    inverse below would lose digits to the rounding of c.  Each later edge
-    maps its orbit value c = 1/lam back by the stable
-    alpha = s / sqrt(2 (1 + sqrt(1 - s^2))), s = (c - 1)/2, then steps float
-    by float to the first alpha where the runner's rule reaches n.
-    """
-    lo, hi = 0.0, ALPHA_MAX
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if _reaches(mid, 1):
-            hi = mid
-        else:
-            lo = mid
-    edges = [hi]
-    for n, lam in enumerate(_threshold_orbit()[1:-1], 2):
-        s = (1.0 - lam) / (2.0 * lam)
-        alpha = s / math.sqrt(2.0 * (1.0 + math.sqrt(1.0 - s * s)))
-        # step toward the edge until the rule flips; the edge is the side where it holds
-        reached = _reaches(alpha, n)
-        for _ in range(_EDGE_WINDOW):
-            step = math.nextafter(alpha, 0.0 if reached else 1.0)
-            if _reaches(step, n) != reached:
-                edges.append(alpha if reached else step)
-                break
-            alpha = step
-        else:
-            raise ArithmeticError(f"a count edge lies more than {_EDGE_WINDOW} floats "
-                                  "from its orbit value")
-    return tuple(edges)
+# Smallest alpha whose threshold-policy count is n or more, for n = 1, ..., 14:
+# the first float where the runner's rule (_observers) reaches n.  State-free,
+# so shipped as literals; tests pin each by bisection down to adjacent floats.
+_COUNT_EDGES = (
+    2.499944695699696e-13, 0.06457799631805435, 0.11754009847653216,
+    0.16447426458941805, 0.20773802690729581, 0.24865255387568064,
+    0.288101078060725, 0.3267682402888721, 0.3652690871865642,
+    0.4042498335544099, 0.4445122823605686, 0.48724615375507346,
+    0.5346391382748162, 0.5923410886765756,
+)
 
 
 def boundary_alpha_for_n(n_target: int) -> tuple[float, float]:
@@ -285,10 +252,9 @@ def boundary_alpha_for_n(n_target: int) -> tuple[float, float]:
     """
     if n_target < 1:
         raise ValueError(f"observer count must be positive; got {n_target}")
-    edges = _count_edges()
-    if n_target > len(edges):
+    if n_target > len(_COUNT_EDGES):
         raise ValueError(f"count never reaches {n_target}, even at alpha = {ALPHA_MAX}")
-    alpha = edges[n_target - 1]
+    alpha = _COUNT_EDGES[n_target - 1]
     return alpha, entanglement_entropy(alpha)
 
 
@@ -328,31 +294,23 @@ def _log_gain_and_slope(lam: float, level: int) -> tuple[float, float]:
             1.0 / lam + (level - 1) * decay_slope / decay)
 
 
-def _peak_sharpness(level: int) -> float:
-    """Maximizer of _log_gain over [1/3, 1]; the state does not enter it.
-
-    Bisection on the sign of the decreasing slope, down to adjacent floats.
-    """
-    lo, hi = LAMBDA_WINDOW
-    if _log_gain_and_slope(lo, level)[1] <= 0.0:
-        return lo
-    while lo < 0.5 * (lo + hi) < hi:
-        mid = 0.5 * (lo + hi)
-        if _log_gain_and_slope(mid, level)[1] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+# Maximizer of _log_gain over [1/3, 1] at levels 1, ..., 7, to adjacent floats
+# (tests pin each by bisection on the slope); the state does not enter it.
+# Level 7's peak gain is below every state's target, so no search reads further.
+_PEAKS = (
+    1.0, 0.8674707359729112, 0.7439617302096454, 0.6570849473024226,
+    0.5932635070975607, 0.5441866861378104, 0.5050630441370485,
+)
 
 
 @functools.cache
 def _level_profile(level: int) -> tuple[float, float, float, float]:
     """(peak, gain at peak, gain at 1/3, gain at 1) of _log_gain at `level`.
 
-    All four are state-free, so each level is solved once per process and
+    All four are state-free, so each level is evaluated once per process and
     every state only compares them against its own target.
     """
-    peak = _peak_sharpness(level)
+    peak = _PEAKS[level - 1]
     lo, hi = LAMBDA_WINDOW
     return peak, _log_gain(peak, level), _log_gain(lo, level), _log_gain(hi, level)
 

@@ -3,9 +3,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from mdiew import verify
+from mdiew import protocol, verify
 from mdiew.linalg import PSD_ATOL, DensityOperator, is_hermitian
-from mdiew.protocol import FEASIBILITY_TOL
+from mdiew.protocol import FEASIBILITY_TOL, LAMBDA_WINDOW
 from mdiew.states import ALPHA_MAX, _check_alphas, werner_alpha
 
 settings.register_profile(
@@ -147,3 +147,20 @@ def threshold_success_count(alpha):
         # q only falls, so a failed entry stays failed while the loop runs on;
         # the clip keeps its sharpness, at least 1 - FEASIBILITY_TOL, in range
         q = decay(np.minimum(lam, 1.0)) * q
+
+
+def peak_sharpness(level):
+    """Maximizer of protocol._log_gain over [1/3, 1] at `level` (test oracle).
+
+    Bisection on the sign of the decreasing slope, down to adjacent floats.
+    """
+    lo, hi = LAMBDA_WINDOW
+    if protocol._log_gain_and_slope(lo, level)[1] <= 0.0:
+        return lo
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if protocol._log_gain_and_slope(mid, level)[1] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi

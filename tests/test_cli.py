@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -155,7 +156,8 @@ GOLDEN_FIGURE_SHA256 = {
 
 # sha256 of other tables on stdout: the JSON writer, and CSV rows with int and
 # bool columns.  Taken before the CSV writer switched to one format template
-# per table, which kept every byte.
+# per table, and the JSON ones before the JSON writer left json.dumps, which
+# kept every byte.
 GOLDEN_TABLE_SHA256 = {
     ("run", "--entanglement", "0.8", "--margin", "0.01"):
         "2afc8045bccce4d23e79c4991afff1a77b776df9a4ef1fa63808aa5b7fdb0e8f",
@@ -165,6 +167,10 @@ GOLDEN_TABLE_SHA256 = {
         "894e35f47890c955da9b961c5cc79826e701aeb012049e94b70de46a5aa9c645",
     ("fig1", "--format", "json"):
         "f90ab44c505bc8df2a9ef1a7496d5dc21740beb83ad01cdc257f251ae10339ad",
+    ("fig3", "--format", "json"):
+        "01c7355471e5be9ffdb499e0a5f795b77525ca319526608c0f9a2dd6014be7c6",
+    ("run", "--alpha", "0.5", "--lambda", "0.6", "--format", "json"):
+        "ddfde2103abba49385b2624c6462058dea07a1aabffe48824c18586a02560919",
 }
 
 
@@ -193,6 +199,37 @@ def test_table_stdout_matches_golden_hash(args, capsys):
     assert stdout_sha256(args, capsys) == GOLDEN_TABLE_SHA256[args]
     assert cli._scan(tree_spelling(args)) is None
     assert stdout_sha256(tree_spelling(args), capsys) == GOLDEN_TABLE_SHA256[args]
+
+
+@pytest.mark.parametrize("args", [
+    ("fig1", "--grid-step", "0.05", "--format", "json"),
+    ("fig2", "--entanglement", "0.935", "--format", "json"),
+    ("fig3", "--format", "json"),
+    ("run", "--entanglement", "0.8", "--margin", "0.01", "--format", "json"),
+    ("run", "--alpha", "0.5", "--lambda", "0.6", "--format", "json"),
+    ("verify", "--format", "json"),
+], ids=" ".join)
+def test_json_output_is_json_dumps_of_its_payload(args, capsys):
+    assert cli.main(list(args)) == 0
+    out = capsys.readouterr().out
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+
+
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+_TRICKY_TEXT = ['q"uote', "back\\slash", "new\nline", "caf\u00e9 \u20ac \U0001f600",
+                "],\n      [", "],\n    ],\n    [\n      ", ""]
+
+
+@given(st.dictionaries(st.text(), _JSON_SCALARS), st.lists(st.text()),
+       st.lists(st.lists(_JSON_SCALARS, min_size=1)))
+@example({}, [], [])
+@example({"alpha": math.nan, "lambda": math.inf, "margin": -math.inf, **dict.fromkeys(_TRICKY_TEXT, 0)},
+         _TRICKY_TEXT, [[math.nan, math.inf, -math.inf, -0.0], _TRICKY_TEXT, [1], [True, None]])
+@example({"e": 1.0}, ["x"], [["],\n      ["], ["a", "],\n      [", "b"]])
+def test_json_writer_matches_json_dumps(params, columns, rows):
+    payload = {"schema_version": "1", "command": "run", "params": params,
+               "columns": columns, "rows": rows}
+    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
 
 
 def test_shared_parser_keeps_no_per_call_state(capsys):
@@ -416,6 +453,7 @@ NUMPY_FREE_CALLS = (
     (("run", "--entanglement", "0.8", "--margin", "0.01"), 0, False),
     (("run", "--alpha", "0.5", "--lambda", "0.6", "--format", "json"), 0, False),
     (("fig3", "--grid-step", "0.25"), 0, False),
+    (("fig3", "--grid-step", "0.25", "--format", "json"), 0, False),
     (("--help",), 0, True),
     (("run", "--entanglement", "2"), 2, True),
 )
@@ -468,7 +506,7 @@ def test_import_does_not_load_scipy():
 
 
 def test_count_edge_table_loads_no_numpy():
-    # the table is built from the runner's scalar rule, in a fresh interpreter
+    # the edges are a literal table, read in a fresh interpreter
     probe = ("import sys; from mdiew import protocol; "
              "print(repr(protocol.boundary_alpha_for_n(14)[0]), 'numpy' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),

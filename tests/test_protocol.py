@@ -41,7 +41,7 @@ from mdiew.witness import (
     werner_beta,
 )
 
-from conftest import decay, threshold_success_count
+from conftest import decay, peak_sharpness, threshold_success_count
 
 alphas = st.floats(0.05, ALPHA_MAX)
 lambdas_open = st.floats(0.05, 1.0)
@@ -145,7 +145,7 @@ def test_threshold_counts_monotone_in_entanglement():
 def test_threshold_count_matches_trace(alpha):
     assert threshold_success_count(alpha) == run_threshold_protocol(alpha).n_success
     # fig1's count: the number of count edges at or below alpha
-    assert (np.searchsorted(protocol._count_edges(), alpha, side="right")
+    assert (np.searchsorted(protocol._COUNT_EDGES, alpha, side="right")
             == run_threshold_protocol(alpha).n_success)
 
 
@@ -199,7 +199,7 @@ def test_count_edges_equal_the_adjacent_float_bisection():
     def reached(alpha, n_target):
         return all(step[3] for step in itertools.islice(protocol._observers(alpha), n_target))
 
-    edges = protocol._count_edges()
+    edges = protocol._COUNT_EDGES
     assert len(edges) == 14
     assert type(edges) is tuple
     for n_target, edge in enumerate(edges, 1):
@@ -229,7 +229,7 @@ def test_count_edges_match_mpmath_backward_orbit():
             target = orbit[-1]
             orbit.append(mpmath.findroot(lambda x: x * _mp_decay(1 / x) - target,
                                          (target, 2 * target), solver="anderson"))
-        edges = protocol._count_edges()
+        edges = protocol._COUNT_EDGES
         for n_target in range(2, 15):
             s = (orbit[n_target - 1] - 1) / 2
             alpha = mpmath.sqrt((1 - mpmath.sqrt(1 - s * s)) / 2)
@@ -271,19 +271,12 @@ def test_threshold_schedule_is_optimal():
 
 def test_count_edges_count_like_the_runner_near_every_edge():
     # 64 floats on each side of each edge: the table, the array oracle and the runner agree
-    edges = protocol._count_edges()
+    edges = protocol._COUNT_EDGES
     points = (np.array(edges).view(np.int64)[:, None]
               + np.arange(-64, 65)).view(np.float64).ravel()
     counts = np.searchsorted(edges, points, side="right")
     assert counts.tolist() == threshold_success_count(points).tolist()
     assert counts.tolist() == [run_threshold_protocol(point).n_success for point in points]
-
-
-def test_count_edges_raise_when_an_edge_leaves_its_window(monkeypatch):
-    # with no float on either side, the edges that rounding moved are not bracketed
-    monkeypatch.setattr(protocol, "_EDGE_WINDOW", 0)
-    with pytest.raises(ArithmeticError, match="more than 0 floats"):
-        protocol._count_edges.__wrapped__()
 
 
 # --- equal sharpness ---------------------------------------------------------------
@@ -365,6 +358,14 @@ def test_equal_count_rejects_out_of_range_sharpness():
     for bad in (0.0, 1.5, [0.5, 0.0]):
         with pytest.raises(ValueError, match="sharpness"):
             equal_sharpness_count(ALPHA_MAX, bad)
+    # an array names its first bad entry, which NumPy's summary would hide
+    lams = np.linspace(0.4, 1.0, 2000)
+    lams[5] = 0.0
+    with pytest.raises(ValueError, match=r"lie in \(0, 1\]; got 0\.0$"):
+        equal_sharpness_count(ALPHA_MAX, lams)
+    lams[1000] = math.nan
+    with pytest.raises(ValueError, match=r"got 0\.0$"):
+        equal_sharpness_count(ALPHA_MAX, lams)
 
 
 @given(alphas, lambdas_open)
@@ -470,7 +471,7 @@ def test_window_edges_flip_the_count(entropy):
     # the next level has no window: its count is never reached
     best = len(windows)
     assert n_max_over_lambda(alpha) == (best, [windows[-1]])
-    assert equal_sharpness_count(alpha, protocol._peak_sharpness(best + 1)) == best
+    assert equal_sharpness_count(alpha, peak_sharpness(best + 1)) == best
 
 
 @pytest.mark.parametrize("entropy", WINDOW_ENTROPIES)
@@ -561,12 +562,12 @@ def test_peak_sharpness_does_not_depend_on_the_state():
     lams = protocol._lambda_grid(1e-5)
     decay = np.array([f_of_lambda(lam) for lam in lams])
     for level in range(1, 7):
-        peak = protocol._peak_sharpness(level)
+        peak = protocol._PEAKS[level - 1]
         for entropy in WINDOW_ENTROPIES:
             strength = werner_strength(alpha_from_entanglement(entropy))
             margin = lams * decay ** (level - 1) * strength
             assert abs(lams[np.argmax(margin)] - peak) <= 1e-5
-    assert protocol._peak_sharpness(1) == 1.0
+    assert protocol._PEAKS[0] == peak_sharpness(1) == 1.0
 
 
 def test_window_edge_solves_stop_at_rounding_noise(monkeypatch):
@@ -606,9 +607,21 @@ def test_fused_log_gain_matches_two_pass_arithmetic():
         for lam in lams.tolist():
             fused = protocol._log_gain_and_slope(lam, level)
             assert fused == _two_pass_log_gain_and_slope(lam, level)
+    for level in range(1, len(protocol._PEAKS) + 1):
         peak, *gains = protocol._level_profile(level)
-        assert peak == protocol._peak_sharpness(level)
+        assert peak == peak_sharpness(level)
         assert gains == [protocol._log_gain(x, level) for x in (peak, lo, hi)]
+
+
+def test_peak_table_equals_the_bisection_and_covers_every_state():
+    assert type(protocol._PEAKS) is tuple
+    assert protocol._PEAKS == tuple(peak_sharpness(level) for level in range(1, 8))
+    # the window search stops at the first level whose peak gain is at or
+    # below the state's target; the lowest target is the most entangled
+    # state's, and the last tabled level is already there
+    log_target = math.log1p(16.0 * DETECTION_THRESHOLD) - math.log(werner_strength(ALPHA_MAX))
+    assert protocol._level_profile(len(protocol._PEAKS))[1] <= log_target
+    assert protocol._level_profile(len(protocol._PEAKS) - 1)[1] > log_target
 
 
 @pytest.mark.parametrize("entropy", WINDOW_ENTROPIES)

@@ -149,3 +149,19 @@ def test_worst_deviation_propagates_nan_and_floors_at_zero():
     assert verify._worst([-1.0, -0.0]) == 0.0
     assert np.copysign(1.0, verify._worst([-0.0])) == 1.0
     assert verify._worst([]) == 0.0
+
+
+@pytest.mark.parametrize("toward", [0.0, 1.0])
+def test_boundary_check_reruns_the_shipped_edge(monkeypatch, toward):
+    passed = verify.check_threshold_boundary()
+    assert passed.passed
+    assert passed.detail == "boundary E = 0.934841"
+    # an edge literal one float off: the runner's counts give it away, even
+    # though the entropy stays well inside the tolerance
+    edges = list(protocol._COUNT_EDGES)
+    edges[13] = float(np.nextafter(edges[13], toward))
+    monkeypatch.setattr(protocol, "_COUNT_EDGES", tuple(edges))
+    failed = verify.check_threshold_boundary()
+    assert not failed.passed
+    assert failed.deviation == np.inf
+    assert failed.detail.startswith(passed.detail + "; runner counts [")
