@@ -4,7 +4,8 @@ Each check recomputes one of the package's oracle equivalences or structural
 properties and reports its worst deviation against a pinned tolerance.  The
 suite is seeded and finishes in tens of milliseconds.  The grid checks build
 and validate their states as stacks and evaluate them with the stacked
-literal kernels, each the many-state case of one public function.
+literal kernels, each the many-state, many-sharpness case of one public
+function.
 """
 
 from __future__ import annotations
@@ -161,8 +162,7 @@ def check_channel_closure_maximal() -> CheckResult:
     """At alpha = 1/sqrt(2) the channel maps the family onto itself, q -> f q."""
     alpha = states.ALPHA_MAX
     matrices = states._werner_alphas(_CHANNEL_QS, alpha)
-    outs = np.concatenate([measurement._averaged_channel(matrices, lam)
-                           for lam in _CHANNEL_LAMS])
+    outs = measurement._averaged_channel(matrices, _CHANNEL_LAMS)
     wants = states._werner_alphas(
         [protocol.f_of_lambda(lam) * q for lam in _CHANNEL_LAMS for q in _CHANNEL_QS], alpha)
     worst = float(np.abs(outs - wants).max())
@@ -178,8 +178,7 @@ def check_channel_statistics() -> CheckResult:
     """
     points = [(q, alpha) for q in _CHANNEL_QS for alpha in _CHANNEL_ALPHAS]
     matrices = states._werner_alphas(*zip(*points))
-    outs = np.concatenate([measurement._averaged_channel(matrices, lam)
-                           for lam in _CHANNEL_LAMS])
+    outs = measurement._averaged_channel(matrices, _CHANNEL_LAMS)
     numeric = witness._payoffs(outs, witness.werner_beta(), _CHANNEL_PROBES).reshape(
         len(_CHANNEL_PROBES), len(_CHANNEL_LAMS), len(points))
     deviations = []
@@ -281,15 +280,13 @@ def check_sharp_survival() -> CheckResult:
 def check_decomposition_roundtrip() -> CheckResult:
     """Recomposing a decomposed witness operator reproduces it."""
     taus = omegas = states.input_ensemble()
+    products = witness._input_products(taus, omegas)
     beta = witness.werner_beta()
-    target = sum(beta.beta[s, t]
-                 * linalg.tensor(taus[s].T, omegas[t].T)
-                 for s in range(4) for t in range(4))
+    target = sum(beta.beta[s, t] * products[s, t] for s in range(4) for t in range(4))
     recovered = witness.decompose_witness(target, taus, omegas)
     dev = float(np.abs(recovered.beta - beta.beta).max())
     identity_beta = witness.decompose_witness(np.eye(4), taus, omegas)
-    recomposed = sum(identity_beta.beta[s, t]
-                     * linalg.tensor(taus[s].T, omegas[t].T)
+    recomposed = sum(identity_beta.beta[s, t] * products[s, t]
                      for s in range(4) for t in range(4))
     dev = _worst([dev, np.abs(recomposed - np.eye(4)).max()])
     return _result("witness_decomposition_roundtrip", dev, 1e-10)

@@ -4,8 +4,10 @@ The payoff of the semi-quantum game is
 
     I_lam(rho) = sum_st beta_st P_lam(1,1 | tau_s, omega_t),
 
-evaluated here by the full 16-dimensional trace, as tr(W(lam) rho) with the
-reduced 4x4 witness operator W(lam), and by the closed form (1 - lam q c)/16
+evaluated here by the full 16-dimensional trace (the literal 16x16
+operators, contracted entry by entry without forming their product), as
+tr(W(lam) rho) with the reduced 4x4 witness operator W(lam), and by the
+closed form (1 - lam q c)/16
 for the noisy partially entangled family, where
 c = 1 + 4 alpha sqrt(1 - alpha^2).  A strictly negative value certifies
 entanglement; separable states can never go below zero.
@@ -58,20 +60,28 @@ def _payoffs(matrices: np.ndarray, beta: WitnessCoefficients, lams) -> np.ndarra
     """Payoffs by the full 16-dimensional trace, one row per sharpness, one column per state.
 
     `matrices` is a stack of 4x4 two-qubit density matrices and `lams` a
-    sequence of sharpness values.  Every payoff
-    takes the same operations as a one-state call: one op @ eta product per
-    (lam, state, s, t) and the beta sum accumulated pair by pair.
+    sequence of sharpness values.  Every operator P+ (x) E+_lam and
+    tau_s (x) rho (x) omega_t is built in full, and each trace is taken as
+    tr(op eta) = vec(op^T) . vec(eta), without forming the product op @ eta.
+    Every payoff takes the same operations as a one-state call: one
+    contraction over all the flattened operators, and the beta sum
+    accumulated pair by pair.
     """
     import numpy as np
 
-    from .linalg import _kron, tensor
-    from .measurement import bell_projector, unsharp_pair
+    from .linalg import _kron
+    from .measurement import _effects, bell_projector
 
     taus = omegas = input_ensemble()
-    ops = np.stack([tensor(bell_projector(), unsharp_pair(lam)[0]) for lam in lams])
+    ops = _kron(bell_projector(), _effects(lams)[0])
     # etas[n, s, t] = tau_s (x) rho_n (x) omega_t, each a full 16x16 operator.
     etas = _kron(_kron(taus, matrices[:, None])[:, :, None], omegas)
-    traces = np.trace(ops[:, None, None, None] @ etas, axis1=-2, axis2=-1).real
+    # tr(op eta) = sum_jk op[j, k] eta[k, j]: each op transposed and flattened
+    # against each eta flattened.  One einsum, not a BLAS product: NumPy would
+    # send a one-sharpness call to gemv and a stacked one to gemm, which round
+    # differently.
+    traces = np.einsum("lk,nk->ln", ops.swapaxes(-1, -2).reshape(-1, 256),
+                       etas.reshape(-1, 256)).real.reshape(len(ops), *etas.shape[:3])
     # Row-major accumulation, one pair at a time: a contraction over (s, t)
     # would reorder the sum and move the result in its last bits.
     values = np.zeros(traces.shape[:2])
@@ -96,12 +106,12 @@ def _reduced_witness_operators(lams, beta: WitnessCoefficients) -> np.ndarray:
     """
     import numpy as np
 
-    from .linalg import tensor
-    from .measurement import bell_projector, unsharp_pair
+    from .linalg import _kron
+    from .measurement import _effects, bell_projector
 
     taus = omegas = input_ensemble()
     # Axes: sharpness, then (A', A, B, B') of the output index, then of the input index.
-    ops = np.stack([tensor(bell_projector(), unsharp_pair(lam)[0]) for lam in lams])
+    ops = _kron(bell_projector(), _effects(lams)[0])
     inputs = np.einsum("st,sea,thd->eahd", beta.beta, taus, omegas)
     return np.einsum("labcdefgh,eahd->lbcfg", ops.reshape(-1, *(2,) * 8), inputs).reshape(-1, 4, 4)
 
@@ -143,6 +153,16 @@ def threshold_lambda(q: float, alpha: float) -> float:
     return 1.0 / (q * strength)
 
 
+def _input_products(taus: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """The (4, 4, 4, 4) stack of tau_s^T (x) omega_t^T over the pairs (s, t), as tensor builds each."""
+    import numpy as np
+
+    from .linalg import _kron
+
+    taus, omegas = (np.asarray(inputs, dtype=complex).swapaxes(-1, -2) for inputs in (taus, omegas))
+    return _kron(taus[:, None], omegas[None])
+
+
 def decompose_witness(w: np.ndarray, taus: np.ndarray, omegas: np.ndarray) -> WitnessCoefficients:
     """Solve sum_st beta_st tau_s^T (x) omega_t^T = w for a real beta table.
 
@@ -153,17 +173,14 @@ def decompose_witness(w: np.ndarray, taus: np.ndarray, omegas: np.ndarray) -> Wi
     """
     import numpy as np
 
-    from .linalg import is_hermitian, tensor
+    from .linalg import is_hermitian
 
     w = np.asarray(w, dtype=complex)
     if w.shape != (4, 4):
         raise ValueError(f"witness operator must be 4x4; got shape {w.shape}")
     if not is_hermitian(w):
         raise ValueError("witness operator must be Hermitian")
-    columns = np.column_stack([
-        tensor(taus[s].T, omegas[t].T).reshape(-1)
-        for s in range(4) for t in range(4)
-    ])
+    columns = _input_products(taus, omegas).reshape(16, 16).T
     system = np.vstack([columns.real, columns.imag])
     if np.linalg.matrix_rank(system) < 16:
         raise SingularEnsembleError("input ensembles do not span the two-qubit operator space")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from mdiew.linalg import (
+    PAULI,
     DensityOperator,
     _check_density_matrices,
     _kron,
@@ -70,6 +71,15 @@ def test_stacked_validation_runs_each_check_over_the_whole_stack(rng):
 
 
 # --- tensor ----------------------------------------------------------------
+
+def test_pauli_matrices_are_read_only():
+    for pauli in PAULI:
+        with pytest.raises(ValueError, match="read-only"):
+            pauli *= 2
+        with pytest.raises(ValueError, match="read-only"):
+            pauli[0, 0] = 5.0
+    assert np.array_equal(PAULI[3], SZ)
+
 
 def test_tensor_identities():
     assert np.array_equal(tensor(I2, I2), I4)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -7,6 +9,7 @@ from mdiew.linalg import DensityOperator
 from mdiew.measurement import (
     OUTCOMES,
     _averaged_channel,
+    _effects,
     averaged_channel,
     bell_projector,
     effect_sqrt,
@@ -14,6 +17,7 @@ from mdiew.measurement import (
 )
 from mdiew.protocol import f_of_lambda
 from mdiew.states import ALPHA_MAX, input_ensemble, psi_alpha, werner_alpha
+from mdiew.witness import _payoffs, werner_beta
 
 from conftest import (
     herm_sqrt,
@@ -61,6 +65,56 @@ def test_unsharp_pair_range_errors():
     for lam in (-0.01, 1.01):
         with pytest.raises(ValueError, match="sharpness"):
             unsharp_pair(lam)
+
+
+def test_bell_projector_is_read_only():
+    projector = bell_projector()
+    with pytest.raises(ValueError, match="read-only"):
+        projector *= 2
+    with pytest.raises(ValueError, match="read-only"):
+        projector[0, 0] = 1.0
+    assert bell_projector() is projector
+    assert np.array_equal(unsharp_pair(1.0)[0], projector)
+
+
+# Sharpness grid of the effect-stack tests: 101 points from 0 to 1, then 1/3.
+STACK_LAMS = np.append(np.linspace(0.0, 1.0, 101), 1.0 / 3.0)
+
+
+def scalar_effects(lam):
+    """Reference: the plus effect and both Kraus roots by the one-sharpness scalar formulas."""
+    proj = bell_projector()
+    plus = lam * proj + (1.0 - lam) / 4.0 * I4
+    roots = []
+    for on_bell, off_bell in (((1.0 + 3.0 * lam) / 4.0, (1.0 - lam) / 4.0),
+                              ((3.0 - 3.0 * lam) / 4.0, (3.0 + lam) / 4.0)):
+        on_bell, off_bell = math.sqrt(on_bell), math.sqrt(off_bell)
+        roots.append((on_bell - off_bell) * proj + off_bell * I4)
+    return plus, *roots
+
+
+def test_effect_stack_is_bit_identical_to_one_sharpness_calls():
+    plus, plus_roots, minus_roots = _effects(STACK_LAMS)
+    assert plus.shape == plus_roots.shape == minus_roots.shape == (len(STACK_LAMS), 4, 4)
+    for index, lam in enumerate(STACK_LAMS):
+        assert np.array_equal(plus[index], unsharp_pair(lam)[0])
+        assert np.array_equal(plus_roots[index], effect_sqrt(lam, "+"))
+        assert np.array_equal(minus_roots[index], effect_sqrt(lam, "-"))
+        reference = scalar_effects(float(lam))
+        for got, want in zip((plus[index], plus_roots[index], minus_roots[index]), reference):
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (1.5, "1.5")])
+def test_sharpness_stack_names_its_first_bad_entry(bad, shown):
+    lams = np.linspace(0.0, 1.0, 2000)
+    lams[5] = bad
+    lams[1000] = -0.5
+    matrices = werner_alpha(0.5, ALPHA_MAX).matrix[None]
+    for build in (_effects, lambda lams: _averaged_channel(matrices, lams),
+                  lambda lams: _payoffs(matrices, werner_beta(), lams)):
+        with pytest.raises(ValueError, match=rf"sharpness must lie in \[0, 1\]; got {shown}$"):
+            build(lams)
 
 
 # --- effect square roots ----------------------------------------------------------
@@ -190,4 +244,14 @@ def test_channel_kernel_is_bit_identical_to_per_state_calls(size):
     matrices = np.stack([rho.matrix for rho in rhos])
     for lam in (0.0, 1.0 / 3.0, 0.5, 1.0):
         per_state = np.stack([averaged_channel(rho, lam).matrix for rho in rhos])
-        assert np.array_equal(_averaged_channel(matrices, lam), per_state)
+        assert np.array_equal(_averaged_channel(matrices, (lam,)), per_state)
+
+
+def test_channel_over_a_sharpness_stack_is_bit_identical_to_per_lambda_calls():
+    rhos = werner_and_random_states(np.random.default_rng(5), 3)
+    matrices = np.stack([rho.matrix for rho in rhos])
+    lams = (0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0)
+    stacked = _averaged_channel(matrices, lams)
+    assert stacked.shape == (len(lams) * len(rhos), 4, 4)
+    per_lambda = [averaged_channel(rho, lam).matrix for lam in lams for rho in rhos]
+    assert np.array_equal(stacked, np.stack(per_lambda))

@@ -17,6 +17,7 @@ from mdiew.states import (
 from mdiew.witness import (
     SingularEnsembleError,
     WitnessCoefficients,
+    _input_products,
     _payoffs,
     _reduced_witness_operators,
     decompose_witness,
@@ -99,7 +100,17 @@ def test_numeric_uses_single_probabilities():
     assert mdi_ew_numeric(rho, beta, lam) == pytest.approx(total, abs=1e-14)
 
 
-def _per_pair_loop_payoff(rho, beta, lam):
+def _flattened_trace(op, eta):
+    """tr(op @ eta) by the payoff kernel's contraction: op^T flattened against eta flattened."""
+    return np.einsum("lk,nk->ln", op.T.reshape(1, -1), eta.reshape(1, -1))[0, 0].real
+
+
+def _product_trace(op, eta):
+    """tr(op @ eta) from the full 16x16 product."""
+    return np.trace(op @ eta).real
+
+
+def _per_pair_loop_payoff(rho, beta, lam, trace=_flattened_trace):
     """Reference: one np.kron-built 16x16 operator and trace per (s, t) pair."""
     taus = omegas = input_ensemble()
     plus, _ = unsharp_pair(lam)
@@ -109,7 +120,7 @@ def _per_pair_loop_payoff(rho, beta, lam):
         tau = taus[s]
         for t in range(4):
             eta = np.kron(np.kron(tau, rho.matrix), omegas[t])
-            value += beta.beta[s, t] * np.trace(op @ eta).real
+            value += beta.beta[s, t] * trace(op, eta)
     return float(value)
 
 
@@ -130,6 +141,20 @@ def test_numeric_is_bit_identical_to_per_pair_loop(lam):
             assert mdi_ew_numeric(rho, table, lam) == _per_pair_loop_payoff(rho, table, lam)
 
 
+@pytest.mark.parametrize("lam", [0.0, 1.0 / 3.0, 0.5, 1.0])
+def test_numeric_is_within_few_ulps_of_the_product_trace(lam):
+    # Each pair's trace is a probability in [0, 1]; the flattened contraction
+    # sums its 256 terms in another order than np.trace(op @ eta), so allow
+    # two ulps of 1 per pair, weighted by |beta_st|.
+    rng = np.random.default_rng(7)
+    tables = [werner_beta(), WitnessCoefficients(rng.standard_normal((4, 4)))]
+    for rho in _reference_states():
+        for table in tables:
+            bound = 2.0 * np.finfo(float).eps * np.abs(table.beta).sum()
+            reference = _per_pair_loop_payoff(rho, table, lam, trace=_product_trace)
+            assert abs(mdi_ew_numeric(rho, table, lam) - reference) <= bound
+
+
 @pytest.mark.parametrize("size", [1, 2, 7])
 def test_payoff_kernel_is_bit_identical_to_per_state_calls(size):
     rhos = werner_and_random_states(np.random.default_rng(size), size)
@@ -139,6 +164,21 @@ def test_payoff_kernel_is_bit_identical_to_per_state_calls(size):
     for table in (werner_beta(), random_table):
         per_state = [[mdi_ew_numeric(rho, table, lam) for rho in rhos] for lam in lams]
         assert np.array_equal(_payoffs(matrices, table, lams), per_state)
+
+
+@pytest.mark.parametrize("n_lams, n_states", [(1, 7), (4, 1)])
+def test_payoff_kernel_is_bit_identical_to_per_point_calls(n_lams, n_states):
+    # one sharpness against many states and many sharpness values against one
+    # state: the shapes at which a BLAS product would switch between gemv and gemm
+    rhos = werner_and_random_states(np.random.default_rng(3), n_states)
+    matrices = np.stack([rho.matrix for rho in rhos])
+    lams = (0.6, 0.0, 1.0 / 3.0, 1.0)[:n_lams]
+    random_table = WitnessCoefficients(np.random.default_rng(9).standard_normal((4, 4)))
+    for table in (werner_beta(), random_table):
+        got = _payoffs(matrices, table, lams)
+        assert got.shape == (n_lams, n_states)
+        assert np.array_equal(got, [[mdi_ew_numeric(rho, table, lam) for rho in rhos]
+                                    for lam in lams])
 
 
 def test_numeric_rejects_wrong_layout(rng):
@@ -286,6 +326,16 @@ def test_decompose_identity_target():
     taus = omegas = input_ensemble()
     beta = decompose_witness(np.eye(4), taus, omegas)
     assert np.abs(recompose(beta.beta, taus, omegas) - np.eye(4)).max() < 1e-10
+
+
+def test_input_products_are_bit_identical_to_tensor_calls(rng):
+    ensembles = [input_ensemble(), np.stack([random_hermitian(rng, 2) for _ in range(4)])]
+    for taus in ensembles:
+        for omegas in ensembles:
+            products = _input_products(taus, omegas)
+            for s in range(4):
+                for t in range(4):
+                    assert np.array_equal(products[s, t], tensor(taus[s].T, omegas[t].T))
 
 
 def test_decompose_rejects_degenerate_ensemble():
