@@ -134,10 +134,12 @@ def _negativities(matrices: np.ndarray) -> np.ndarray:
     """negativity of each matrix in a stack: one eigvalsh over the stacked partial transposes.
 
     eigvalsh sorts ascending, so the negative eigenvalues lead each row and
-    adding the zeros that replace the rest leaves their sum unchanged.
+    adding the zeros that replace the rest leaves their sum unchanged.  The
+    result is 0.0 minus that sum, not its negation, so a state with no
+    negative eigenvalue reads +0.0 rather than -0.0.
     """
     eigvals = np.linalg.eigvalsh(_partial_transposes(matrices))
-    return -np.where(eigvals < 0, eigvals, 0.0).sum(axis=-1)
+    return 0.0 - np.where(eigvals < 0, eigvals, 0.0).sum(axis=-1)
 
 
 def negativity(rho: DensityOperator) -> float:

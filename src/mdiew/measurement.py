@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from .linalg import DensityOperator, _kron, _read_only, _two_qubit_matrix
-from .states import bell_phi_plus, input_ensemble
+from .states import _check_lams, bell_phi_plus, input_ensemble
 
 OUTCOMES = ("+", "-")
 
@@ -40,10 +40,7 @@ def _effects(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eigenvalues on |Phi+> and off it, and every entry takes the
     one-sharpness operations elementwise.
     """
-    lams = np.asarray(lams, dtype=float)
-    outside = ~((lams >= 0.0) & (lams <= 1.0))
-    if outside.any():
-        raise ValueError(f"sharpness must lie in [0, 1]; got {float(lams[outside][0])}")
+    lams = _check_lams(lams)
     projector, identity = bell_projector(), np.eye(4)
     lams = lams[:, None, None]
 

@@ -25,7 +25,15 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .states import ALPHA_MAX, _increasing_root, entanglement_entropy, werner_strength
+from .states import (
+    ALPHA_MAX,
+    _check_alphas,
+    _check_lams,
+    _check_qs,
+    _increasing_root,
+    entanglement_entropy,
+    werner_strength,
+)
 from .witness import DETECTION_THRESHOLD, threshold_lambda
 
 if TYPE_CHECKING:  # the array functions import NumPy where they run
@@ -77,6 +85,18 @@ def f_of_lambda(lam: float) -> float:
                          + math.sqrt((3.0 - 3.0 * lam) * (3.0 + lam))) / 4.0)
 
 
+def _decays(lams) -> np.ndarray:
+    """f_of_lambda elementwise, with the same operations in the same order.
+
+    The first entry outside [0, 1], NaN included, raises f_of_lambda's error.
+    """
+    import numpy as np
+
+    lams = _check_lams(lams)
+    return 0.5 * (1.0 + (np.sqrt((1.0 + 3.0 * lams) * (1.0 - lams))
+                         + np.sqrt((3.0 - 3.0 * lams) * (3.0 + lams))) / 4.0)
+
+
 def negativity_walpha(q: float, alpha: float) -> float:
     """Closed-form negativity max{(q c - 1)/4, 0} of the noisy pair.
 
@@ -89,6 +109,21 @@ def negativity_walpha(q: float, alpha: float) -> float:
     return max(q * alpha * math.sqrt(1.0 - alpha * alpha) - (1.0 - q) / 4.0, 0.0)
 
 
+def _negativities_walpha(qs, alphas) -> np.ndarray:
+    """negativity_walpha elementwise over broadcast `qs` and `alphas`.
+
+    Each entry takes the scalar's operations in the same order.  Every q is
+    checked before any alpha; the first bad entry, NaN included, raises the
+    scalar's error.  The clip is Python's max(value, 0.0), which keeps
+    `value` unless 0.0 exceeds it.
+    """
+    import numpy as np
+
+    qs, alphas = _check_qs(qs), _check_alphas(alphas)
+    values = qs * alphas * np.sqrt(1.0 - alphas * alphas) - (1.0 - qs) / 4.0
+    return np.where(0.0 > values, 0.0, values)
+
+
 def delta_negativity(negativity: float, lam: float) -> float:
     """Negativity lost to one unsharp measurement.
 
@@ -98,6 +133,24 @@ def delta_negativity(negativity: float, lam: float) -> float:
     if not 0.0 <= negativity <= 0.5:
         raise ValueError(f"negativity must be in [0, 1/2]; got {negativity}")
     return min((1.0 + 4.0 * negativity) / 4.0 * (1.0 - f_of_lambda(lam)), negativity)
+
+
+def _delta_negativities(negativities, lams) -> np.ndarray:
+    """delta_negativity elementwise over broadcast negativities and sharpness values.
+
+    Each entry takes the scalar's operations in the same order.  Every
+    negativity is checked before any sharpness; the first bad entry, NaN
+    included, raises the scalar's error.  The clip is Python's
+    min(loss, negativity), which keeps `loss` unless the negativity is below it.
+    """
+    import numpy as np
+
+    negativities = np.asarray(negativities, dtype=float)
+    outside = ~((negativities >= 0.0) & (negativities <= 0.5))
+    if outside.any():
+        raise ValueError(f"negativity must be in [0, 1/2]; got {float(negativities[outside][0])}")
+    losses = (1.0 + 4.0 * negativities) / 4.0 * (1.0 - _decays(lams))
+    return np.where(negativities < losses, negativities, losses)
 
 
 def threshold_from_negativity(negativity: float) -> float:
@@ -193,9 +246,7 @@ def equal_sharpness_count(alpha: float, lam: float | np.ndarray) -> int | np.nda
     outside = ~((lams > 0.0) & (lams <= 1.0))
     if outside.any():
         raise ValueError(f"common sharpness must lie in (0, 1]; got {float(lams[outside][0])}")
-    # f_of_lambda elementwise, with the same operations in the same order
-    decay = 0.5 * (1.0 + (np.sqrt((1.0 + 3.0 * lams) * (1.0 - lams))
-                          + np.sqrt((3.0 - 3.0 * lams) * (3.0 + lams))) / 4.0)
+    decay = _decays(lams)
     q = np.ones_like(lams)
     counts = np.zeros(lams.shape, dtype=int)
     while True:

@@ -56,6 +56,17 @@ def _check_qs(qs) -> np.ndarray:
     return qs
 
 
+def _check_lams(lams) -> np.ndarray:
+    """Sharpness values as a float array; the first entry outside [0, 1] raises."""
+    import numpy as np
+
+    lams = np.asarray(lams, dtype=float)
+    outside = ~((lams >= 0.0) & (lams <= 1.0))
+    if outside.any():
+        raise ValueError(f"sharpness must lie in [0, 1]; got {float(lams[outside][0])}")
+    return lams
+
+
 def psi_alpha(alpha: float) -> np.ndarray:
     """Unit vector alpha |01> - sqrt(1 - alpha^2) |10>."""
     import numpy as np
@@ -114,6 +125,14 @@ def werner_strength(alpha: float) -> float:
     """
     alpha = _check_alpha(alpha)
     return 1.0 + 4.0 * alpha * math.sqrt(1.0 - alpha * alpha)
+
+
+def _werner_strengths(alphas) -> np.ndarray:
+    """werner_strength elementwise, with the same operations in the same order."""
+    import numpy as np
+
+    alphas = _check_alphas(alphas)
+    return 1.0 + 4.0 * alphas * np.sqrt(1.0 - alphas * alphas)
 
 
 def input_state(index: int) -> DensityOperator:

@@ -5,7 +5,10 @@ properties and reports its worst deviation against a pinned tolerance.  The
 suite is seeded and finishes in tens of milliseconds.  The grid checks build
 and validate their states as stacks and evaluate them with the stacked
 literal kernels, each the many-state, many-sharpness case of one public
-function.
+function.  The closed forms they compare against are taken over the whole
+grid by the library's private array twins of the scalar functions, which
+take the scalar operations elementwise, so every deviation equals the one a
+per-point loop over the public functions gives.
 """
 
 from __future__ import annotations
@@ -58,6 +61,12 @@ def _worst(deviations) -> float:
     return worst if worst > 0.0 or np.isnan(worst) else 0.0
 
 
+def _pairs(qs, alphas) -> tuple[np.ndarray, np.ndarray]:
+    """Every (q, alpha) pair of the two axes, q-major, as two flat arrays."""
+    qs, alphas = np.meshgrid(qs, alphas, indexing="ij")
+    return qs.ravel(), alphas.ravel()
+
+
 def _result(name: str, deviation: float, tolerance: float, detail: str = "") -> CheckResult:
     return CheckResult(name, bool(deviation <= tolerance), float(deviation),
                        float(tolerance), detail)
@@ -65,12 +74,11 @@ def _result(name: str, deviation: float, tolerance: float, detail: str = "") -> 
 
 def check_witness_grid() -> CheckResult:
     """Full-trace payoff vs closed form on the 5x5x5 (q, alpha, lam) grid."""
-    points = [(q, alpha) for q in _QS for alpha in _ALPHAS]
-    matrices = states._werner_alphas(*zip(*points))
-    numeric = witness._payoffs(matrices, witness.werner_beta(), _LAMS)
-    deviations = [abs(numeric[row, column] - witness.mdi_ew_closed_form_unsharp(q, alpha, lam))
-                  for column, (q, alpha) in enumerate(points) for row, lam in enumerate(_LAMS)]
-    return _result("witness_numeric_vs_closed_grid", _worst(deviations), WITNESS_GRID_TOL)
+    qs, alphas = _pairs(_QS, _ALPHAS)
+    numeric = witness._payoffs(states._werner_alphas(qs, alphas), witness.werner_beta(), _LAMS)
+    closed = witness._closed_form_payoffs(qs, alphas, _LAMS[:, None])
+    return _result("witness_numeric_vs_closed_grid", _worst(np.abs(numeric - closed)),
+                   WITNESS_GRID_TOL)
 
 
 def check_witness_sharp_corner() -> CheckResult:
@@ -89,16 +97,25 @@ def _random_separable_matrices(rng: np.random.Generator, samples: int,
     Each state draws its term count, then its weights, then one
     standard_normal(8 * terms): per term, re and im of Alice's vector, then
     of Bob's, the stream that 4 * terms calls of standard_normal(2) give.
-    Every matrix takes the one-state operations: the norms as np.linalg.norm
-    takes them, the same broadcast products as np.kron and np.outer, and the
-    weighted terms added to zero one at a time.
+    The weights are rng.dirichlet(np.ones(terms)): that draws gamma(1)
+    variates, which are standard_exponential draws, sums them left to right
+    from 0.0 and scales each by 1/sum.  Every matrix takes the one-state
+    operations: the norms as np.linalg.norm takes them, the same broadcast
+    products as np.kron and np.outer, and the weighted terms added to zero
+    one at a time.
     """
-    counts, weights, normals = [], [], []
-    for _ in range(samples):
+    counts, normals = [], []
+    draws = np.zeros((samples, max_terms))
+    for state in range(samples):
         terms = int(rng.integers(1, max_terms + 1))
         counts.append(terms)
-        weights.append(rng.dirichlet(np.ones(terms)))
+        draws[state, :terms] = rng.standard_exponential(terms)
         normals.append(rng.standard_normal(8 * terms))
+    # The zero padding leaves each sum as dirichlet takes it: x + 0.0 == x.
+    sums = np.zeros(samples)
+    for column in draws.T:
+        sums += column
+    weights = draws * (1.0 / sums)[:, None]
     # parts[term, factor, re/im, component]; vecs[term, factor] is Alice's or Bob's vector.
     parts = np.concatenate(normals).reshape(-1, 2, 2, 2)
     vecs = parts[:, :, 0] + 1j * parts[:, :, 1]
@@ -109,9 +126,9 @@ def _random_separable_matrices(rng: np.random.Generator, samples: int,
     units = vecs / norms
     products = (units[:, 0, :, None] * units[:, 1, None, :]).reshape(-1, 4)
     outers = products[:, :, None] * products.conj()[:, None, :]
-    weighted = np.concatenate(weights)[:, None, None] * outers
     owner = np.repeat(np.arange(samples), counts)
     position = np.concatenate([np.arange(terms) for terms in counts])
+    weighted = weights[owner, position][:, None, None] * outers
     matrices = np.zeros((samples, 4, 4), dtype=complex)
     for k in range(max_terms):
         rows = position == k
@@ -164,7 +181,7 @@ def check_channel_closure_maximal() -> CheckResult:
     matrices = states._werner_alphas(_CHANNEL_QS, alpha)
     outs = measurement._averaged_channel(matrices, _CHANNEL_LAMS)
     wants = states._werner_alphas(
-        [protocol.f_of_lambda(lam) * q for lam in _CHANNEL_LAMS for q in _CHANNEL_QS], alpha)
+        (protocol._decays(_CHANNEL_LAMS)[:, None] * _CHANNEL_QS).ravel(), alpha)
     worst = float(np.abs(outs - wants).max())
     return _result("channel_closure_maximal_alpha", worst, CHANNEL_TOL)
 
@@ -176,19 +193,15 @@ def check_channel_statistics() -> CheckResult:
     family member (the invariant noise is rho_A (x) I/2), but every witness
     statistic follows the q-recursion exactly.
     """
-    points = [(q, alpha) for q in _CHANNEL_QS for alpha in _CHANNEL_ALPHAS]
-    matrices = states._werner_alphas(*zip(*points))
-    outs = measurement._averaged_channel(matrices, _CHANNEL_LAMS)
+    qs, alphas = _pairs(_CHANNEL_QS, _CHANNEL_ALPHAS)
+    outs = measurement._averaged_channel(states._werner_alphas(qs, alphas), _CHANNEL_LAMS)
+    # Axes: probe, channel sharpness, (q, alpha) point.
     numeric = witness._payoffs(outs, witness.werner_beta(), _CHANNEL_PROBES).reshape(
-        len(_CHANNEL_PROBES), len(_CHANNEL_LAMS), len(points))
-    deviations = []
-    for block, lam in enumerate(_CHANNEL_LAMS):
-        decay = protocol.f_of_lambda(lam)
-        for index, (q, alpha) in enumerate(points):
-            for row, probe in enumerate(_CHANNEL_PROBES):
-                closed = witness.mdi_ew_closed_form_unsharp(decay * q, alpha, probe)
-                deviations.append(abs(numeric[row, block, index] - closed))
-    return _result("channel_statistics_general_alpha", _worst(deviations), CHANNEL_TOL)
+        len(_CHANNEL_PROBES), len(_CHANNEL_LAMS), len(qs))
+    closed = witness._closed_form_payoffs(protocol._decays(_CHANNEL_LAMS)[:, None] * qs, alphas,
+                                          np.array(_CHANNEL_PROBES)[:, None, None])
+    return _result("channel_statistics_general_alpha", _worst(np.abs(numeric - closed)),
+                   CHANNEL_TOL)
 
 
 def check_decay_spot_values() -> CheckResult:
@@ -201,12 +214,9 @@ def check_decay_spot_values() -> CheckResult:
 
 def check_negativity_grid() -> CheckResult:
     """Closed-form negativity vs the partial-transpose eigenvalue oracle, 20x20."""
-    points = [(q, alpha) for q in np.linspace(0.0, 1.0, 20)
-              for alpha in np.linspace(0.05, states.ALPHA_MAX, 20)]
-    matrices = states._werner_alphas(*zip(*points))
-    oracles = linalg._negativities(matrices)
-    deviations = [abs(protocol.negativity_walpha(q, alpha) - oracle)
-                  for (q, alpha), oracle in zip(points, oracles)]
+    qs, alphas = _pairs(np.linspace(0.0, 1.0, 20), np.linspace(0.05, states.ALPHA_MAX, 20))
+    oracles = linalg._negativities(states._werner_alphas(qs, alphas))
+    deviations = np.abs(protocol._negativities_walpha(qs, alphas) - oracles)
     return _result("negativity_closed_vs_oracle", _worst(deviations), NEGATIVITY_TOL)
 
 
@@ -222,14 +232,12 @@ def check_delta_negativity_identity() -> CheckResult:
 
 def check_delta_negativity_monotone() -> CheckResult:
     """Loss is non-negative everywhere and non-decreasing in the sharpness."""
-    deviations = []
-    for negativity in np.linspace(0.0, 0.5, 11):
-        previous = -np.inf
-        for lam in np.linspace(0.0, 1.0, 101):
-            loss = protocol.delta_negativity(negativity, lam)
-            deviations += [-loss, previous - loss]
-            previous = loss
-    return _result("delta_negativity_monotone_in_lambda", _worst(deviations), 1e-15)
+    losses = protocol._delta_negativities(np.linspace(0.0, 0.5, 11)[:, None],
+                                          np.linspace(0.0, 1.0, 101))
+    # The loss one sharpness earlier minus the loss: positive where the loss falls.
+    drops = losses[:, :-1] - losses[:, 1:]
+    return _result("delta_negativity_monotone_in_lambda",
+                   _worst(np.concatenate([-losses, drops], axis=1)), 1e-15)
 
 
 def check_threshold_protocol_count() -> CheckResult:

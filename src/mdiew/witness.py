@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .states import input_ensemble, werner_strength
+from .states import _check_lams, _check_qs, _werner_strengths, input_ensemble, werner_strength
 
 if TYPE_CHECKING:  # the array functions import NumPy where they run
     import numpy as np
@@ -137,6 +137,16 @@ def mdi_ew_closed_form_unsharp(q: float, alpha: float, lam: float) -> float:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"sharpness must lie in [0, 1]; got {lam}")
     return (1.0 - lam * q * werner_strength(alpha)) / 16.0
+
+
+def _closed_form_payoffs(qs, alphas, lams) -> np.ndarray:
+    """mdi_ew_closed_form_unsharp elementwise over broadcast arguments, in the same operations.
+
+    Every q is checked, then every sharpness, then every alpha, as the
+    scalar checks them; the first bad entry, NaN included, raises its error.
+    """
+    qs, lams = _check_qs(qs), _check_lams(lams)
+    return (1.0 - lams * qs * _werner_strengths(alphas)) / 16.0
 
 
 def threshold_lambda(q: float, alpha: float) -> float:

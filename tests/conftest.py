@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, settings
 from mdiew import protocol, verify
 from mdiew.linalg import PSD_ATOL, DensityOperator, is_hermitian
 from mdiew.protocol import FEASIBILITY_TOL, LAMBDA_WINDOW
-from mdiew.states import ALPHA_MAX, _check_alphas, werner_alpha
+from mdiew.states import ALPHA_MAX, _werner_strengths, werner_alpha
 
 settings.register_profile(
     "suite",
@@ -117,16 +117,12 @@ def random_separable_two_qubit(rng, max_terms=4):
     return DensityOperator(matrix, validate=False)
 
 
-def werner_strengths(alphas):
-    """werner_strength elementwise, with the same operations in the same order (test oracle)."""
-    alphas = _check_alphas(alphas)
-    return 1.0 + 4.0 * alphas * np.sqrt(1.0 - alphas * alphas)
-
-
-def decay(lams):
-    """f_of_lambda elementwise, with the same operations in the same order (test oracle)."""
-    return 0.5 * (1.0 + (np.sqrt((1.0 + 3.0 * lams) * (1.0 - lams))
-                         + np.sqrt((3.0 - 3.0 * lams) * (3.0 + lams))) / 4.0)
+def assert_bit_identical(array, scalars):
+    """`array` holds the scalar results: == entry by entry, and zeros with the same sign."""
+    scalars = np.array(scalars, dtype=float)
+    assert array.shape == scalars.shape
+    assert np.array_equal(array, scalars)
+    assert np.array_equal(np.copysign(1.0, array), np.copysign(1.0, scalars))
 
 
 def threshold_success_count(alpha):
@@ -135,7 +131,7 @@ def threshold_success_count(alpha):
     A scalar alpha gives an int; an array of alphas gives an int array of
     the same shape, each entry equal to the scalar count.
     """
-    strength = werner_strengths(np.ravel(alpha))
+    strength = _werner_strengths(np.ravel(alpha))
     q = np.ones_like(strength)
     counts = np.zeros(strength.shape, dtype=int)
     while True:
@@ -146,7 +142,7 @@ def threshold_success_count(alpha):
         counts += alive
         # q only falls, so a failed entry stays failed while the loop runs on;
         # the clip keeps its sharpness, at least 1 - FEASIBILITY_TOL, in range
-        q = decay(np.minimum(lam, 1.0)) * q
+        q = protocol._decays(np.minimum(lam, 1.0)) * q
 
 
 def peak_sharpness(level):

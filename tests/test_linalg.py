@@ -15,6 +15,7 @@ from mdiew.linalg import (
     tensor,
 )
 from mdiew.measurement import averaged_channel
+from mdiew.states import werner_alpha
 from mdiew.witness import mdi_ew_numeric, werner_beta
 
 from conftest import (
@@ -253,6 +254,14 @@ def test_negativity_spot_values(rng):
     assert negativity(singlet) == pytest.approx(0.5, abs=1e-12)
     product = DensityOperator(np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)))
     assert negativity(product) < 1e-12
+
+
+def test_negativity_of_a_ppt_state_is_positive_zero():
+    # two sharp observers leave every partially entangled pure state separable
+    rho = averaged_channel(averaged_channel(werner_alpha(1.0, 0.1), 1.0), 1.0)
+    assert np.linalg.eigvalsh(partial_transpose(rho))[0] > 0.0
+    assert negativity(rho) == 0.0
+    assert np.copysign(1.0, negativity(rho)) == 1.0
 
 
 def _masked_sum_negativity(rho):

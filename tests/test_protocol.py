@@ -41,7 +41,7 @@ from mdiew.witness import (
     werner_beta,
 )
 
-from conftest import decay, peak_sharpness, threshold_success_count
+from conftest import assert_bit_identical, peak_sharpness, threshold_success_count
 
 alphas = st.floats(0.05, ALPHA_MAX)
 lambdas_open = st.floats(0.05, 1.0)
@@ -255,9 +255,9 @@ def test_threshold_schedule_is_optimal():
     # the closed forms are f and its derivative
     probe = np.linspace(0.05, 0.95, 19)
     decay_value, decay_slope = _decay_and_slope(probe)
-    assert np.array_equal(decay_value, decay(probe))
+    assert np.array_equal(decay_value, protocol._decays(probe))
     step = 1e-6
-    difference = (decay(probe + step) - decay(probe - step)) / (2 * step)
+    difference = (protocol._decays(probe + step) - protocol._decays(probe - step)) / (2 * step)
     assert np.allclose(decay_slope, difference, rtol=1e-6, atol=0.0)
     # f decreases on (0, 1): a sharper successful measurement leaves less
     _, decay_slope = _decay_and_slope(np.linspace(0.0, 1.0, 1_000_001)[1:-1])
@@ -769,6 +769,67 @@ def test_delta_at_threshold_decreases_in_negativity_increases_along_traces():
         if following.negativity > 1e-12:
             losses.append(current.negativity - following.negativity)
     assert all(a < b for a, b in zip(losses, losses[1:]))
+
+
+# --- array twins of the closed forms ----------------------------------------------------
+
+unit_floats = st.floats(0.0, 1.0)
+negativities = st.floats(0.0, 0.5)
+
+
+@given(st.lists(unit_floats, max_size=30))
+@example([0.0, 1.0 / 3.0, 1.0])
+def test_decay_twin_is_bit_identical_to_scalar_calls(lams):
+    assert_bit_identical(protocol._decays(lams), [f_of_lambda(lam) for lam in lams])
+
+
+@given(st.lists(st.tuples(unit_floats, st.floats(0.0, ALPHA_MAX, exclude_min=True)), max_size=30))
+@example([(0.0, 0.3), (1.0, ALPHA_MAX), (1.0 / 3.0, ALPHA_MAX), (0.5, 1e-300)])
+def test_negativity_twin_is_bit_identical_to_scalar_calls(points):
+    qs, alphas = np.array(points).reshape(-1, 2).T
+    assert_bit_identical(protocol._negativities_walpha(qs, alphas),
+                         [negativity_walpha(q, alpha) for q, alpha in points])
+
+
+@given(st.lists(st.tuples(negativities, unit_floats), max_size=30))
+@example([(0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0), (0.05, 1.0)])
+def test_delta_negativity_twin_is_bit_identical_to_scalar_calls(points):
+    values, lams = np.array(points).reshape(-1, 2).T
+    assert_bit_identical(protocol._delta_negativities(values, lams),
+                         [delta_negativity(value, lam) for value, lam in points])
+
+
+def test_twins_broadcast_as_the_verify_grids_use_them():
+    values, lams = np.linspace(0.0, 0.5, 11), np.linspace(0.0, 1.0, 101)
+    assert_bit_identical(protocol._delta_negativities(values[:, None], lams),
+                         [[delta_negativity(value, lam) for lam in lams] for value in values])
+    qs, alphas = np.linspace(0.0, 1.0, 20), np.linspace(0.05, ALPHA_MAX, 20)
+    assert_bit_identical(protocol._negativities_walpha(qs[:, None], alphas),
+                         [[negativity_walpha(q, alpha) for alpha in alphas] for q in qs])
+
+
+@pytest.mark.parametrize("twin, message", [
+    (protocol._decays, r"sharpness must lie in \[0, 1\]"),
+    (lambda qs: protocol._negativities_walpha(qs, 0.5), r"q must lie in \[0, 1\]"),
+    (lambda alphas: protocol._negativities_walpha(0.5, alphas),
+     r"alpha must lie in \(0, 1/sqrt\(2\)\]"),
+    (lambda values: protocol._delta_negativities(values, 0.5), r"negativity must be in \[0, 1/2\]"),
+    (lambda lams: protocol._delta_negativities(0.25, lams), r"sharpness must lie in \[0, 1\]"),
+], ids=["decays", "negativities-q", "negativities-alpha", "delta-negativity", "delta-sharpness"])
+@pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (1.5, "1.5")])
+def test_twins_name_their_first_bad_entry(twin, message, bad, shown):
+    entries = np.linspace(0.01, 0.5, 2000)
+    entries[5] = bad
+    entries[1000] = -0.5
+    with pytest.raises(ValueError, match=rf"^{message}; got {shown}$"):
+        twin(entries)
+
+
+def test_twins_check_every_first_argument_before_the_second():
+    with pytest.raises(ValueError, match="q must"):
+        protocol._negativities_walpha([0.5, 2.0], [0.9, 0.3])
+    with pytest.raises(ValueError, match="negativity must"):
+        protocol._delta_negativities([0.25, 0.6], [1.5, 0.5])
 
 
 # --- channel vs recursion ---------------------------------------------------------------

@@ -12,6 +12,7 @@ from mdiew.states import (
     ALPHA_MAX,
     _alphas_from_entanglement,
     _werner_alphas,
+    _werner_strengths,
     alpha_from_entanglement,
     bell_phi_plus,
     entanglement_entropy,
@@ -22,7 +23,7 @@ from mdiew.states import (
     werner_strength,
 )
 
-from conftest import min_eigenvalue, mp_alpha_from_entanglement, random_hermitian, werner_strengths
+from conftest import min_eigenvalue, mp_alpha_from_entanglement, random_hermitian
 
 alphas = st.floats(0.01, ALPHA_MAX)
 qs = st.floats(0.0, 1.0)
@@ -122,18 +123,18 @@ def test_stacked_werner_builder_rejects_bad_parameters_with_scalar_messages():
     with pytest.raises(ValueError, match="q must"):  # every q is checked before any alpha
         _werner_alphas([0.5, 2.0], [0.9, 0.3])
     with pytest.raises(ValueError, match="alpha must.*got nan"):
-        werner_strengths([0.3, math.nan])
+        _werner_strengths([0.3, math.nan])
 
 
 def test_stacked_strength_is_bit_identical_on_the_fig1_grid():
     count = int(1.0 / FIG1_DEFAULT_STEP)
     grid = [alpha_from_entanglement(FIG1_DEFAULT_STEP * k) for k in range(1, count + 1)]
-    assert np.array_equal(werner_strengths(grid), [werner_strength(alpha) for alpha in grid])
+    assert np.array_equal(_werner_strengths(grid), [werner_strength(alpha) for alpha in grid])
 
 
 @given(st.lists(st.floats(0.0, ALPHA_MAX, exclude_min=True), min_size=1, max_size=30))
 def test_stacked_strength_is_bit_identical_to_scalar_calls(alphas):
-    assert np.array_equal(werner_strengths(alphas), [werner_strength(alpha) for alpha in alphas])
+    assert np.array_equal(_werner_strengths(alphas), [werner_strength(alpha) for alpha in alphas])
 
 
 def test_entangled_iff_strength_exceeds_one():

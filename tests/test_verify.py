@@ -31,6 +31,20 @@ def test_sampler_is_bit_identical_to_kron_outer_route(seed):
     assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("seed", [1234, 1, 7, 99, 2**31 - 1])
+def test_normalised_exponential_draws_are_the_dirichlet_weights(seed):
+    # The sampler's weights: dirichlet(np.ones(k)) draws k gamma(1), that is
+    # standard_exponential, variates, sums them from 0.0 and scales by 1/sum.
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for terms in (1, 2, 3, 4) * 50:
+        draws = rng.standard_exponential(terms)
+        total = 0.0
+        for draw in draws:
+            total += draw
+        assert np.array_equal(draws * (1.0 / total), reference_rng.dirichlet(np.ones(terms)))
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+
 @pytest.mark.parametrize("seed", [1234, 7])
 def test_batched_separable_minimum_matches_literal_path(seed):
     _, payoffs = verify._separable_payoffs(seed, 200)
@@ -109,12 +123,35 @@ def _negativity_grid_loop():
     return worst
 
 
+def _delta_negativity_identity_loop():
+    worst = 0.0
+    for negativity in np.arange(0.05, 0.501, 0.05):
+        threshold = protocol.threshold_from_negativity(negativity)
+        composed = (1.0 + 4.0 * negativity) / 4.0 * (1.0 - protocol.f_of_lambda(threshold))
+        worst = max(worst, abs(composed - protocol.delta_negativity_at_threshold(negativity)))
+    return worst
+
+
+def _delta_negativity_monotone_loop():
+    worst = 0.0
+    for negativity in np.linspace(0.0, 0.5, 11):
+        previous = -np.inf
+        for lam in np.linspace(0.0, 1.0, 101):
+            loss = protocol.delta_negativity(negativity, lam)
+            worst = max(worst, -loss, previous - loss)
+            previous = loss
+    return worst
+
+
 @pytest.mark.parametrize("check, loop", [
     (verify.check_witness_grid, _witness_grid_loop),
     (verify.check_channel_closure_maximal, _channel_closure_loop),
     (verify.check_channel_statistics, _channel_statistics_loop),
     (verify.check_negativity_grid, _negativity_grid_loop),
-], ids=["witness_grid", "channel_closure_maximal", "channel_statistics", "negativity_grid"])
+    (verify.check_delta_negativity_identity, _delta_negativity_identity_loop),
+    (verify.check_delta_negativity_monotone, _delta_negativity_monotone_loop),
+], ids=["witness_grid", "channel_closure_maximal", "channel_statistics", "negativity_grid",
+        "delta_negativity_identity", "delta_negativity_monotone"])
 def test_stacked_check_equals_per_point_loop(check, loop):
     result = check()
     assert result.passed
@@ -133,10 +170,24 @@ def _with_one_nan(kernel):
 
 @pytest.mark.parametrize("module, kernel, check", [
     (witness, "_payoffs", verify.check_witness_grid),
+    (witness, "_payoffs", verify.check_channel_statistics),
     (linalg, "_negativities", verify.check_negativity_grid),
-], ids=["witness_grid", "negativity_grid"])
+], ids=["witness_grid", "channel_statistics", "negativity_grid"])
 def test_one_nan_from_the_oracle_fails_the_check(monkeypatch, module, kernel, check):
     monkeypatch.setattr(module, kernel, _with_one_nan(getattr(module, kernel)))
+    result = check()
+    assert not result.passed
+    assert np.isnan(result.deviation)
+
+
+@pytest.mark.parametrize("module, twin, check", [
+    (witness, "_closed_form_payoffs", verify.check_witness_grid),
+    (witness, "_closed_form_payoffs", verify.check_channel_statistics),
+    (protocol, "_negativities_walpha", verify.check_negativity_grid),
+    (protocol, "_delta_negativities", verify.check_delta_negativity_monotone),
+], ids=["witness_grid", "channel_statistics", "negativity_grid", "delta_negativity_monotone"])
+def test_one_nan_from_a_closed_form_twin_fails_the_check(monkeypatch, module, twin, check):
+    monkeypatch.setattr(module, twin, _with_one_nan(getattr(module, twin)))
     result = check()
     assert not result.passed
     assert np.isnan(result.deviation)
