@@ -151,6 +151,12 @@ GOLDEN_FIGURE_SHA256 = {
     ("fig2", "--entanglement", "0.935"):
         "cb6827e5a02d49c836f6d4a3afe169564e988f96cc9c5dc3c121174ce2a8c01c",
     ("fig3",): "3421eaecb32b8cfe584ee6dedb1f3d7817b8be4f7ffc77e2738d2d9c1208edf3",
+    # taken while each state's windows were solved on their own, before fig3
+    # solved its grid as one warm-started sweep; the sweep keeps these bytes
+    ("fig3", "--grid-step", "0.05"):
+        "896ec1dd6a1f4e9f1ca600505ff7f4478b30db2cf22b13493f596dd5477d890a",
+    ("fig3", "--grid-step", "0.005"):
+        "a79c33458cb6bed87674f7da3f8ff5aaf916d8e3604980c2e3316e046bd5524a",
 }
 
 
