@@ -164,17 +164,11 @@ def cmd_fig3(args: dict) -> int:
     step = args["grid_step"] if args["grid_step"] is not None else FIG3_DEFAULT_STEP
     count = int((1.0 - FIG3_E_MIN) / step + 1e-9)
     entropies = [min(FIG3_E_MIN + k * step, 1.0) for k in range(count + 1)]
-    tables = []
-    max_n = 0
-    for entropy in entropies:
-        alpha = states.alpha_from_entanglement(entropy)
-        table = dict(protocol.lambda_range_table(alpha))
-        tables.append((entropy, table))
-        max_n = max(max_n, max(table, default=0))
-    rows = []
-    for entropy, table in tables:
-        for n in range(1, max_n + 1):
-            rows.append((entropy, n, table.get(n, 0.0)))
+    widths = protocol._range_widths([states.alpha_from_entanglement(e) for e in entropies])
+    max_n = max(map(len, widths))
+    rows = [(entropy, n, width)
+            for entropy, row in zip(entropies, widths)
+            for n, width in enumerate(row + [0.0] * (max_n - len(row)), 1)]
     _write_table(args, ("e_alpha", "n", "delta_lambda_n"), rows,
                  {"e_min": FIG3_E_MIN, "grid_step": step})
     return 0

@@ -306,14 +306,13 @@ def check_range_shape(e_step: float = 0.025) -> CheckResult:
     For the best achievable count the range shrinks as entanglement drops;
     for every smaller count it grows as entanglement drops.
     """
-    grid = np.arange(0.5, 1.0 + 1e-9, e_step)
+    grid = np.arange(0.5, 1.0 + 1e-9, e_step).tolist()
+    sweep = protocol._range_widths([states.alpha_from_entanglement(min(e, 1.0)) for e in grid])
     table = {}
-    for entropy in grid:
-        alpha = states.alpha_from_entanglement(min(float(entropy), 1.0))
-        achieved = dict(protocol.lambda_range_table(alpha))
-        ranges = [achieved.get(n, 0.0) for n in range(1, 8)]
+    for entropy, widths in zip(grid, sweep):
+        ranges = widths + [0.0] * (7 - len(widths))
         best = max(n for n in range(1, 8) if ranges[n - 1] > 0)
-        table[float(entropy)] = (best, ranges)
+        table[entropy] = (best, ranges)
     keys = sorted(table)
     deviations = []
     for n in range(1, 8):

@@ -151,11 +151,11 @@ def peak_sharpness(level):
     Bisection on the sign of the decreasing slope, down to adjacent floats.
     """
     lo, hi = LAMBDA_WINDOW
-    if protocol._log_gain_and_slope(lo, level)[1] <= 0.0:
+    if protocol._log_margin(level, 0.0, 1.0, lo)[1] <= 0.0:
         return lo
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if protocol._log_gain_and_slope(mid, level)[1] > 0.0:
+        if protocol._log_margin(level, 0.0, 1.0, mid)[1] > 0.0:
             lo = mid
         else:
             hi = mid

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdiew import protocol, verify
+from mdiew.cli import FIG3_DEFAULT_STEP, FIG3_E_MIN
 from mdiew.linalg import negativity as negativity_oracle
 from mdiew.measurement import averaged_channel
 from mdiew.protocol import (
@@ -338,7 +339,7 @@ def test_equal_count_matches_trace(alpha, lam):
 @given(alphas)
 @example(ALPHA_MAX)
 def test_equal_count_matches_trace_on_window_edges(alpha):
-    for window in protocol._superlevel_windows(alpha):
+    for window in protocol._superlevel_windows([alpha])[0]:
         for edge in window:
             for lam in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)):
                 if 0.0 < lam <= 1.0:
@@ -455,19 +456,24 @@ def test_two_observer_range_includes_sharp_endpoint():
 WINDOW_ENTROPIES = [1.0, 0.935, 0.6]
 
 
-@pytest.mark.parametrize("entropy", WINDOW_ENTROPIES)
-def test_window_edges_flip_the_count(entropy):
-    alpha = alpha_from_entanglement(entropy)
-    windows = protocol._superlevel_windows(alpha)
-    assert windows
+def assert_edges_flip_the_count(alpha, windows):
+    """Each solved edge flips the count of its level within 1e-13."""
     for level, (lo, hi) in enumerate(windows, start=1):
         assert 1 / 3 < lo < hi <= 1.0
         if lo > 1 / 3:
-            assert equal_sharpness_count(alpha, lo - 1e-13) < level
-            assert equal_sharpness_count(alpha, lo + 1e-13) >= level
+            below, above = equal_sharpness_count(alpha, np.array([lo - 1e-13, lo + 1e-13]))
+            assert below < level <= above
         if hi < 1.0:
-            assert equal_sharpness_count(alpha, hi - 1e-13) >= level
-            assert equal_sharpness_count(alpha, hi + 1e-13) < level
+            below, above = equal_sharpness_count(alpha, np.array([hi - 1e-13, hi + 1e-13]))
+            assert above < level <= below
+
+
+@pytest.mark.parametrize("entropy", WINDOW_ENTROPIES)
+def test_window_edges_flip_the_count(entropy):
+    alpha = alpha_from_entanglement(entropy)
+    windows = protocol._superlevel_windows([alpha])[0]
+    assert windows
+    assert_edges_flip_the_count(alpha, windows)
     # the next level has no window: its count is never reached
     best = len(windows)
     assert n_max_over_lambda(alpha) == (best, [windows[-1]])
@@ -479,7 +485,7 @@ def test_window_lengths_match_dense_grid(entropy):
     alpha = alpha_from_entanglement(entropy)
     step = 1e-5
     counts = equal_sharpness_count(alpha, protocol._lambda_grid(step))
-    windows = protocol._superlevel_windows(alpha)
+    windows = protocol._superlevel_windows([alpha])[0]
     for level in range(1, 10):
         lo, hi = windows[level - 1] if level <= len(windows) else (0.0, 0.0)
         assert abs((hi - lo) - step * np.count_nonzero(counts >= level)) <= 2 * step
@@ -544,7 +550,7 @@ def test_superlevel_runs_match_element_scan(entropy):
     alpha = alpha_from_entanglement(entropy)
     lams = protocol._lambda_grid(1e-5)
     counts = equal_sharpness_count(alpha, lams)
-    windows = [LAMBDA_WINDOW] + protocol._superlevel_windows(alpha)
+    windows = [LAMBDA_WINDOW] + protocol._superlevel_windows([alpha])[0]
     last = len(lams) - 1
     for level in range(0, 10):
         runs = _true_runs(counts >= level)
@@ -570,6 +576,12 @@ def test_peak_sharpness_does_not_depend_on_the_state():
     assert protocol._PEAKS[0] == peak_sharpness(1) == 1.0
 
 
+def fig3_alphas(step):
+    """The states of fig3's entropy grid at `step`, in the order fig3 sweeps them."""
+    count = int((1.0 - FIG3_E_MIN) / step + 1e-9)
+    return [alpha_from_entanglement(min(FIG3_E_MIN + k * step, 1.0)) for k in range(count + 1)]
+
+
 def test_window_edge_solves_stop_at_rounding_noise(monkeypatch):
     # near an edge, rounding noise in the log-margin keeps Newton steps at a
     # few ulps; the collapsed bracket, not the iteration cap, ends the solve
@@ -584,9 +596,86 @@ def test_window_edge_solves_stop_at_rounding_noise(monkeypatch):
 
     monkeypatch.setattr(protocol, "_increasing_root", counted)
     for entropy in np.linspace(0.5, 1.0, 51):
-        protocol._superlevel_windows(alpha_from_entanglement(entropy))
+        protocol._superlevel_windows([alpha_from_entanglement(entropy)])
     assert len(evaluations) > 100
     assert max(evaluations) <= 40
+    # fig3's default grid, one state at a time (2,320 evaluations) and as one
+    # sweep whose solves start from earlier states' edges (1,314)
+    alphas = fig3_alphas(FIG3_DEFAULT_STEP)
+    evaluations.clear()
+    for alpha in alphas:
+        protocol._superlevel_windows([alpha])
+    one_state = evaluations[:]
+    evaluations.clear()
+    protocol._superlevel_windows(alphas)
+    assert len(evaluations) == len(one_state) > 300
+    assert max(evaluations) <= 40
+    assert sum(evaluations) <= 0.6 * sum(one_state)
+
+
+def _cold_windows(alpha):
+    """Reference: one state's windows with every solve started cold, at 1/3
+    left of the peak and midway between peak and 1 right of it."""
+    log_target = math.log1p(16.0 * DETECTION_THRESHOLD) - math.log(werner_strength(alpha))
+    windows = []
+    for level in itertools.count(1):
+        peak, gain_peak, gain_lo, gain_hi = protocol._level_profile(level)
+        if gain_peak <= log_target:
+            return windows
+        lo, hi = LAMBDA_WINDOW
+        if gain_lo <= log_target:
+            lo = protocol._increasing_root(
+                lambda lam: protocol._log_margin(level, log_target, 1.0, lam), lo, peak, lo)
+        if gain_hi <= log_target:
+            hi = protocol._increasing_root(
+                lambda lam: protocol._log_margin(level, log_target, -1.0, lam),
+                peak, hi, 0.5 * (peak + hi))
+        windows.append((lo, hi))
+
+
+def _ulps(a, b):
+    """Floats between two positive floats, counted on their bit patterns."""
+    return int(abs(np.array(a).view(np.int64) - np.array(b).view(np.int64)))
+
+
+SWEEP_GRIDS = {f"fig3 step {step}": fig3_alphas(step)
+               for step in (0.25, 0.05, 0.01, 0.005, 0.002, 0.001)}
+SWEEP_GRIDS["400 seeded entropies"] = [
+    alpha_from_entanglement(entropy)
+    for entropy in np.sort(np.random.default_rng(22).uniform(0.01, 1.0, 400)).tolist()]
+
+
+def assert_sweep_matches_one_state_solves(alphas):
+    """The sweep has each state's window count, and each edge flips the count
+    and lies within a few ulps of the state's one-state edge."""
+    sweep = protocol._superlevel_windows(alphas)
+    assert len(sweep) == len(alphas)
+    worst = 0
+    for alpha, windows in zip(alphas, sweep):
+        alone = protocol._superlevel_windows([alpha])[0]
+        assert alone == _cold_windows(alpha)  # a sweep of one starts every solve cold
+        assert len(windows) == len(alone)
+        worst = max([worst] + [_ulps(s, o) for pair in zip(windows, alone) for s, o in zip(*pair)])
+        assert_edges_flip_the_count(alpha, windows)
+    # a warm start ends the solve at another float of the rounding-noise band
+    # (measured up to 25 ulps on these grids); the exact root lies up to 28
+    # floats from a one-state edge
+    assert worst <= 32
+
+
+@pytest.mark.parametrize("name", list(SWEEP_GRIDS))
+def test_window_sweep_matches_one_state_solves(name):
+    assert_sweep_matches_one_state_solves(SWEEP_GRIDS[name])
+
+
+@pytest.mark.parametrize("alphas", [
+    [],
+    [0.4, 0.4, 0.4],                   # repeated log-targets
+    [ALPHA_MAX, 0.3, ALPHA_MAX, 0.3],  # the history jumps back and forth
+    [0.05, ALPHA_MAX, 0.1],            # levels missing from a neighbour's history
+])
+def test_window_sweep_takes_repeated_and_unsorted_states(alphas):
+    assert_sweep_matches_one_state_solves(alphas)
 
 
 def _two_pass_log_gain_and_slope(lam, level):
@@ -603,10 +692,14 @@ def test_fused_log_gain_matches_two_pass_arithmetic():
     lo, hi = LAMBDA_WINDOW
     lams = np.concatenate([np.linspace(lo, hi, 4001)[:-1], [np.nextafter(hi, 0.0)],
                            protocol._lambda_grid(1e-3)[:-1]])
+    log_target = math.log1p(16.0 * DETECTION_THRESHOLD) - math.log(werner_strength(0.6))
     for level in range(1, 9):
         for lam in lams.tolist():
-            fused = protocol._log_gain_and_slope(lam, level)
-            assert fused == _two_pass_log_gain_and_slope(lam, level)
+            value, slope = _two_pass_log_gain_and_slope(lam, level)
+            assert protocol._log_margin(level, 0.0, 1.0, lam) == (value, slope)
+            # the residuals on the two sides of a window's peak
+            assert protocol._log_margin(level, log_target, 1.0, lam) == (value - log_target, slope)
+            assert protocol._log_margin(level, log_target, -1.0, lam) == (log_target - value, -slope)
     for level in range(1, len(protocol._PEAKS) + 1):
         peak, *gains = protocol._level_profile(level)
         assert peak == peak_sharpness(level)
@@ -627,7 +720,7 @@ def test_peak_table_equals_the_bisection_and_covers_every_state():
 @pytest.mark.parametrize("entropy", WINDOW_ENTROPIES)
 def test_level_one_window_starts_at_the_threshold(entropy):
     strength = werner_strength(alpha_from_entanglement(entropy))
-    lo, hi = protocol._superlevel_windows(alpha_from_entanglement(entropy))[0]
+    lo, hi = protocol._superlevel_windows([alpha_from_entanglement(entropy)])[0][0]
     assert abs(lo - (1 + 16e-12) / strength) <= 1e-15
     assert hi == 1.0
 
