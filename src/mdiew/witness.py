@@ -5,9 +5,10 @@ The payoff of the semi-quantum game is
     I_lam(rho) = sum_st beta_st P_lam(1,1 | tau_s, omega_t),
 
 evaluated here by the full 16-dimensional trace (the literal 16x16
-operators, contracted entry by entry without forming their product), as
-tr(W(lam) rho) with the reduced 4x4 witness operator W(lam), and by the
-closed form (1 - lam q c)/16
+operators, contracted entry by entry without forming their product: every
+nonzero term of tr(op eta) in the dense order, skipping only the exact
+zeros of the literal operator), as tr(W(lam) rho) with the reduced 4x4
+witness operator W(lam), and by the closed form (1 - lam q c)/16
 for the noisy partially entangled family, where
 c = 1 + 4 alpha sqrt(1 - alpha^2).  A strictly negative value certifies
 entanglement; separable states can never go below zero.
@@ -44,6 +45,8 @@ class WitnessCoefficients:
         beta = np.asarray(self.beta, dtype=float)
         if beta.shape != (4, 4):
             raise ValueError(f"beta table must be 4x4; got shape {beta.shape}")
+        if not np.isfinite(beta).all():
+            raise ValueError("beta table must be finite; got a NaN or infinite entry")
         object.__setattr__(self, "beta", beta)
 
 
@@ -60,28 +63,43 @@ def _payoffs(matrices: np.ndarray, beta: WitnessCoefficients, lams) -> np.ndarra
     """Payoffs by the full 16-dimensional trace, one row per sharpness, one column per state.
 
     `matrices` is a stack of 4x4 two-qubit density matrices and `lams` a
-    sequence of sharpness values.  Every operator P+ (x) E+_lam and
-    tau_s (x) rho (x) omega_t is built in full, and each trace is taken as
-    tr(op eta) = vec(op^T) . vec(eta), without forming the product op @ eta.
-    Every payoff takes the same operations as a one-state call: one
-    contraction over all the flattened operators, and the beta sum
-    accumulated pair by pair.
+    sequence of sharpness values.  Every operator P+ (x) E+_lam is built in
+    full, and each trace is taken as tr(op eta) = vec(op^T) . vec(eta),
+    without forming the product op @ eta.  The sum runs over every entry
+    where some op of the stack is nonzero, in the dense order, and builds
+    only those entries of tau_s (x) rho (x) omega_t.  The terms it skips are
+    exact zeros of the literal operators, and adding +-0 leaves the sum's
+    bits unchanged, so every payoff equals the dense 256-term sum bit for
+    bit.  Every payoff takes the same operations as a one-state call: one
+    contraction over all the gathered entries, and the beta sum accumulated
+    pair by pair.
+
+    Raises ValueError naming the first state of the stack with a non-finite
+    entry: a skipped entry would otherwise drop its NaN silently.
     """
     import numpy as np
 
     from .linalg import _kron
     from .measurement import _effects, bell_projector
 
+    finite = np.isfinite(matrices).all(axis=(-2, -1))
+    if not finite.all():
+        raise ValueError(f"state {np.flatnonzero(~finite)[0]} of the stack has a non-finite entry")
     taus = omegas = input_ensemble()
-    ops = _kron(bell_projector(), _effects(lams)[0])
-    # etas[n, s, t] = tau_s (x) rho_n (x) omega_t, each a full 16x16 operator.
-    etas = _kron(_kron(taus, matrices[:, None])[:, :, None], omegas)
     # tr(op eta) = sum_jk op[j, k] eta[k, j]: each op transposed and flattened
-    # against each eta flattened.  One einsum, not a BLAS product: NumPy would
-    # send a one-sharpness call to gemv and a stacked one to gemm, which round
-    # differently.
-    traces = np.einsum("lk,nk->ln", ops.swapaxes(-1, -2).reshape(-1, 256),
-                       etas.reshape(-1, 256)).real.reshape(len(ops), *etas.shape[:3])
+    # against each eta flattened, over the support, the entries where some op
+    # of the stack is nonzero.
+    ops = _kron(bell_projector(), _effects(lams)[0]).swapaxes(-1, -2).reshape(-1, 256)
+    support = np.flatnonzero((ops != 0).any(axis=0))
+    # Entry (row, col) of tau_s (x) rho (x) omega_t, with row = (4 i + a) 2 + m
+    # and col = (4 j + b) 2 + n, is the single product that _kron forms:
+    # (tau_s[i, j] rho[a, b]) omega_t[m, n].
+    i, a, m, j, b, n = np.unravel_index(support, (2, 4, 2) * 2)
+    etas = (taus[:, i, j] * matrices[:, None, a, b])[:, :, None] * omegas[:, m, n]
+    # One einsum, not a BLAS product: NumPy would send a one-sharpness call to
+    # gemv and a stacked one to gemm, which round differently.
+    traces = np.einsum("lk,nk->ln", ops[:, support],
+                       etas.reshape(-1, len(support))).real.reshape(len(ops), *etas.shape[:3])
     # Row-major accumulation, one pair at a time: a contraction over (s, t)
     # would reorder the sum and move the result in its last bits.
     values = np.zeros(traces.shape[:2])

@@ -69,6 +69,16 @@ def test_coefficients_reject_wrong_shape():
         WitnessCoefficients(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_coefficients_reject_non_finite_entries(bad):
+    beta = werner_beta().beta.copy()
+    beta[2, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        WitnessCoefficients(beta)
+    with pytest.raises(ValueError, match="finite"):
+        WitnessCoefficients(np.full((4, 4), bad))
+
+
 # --- numeric evaluation ------------------------------------------------------
 
 def test_numeric_payoff_spot_values():
@@ -181,6 +191,81 @@ def test_payoff_kernel_is_bit_identical_to_per_point_calls(n_lams, n_states):
         assert got.shape == (n_lams, n_states)
         assert np.array_equal(got, [[mdi_ew_numeric(rho, table, lam) for rho in rhos]
                                     for lam in lams])
+
+
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_payoff_kernel_is_bit_identical_to_the_dense_kron_oracle(size):
+    # The kernel sums only the entries where some literal operator of the
+    # stack is nonzero; the oracle builds every 16x16 operator with np.kron and
+    # sums all 256 terms.  Sharp, trivial and interior sharpness values mixed.
+    rhos = werner_and_random_states(np.random.default_rng(100 + size), size)
+    matrices = np.stack([rho.matrix for rho in rhos])
+    random_table = WitnessCoefficients(np.random.default_rng(11).standard_normal((4, 4)))
+    for lams in [(0.0, 0.37, 1.0 / 3.0, 1.0), (1.0, 0.0), (0.81, 1.0 / 3.0), (0.0,), (0.52,)]:
+        for table in (werner_beta(), random_table):
+            assert_bit_identical(_payoffs(matrices, table, lams),
+                                 [[_per_pair_loop_payoff(rho, table, lam) for rho in rhos]
+                                  for lam in lams])
+
+
+def _trivial_effect_reads(row, col):
+    """Whether P+ (x) E+_0 = P+ (x) I/4 has a nonzero term on rho[row, col].
+
+    Read off the dense np.kron operator: rho[row, col] enters tr(op eta) only
+    through entries of op^T on the rows and columns where (A, B) is (row, col).
+    """
+    op = np.kron(bell_projector(), unsharp_pair(0.0)[0]).T.reshape((2, 4, 2) * 2)
+    return bool(np.any(op[:, row, :, :, col, :] != 0))
+
+
+def test_skipped_terms_are_the_zeros_of_the_literal_operator():
+    # P+ (x) I/4 leaves B's row and column index equal, so at lam = 0 the
+    # kernel reads only the eight rho[(a, b), (c, b)] and drops the terms of
+    # the other eight entries: changing one of those leaves the payoff's bits
+    # as they are, for any beta table, and the dense oracle agrees.  Under a
+    # random table, changing a read entry moves them (the Werner table's
+    # lam = 0 witness is a multiple of I, which sees the diagonal only), and
+    # an interior sharpness reads every entry.
+    read = [(row, col) for row in range(4) for col in range(4) if _trivial_effect_reads(row, col)]
+    assert read == [(row, col) for row in range(4) for col in range(4) if row % 2 == col % 2]
+    rho = DensityOperator(random_density_matrix(np.random.default_rng(5), 4))
+    lams = (0.0, 0.6)
+    random_table = WitnessCoefficients(np.random.default_rng(7).standard_normal((4, 4)))
+    for table in (werner_beta(), random_table):
+        before = _payoffs(rho.matrix[None], table, lams)
+        for row in range(4):
+            for col in range(4):
+                perturbed = rho.matrix.copy()
+                perturbed[row, col] += 0.25 - 0.125j
+                after = _payoffs(perturbed[None], table, lams)
+                if (row, col) not in read:
+                    assert after[0].tobytes() == before[0].tobytes()
+                    assert_bit_identical(after[0], [_per_pair_loop_payoff(
+                        DensityOperator(perturbed, validate=False), table, 0.0)])
+                elif table is random_table:
+                    assert after[0, 0] != before[0, 0]
+                if table is random_table:
+                    assert after[1, 0] != before[1, 0]
+
+
+@pytest.mark.parametrize("entry", [(0, 2), (0, 1)])
+def test_numeric_rejects_non_finite_states(entry):
+    # rho[0, 2] is one of the entries the lam = 0 operator reads, rho[0, 1]
+    # one it skips: either way the NaN must not turn into a finite payoff.
+    matrix = np.eye(4, dtype=complex) / 4
+    matrix[entry] = math.nan
+    rho = DensityOperator(matrix, validate=False)
+    for lam in (0.0, 0.5, 1.0):
+        with pytest.raises(ValueError, match="state 0 .*non-finite"):
+            mdi_ew_numeric(rho, werner_beta(), lam)
+
+
+def test_payoff_kernel_names_the_first_non_finite_state():
+    matrices = np.stack([np.eye(4, dtype=complex) / 4] * 5)
+    matrices[3, 1, 0] = complex(0.0, math.inf)
+    matrices[4, 2, 2] = math.nan
+    with pytest.raises(ValueError, match="state 3 of the stack has a non-finite entry"):
+        _payoffs(matrices, werner_beta(), (0.0, 0.5))
 
 
 def test_numeric_rejects_wrong_layout(rng):
