@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from mdiew import cli
-
-ALPHA_MAX = 2 ** -0.5
+from mdiew.states import ALPHA_MAX
 
 
 def main() -> int:

@@ -40,7 +40,7 @@ class DensityOperator:
     `validate=False`.  That skips checks already done or not wanted: on
     matrices of a stack that `_check_density_matrices` has checked
     (`werner_alpha`), on the output of the averaged channel, and on
-    non-states in tests, such as a partial transpose.
+    non-states in tests.
     """
 
     matrix: np.ndarray
@@ -60,11 +60,6 @@ def _two_qubit_matrix(rho: DensityOperator, caller: str) -> np.ndarray:
     if rho.matrix.shape != (4, 4):
         raise ValueError(f"{caller} expects a two-qubit (4x4) state; got shape {rho.matrix.shape}")
     return rho.matrix
-
-
-def is_hermitian(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> bool:
-    matrix = np.asarray(matrix)
-    return bool(np.max(np.abs(matrix - matrix.conj().T)) <= atol)
 
 
 def _check_density_matrices(matrices: np.ndarray) -> None:
@@ -95,6 +90,18 @@ def _check_density_matrices(matrices: np.ndarray) -> None:
         raise ValueError(f"density operator has negative eigenvalue {float(lows[index])}" + where)
 
 
+def _check_finite(matrices: np.ndarray) -> None:
+    """Raise ValueError naming the first matrix of a stack with a NaN or infinite entry.
+
+    An unvalidated state (DensityOperator(..., validate=False)) can carry
+    one, and the kernels would turn it into a wrong answer without an error:
+    a zero negativity, an all-NaN channel output, a payoff that skips it.
+    """
+    if not np.isfinite(matrices).all():
+        index = np.flatnonzero(~np.isfinite(matrices).all(axis=(-2, -1)))[0]
+        raise ValueError(f"state {index} of the stack has a non-finite entry")
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of the last two axes, broadcast over leading axes.
 
@@ -106,28 +113,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-4], m * p, n * q)
 
 
-def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product with the first argument's indices most significant."""
-    if not ops:
-        raise ValueError("tensor() needs at least one operator")
-    arrays = [np.asarray(op, dtype=complex) for op in ops]
-    for array in arrays:
-        if array.ndim != 2:
-            raise ValueError(f"tensor() operands must be 2-D matrices; got shape {array.shape}")
-    out = arrays[0]
-    for array in arrays[1:]:
-        out = _kron(out, array)
-    return out
-
-
 def _partial_transposes(matrices: np.ndarray) -> np.ndarray:
     """Transpose B, the second qubit, of each 4x4 matrix in a stack."""
     return matrices.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
-
-
-def partial_transpose(rho: DensityOperator) -> np.ndarray:
-    """Transpose B, the second qubit, of a two-qubit state."""
-    return _partial_transposes(_two_qubit_matrix(rho, "partial_transpose")[None])[0]
 
 
 def _negativities(matrices: np.ndarray) -> np.ndarray:
@@ -136,8 +124,10 @@ def _negativities(matrices: np.ndarray) -> np.ndarray:
     eigvalsh sorts ascending, so the negative eigenvalues lead each row and
     adding the zeros that replace the rest leaves their sum unchanged.  The
     result is 0.0 minus that sum, not its negation, so a state with no
-    negative eigenvalue reads +0.0 rather than -0.0.
+    negative eigenvalue reads +0.0 rather than -0.0.  A non-finite entry
+    raises ValueError.
     """
+    _check_finite(matrices)
     eigvals = np.linalg.eigvalsh(_partial_transposes(matrices))
     return 0.0 - np.where(eigvals < 0, eigvals, 0.0).sum(axis=-1)
 

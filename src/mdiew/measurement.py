@@ -9,8 +9,8 @@ sharpness lam uses the effects
 and updates the state through the square-root (Lueders) rule.  Bob measures
 the qubits (B, B') of the space (A, B, B'), so each Kraus operator is
 I_2 (x) sqrt(E) in that order.  Effects, roots and the channel are built for
-whole stacks of sharpness values; the one-sharpness functions are their
-stacks of one.
+whole stacks of sharpness values; `averaged_channel` is the channel's
+one-state, one-sharpness case.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ import functools
 
 import numpy as np
 
-from .linalg import DensityOperator, _kron, _read_only, _two_qubit_matrix
+from .linalg import DensityOperator, _check_finite, _kron, _read_only, _two_qubit_matrix
 from .states import _check_lams, bell_phi_plus, input_ensemble
-
-OUTCOMES = ("+", "-")
 
 
 @functools.cache
@@ -35,10 +33,18 @@ def bell_projector() -> np.ndarray:
 def _effects(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plus effects, plus roots and minus roots at each sharpness of `lams`, as (len(lams), 4, 4) stacks.
 
-    The first entry outside [0, 1], NaN included, raises ValueError.  Each
-    root is (a - b) P+ + b I, with a and b the square roots of the effect's
-    eigenvalues on |Phi+> and off it, and every entry takes the
-    one-sharpness operations elementwise.
+    The plus effect has eigenvalue (1+3 lam)/4 on |Phi+> and (1-lam)/4 on its
+    complement; the minus effect is I - plus.  The first entry outside
+    [0, 1], NaN included, raises ValueError.  Each root is (a - b) P+ + b I,
+    with a and b the square roots of the effect's eigenvalues on |Phi+> and
+    off it, and every entry takes the one-sharpness operations elementwise.
+
+    This two-eigenspace form squares back to the effect within 1e-15.  A
+    generic eigendecomposition route agrees with it within 1e-12 for
+    1 - lam >= 1e-6.  Closer to lam = 1 the effect's smallest eigenvalue mu
+    sinks towards the rounding of its entries, and the generic route's error
+    grows like eps/sqrt(mu) (eps = float64 machine epsilon); this form keeps
+    its accuracy there.
     """
     lams = _check_lams(lams)
     projector, identity = bell_projector(), np.eye(4)
@@ -53,35 +59,6 @@ def _effects(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             root((3.0 - 3.0 * lams) / 4.0, (3.0 + lams) / 4.0))
 
 
-def unsharp_pair(lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Effects (plus, minus) interpolating between the trivial (lam=0) and sharp (lam=1) measurement.
-
-    The plus effect has eigenvalue (1+3 lam)/4 on |Phi+> and (1-lam)/4 on its
-    complement; minus is built as I - plus so the pair sums to the identity
-    exactly.  The one-sharpness case of the effect stack.
-    """
-    plus = _effects([float(lam)])[0][0]
-    return plus, np.eye(4) - plus
-
-
-def effect_sqrt(lam: float, outcome: str) -> np.ndarray:
-    """Square root of an unsharp effect via its two-eigenspace spectral form.
-
-    Exact fast path; it squares back to the effect within 1e-15.  A generic
-    eigendecomposition route agrees with it within 1e-12 for
-    1 - lam >= 1e-6.  Closer to lam = 1 the effect's smallest eigenvalue mu
-    sinks towards the rounding of its entries, and the generic route's error
-    grows like eps/sqrt(mu) (eps = float64 machine epsilon); this form keeps
-    its accuracy there.  The one-sharpness case of the effect stack.
-    """
-    _, plus_roots, minus_roots = _effects([float(lam)])
-    if outcome == "+":
-        return plus_roots[0]
-    if outcome == "-":
-        return minus_roots[0]
-    raise ValueError(f"outcome must be '+' or '-'; got {outcome!r}")
-
-
 def _averaged_channel(matrices: np.ndarray, lams) -> np.ndarray:
     """averaged_channel of a stack of 4x4 shared-state matrices at each sharpness of `lams`.
 
@@ -89,7 +66,9 @@ def _averaged_channel(matrices: np.ndarray, lams) -> np.ndarray:
     first.  Every output takes the operations of a one-state, one-sharpness
     call: the Kraus products kraus @ eta @ kraus summed input by input,
     outcome by outcome, on (A, B, B'), then the trace over the input B'.
+    A state with a non-finite entry raises ValueError.
     """
+    _check_finite(matrices)
     _, plus_roots, minus_roots = _effects(lams)
     # krauses[outcome, l] = I_2 (x) sqrt(E_outcome) at sharpness l, broadcast over the states.
     krauses = _kron(np.eye(2), np.stack([plus_roots, minus_roots]))[:, :, None]

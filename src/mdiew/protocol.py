@@ -458,15 +458,6 @@ def n_max_over_lambda(alpha: float) -> tuple[int, list[tuple[float, float]]]:
     return len(windows), windows[-1:]
 
 
-def lambda_range_table(alpha: float) -> list[tuple[int, float]]:
-    """(n, width) for every achievable count n of this state.
-
-    The width is the measure of the sharpness set where the count equals
-    exactly n.
-    """
-    return list(enumerate(_range_widths([alpha])[0], 1))
-
-
 def equal_sharpness_curve(alpha: float, step: float = 1e-3) -> list[tuple[float, int]]:
     """(lambda, count) over the ascending sharpness grid inside (1/3, 1]."""
     if not 0.0 < step < math.inf:

@@ -135,29 +135,22 @@ def _werner_strengths(alphas) -> np.ndarray:
     return 1.0 + 4.0 * alphas * np.sqrt(1.0 - alphas * alphas)
 
 
-def input_state(index: int) -> DensityOperator:
-    """Referee input number `index`, handed to Alice on A' (tau) or to Bob on B' (omega).
-
-    The tau and omega families follow the same formula, so one state serves both.
-    """
-    from .linalg import PAULI, DensityOperator
-
-    if index not in (0, 1, 2, 3):
-        raise ValueError(f"input index must be 0..3; got {index}")
-    base = (PAULI[0] + BLOCH_AXIS[0] * PAULI[1] + BLOCH_AXIS[1] * PAULI[2]
-            + BLOCH_AXIS[2] * PAULI[3]) / 2.0
-    return DensityOperator(PAULI[index] @ base @ PAULI[index])
-
-
 @functools.cache
 def input_ensemble() -> np.ndarray:
-    """The four referee inputs input_state(0..3) as one read-only (4, 2, 2) stack.
+    """The four referee inputs sigma_s (I + n.sigma)/2 sigma_s as one read-only (4, 2, 2) stack.
 
-    The referee draws each with weight 1/4.
+    Input s goes to Alice on A' as tau_s or to Bob on B' as omega_s: the two
+    families follow the same formula, so one stack serves both.  The referee
+    draws each with weight 1/4.
     """
     import numpy as np
 
-    stack = np.stack([input_state(s).matrix for s in range(4)])
+    from .linalg import PAULI, _check_density_matrices
+
+    base = (PAULI[0] + BLOCH_AXIS[0] * PAULI[1] + BLOCH_AXIS[1] * PAULI[2]
+            + BLOCH_AXIS[2] * PAULI[3]) / 2.0
+    stack = np.stack([PAULI[s] @ base @ PAULI[s] for s in range(4)])
+    _check_density_matrices(stack)
     stack.flags.writeable = False
     return stack
 

@@ -4,8 +4,10 @@ Each check recomputes one of the package's oracle equivalences or structural
 properties and reports its worst deviation against a pinned tolerance.  The
 suite is seeded and finishes in tens of milliseconds.  The grid checks build
 and validate their states as stacks and evaluate them with the stacked
-literal kernels, each the many-state, many-sharpness case of one public
-function.  The closed forms they compare against are taken over the whole
+literal kernels (`witness._payoffs`, `witness._reduced_witness_operators`,
+`measurement._averaged_channel`, `linalg._negativities`), which take every
+state and sharpness through the operations of a one-state, one-sharpness
+call.  The closed forms they compare against are taken over the whole
 grid by the library's private array twins of the scalar functions, which
 take the scalar operations elementwise, so every deviation equals the one a
 per-point loop over the public functions gives.

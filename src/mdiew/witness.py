@@ -11,7 +11,9 @@ zeros of the literal operator), as tr(W(lam) rho) with the reduced 4x4
 witness operator W(lam), and by the closed form (1 - lam q c)/16
 for the noisy partially entangled family, where
 c = 1 + 4 alpha sqrt(1 - alpha^2).  A strictly negative value certifies
-entanglement; separable states can never go below zero.
+entanglement; separable states can never go below zero.  The literal trace
+and W(lam) are built for whole stacks of states and sharpness values;
+`mdi_ew_numeric` is the trace's one-state, one-sharpness case.
 """
 
 from __future__ import annotations
@@ -79,12 +81,10 @@ def _payoffs(matrices: np.ndarray, beta: WitnessCoefficients, lams) -> np.ndarra
     """
     import numpy as np
 
-    from .linalg import _kron
+    from .linalg import _check_finite, _kron
     from .measurement import _effects, bell_projector
 
-    finite = np.isfinite(matrices).all(axis=(-2, -1))
-    if not finite.all():
-        raise ValueError(f"state {np.flatnonzero(~finite)[0]} of the stack has a non-finite entry")
+    _check_finite(matrices)
     taus = omegas = input_ensemble()
     # tr(op eta) = sum_jk op[j, k] eta[k, j]: each op transposed and flattened
     # against each eta flattened, over the support, the entries where some op
@@ -118,9 +118,13 @@ def mdi_ew_numeric(rho: DensityOperator, beta: WitnessCoefficients, lam: float) 
 
 
 def _reduced_witness_operators(lams, beta: WitnessCoefficients) -> np.ndarray:
-    """reduced_witness_operator at each sharpness of `lams`, as one (len(lams), 4, 4) stack.
+    """4x4 operators W(lam) on (A, B) with mdi_ew_numeric(rho, beta, lam) = tr(W(lam) rho).
 
-    One contraction over the stacked literal operators P+ (x) E+_lam.
+    One (len(lams), 4, 4) stack, one entry per sharpness of `lams`.  The
+    payoff is linear in rho, so the literal P+ (x) E+_lam contracted with
+    sum_st beta_st tau_s (x) omega_t over A' and B' leaves W(lam), all in one
+    contraction over the stacked literal operators.  For werner_beta() it is
+    W(lam) = (1 + lam)/16 I - (lam/4) |psi-><psi-|.
     """
     import numpy as np
 
@@ -132,16 +136,6 @@ def _reduced_witness_operators(lams, beta: WitnessCoefficients) -> np.ndarray:
     ops = _kron(bell_projector(), _effects(lams)[0])
     inputs = np.einsum("st,sea,thd->eahd", beta.beta, taus, omegas)
     return np.einsum("labcdefgh,eahd->lbcfg", ops.reshape(-1, *(2,) * 8), inputs).reshape(-1, 4, 4)
-
-
-def reduced_witness_operator(lam: float, beta: WitnessCoefficients) -> np.ndarray:
-    """4x4 operator W(lam) on (A, B) with mdi_ew_numeric(rho, beta, lam) = tr(W(lam) rho).
-
-    The payoff is linear in rho, so the literal P+ (x) E+_lam contracted with
-    sum_st beta_st tau_s (x) omega_t over A' and B' leaves W(lam).  For
-    werner_beta() it is (1 + lam)/16 I - (lam/4) |psi-><psi-|.
-    """
-    return _reduced_witness_operators((lam,), beta)[0]
 
 
 def mdi_ew_closed_form_unsharp(q: float, alpha: float, lam: float) -> float:
@@ -182,7 +176,7 @@ def threshold_lambda(q: float, alpha: float) -> float:
 
 
 def _input_products(taus: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """The (4, 4, 4, 4) stack of tau_s^T (x) omega_t^T over the pairs (s, t), as tensor builds each."""
+    """The (4, 4, 4, 4) stack of tau_s^T (x) omega_t^T over the pairs (s, t), as np.kron builds each."""
     import numpy as np
 
     from .linalg import _kron
@@ -201,12 +195,12 @@ def decompose_witness(w: np.ndarray, taus: np.ndarray, omegas: np.ndarray) -> Wi
     """
     import numpy as np
 
-    from .linalg import is_hermitian
+    from .linalg import HERMITICITY_ATOL
 
     w = np.asarray(w, dtype=complex)
     if w.shape != (4, 4):
         raise ValueError(f"witness operator must be 4x4; got shape {w.shape}")
-    if not is_hermitian(w):
+    if not np.max(np.abs(w - w.conj().T)) <= HERMITICITY_ATOL:
         raise ValueError("witness operator must be Hermitian")
     columns = _input_products(taus, omegas).reshape(16, 16).T
     system = np.vstack([columns.real, columns.imag])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from mdiew import protocol, verify
-from mdiew.linalg import PSD_ATOL, DensityOperator, is_hermitian
+from mdiew.linalg import HERMITICITY_ATOL, PSD_ATOL, DensityOperator
 from mdiew.protocol import FEASIBILITY_TOL, LAMBDA_WINDOW
 from mdiew.states import ALPHA_MAX, _werner_strengths, werner_alpha
 
@@ -45,10 +45,16 @@ def random_hermitian(rng, dim):
     return (g + g.conj().T) / 2
 
 
+def _require_hermitian(matrix, caller):
+    """Raise ValueError unless `matrix` equals its conjugate transpose within 1e-12 (test oracle)."""
+    matrix = np.asarray(matrix)
+    if not np.abs(matrix - matrix.conj().T).max() <= HERMITICITY_ATOL:
+        raise ValueError(f"{caller} requires a Hermitian matrix")
+
+
 def min_eigenvalue(matrix):
     """Smallest eigenvalue of a Hermitian matrix (test oracle)."""
-    if not is_hermitian(matrix):
-        raise ValueError("min_eigenvalue requires a Hermitian matrix")
+    _require_hermitian(matrix, "min_eigenvalue")
     return float(np.linalg.eigvalsh(matrix)[0])
 
 
@@ -70,13 +76,26 @@ def herm_sqrt(matrix):
     ValueError.  Every non-negative eigenvalue keeps its own square root.
     """
     matrix = np.asarray(matrix, dtype=complex)
-    if not is_hermitian(matrix):
-        raise ValueError("herm_sqrt requires a Hermitian matrix")
+    _require_hermitian(matrix, "herm_sqrt")
     eigvals, eigvecs = np.linalg.eigh(matrix)
     if eigvals[0] < -PSD_ATOL:
         raise ValueError(f"herm_sqrt requires a PSD matrix; min eigenvalue {eigvals[0]}")
     eigvals = np.where(eigvals < 0.0, 0.0, eigvals)
     return (eigvecs * np.sqrt(eigvals)) @ eigvecs.conj().T
+
+
+def generic_root_tolerance(lam, smallest_eigenvalue):
+    """Bound on |unsharp-effect root - herm_sqrt| that follows float64 conditioning (test oracle).
+
+    Exactly 1e-12 for 1 - lam >= 1e-6.  Closer to lam = 1 the effect's
+    smallest eigenvalue mu sinks below the rounding of its 0.5-scale entries,
+    so any eigen-route's root carries an error ~ eps/sqrt(mu); the measured
+    worst case is 0.88 eps/sqrt(max(mu, eps)), bounded here with c = 4.
+    """
+    eps = np.finfo(float).eps
+    if 1.0 - lam >= 1e-6:
+        return 1e-12
+    return 1e-12 + 4.0 * eps / np.sqrt(max(smallest_eigenvalue, eps))
 
 
 def mp_alpha_from_entanglement(entropy):

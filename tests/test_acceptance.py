@@ -229,10 +229,11 @@ def test_criterion_08_negativity_consistency():
 
 def test_criterion_09_sharpness_range_shape():
     grid = np.arange(0.5, 1.0 + 1e-9, 0.025)
+    widths = protocol._range_widths(
+        [states.alpha_from_entanglement(min(float(entropy), 1.0)) for entropy in grid])
     table = {}
-    for entropy in grid:
-        alpha = states.alpha_from_entanglement(min(float(entropy), 1.0))
-        achieved = dict(protocol.lambda_range_table(alpha))
+    for entropy, row in zip(grid, widths):
+        achieved = dict(enumerate(row, 1))
         ranges = [achieved.get(n, 0.0) for n in range(1, 8)]
         best = max(n for n in range(1, 8) if ranges[n - 1] > 0)
         table[float(entropy)] = (best, ranges)

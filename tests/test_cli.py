@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import hashlib
@@ -518,6 +519,60 @@ def test_count_edge_table_loads_no_numpy():
     result = subprocess.run([sys.executable, "-c", probe], env=_fresh_env(),
                             capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.split() == ["0.5923410886765756", "False"]
+
+
+# Every public top-level name of the package, per module.  Growing this set
+# is a reviewed edit: a name earns its place when the CLI, `verify` or a
+# paper result needs it.
+PUBLIC_SURFACE = {
+    "__init__": set(),
+    "cli": {"FIG1_DEFAULT_STEP", "FIG2_DEFAULT_STEP", "FIG3_DEFAULT_STEP", "FIG3_E_MIN",
+            "SCHEMA_VERSION", "cmd_fig1", "cmd_fig2", "cmd_fig3", "cmd_run", "cmd_verify",
+            "main"},
+    "linalg": {"DensityOperator", "HERMITICITY_ATOL", "PAULI", "PSD_ATOL", "TRACE_ATOL",
+               "negativity"},
+    "measurement": {"averaged_channel", "bell_projector"},
+    "protocol": {"BobRecord", "FEASIBILITY_TOL", "LAMBDA_WINDOW", "POLICY_EQUAL",
+                 "POLICY_THRESHOLD", "ProtocolTrace", "boundary_alpha_for_n",
+                 "delta_negativity", "delta_negativity_at_threshold", "equal_sharpness_count",
+                 "equal_sharpness_curve", "f_of_lambda", "n_max_over_lambda",
+                 "negativity_walpha", "run_equal_sharpness", "run_threshold_protocol",
+                 "threshold_from_negativity"},
+    "states": {"ALPHA_MAX", "BLOCH_AXIS", "alpha_from_entanglement", "bell_phi_plus",
+               "entanglement_entropy", "input_ensemble", "psi_alpha", "werner_alpha",
+               "werner_strength"},
+    "verify": {"CHANNEL_TOL", "CheckResult", "DEFAULT_SEED", "DELTA_IDENTITY_TOL", "FIG3_SLACK",
+               "NEGATIVITY_TOL", "SEPARABLE_BOUND", "WITNESS_GRID_TOL", "WITNESS_OPERATOR_TOL",
+               "check_channel_closure_maximal", "check_channel_statistics",
+               "check_decay_spot_values", "check_decomposition_roundtrip",
+               "check_delta_negativity_identity", "check_delta_negativity_monotone",
+               "check_equal_sharpness_maxima", "check_negativity_grid", "check_range_shape",
+               "check_separable_nonnegativity", "check_sharp_survival",
+               "check_threshold_boundary", "check_threshold_protocol_count",
+               "check_witness_grid", "check_witness_sharp_corner", "run_all"},
+    "witness": {"DETECTION_THRESHOLD", "SingularEnsembleError", "WitnessCoefficients",
+                "decompose_witness", "mdi_ew_closed_form_unsharp", "mdi_ew_numeric",
+                "threshold_lambda", "werner_beta"},
+}
+
+
+def _public_names(source):
+    """Top-level def, class and assigned names of a module's source without a leading underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(leaf.id for target in targets for leaf in ast.walk(target)
+                         if isinstance(leaf, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_public_surface_is_pinned():
+    package = pathlib.Path(mdiew.__file__).parent
+    surface = {path.stem: _public_names(path.read_text()) for path in package.glob("*.py")}
+    assert surface == PUBLIC_SURFACE
 
 
 def test_unwritable_path_is_usage_error(tmp_path):

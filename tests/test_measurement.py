@@ -6,20 +6,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mdiew.linalg import DensityOperator
-from mdiew.measurement import (
-    OUTCOMES,
-    _averaged_channel,
-    _effects,
-    averaged_channel,
-    bell_projector,
-    effect_sqrt,
-    unsharp_pair,
-)
+from mdiew.measurement import _averaged_channel, _effects, averaged_channel, bell_projector
 from mdiew.protocol import f_of_lambda
 from mdiew.states import ALPHA_MAX, input_ensemble, psi_alpha, werner_alpha
 from mdiew.witness import _payoffs, werner_beta
 
 from conftest import (
+    generic_root_tolerance,
     herm_sqrt,
     min_eigenvalue,
     partial_trace,
@@ -32,30 +25,42 @@ I4 = np.eye(4)
 lambdas = st.floats(0.0, 1.0)
 
 
+def effect_pair(lam):
+    """Plus and minus effect at one sharpness: the kernel's plus, and minus = I - plus."""
+    plus = _effects([lam])[0][0]
+    return plus, I4 - plus
+
+
+def effect_roots(lam):
+    """Plus and minus root at one sharpness, from the kernel's stack of one."""
+    _, plus_roots, minus_roots = _effects([lam])
+    return plus_roots[0], minus_roots[0]
+
+
 # --- effects ------------------------------------------------------------------
 
 def test_sharp_limit_gives_projectors():
-    plus, minus = unsharp_pair(1.0)
+    plus, minus = effect_pair(1.0)
     assert np.abs(plus - bell_projector()).max() < 1e-14
     assert np.abs(minus - (I4 - bell_projector())).max() < 1e-14
     assert np.array_equal(plus + minus, I4)
 
 
 def test_trivial_limit_gives_scaled_identities():
-    plus, minus = unsharp_pair(0.0)
+    plus, minus = effect_pair(0.0)
     assert np.abs(plus - I4 / 4).max() < 1e-15
     assert np.abs(minus - 3 * I4 / 4).max() < 1e-15
 
 
 def test_effect_spectrum_at_one_third():
-    plus, _ = unsharp_pair(1 / 3)
+    plus, _ = effect_pair(1 / 3)
     eigvals = np.sort(np.linalg.eigvalsh(plus))
     assert np.abs(eigvals - [1 / 6, 1 / 6, 1 / 6, 0.5]).max() < 1e-12
 
 
 @given(lambdas)
 def test_effects_sum_to_identity_exactly(lam):
-    plus, minus = unsharp_pair(lam)
+    plus, minus = effect_pair(lam)
     assert np.array_equal(plus + minus, I4)
     assert min_eigenvalue(plus) >= -1e-14
     assert min_eigenvalue(minus) >= -1e-14
@@ -64,7 +69,7 @@ def test_effects_sum_to_identity_exactly(lam):
 def test_unsharp_pair_range_errors():
     for lam in (-0.01, 1.01):
         with pytest.raises(ValueError, match="sharpness"):
-            unsharp_pair(lam)
+            effect_pair(lam)
 
 
 def test_bell_projector_is_read_only():
@@ -74,7 +79,7 @@ def test_bell_projector_is_read_only():
     with pytest.raises(ValueError, match="read-only"):
         projector[0, 0] = 1.0
     assert bell_projector() is projector
-    assert np.array_equal(unsharp_pair(1.0)[0], projector)
+    assert np.array_equal(effect_pair(1.0)[0], projector)
 
 
 # Sharpness grid of the effect-stack tests: 101 points from 0 to 1, then 1/3.
@@ -97,9 +102,10 @@ def test_effect_stack_is_bit_identical_to_one_sharpness_calls():
     plus, plus_roots, minus_roots = _effects(STACK_LAMS)
     assert plus.shape == plus_roots.shape == minus_roots.shape == (len(STACK_LAMS), 4, 4)
     for index, lam in enumerate(STACK_LAMS):
-        assert np.array_equal(plus[index], unsharp_pair(lam)[0])
-        assert np.array_equal(plus_roots[index], effect_sqrt(lam, "+"))
-        assert np.array_equal(minus_roots[index], effect_sqrt(lam, "-"))
+        one = _effects([lam])
+        assert np.array_equal(plus[index], one[0][0])
+        assert np.array_equal(plus_roots[index], one[1][0])
+        assert np.array_equal(minus_roots[index], one[2][0])
         reference = scalar_effects(float(lam))
         for got, want in zip((plus[index], plus_roots[index], minus_roots[index]), reference):
             assert np.array_equal(got, want)
@@ -119,37 +125,20 @@ def test_sharpness_stack_names_its_first_bad_entry(bad, shown):
 
 # --- effect square roots ----------------------------------------------------------
 
-EPS = np.finfo(float).eps
-
-
-def generic_root_tolerance(lam, smallest_eigenvalue):
-    """Bound on |effect_sqrt - herm_sqrt| that follows float64 conditioning.
-
-    Exactly 1e-12 for 1 - lam >= 1e-6.  Closer to lam = 1 the effect's
-    smallest eigenvalue mu sinks below the rounding of its 0.5-scale entries,
-    so any eigen-route's root carries an error ~ eps/sqrt(mu); the measured
-    worst case is 0.88 eps/sqrt(max(mu, eps)), bounded here with c = 4.
-    """
-    if 1.0 - lam >= 1e-6:
-        return 1e-12
-    return 1e-12 + 4.0 * EPS / np.sqrt(max(smallest_eigenvalue, EPS))
-
-
 @given(lambdas)
 @example(0.0)
 @example(1.0)
 @example(float(np.nextafter(1.0, 0.0)))
 @example(1.0 - 3.9e-10)
 def test_effect_sqrt_agrees_with_generic_path(lam):
-    plus, minus = unsharp_pair(lam)
-    for outcome, effect, smallest in (("+", plus, (1.0 - lam) / 4.0),
-                                      ("-", minus, (3.0 - 3.0 * lam) / 4.0)):
-        root = effect_sqrt(lam, outcome)
+    plus, minus = effect_pair(lam)
+    plus_root, minus_root = effect_roots(lam)
+    for root, effect, smallest in ((plus_root, plus, (1.0 - lam) / 4.0),
+                                   (minus_root, minus, (3.0 - 3.0 * lam) / 4.0)):
         assert np.abs(root @ root - effect).max() < 1e-15
         tolerance = generic_root_tolerance(lam, smallest)
         assert np.abs(root - herm_sqrt(effect)).max() < tolerance
     # the two Kraus operators are complete, so the update preserves the trace
-    plus_root, minus_root = effect_sqrt(lam, "+"), effect_sqrt(lam, "-")
     assert np.abs(plus_root @ plus_root + minus_root @ minus_root - I4).max() < 2e-15
 
 
@@ -160,13 +149,9 @@ def test_effect_sqrt_closed_spectral_form():
                  + np.sqrt((1 - lam) / 4) * (I4 - proj))
     minus_root = (np.sqrt((3 - 3 * lam) / 4) * proj
                   + np.sqrt((3 + lam) / 4) * (I4 - proj))
-    assert np.abs(effect_sqrt(lam, "+") - plus_root).max() < 1e-14
-    assert np.abs(effect_sqrt(lam, "-") - minus_root).max() < 1e-14
-
-
-def test_effect_sqrt_rejects_bad_outcome():
-    with pytest.raises(ValueError, match="outcome"):
-        effect_sqrt(0.5, "0")
+    got_plus, got_minus = effect_roots(lam)
+    assert np.abs(got_plus - plus_root).max() < 1e-14
+    assert np.abs(got_minus - minus_root).max() < 1e-14
 
 
 # --- averaged channel -------------------------------------------------------------------
@@ -221,8 +206,8 @@ def _eight_embed_channel(rho, lam):
     total = np.zeros((8, 8), dtype=complex)
     for omega in input_ensemble():
         eta = np.kron(rho.matrix, omega)
-        for outcome in OUTCOMES:
-            kraus = np.kron(np.eye(2), effect_sqrt(lam, outcome))
+        for root in effect_roots(lam):
+            kraus = np.kron(np.eye(2), root)
             total += 0.25 * (kraus @ eta @ kraus)
     blocks = total.reshape(4, 2, 4, 2)
     return blocks[:, 0, :, 0] + blocks[:, 1, :, 1]

@@ -21,7 +21,6 @@ from mdiew.protocol import (
     equal_sharpness_count,
     equal_sharpness_curve,
     f_of_lambda,
-    lambda_range_table,
     n_max_over_lambda,
     negativity_walpha,
     run_equal_sharpness,
@@ -431,7 +430,7 @@ def test_equal_sharpness_curve_rejects_bad_step(step):
 
 
 def test_lambda_range_partitions_the_window():
-    table = dict(lambda_range_table(ALPHA_MAX))
+    table = dict(enumerate(protocol._range_widths([ALPHA_MAX])[0], 1))
     assert set(table) == {1, 2, 3, 4, 5, 6}
     # measures of {count = n} tile (1/3, 1] together with the count-0 set
     assert sum(table.values()) <= 2 / 3 + 1e-9
@@ -440,7 +439,7 @@ def test_lambda_range_partitions_the_window():
 def test_lambda_range_covers_full_window_with_failures():
     # count >= 1 on (1/(q c), 1]; below that nothing is detected
     strength = werner_strength(ALPHA_MAX)
-    table = dict(lambda_range_table(ALPHA_MAX))
+    table = dict(enumerate(protocol._range_widths([ALPHA_MAX])[0], 1))
     level_one = sum(table.values())
     expected = 1.0 - 1.0 / strength
     assert level_one == pytest.approx(expected, abs=1e-5)
@@ -450,7 +449,7 @@ def test_lambda_range_covers_full_window_with_failures():
 
 def test_two_observer_range_includes_sharp_endpoint():
     assert equal_sharpness_count(ALPHA_MAX, 1.0) == 2
-    assert dict(lambda_range_table(ALPHA_MAX)).get(2, 0.0) > 0.0
+    assert dict(enumerate(protocol._range_widths([ALPHA_MAX])[0], 1)).get(2, 0.0) > 0.0
 
 
 WINDOW_ENTROPIES = [1.0, 0.935, 0.6]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mdiew import verify
 from mdiew.cli import FIG1_DEFAULT_STEP
-from mdiew.linalg import PAULI, partial_transpose, tensor
+from mdiew.linalg import PAULI, _partial_transposes
 from mdiew.states import (
     ALPHA_MAX,
     _alphas_from_entanglement,
@@ -17,7 +17,6 @@ from mdiew.states import (
     bell_phi_plus,
     entanglement_entropy,
     input_ensemble,
-    input_state,
     psi_alpha,
     werner_alpha,
     werner_strength,
@@ -142,7 +141,7 @@ def test_entangled_iff_strength_exceeds_one():
     for q in np.linspace(0.05, 1.0, 20):
         for alpha in np.linspace(0.05, ALPHA_MAX, 20):
             entangled = q * werner_strength(alpha) > 1.0
-            low = min_eigenvalue(partial_transpose(werner_alpha(q, alpha)))
+            low = min_eigenvalue(_partial_transposes(werner_alpha(q, alpha).matrix[None])[0])
             assert (low < -1e-12) == entangled or abs(q * werner_strength(alpha) - 1) < 1e-9
 
 
@@ -154,23 +153,17 @@ def bloch_vector(matrix):
 
 def test_input_state_bloch_vectors():
     root3 = 1 / math.sqrt(3)
-    assert np.abs(bloch_vector(input_state(0).matrix) - [root3, root3, root3]).max() < 1e-12
+    assert np.abs(bloch_vector(input_ensemble()[0]) - [root3, root3, root3]).max() < 1e-12
     # conjugation by the third Pauli flips the first two components
-    assert np.abs(bloch_vector(input_state(3).matrix) - [-root3, -root3, root3]).max() < 1e-12
+    assert np.abs(bloch_vector(input_ensemble()[3]) - [-root3, -root3, root3]).max() < 1e-12
 
 
 def test_input_states_are_rank_one_with_unit_bloch():
-    for index in range(4):
-        state = input_state(index)
-        assert abs(state.matrix.trace() - 1.0) < 1e-14
-        eigvals = np.sort(np.linalg.eigvalsh(state.matrix))
+    for state in input_ensemble():
+        assert abs(state.trace() - 1.0) < 1e-14
+        eigvals = np.sort(np.linalg.eigvalsh(state))
         assert np.abs(eigvals - [0.0, 1.0]).max() < 1e-12
-        assert np.linalg.norm(bloch_vector(state.matrix)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_input_state_rejects_bad_arguments():
-    with pytest.raises(ValueError, match="index"):
-        input_state(4)
+        assert np.linalg.norm(bloch_vector(state)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_input_ensemble_gram_matrix_nonsingular():
@@ -182,7 +175,10 @@ def test_input_ensemble_gram_matrix_nonsingular():
 def test_input_ensemble_is_a_read_only_stack_of_the_inputs():
     ensemble = input_ensemble()
     assert ensemble.shape == (4, 2, 2)
-    assert all(np.array_equal(ensemble[s], input_state(s).matrix) for s in range(4))
+    # sigma_s (I + n.sigma)/2 sigma_s with n = (1, 1, 1)/sqrt(3), bit for bit
+    root3 = 1 / math.sqrt(3)
+    base = (PAULI[0] + root3 * PAULI[1] + root3 * PAULI[2] + root3 * PAULI[3]) / 2.0
+    assert all(np.array_equal(ensemble[s], PAULI[s] @ base @ PAULI[s]) for s in range(4))
     with pytest.raises(ValueError, match="read-only"):
         ensemble[0, 0, 0] = 0.0
 
@@ -201,7 +197,7 @@ def test_bell_contraction_identity(seed):
     rng = np.random.default_rng(seed)
     x, y = random_hermitian(rng, 2), random_hermitian(rng, 2)
     phi = bell_phi_plus()
-    lhs = np.vdot(phi, tensor(x, y) @ phi)
+    lhs = np.vdot(phi, np.kron(x, y) @ phi)
     rhs = np.trace(x @ y.T) / 2
     assert abs(lhs - rhs) < 1e-12
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdiew.linalg import DensityOperator, tensor
-from mdiew.measurement import bell_projector, unsharp_pair
+from mdiew.linalg import DensityOperator
+from mdiew.measurement import _effects, bell_projector
 from mdiew.states import (
     ALPHA_MAX,
     input_ensemble,
@@ -24,7 +24,6 @@ from mdiew.witness import (
     decompose_witness,
     mdi_ew_closed_form_unsharp,
     mdi_ew_numeric,
-    reduced_witness_operator,
     threshold_lambda,
     werner_beta,
 )
@@ -45,12 +44,12 @@ lambdas = st.floats(0.0, 1.0)
 # factor from the two |Phi+> contractions: sum_st beta_st P(1,1|.) = tr(W rho)/4
 # when beta decomposes W over the transposed inputs.  Each sharp projection
 # gives <Phi+| X (x) Y |Phi+> = tr(X^T Y)/2, so at lam = 1 the reduced operator
-# of the identity target, reduced_witness_operator(1.0, beta), is I/4.
+# of the identity target, _reduced_witness_operators([1.0], beta)[0], is I/4.
 CONTRACTION_FACTOR = 0.25
 
 
 def recompose(beta, taus, omegas):
-    return sum(beta[s, t] * tensor(taus[s].T, omegas[t].T)
+    return sum(beta[s, t] * np.kron(taus[s].T, omegas[t].T)
                for s in range(4) for t in range(4))
 
 
@@ -97,9 +96,8 @@ def joint_success_probability(rho, lam, s, t):
     (B, B').
     """
     taus = omegas = input_ensemble()
-    plus, _ = unsharp_pair(lam)
-    op = tensor(bell_projector(), plus)
-    eta = tensor(taus[s], rho.matrix, omegas[t])
+    op = np.kron(bell_projector(), _effects([lam])[0][0])
+    eta = np.kron(np.kron(taus[s], rho.matrix), omegas[t])
     return float(np.trace(op @ eta).real)
 
 
@@ -125,8 +123,7 @@ def _product_trace(op, eta):
 def _per_pair_loop_payoff(rho, beta, lam, trace=_flattened_trace):
     """Reference: one np.kron-built 16x16 operator and trace per (s, t) pair."""
     taus = omegas = input_ensemble()
-    plus, _ = unsharp_pair(lam)
-    op = np.kron(bell_projector(), plus)
+    op = np.kron(bell_projector(), _effects([lam])[0][0])
     value = 0.0
     for s in range(4):
         tau = taus[s]
@@ -214,7 +211,7 @@ def _trivial_effect_reads(row, col):
     Read off the dense np.kron operator: rho[row, col] enters tr(op eta) only
     through entries of op^T on the rows and columns where (A, B) is (row, col).
     """
-    op = np.kron(bell_projector(), unsharp_pair(0.0)[0]).T.reshape((2, 4, 2) * 2)
+    op = np.kron(bell_projector(), _effects([0.0])[0][0]).T.reshape((2, 4, 2) * 2)
     return bool(np.any(op[:, row, :, :, col, :] != 0))
 
 
@@ -283,7 +280,7 @@ def test_numeric_rejects_wrong_layout(rng):
 def test_reduced_operator_reproduces_literal_payoff(seed, lam):
     rho = DensityOperator(random_density_matrix(np.random.default_rng(seed), 4))
     beta = werner_beta()
-    reduced = np.trace(reduced_witness_operator(lam, beta) @ rho.matrix).real
+    reduced = np.trace(_reduced_witness_operators([lam], beta)[0] @ rho.matrix).real
     assert abs(reduced - mdi_ew_numeric(rho, beta, lam)) <= 1e-15
 
 
@@ -292,7 +289,7 @@ def test_reduced_operator_matches_closed_form():
     projector = np.outer(singlet, singlet.conj())
     for lam in np.linspace(0.0, 1.0, 101):
         closed = (1.0 + lam) / 16.0 * np.eye(4) - lam / 4.0 * projector
-        assert np.abs(reduced_witness_operator(lam, werner_beta()) - closed).max() <= 1e-15
+        assert np.abs(_reduced_witness_operators([lam], werner_beta())[0] - closed).max() <= 1e-15
 
 
 def test_stacked_reduced_operators_are_bit_identical_to_per_lambda_calls(rng):
@@ -300,7 +297,7 @@ def test_stacked_reduced_operators_are_bit_identical_to_per_lambda_calls(rng):
     taus = omegas = input_ensemble()
     for beta in (werner_beta(), decompose_witness(random_hermitian(rng, 4), taus, omegas)):
         got = _reduced_witness_operators(lams, beta)
-        assert np.array_equal(got, [reduced_witness_operator(lam, beta) for lam in lams])
+        assert np.array_equal(got, [_reduced_witness_operators([lam], beta)[0] for lam in lams])
 
 
 def test_reduced_operator_of_decomposed_target_is_a_quarter_of_it(rng):
@@ -308,7 +305,7 @@ def test_reduced_operator_of_decomposed_target_is_a_quarter_of_it(rng):
     taus = omegas = input_ensemble()
     targets = [np.eye(4)] + [random_hermitian(rng, 4) for _ in range(10)]
     for target in targets:
-        reduced = reduced_witness_operator(1.0, decompose_witness(target, taus, omegas))
+        reduced = _reduced_witness_operators([1.0], decompose_witness(target, taus, omegas))[0]
         assert np.abs(reduced - CONTRACTION_FACTOR * target).max() <= 1e-15
 
 
@@ -459,7 +456,7 @@ def test_input_products_are_bit_identical_to_tensor_calls(rng):
             products = _input_products(taus, omegas)
             for s in range(4):
                 for t in range(4):
-                    assert np.array_equal(products[s, t], tensor(taus[s].T, omegas[t].T))
+                    assert np.array_equal(products[s, t], np.kron(taus[s].T, omegas[t].T))
 
 
 def test_decompose_rejects_degenerate_ensemble():
