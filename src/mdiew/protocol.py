@@ -124,33 +124,24 @@ def _negativities_walpha(qs, alphas) -> np.ndarray:
     return np.where(0.0 > values, 0.0, values)
 
 
-def delta_negativity(negativity: float, lam: float) -> float:
+def delta_negativity(negativity, lam) -> float | np.ndarray:
     """Negativity lost to one unsharp measurement.
 
     (1 + 4N)/4 (1 - f(lam)) while the remaining state stays entangled; the
-    full N once the measurement destroys the entanglement (clip at N).
-    """
-    if not 0.0 <= negativity <= 0.5:
-        raise ValueError(f"negativity must be in [0, 1/2]; got {negativity}")
-    return min((1.0 + 4.0 * negativity) / 4.0 * (1.0 - f_of_lambda(lam)), negativity)
-
-
-def _delta_negativities(negativities, lams) -> np.ndarray:
-    """delta_negativity elementwise over broadcast negativities and sharpness values.
-
-    Each entry takes the scalar's operations in the same order.  Every
-    negativity is checked before any sharpness; the first bad entry, NaN
-    included, raises the scalar's error.  The clip is Python's
-    min(loss, negativity), which keeps `loss` unless the negativity is below it.
+    full N once the measurement destroys the entanglement (clip at N).  The
+    arguments broadcast, and scalars give a float.  Every negativity is
+    checked before any sharpness; the first bad entry, NaN included, raises
+    its error.
     """
     import numpy as np
 
-    negativities = np.asarray(negativities, dtype=float)
+    negativities = np.asarray(negativity, dtype=float)
     outside = ~((negativities >= 0.0) & (negativities <= 0.5))
     if outside.any():
         raise ValueError(f"negativity must be in [0, 1/2]; got {float(negativities[outside][0])}")
-    losses = (1.0 + 4.0 * negativities) / 4.0 * (1.0 - _decays(lams))
-    return np.where(negativities < losses, negativities, losses)
+    losses = (1.0 + 4.0 * negativities) / 4.0 * (1.0 - _decays(lam))
+    losses = np.where(negativities < losses, negativities, losses)
+    return losses if losses.ndim else float(losses)
 
 
 def threshold_from_negativity(negativity: float) -> float:

@@ -8,8 +8,8 @@ literal kernels (`witness._payoffs`, `witness._reduced_witness_operators`,
 `measurement._averaged_channel`, `linalg._negativities`), which take every
 state and sharpness through the operations of a one-state, one-sharpness
 call.  The closed forms they compare against are taken over the whole
-grid by the library's private array twins of the scalar functions, which
-take the scalar operations elementwise, so every deviation equals the one a
+grid in one call each, by closed-form functions that take arrays and apply
+the scalar operations elementwise, so every deviation equals the one a
 per-point loop over the public functions gives.
 """
 
@@ -36,7 +36,10 @@ _ALPHAS = np.linspace(0.1, states.ALPHA_MAX, 5)
 _LAMS = np.linspace(0.0, 1.0, 5)
 
 _SEPARABLE_LAMS = (0.25, 0.5, 1.0)
+_SEPARABLE_SAMPLES = 200
+_SEPARABLE_TERMS = 4
 _CERTIFIED_SAMPLES = 4
+_RANGE_ENTROPY_STEP = 0.025
 
 _CHANNEL_LAMS = (0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0)
 _CHANNEL_QS = (0.25, 0.5, 1.0)
@@ -78,7 +81,7 @@ def check_witness_grid() -> CheckResult:
     """Full-trace payoff vs closed form on the 5x5x5 (q, alpha, lam) grid."""
     qs, alphas = _pairs(_QS, _ALPHAS)
     numeric = witness._payoffs(states._werner_alphas(qs, alphas), witness.werner_beta(), _LAMS)
-    closed = witness._closed_form_payoffs(qs, alphas, _LAMS[:, None])
+    closed = witness.mdi_ew_closed_form_unsharp(qs, alphas, _LAMS[:, None])
     return _result("witness_numeric_vs_closed_grid", _worst(np.abs(numeric - closed)),
                    WITNESS_GRID_TOL)
 
@@ -92,89 +95,75 @@ def check_witness_sharp_corner() -> CheckResult:
     return _result("witness_sharp_corner", dev, 1e-12)
 
 
-def _random_separable_matrices(rng: np.random.Generator, samples: int,
-                               max_terms: int = 4) -> np.ndarray:
-    """Validated stack of `samples` random mixtures of up to `max_terms` pure product states.
+def _random_separable_matrices(rng: np.random.Generator, samples: int) -> np.ndarray:
+    """Validated stack of `samples` random mixtures of 1 to _SEPARABLE_TERMS pure product states.
 
-    Each state draws its term count, then its weights, then one
-    standard_normal(8 * terms): per term, re and im of Alice's vector, then
-    of Bob's, the stream that 4 * terms calls of standard_normal(2) give.
-    The weights are rng.dirichlet(np.ones(terms)): that draws gamma(1)
-    variates, which are standard_exponential draws, sums them left to right
-    from 0.0 and scales each by 1/sum.  Every matrix takes the one-state
-    operations: the norms as np.linalg.norm takes them, the same broadcast
-    products as np.kron and np.outer, and the weighted terms added to zero
-    one at a time.
+    Three batched draws: each state's term count; _SEPARABLE_TERMS
+    standard exponentials per state, kept for its first `count` terms and
+    scaled to sum 1, which makes the weights Dirichlet(1, ..., 1); and the
+    standard normal re and im parts of Alice's and Bob's vector in every
+    term, normalised to Haar-random qubit states.
     """
-    counts, normals = [], []
-    draws = np.zeros((samples, max_terms))
-    for state in range(samples):
-        terms = int(rng.integers(1, max_terms + 1))
-        counts.append(terms)
-        draws[state, :terms] = rng.standard_exponential(terms)
-        normals.append(rng.standard_normal(8 * terms))
-    # The zero padding leaves each sum as dirichlet takes it: x + 0.0 == x.
-    sums = np.zeros(samples)
-    for column in draws.T:
-        sums += column
-    weights = draws * (1.0 / sums)[:, None]
-    # parts[term, factor, re/im, component]; vecs[term, factor] is Alice's or Bob's vector.
-    parts = np.concatenate(normals).reshape(-1, 2, 2, 2)
-    vecs = parts[:, :, 0] + 1j * parts[:, :, 1]
-    # np.linalg.norm of a complex vector is sqrt(re . re + im . im); a vector @ vector
-    # matmul is that same dot product (np.vecdot would need NumPy 2).
-    re, im = vecs.real[..., None, :], vecs.imag[..., None, :]
-    norms = np.sqrt(re @ re.swapaxes(-2, -1) + im @ im.swapaxes(-2, -1))[..., 0]
-    units = vecs / norms
-    products = (units[:, 0, :, None] * units[:, 1, None, :]).reshape(-1, 4)
-    outers = products[:, :, None] * products.conj()[:, None, :]
-    owner = np.repeat(np.arange(samples), counts)
-    position = np.concatenate([np.arange(terms) for terms in counts])
-    weighted = weights[owner, position][:, None, None] * outers
-    matrices = np.zeros((samples, 4, 4), dtype=complex)
-    for k in range(max_terms):
-        rows = position == k
-        matrices[owner[rows]] += weighted[rows]
+    counts = rng.integers(1, _SEPARABLE_TERMS + 1, size=samples)
+    draws = rng.standard_exponential((samples, _SEPARABLE_TERMS))
+    draws *= np.arange(_SEPARABLE_TERMS) < counts[:, None]
+    weights = draws / draws.sum(axis=1, keepdims=True)
+    # vecs[state, term, factor] is Alice's or Bob's vector, from (re, im) pairs of normals.
+    vecs = rng.standard_normal((samples, _SEPARABLE_TERMS, 2, 4)).view(complex)
+    units = vecs / np.linalg.norm(vecs, axis=-1, keepdims=True)
+    products = (units[..., 0, :, None] * units[..., 1, None, :]).reshape(samples, -1, 4)
+    outers = products[..., :, None] * products.conj()[..., None, :]
+    matrices = np.einsum("nk,nkij->nij", weights, outers)
     linalg._check_density_matrices(matrices)
     return matrices
 
 
-def _separable_payoffs(seed: int, samples: int) -> tuple[np.ndarray, np.ndarray]:
+def _separable_payoffs(seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded separable state matrices and their payoffs tr(W(lam) rho) for the Werner table.
 
     The payoff array has one row per entry of _SEPARABLE_LAMS and one column
     per state.
     """
-    matrices = _random_separable_matrices(np.random.default_rng(seed), samples)
+    matrices = _random_separable_matrices(np.random.default_rng(seed), _SEPARABLE_SAMPLES)
     operators = witness._reduced_witness_operators(_SEPARABLE_LAMS, witness.werner_beta())
     return matrices, np.einsum("lij,nji->ln", operators, matrices).real
 
 
-def check_separable_nonnegativity(seed: int = DEFAULT_SEED, samples: int = 200) -> CheckResult:
+def check_separable_nonnegativity(seed: int = DEFAULT_SEED) -> CheckResult:
     """Separable states never score below zero, at any sharpness.
 
-    The payoffs come from the 4x4 reduced operator W(lam), which is first
-    certified against its closed form (1 + lam)/16 I - (lam/4) |psi-><psi-|
-    on a 101-point sharpness grid and against the literal 16-dim trace on the
-    first sampled states.
+    The bound is certified exactly: on a 101-point sharpness grid the 4x4
+    reduced operator W(lam) matches its closed form
+    (1 + lam)/16 I - (lam/4) |psi-><psi-|, and the spectrum of its partial
+    transpose on B matches (1 - lam)/16 (three times) and (1 + 3 lam)/16,
+    so W(lam)^T_B is PSD.  W is then decomposable, and
+    tr(W rho) = tr(W^T_B rho^T_B) >= 0 on every PPT state, separable ones
+    included.  The seeded states are the independent route: their payoffs,
+    from W(lam) and checked against the literal 16-dim trace on the first
+    few, must not go below zero.
     """
-    matrices, payoffs = _separable_payoffs(seed, samples)
+    matrices, payoffs = _separable_payoffs(seed)
     beta = witness.werner_beta()
     singlet = states.psi_alpha(states.ALPHA_MAX)
     singlet_projector = np.outer(singlet, singlet.conj())
-    lams = np.linspace(0.0, 1.0, 101)[:, None, None]
-    closed = (1.0 + lams) / 16.0 * np.eye(4) - lams / 4.0 * singlet_projector
+    lams = np.linspace(0.0, 1.0, 101)
+    operators = witness._reduced_witness_operators(lams, beta)
+    grid = lams[:, None, None]
+    closed = (1.0 + grid) / 16.0 * np.eye(4) - grid / 4.0 * singlet_projector
+    spectra = np.linalg.eigvalsh(linalg._partial_transposes(operators))
+    closed_spectra = np.stack([(1.0 - lams) / 16.0] * 3 + [(1.0 + 3.0 * lams) / 16.0], axis=-1)
     literal = witness._payoffs(matrices[:_CERTIFIED_SAMPLES], beta, _SEPARABLE_LAMS)
     certification = _worst([
-        np.abs(witness._reduced_witness_operators(lams.ravel(), beta) - closed).max(),
+        np.abs(operators - closed).max(),
+        np.abs(spectra - closed_spectra).max(),
         np.abs(payoffs[:, :_CERTIFIED_SAMPLES] - literal).max()])
     lowest = float(payoffs.min())
     deviation = _worst([-lowest])
     return CheckResult("separable_nonnegativity",
                        bool(deviation <= SEPARABLE_BOUND and certification <= WITNESS_OPERATOR_TOL),
                        deviation, SEPARABLE_BOUND,
-                       f"min value {lowest:.3e} over {samples} seeded states; "
-                       f"W(lam) certified to {certification:.1e}")
+                       f"min value {lowest:.3e} over {_SEPARABLE_SAMPLES} seeded states; "
+                       f"W(lam) and its T_B spectrum certified to {certification:.1e}")
 
 
 def check_channel_closure_maximal() -> CheckResult:
@@ -200,8 +189,8 @@ def check_channel_statistics() -> CheckResult:
     # Axes: probe, channel sharpness, (q, alpha) point.
     numeric = witness._payoffs(outs, witness.werner_beta(), _CHANNEL_PROBES).reshape(
         len(_CHANNEL_PROBES), len(_CHANNEL_LAMS), len(qs))
-    closed = witness._closed_form_payoffs(protocol._decays(_CHANNEL_LAMS)[:, None] * qs, alphas,
-                                          np.array(_CHANNEL_PROBES)[:, None, None])
+    closed = witness.mdi_ew_closed_form_unsharp(protocol._decays(_CHANNEL_LAMS)[:, None] * qs,
+                                                alphas, np.array(_CHANNEL_PROBES)[:, None, None])
     return _result("channel_statistics_general_alpha", _worst(np.abs(numeric - closed)),
                    CHANNEL_TOL)
 
@@ -234,8 +223,8 @@ def check_delta_negativity_identity() -> CheckResult:
 
 def check_delta_negativity_monotone() -> CheckResult:
     """Loss is non-negative everywhere and non-decreasing in the sharpness."""
-    losses = protocol._delta_negativities(np.linspace(0.0, 0.5, 11)[:, None],
-                                          np.linspace(0.0, 1.0, 101))
+    losses = protocol.delta_negativity(np.linspace(0.0, 0.5, 11)[:, None],
+                                       np.linspace(0.0, 1.0, 101))
     # The loss one sharpness earlier minus the loss: positive where the loss falls.
     drops = losses[:, :-1] - losses[:, 1:]
     return _result("delta_negativity_monotone_in_lambda",
@@ -302,13 +291,13 @@ def check_decomposition_roundtrip() -> CheckResult:
     return _result("witness_decomposition_roundtrip", dev, 1e-10)
 
 
-def check_range_shape(e_step: float = 0.025) -> CheckResult:
+def check_range_shape() -> CheckResult:
     """Shape of the sharpness-range curves against the initial entanglement.
 
     For the best achievable count the range shrinks as entanglement drops;
     for every smaller count it grows as entanglement drops.
     """
-    grid = np.arange(0.5, 1.0 + 1e-9, e_step).tolist()
+    grid = np.arange(0.5, 1.0 + 1e-9, _RANGE_ENTROPY_STEP).tolist()
     sweep = protocol._range_widths([states.alpha_from_entanglement(min(e, 1.0)) for e in grid])
     table = {}
     for entropy, widths in zip(grid, sweep):

@@ -138,27 +138,18 @@ def _reduced_witness_operators(lams, beta: WitnessCoefficients) -> np.ndarray:
     return np.einsum("labcdefgh,eahd->lbcfg", ops.reshape(-1, *(2,) * 8), inputs).reshape(-1, 4, 4)
 
 
-def mdi_ew_closed_form_unsharp(q: float, alpha: float, lam: float) -> float:
+def mdi_ew_closed_form_unsharp(q, alpha, lam) -> float | np.ndarray:
     """Payoff (1 - lam q c)/16 with c = 1 + 4 alpha sqrt(1 - alpha^2).
 
     Equivalently -lam q alpha sqrt(1-alpha^2)/4 + (1 - lam q)/16; at lam = 1,
-    alpha = 1/sqrt(2) it is the sharp isotropic payoff (1 - 3q)/16.
+    alpha = 1/sqrt(2) it is the sharp isotropic payoff (1 - 3q)/16.  The
+    arguments broadcast, and scalars give a float.  Every q is checked, then
+    every sharpness, then every alpha; the first bad entry, NaN included,
+    raises its error.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1]; got {q}")
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"sharpness must lie in [0, 1]; got {lam}")
-    return (1.0 - lam * q * werner_strength(alpha)) / 16.0
-
-
-def _closed_form_payoffs(qs, alphas, lams) -> np.ndarray:
-    """mdi_ew_closed_form_unsharp elementwise over broadcast arguments, in the same operations.
-
-    Every q is checked, then every sharpness, then every alpha, as the
-    scalar checks them; the first bad entry, NaN included, raises its error.
-    """
-    qs, lams = _check_qs(qs), _check_lams(lams)
-    return (1.0 - lams * qs * _werner_strengths(alphas)) / 16.0
+    qs, lams = _check_qs(q), _check_lams(lam)
+    values = (1.0 - lams * qs * _werner_strengths(alpha)) / 16.0
+    return values if values.ndim else float(values)
 
 
 def threshold_lambda(q: float, alpha: float) -> float:

@@ -127,12 +127,9 @@ def mp_alpha_from_entanglement(entropy):
         return mpmath.exp(mpmath.findroot(excess, (lo, hi)) / 2)
 
 
-def random_separable_two_qubit(rng, max_terms=4):
-    """Random mixture of up to `max_terms` pure product states.
-
-    The one-sample case of verify's stacked sampler, with the same draws.
-    """
-    matrix = verify._random_separable_matrices(rng, 1, max_terms)[0]
+def random_separable_two_qubit(rng):
+    """Random mixture of 1 to 4 pure product states: the one-sample case of verify's sampler."""
+    matrix = verify._random_separable_matrices(rng, 1)[0]
     return DensityOperator(matrix, validate=False)
 
 

@@ -1,40 +1,46 @@
+import re
+
 import numpy as np
 import pytest
 
 from mdiew import linalg, measurement, protocol, states, verify, witness
 from mdiew.verify import check_separable_nonnegativity
 
-from conftest import random_separable_two_qubit
+
+SEEDS = [1234, 1, 7, 99, 2**31 - 1]
 
 
-def _kron_outer_sampler(rng, max_terms=4):
-    """Reference: the sampler written with np.kron and np.outer."""
-    terms = int(rng.integers(1, max_terms + 1))
-    weights = rng.dirichlet(np.ones(terms))
-    matrix = np.zeros((4, 4), dtype=complex)
-    for weight in weights:
-        vec_a = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        vec_b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        vec = np.kron(vec_a / np.linalg.norm(vec_a), vec_b / np.linalg.norm(vec_b))
-        matrix += weight * np.outer(vec, vec.conj())
-    return matrix
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sampler_draws_separable_states_of_every_term_count(seed):
+    matrices = verify._random_separable_matrices(np.random.default_rng(seed), 200)
+    assert matrices.shape == (200, 4, 4)
+    # PPT: for two qubits that is exactly separability (Peres-Horodecki).
+    assert linalg._negativities(matrices).max() <= 1e-15
+    # A mixture of k random product states has rank k, so the ranks are the term counts.
+    counts = np.random.default_rng(seed).integers(1, verify._SEPARABLE_TERMS + 1, size=200)
+    ranks = np.linalg.matrix_rank(matrices, tol=1e-10, hermitian=True)
+    assert np.array_equal(ranks, counts)
+    assert set(ranks) == {1, 2, 3, 4}
 
 
-@pytest.mark.parametrize("seed", [1234, 1, 7, 99, 2**31 - 1])
-def test_sampler_is_bit_identical_to_kron_outer_route(seed):
-    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    references = [_kron_outer_sampler(reference_rng) for _ in range(200)]
-    for reference in references:
-        assert np.array_equal(random_separable_two_qubit(rng).matrix, reference)
-    stacked_rng = np.random.default_rng(seed)
-    assert np.array_equal(verify._random_separable_matrices(stacked_rng, 200), references)
-    assert stacked_rng.bit_generator.state == reference_rng.bit_generator.state
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sampler_is_three_batched_draws(seed):
+    rng = np.random.default_rng(seed)
+    matrices = verify._random_separable_matrices(rng, 200)
+    again = verify._random_separable_matrices(np.random.default_rng(seed), 200)
+    assert again.tobytes() == matrices.tobytes()
+    reference = np.random.default_rng(seed)
+    reference.integers(1, verify._SEPARABLE_TERMS + 1, size=200)
+    reference.standard_exponential((200, verify._SEPARABLE_TERMS))
+    reference.standard_normal(200 * verify._SEPARABLE_TERMS * 8)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
-@pytest.mark.parametrize("seed", [1234, 1, 7, 99, 2**31 - 1])
+@pytest.mark.parametrize("seed", SEEDS)
 def test_normalised_exponential_draws_are_the_dirichlet_weights(seed):
-    # The sampler's weights: dirichlet(np.ones(k)) draws k gamma(1), that is
-    # standard_exponential, variates, sums them from 0.0 and scales by 1/sum.
+    # The sampler's weights are standard exponential draws scaled to sum 1:
+    # dirichlet(np.ones(k)) draws k gamma(1), that is standard_exponential,
+    # variates and scales them the same way, so the weights are Dirichlet(1, ..., 1).
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for terms in (1, 2, 3, 4) * 50:
         draws = rng.standard_exponential(terms)
@@ -47,18 +53,30 @@ def test_normalised_exponential_draws_are_the_dirichlet_weights(seed):
 
 @pytest.mark.parametrize("seed", [1234, 7])
 def test_batched_separable_minimum_matches_literal_path(seed):
-    _, payoffs = verify._separable_payoffs(seed, 200)
-    rng = np.random.default_rng(seed)
+    matrices, payoffs = verify._separable_payoffs(seed)
     beta = witness.werner_beta()
-    literal = np.inf
-    for _ in range(200):
-        rho = random_separable_two_qubit(rng)
-        for lam in (0.25, 0.5, 1.0):
-            literal = min(literal, witness.mdi_ew_numeric(rho, beta, lam))
-    assert abs(payoffs.min() - literal) <= 1e-15
+    literal = np.array([[witness.mdi_ew_numeric(linalg.DensityOperator(matrix), beta, lam)
+                         for matrix in matrices] for lam in verify._SEPARABLE_LAMS])
+    assert np.abs(payoffs - literal).max() <= 1e-15
     result = check_separable_nonnegativity(seed)
     assert result.passed
-    assert result.detail.startswith(f"min value {literal:.3e} over 200 seeded states")
+    assert result.detail.startswith(f"min value {literal.min():.3e} over 200 seeded states")
+
+
+def test_separable_detail_pins_the_seeded_stream():
+    stream, certificate = check_separable_nonnegativity(1234).detail.split("; ")
+    assert stream == "min value 3.177e-04 over 200 seeded states"
+    # Only the digits come from LAPACK's eigvalsh, whose rounding may differ between builds.
+    assert re.fullmatch(r"W\(lam\) and its T_B spectrum certified to \d\.\de-1[67]", certificate)
+
+
+def test_separable_check_certifies_the_partial_transpose_spectrum(monkeypatch):
+    # Without the transpose the spectrum is W's own, whose lowest eigenvalue
+    # (1 - 3 lam)/16 goes negative: the row must fail on the certificate alone.
+    monkeypatch.setattr(linalg, "_partial_transposes", lambda matrices: matrices)
+    result = check_separable_nonnegativity()
+    assert result.deviation <= verify.SEPARABLE_BOUND
+    assert not result.passed
 
 
 def test_separable_check_certifies_the_reduced_operator(monkeypatch):
@@ -180,14 +198,14 @@ def test_one_nan_from_the_oracle_fails_the_check(monkeypatch, module, kernel, ch
     assert np.isnan(result.deviation)
 
 
-@pytest.mark.parametrize("module, twin, check", [
-    (witness, "_closed_form_payoffs", verify.check_witness_grid),
-    (witness, "_closed_form_payoffs", verify.check_channel_statistics),
+@pytest.mark.parametrize("module, closed_form, check", [
+    (witness, "mdi_ew_closed_form_unsharp", verify.check_witness_grid),
+    (witness, "mdi_ew_closed_form_unsharp", verify.check_channel_statistics),
     (protocol, "_negativities_walpha", verify.check_negativity_grid),
-    (protocol, "_delta_negativities", verify.check_delta_negativity_monotone),
+    (protocol, "delta_negativity", verify.check_delta_negativity_monotone),
 ], ids=["witness_grid", "channel_statistics", "negativity_grid", "delta_negativity_monotone"])
-def test_one_nan_from_a_closed_form_twin_fails_the_check(monkeypatch, module, twin, check):
-    monkeypatch.setattr(module, twin, _with_one_nan(getattr(module, twin)))
+def test_one_nan_from_a_closed_form_twin_fails_the_check(monkeypatch, module, closed_form, check):
+    monkeypatch.setattr(module, closed_form, _with_one_nan(getattr(module, closed_form)))
     result = check()
     assert not result.passed
     assert np.isnan(result.deviation)

@@ -17,7 +17,6 @@ from mdiew.states import (
 from mdiew.witness import (
     SingularEnsembleError,
     WitnessCoefficients,
-    _closed_form_payoffs,
     _input_products,
     _payoffs,
     _reduced_witness_operators,
@@ -360,41 +359,38 @@ def test_payoff_negative_exactly_beyond_threshold():
     assert mdi_ew_closed_form_unsharp(q, alpha, lam_th * (1 - 1e-6)) > 0
 
 
-@given(st.lists(st.tuples(qs, st.floats(0.0, ALPHA_MAX, exclude_min=True), lambdas), max_size=30))
-@example([(0.0, 0.3, 1.0), (1.0, ALPHA_MAX, 1.0), (1.0 / 3.0, ALPHA_MAX, 1.0), (1.0, 0.3, 0.0)])
-def test_closed_form_twin_is_bit_identical_to_scalar_calls(points):
-    qs, alphas, lams = np.array(points).reshape(-1, 3).T
-    assert_bit_identical(_closed_form_payoffs(qs, alphas, lams),
-                         [mdi_ew_closed_form_unsharp(*point) for point in points])
+def test_closed_form_gives_a_float_for_scalars():
+    assert type(mdi_ew_closed_form_unsharp(1.0, ALPHA_MAX, 1.0)) is float
+    assert type(mdi_ew_closed_form_unsharp(1, ALPHA_MAX, np.float64(0.5))) is float
 
 
 def test_closed_form_twin_broadcasts_sharpness_rows_against_state_columns():
     qs, alphas, lams = [0.0, 0.4, 1.0], [0.1, 0.5, ALPHA_MAX], np.linspace(0.0, 1.0, 5)
     loop = [[mdi_ew_closed_form_unsharp(q, alpha, lam) for q, alpha in zip(qs, alphas)]
             for lam in lams]
-    assert_bit_identical(_closed_form_payoffs(qs, alphas, lams[:, None]), loop)
+    assert_bit_identical(mdi_ew_closed_form_unsharp(qs, alphas, lams[:, None]), loop)
 
 
-@pytest.mark.parametrize("twin, message", [
-    (lambda qs: _closed_form_payoffs(qs, 0.5, 0.5), r"q must lie in \[0, 1\]"),
-    (lambda alphas: _closed_form_payoffs(0.5, alphas, 0.5),
+@pytest.mark.parametrize("closed_form, message", [
+    (lambda qs: mdi_ew_closed_form_unsharp(qs, 0.5, 0.5), r"q must lie in \[0, 1\]"),
+    (lambda alphas: mdi_ew_closed_form_unsharp(0.5, alphas, 0.5),
      r"alpha must lie in \(0, 1/sqrt\(2\)\]"),
-    (lambda lams: _closed_form_payoffs(0.5, 0.5, lams), r"sharpness must lie in \[0, 1\]"),
+    (lambda lams: mdi_ew_closed_form_unsharp(0.5, 0.5, lams), r"sharpness must lie in \[0, 1\]"),
 ], ids=["q", "alpha", "sharpness"])
 @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (1.5, "1.5")])
-def test_closed_form_twin_names_its_first_bad_entry(twin, message, bad, shown):
+def test_closed_form_twin_names_its_first_bad_entry(closed_form, message, bad, shown):
     entries = np.linspace(0.01, 0.5, 2000)
     entries[5] = bad
     entries[1000] = -0.5
     with pytest.raises(ValueError, match=rf"^{message}; got {shown}$"):
-        twin(entries)
+        closed_form(entries)
 
 
 def test_closed_form_twin_checks_q_then_sharpness_then_alpha():
     with pytest.raises(ValueError, match="q must"):
-        _closed_form_payoffs([0.5, 2.0], [0.9], [1.5])
+        mdi_ew_closed_form_unsharp([0.5, 2.0], [0.9], [1.5])
     with pytest.raises(ValueError, match="sharpness must"):
-        _closed_form_payoffs([0.5], [0.9], [1.5])
+        mdi_ew_closed_form_unsharp([0.5], [0.9], [1.5])
 
 
 # --- threshold sharpness -----------------------------------------------------------
