@@ -11,6 +11,12 @@ call.  The closed forms they compare against are taken over the whole
 grid in one call each, by closed-form functions that take arrays and apply
 the scalar operations elementwise, so every deviation equals the one a
 per-point loop over the public functions gives.
+
+Each pass builds each literal stack once.  The two channel rows read one
+channel stack, which `run_all` builds over the statistics row's (q, alpha)
+grid; the closure row reads its alpha = 1/sqrt(2) slice.  The separable row
+scores its seeded samples with rows of the same 101-point W(lam) grid that
+it certifies.  Nothing is cached across passes.
 """
 
 from __future__ import annotations
@@ -35,7 +41,10 @@ _QS = np.linspace(0.0, 1.0, 5)
 _ALPHAS = np.linspace(0.1, states.ALPHA_MAX, 5)
 _LAMS = np.linspace(0.0, 1.0, 5)
 
+_SEPARABLE_GRID = np.linspace(0.0, 1.0, 101)
+# The samples' sharpness values, and their rows of _SEPARABLE_GRID, which hold them exactly.
 _SEPARABLE_LAMS = (0.25, 0.5, 1.0)
+_SEPARABLE_ROWS = [25, 50, 100]
 _SEPARABLE_SAMPLES = 200
 _SEPARABLE_TERMS = 4
 _CERTIFIED_SAMPLES = 4
@@ -118,14 +127,12 @@ def _random_separable_matrices(rng: np.random.Generator, samples: int) -> np.nda
     return matrices
 
 
-def _separable_payoffs(seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded separable state matrices and their payoffs tr(W(lam) rho) for the Werner table.
+def _separable_payoffs(seed: int, operators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded separable state matrices and their payoffs tr(W rho) for each W of `operators`.
 
-    The payoff array has one row per entry of _SEPARABLE_LAMS and one column
-    per state.
+    The payoff array has one row per operator and one column per state.
     """
     matrices = _random_separable_matrices(np.random.default_rng(seed), _SEPARABLE_SAMPLES)
-    operators = witness._reduced_witness_operators(_SEPARABLE_LAMS, witness.werner_beta())
     return matrices, np.einsum("lij,nji->ln", operators, matrices).real
 
 
@@ -139,15 +146,15 @@ def check_separable_nonnegativity(seed: int = DEFAULT_SEED) -> CheckResult:
     so W(lam)^T_B is PSD.  W is then decomposable, and
     tr(W rho) = tr(W^T_B rho^T_B) >= 0 on every PPT state, separable ones
     included.  The seeded states are the independent route: their payoffs,
-    from W(lam) and checked against the literal 16-dim trace on the first
-    few, must not go below zero.
+    from the grid's W(lam) at _SEPARABLE_LAMS and checked against the
+    literal 16-dim trace on the first few, must not go below zero.
     """
-    matrices, payoffs = _separable_payoffs(seed)
     beta = witness.werner_beta()
     singlet = states.psi_alpha(states.ALPHA_MAX)
     singlet_projector = np.outer(singlet, singlet.conj())
-    lams = np.linspace(0.0, 1.0, 101)
+    lams = _SEPARABLE_GRID
     operators = witness._reduced_witness_operators(lams, beta)
+    matrices, payoffs = _separable_payoffs(seed, operators[_SEPARABLE_ROWS])
     grid = lams[:, None, None]
     closed = (1.0 + grid) / 16.0 * np.eye(4) - grid / 4.0 * singlet_projector
     spectra = np.linalg.eigvalsh(linalg._partial_transposes(operators))
@@ -166,26 +173,40 @@ def check_separable_nonnegativity(seed: int = DEFAULT_SEED) -> CheckResult:
                        f"W(lam) and its T_B spectrum certified to {certification:.1e}")
 
 
-def check_channel_closure_maximal() -> CheckResult:
-    """At alpha = 1/sqrt(2) the channel maps the family onto itself, q -> f q."""
+def _channel_outputs() -> np.ndarray:
+    """The channel stack that both channel rows read, built once per pass.
+
+    The averaged channel of every (q, alpha) pair of _CHANNEL_QS and
+    _CHANNEL_ALPHAS at every sharpness of _CHANNEL_LAMS: sharpness first,
+    then q, then alpha.
+    """
+    qs, alphas = _pairs(_CHANNEL_QS, _CHANNEL_ALPHAS)
+    return measurement._averaged_channel(states._werner_alphas(qs, alphas), _CHANNEL_LAMS)
+
+
+def check_channel_closure_maximal(outs: np.ndarray) -> CheckResult:
+    """At alpha = 1/sqrt(2) the channel maps the family onto itself, q -> f q.
+
+    `outs` is the stack of _channel_outputs; the check reads its slice at
+    alpha = 1/sqrt(2), the last entry of _CHANNEL_ALPHAS.
+    """
     alpha = states.ALPHA_MAX
-    matrices = states._werner_alphas(_CHANNEL_QS, alpha)
-    outs = measurement._averaged_channel(matrices, _CHANNEL_LAMS)
+    maximal = outs.reshape(len(_CHANNEL_LAMS), len(_CHANNEL_QS), len(_CHANNEL_ALPHAS), 4, 4)[:, :, -1]
     wants = states._werner_alphas(
         (protocol._decays(_CHANNEL_LAMS)[:, None] * _CHANNEL_QS).ravel(), alpha)
-    worst = float(np.abs(outs - wants).max())
+    worst = float(np.abs(maximal.reshape(-1, 4, 4) - wants).max())
     return _result("channel_closure_maximal_alpha", worst, CHANNEL_TOL)
 
 
-def check_channel_statistics() -> CheckResult:
+def check_channel_statistics(outs: np.ndarray) -> CheckResult:
     """The payoff of the channel output equals the closed form at q -> f q, all alpha.
 
     For alpha < 1/sqrt(2) the output state itself is NOT the white-noise
     family member (the invariant noise is rho_A (x) I/2), but every witness
-    statistic follows the q-recursion exactly.
+    statistic follows the q-recursion exactly.  `outs` is the stack of
+    _channel_outputs.
     """
     qs, alphas = _pairs(_CHANNEL_QS, _CHANNEL_ALPHAS)
-    outs = measurement._averaged_channel(states._werner_alphas(qs, alphas), _CHANNEL_LAMS)
     # Axes: probe, channel sharpness, (q, alpha) point.
     numeric = witness._payoffs(outs, witness.werner_beta(), _CHANNEL_PROBES).reshape(
         len(_CHANNEL_PROBES), len(_CHANNEL_LAMS), len(qs))
@@ -318,12 +339,13 @@ def check_range_shape() -> CheckResult:
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
+    channel_outputs = _channel_outputs()
     return [
         check_witness_grid(),
         check_witness_sharp_corner(),
         check_separable_nonnegativity(seed),
-        check_channel_closure_maximal(),
-        check_channel_statistics(),
+        check_channel_closure_maximal(channel_outputs),
+        check_channel_statistics(channel_outputs),
         check_decay_spot_values(),
         check_negativity_grid(),
         check_delta_negativity_identity(),

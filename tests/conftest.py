@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from mdiew import protocol, verify
-from mdiew.linalg import HERMITICITY_ATOL, PSD_ATOL, DensityOperator
+from mdiew.linalg import HERMITICITY_ATOL, PSD_ATOL, TRACE_ATOL, DensityOperator
 from mdiew.protocol import FEASIBILITY_TOL, LAMBDA_WINDOW
 from mdiew.states import ALPHA_MAX, _werner_strengths, werner_alpha
 
@@ -50,6 +50,35 @@ def _require_hermitian(matrix, caller):
     matrix = np.asarray(matrix)
     if not np.abs(matrix - matrix.conj().T).max() <= HERMITICITY_ATOL:
         raise ValueError(f"{caller} requires a Hermitian matrix")
+
+
+def check_density_matrices_by_eigvalsh(matrices):
+    """linalg._check_density_matrices with positivity decided by eigvalsh alone (test oracle).
+
+    The same three checks in the same order, raising the same ValueError
+    messages, without the shifted-Cholesky certificate.
+    """
+    def first(flags):
+        index = int(np.argmax(flags))
+        return index, (f" (stack index {index})" if len(matrices) > 1 else "")
+
+    # A NaN or infinite entry (inf - inf) makes the asymmetry NaN, which fails the check.
+    with np.errstate(invalid="ignore"):
+        asymmetry = np.abs(matrices - matrices.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+        not_hermitian = ~(asymmetry <= HERMITICITY_ATOL)
+    if not_hermitian.any():
+        _, where = first(not_hermitian)
+        raise ValueError("density operator is not Hermitian within 1e-12" + where)
+    traces = np.trace(matrices, axis1=-2, axis2=-1)
+    off_trace = np.abs(traces - 1.0) > TRACE_ATOL
+    if off_trace.any():
+        index, where = first(off_trace)
+        raise ValueError(f"density operator trace {traces[index]} is not 1 within 1e-12" + where)
+    lows = np.linalg.eigvalsh(matrices)[:, 0]
+    negative = lows < -PSD_ATOL
+    if negative.any():
+        index, where = first(negative)
+        raise ValueError(f"density operator has negative eigenvalue {float(lows[index])}" + where)
 
 
 def min_eigenvalue(matrix):

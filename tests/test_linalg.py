@@ -6,8 +6,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mdiew import verify
 from mdiew.linalg import (
     PAULI,
+    PSD_ATOL,
     DensityOperator,
     _check_density_matrices,
     _kron,
@@ -20,6 +22,7 @@ from mdiew.states import werner_alpha
 from mdiew.witness import mdi_ew_numeric, werner_beta
 
 from conftest import (
+    check_density_matrices_by_eigvalsh,
     herm_sqrt,
     min_eigenvalue,
     partial_trace,
@@ -70,6 +73,74 @@ def test_stacked_validation_runs_each_check_over_the_whole_stack(rng):
         _check_density_matrices(stack)
     with pytest.raises(ValueError, match="square; got shape"):
         DensityOperator(np.ones((2, 4)) / 2)
+
+
+# --- positivity: the shifted Cholesky certificate against eigvalsh alone ------------
+
+def _validation_outcome(check, matrices):
+    """None if `check` passes the stack, else its ValueError message."""
+    try:
+        check(matrices)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _assert_same_outcome_as_eigvalsh(matrices):
+    """The fast path passes or raises exactly as the eigvalsh-only oracle does; returns that."""
+    outcome = _validation_outcome(_check_density_matrices, matrices)
+    assert outcome == _validation_outcome(check_density_matrices_by_eigvalsh, matrices)
+    return outcome
+
+
+def _state_with_spectrum(rng, eigvals):
+    """Hermitian unit-trace 4x4 matrix with the given spectrum in a random eigenbasis."""
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    unitary, _ = np.linalg.qr(g)
+    matrix = (unitary * eigvals) @ unitary.conj().T
+    return (matrix + matrix.conj().T) / 2
+
+
+@pytest.mark.parametrize("index", [0, 3, 5])
+@pytest.mark.parametrize("lowest", [0.0, -0.25, -0.5 - 1e-3, -0.5, -0.5 + 1e-3, -0.75,
+                                    -1.0 - 1e-3, -1.0, -1.0 + 1e-3, -2.0])
+def test_psd_certificate_decides_as_eigvalsh_alone(rng, lowest, index):
+    # `lowest` is in units of PSD_ATOL: the Cholesky shift sits at -0.5, the rejection at -1.
+    stack = np.stack([random_density_matrix(rng, 4) for _ in range(6)])
+    rest = rng.dirichlet(np.ones(3)) * (1.0 - lowest * PSD_ATOL)
+    stack[index] = _state_with_spectrum(rng, np.concatenate([[lowest * PSD_ATOL], rest]))
+    outcome = _assert_same_outcome_as_eigvalsh(stack)
+    if lowest >= -0.75:
+        assert outcome is None
+    if lowest <= -1.0 - 1e-3:
+        assert outcome.startswith("density operator has negative eigenvalue -")
+        assert outcome.endswith(f"(stack index {index})")
+    one = _assert_same_outcome_as_eigvalsh(stack[index][None])
+    assert (one is None) == (outcome is None)
+
+
+@pytest.mark.parametrize("dim", [2, 4, 16])
+def test_psd_certificate_passes_rank_one_pure_states(rng, dim):
+    vecs = rng.standard_normal((8, dim)) + 1j * rng.standard_normal((8, dim))
+    vecs /= np.linalg.norm(vecs, axis=-1, keepdims=True)
+    stack = vecs[:, :, None] * vecs.conj()[:, None, :]
+    assert _assert_same_outcome_as_eigvalsh(stack) is None
+    assert _assert_same_outcome_as_eigvalsh(stack[:1]) is None
+
+
+@pytest.mark.parametrize("seed", [1234, 1, 7])
+def test_psd_certificate_passes_the_seeded_separable_samples(seed):
+    matrices = verify._random_separable_matrices(np.random.default_rng(seed), 200)
+    assert _assert_same_outcome_as_eigvalsh(matrices) is None
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (1, 2)])
+def test_non_finite_entries_fail_hermiticity_before_positivity(rng, bad, entry):
+    stack = np.stack([random_density_matrix(rng, 4) for _ in range(3)])
+    stack[1][entry] = stack[1][entry[::-1]] = bad
+    outcome = _assert_same_outcome_as_eigvalsh(stack)
+    assert outcome == "density operator is not Hermitian within 1e-12 (stack index 1)"
 
 
 # --- Kronecker product ---------------------------------------------------------

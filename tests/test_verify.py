@@ -53,8 +53,9 @@ def test_normalised_exponential_draws_are_the_dirichlet_weights(seed):
 
 @pytest.mark.parametrize("seed", [1234, 7])
 def test_batched_separable_minimum_matches_literal_path(seed):
-    matrices, payoffs = verify._separable_payoffs(seed)
     beta = witness.werner_beta()
+    operators = witness._reduced_witness_operators(verify._SEPARABLE_GRID, beta)
+    matrices, payoffs = verify._separable_payoffs(seed, operators[verify._SEPARABLE_ROWS])
     literal = np.array([[witness.mdi_ew_numeric(linalg.DensityOperator(matrix), beta, lam)
                          for matrix in matrices] for lam in verify._SEPARABLE_LAMS])
     assert np.abs(payoffs - literal).max() <= 1e-15
@@ -89,6 +90,93 @@ def test_separable_check_certifies_the_reduced_operator(monkeypatch):
     result = check_separable_nonnegativity()
     assert result.deviation <= verify.SEPARABLE_BOUND
     assert not result.passed
+
+
+# --- one literal stack per pass -------------------------------------------------
+
+@pytest.fixture
+def cholesky_failures(monkeypatch):
+    """Every stack whose shifted Cholesky fails, so that eigvalsh decides its validation.
+
+    Also counts the factorizations, so a test can tell that the fast path ran.
+    """
+    factor, calls, failures = np.linalg.cholesky, [], []
+
+    def recording(matrices):
+        calls.append(len(matrices))
+        try:
+            return factor(matrices)
+        except np.linalg.LinAlgError:
+            failures.append(matrices)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return calls, failures
+
+
+def _counting(monkeypatch, module, name):
+    """Patch module.name with a wrapper that records each call's arguments; returns that list."""
+    kernel, calls = getattr(module, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_all_builds_each_literal_stack_once(monkeypatch, cholesky_failures):
+    channels = _counting(monkeypatch, measurement, "_averaged_channel")
+    results = verify.run_all()
+    assert all(r.passed for r in results)
+    assert len(channels) == 1
+    # A passing pass never reaches the eigvalsh fallback of the validation.
+    calls, failures = cholesky_failures
+    assert calls and not failures
+    operators = _counting(monkeypatch, witness, "_reduced_witness_operators")
+    assert check_separable_nonnegativity().passed
+    assert len(operators) == 1
+
+
+def test_closure_slice_equals_the_three_state_channel():
+    outs = verify._channel_outputs().reshape(
+        len(verify._CHANNEL_LAMS), len(verify._CHANNEL_QS), len(verify._CHANNEL_ALPHAS), 4, 4)
+    alone = measurement._averaged_channel(
+        states._werner_alphas(verify._CHANNEL_QS, states.ALPHA_MAX), verify._CHANNEL_LAMS)
+    assert verify._CHANNEL_ALPHAS[-1] == states.ALPHA_MAX
+    assert np.ascontiguousarray(outs[:, :, -1]).reshape(-1, 4, 4).tobytes() == alone.tobytes()
+
+
+def test_separable_rows_equal_the_three_sharpness_operators():
+    assert verify._SEPARABLE_GRID[verify._SEPARABLE_ROWS].tolist() == list(verify._SEPARABLE_LAMS)
+    beta = witness.werner_beta()
+    rows = witness._reduced_witness_operators(verify._SEPARABLE_GRID, beta)[verify._SEPARABLE_ROWS]
+    alone = witness._reduced_witness_operators(verify._SEPARABLE_LAMS, beta)
+    assert rows.tobytes() == alone.tobytes()
+
+
+def test_channel_noise_fails_both_channel_rows(monkeypatch):
+    # 0.1% white noise on every channel output: sharing one stack must not
+    # blind either row to it.
+    exact = measurement._averaged_channel
+
+    def noisy(matrices, lams):
+        return 0.999 * exact(matrices, lams) + 0.001 * np.eye(4) / 4.0
+
+    monkeypatch.setattr(measurement, "_averaged_channel", noisy)
+    results = {r.name: r for r in verify.run_all()}
+    assert not results["channel_closure_maximal_alpha"].passed
+    assert not results["channel_statistics_general_alpha"].passed
+
+
+def test_separable_row_passes_on_seeds_0_to_199_without_eigvalsh_fallback(cholesky_failures):
+    # `verify --seed` takes any seed (the oracle benchmark draws a fresh one per pass),
+    # so one seed that fails is a failed pass.
+    failed = [seed for seed in range(200) if not check_separable_nonnegativity(seed).passed]
+    assert failed == []
+    calls, failures = cholesky_failures
+    assert len(calls) >= 200 and not failures
 
 
 # --- stacked checks against per-point loops over the public functions ------------
@@ -161,10 +249,15 @@ def _delta_negativity_monotone_loop():
     return worst
 
 
+def _on_channel_outputs(check):
+    """`check` on a channel stack built at call time, as run_all passes it."""
+    return lambda: check(verify._channel_outputs())
+
+
 @pytest.mark.parametrize("check, loop", [
     (verify.check_witness_grid, _witness_grid_loop),
-    (verify.check_channel_closure_maximal, _channel_closure_loop),
-    (verify.check_channel_statistics, _channel_statistics_loop),
+    (_on_channel_outputs(verify.check_channel_closure_maximal), _channel_closure_loop),
+    (_on_channel_outputs(verify.check_channel_statistics), _channel_statistics_loop),
     (verify.check_negativity_grid, _negativity_grid_loop),
     (verify.check_delta_negativity_identity, _delta_negativity_identity_loop),
     (verify.check_delta_negativity_monotone, _delta_negativity_monotone_loop),
@@ -188,7 +281,7 @@ def _with_one_nan(kernel):
 
 @pytest.mark.parametrize("module, kernel, check", [
     (witness, "_payoffs", verify.check_witness_grid),
-    (witness, "_payoffs", verify.check_channel_statistics),
+    (witness, "_payoffs", _on_channel_outputs(verify.check_channel_statistics)),
     (linalg, "_negativities", verify.check_negativity_grid),
 ], ids=["witness_grid", "channel_statistics", "negativity_grid"])
 def test_one_nan_from_the_oracle_fails_the_check(monkeypatch, module, kernel, check):
@@ -200,7 +293,7 @@ def test_one_nan_from_the_oracle_fails_the_check(monkeypatch, module, kernel, ch
 
 @pytest.mark.parametrize("module, closed_form, check", [
     (witness, "mdi_ew_closed_form_unsharp", verify.check_witness_grid),
-    (witness, "mdi_ew_closed_form_unsharp", verify.check_channel_statistics),
+    (witness, "mdi_ew_closed_form_unsharp", _on_channel_outputs(verify.check_channel_statistics)),
     (protocol, "_negativities_walpha", verify.check_negativity_grid),
     (protocol, "delta_negativity", verify.check_delta_negativity_monotone),
 ], ids=["witness_grid", "channel_statistics", "negativity_grid", "delta_negativity_monotone"])
