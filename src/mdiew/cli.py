@@ -58,41 +58,51 @@ def _csv_lines(columns: Sequence[str], rows: list[tuple]) -> list[str]:
     return lines
 
 
-def _json_value(value):
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
-    return value
+def _json_table(command: str, columns: Sequence[str], rows: list[tuple], params: dict) -> str:
+    """json.dumps(payload, sort_keys=True, indent=2) of the table payload, each
+    float first rounded to 12 significant digits, written in one pass.
 
-
-@functools.cache
-def _json_encoder(depth: int):
-    """json's C encoder, starting each item after the first on a new line indented to `depth`."""
+    A float's %.12g text is its JSON spelling, with '.0' added when it is a
+    plain integer: no other decimal of at most 12 digits rounds to the same
+    double, so repr gives the same digits, and the two differ only by repr's
+    '.0' and where each switches to an exponent (1e16 for repr, 1e12 for %g).
+    A text with an exponent, inf or nan takes json's own spelling of
+    float(text).  Ints, bools and None are written as json writes them, and
+    strings go through json's encoder.
+    """
     import json
 
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * depth, ": ")).encode
+    string = json.encoder.encode_basestring_ascii
 
+    def scalar(value) -> str:
+        if isinstance(value, float):
+            text = "%.12g" % value
+            if "e" in text or "n" in text:  # an exponent, inf or nan
+                return json.dumps(float(text))
+            return text if "." in text else text + ".0"
+        if isinstance(value, bool):
+            return _BOOL_TEXT[value]
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, str):
+            return string(value)
+        if value is None:
+            return "null"
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
-def _json_text(payload: dict) -> str:
-    """json.dumps(payload, sort_keys=True, indent=2) for a table payload.
+    def block(items: list[str], indent: str, brackets: str) -> str:
+        if not items:
+            return brackets
+        inner = f"\n{indent}  "
+        return brackets[0] + inner + f",{inner}".join(items) + f"\n{indent}{brackets[1]}"
 
-    json.dumps indents only in json's pure-Python encoder, so each value here
-    is one call of the C encoder whose item separator carries the newline and
-    indent.  An encoded scalar never holds a raw newline, and the rows are
-    non-empty lists of scalars, so in the encoded row list "],\n      ["
-    occurs only between two rows.
-    """
-    parts = []
-    for key, value in sorted(payload.items()):
-        if value and isinstance(value, list) and isinstance(value[0], list):
-            text = _json_encoder(3)(value).replace("],\n      [", "\n    ],\n    [\n      ")
-            text = f"[\n    [\n      {text[2:-2]}\n    ]\n  ]"
-        elif value and isinstance(value, (dict, list)):
-            text = _json_encoder(2)(value)
-            text = f"{text[0]}\n    {text[1:-1]}\n  {text[-1]}"
-        else:
-            text = _json_encoder(1)(value)
-        parts.append(f"{_json_encoder(1)(key)}: {text}")
-    return "{\n  " + ",\n  ".join(parts) + "\n}"
+    columns_text = block(list(map(string, columns)), "  ", "[]")
+    params_text = block([f"{string(key)}: {scalar(value)}" for key, value in sorted(params.items())],
+                        "  ", "{}")
+    rows_text = block([block(list(map(scalar, row)), "    ", "[]") for row in rows], "  ", "[]")
+    return (f'{{\n  "columns": {columns_text},\n  "command": {string(command)},\n'
+            f'  "params": {params_text},\n  "rows": {rows_text},\n'
+            f'  "schema_version": {string(SCHEMA_VERSION)}\n}}')
 
 
 def _write_table(args: dict, columns: Sequence[str], rows: list[tuple],
@@ -103,14 +113,7 @@ def _write_table(args: dict, columns: Sequence[str], rows: list[tuple],
     `_scan` or the argparse tree returns, keyed by option dest.
     """
     if args["format"] == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": args["command"],
-            "params": {k: _json_value(v) for k, v in sorted(params.items())},
-            "columns": list(columns),
-            "rows": [[_json_value(v) for v in row] for row in rows],
-        }
-        text = _json_text(payload) + "\n"
+        text = _json_table(args["command"], columns, rows, params) + "\n"
     else:
         text = "\n".join(_csv_lines(columns, rows)) + "\n"
     if args["out"] is None:

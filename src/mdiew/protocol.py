@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING
 
 from .states import (
     ALPHA_MAX,
+    _check_alpha,
     _check_alphas,
     _check_lams,
     _check_qs,
@@ -106,7 +107,12 @@ def negativity_walpha(q: float, alpha: float) -> float:
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must lie in [0, 1]; got {q}")
     werner_strength(alpha)  # validates the range
-    return max(q * alpha * math.sqrt(1.0 - alpha * alpha) - (1.0 - q) / 4.0, 0.0)
+    return _negativity(q, alpha, math.sqrt(1.0 - alpha * alpha))
+
+
+def _negativity(q: float, alpha: float, root: float) -> float:
+    """negativity_walpha for a checked q and alpha, given root = sqrt(1 - alpha^2)."""
+    return max(q * alpha * root - (1.0 - q) / 4.0, 0.0)
 
 
 def _negativities_walpha(qs, alphas) -> np.ndarray:
@@ -193,8 +199,10 @@ def _observers(alpha: float, margin: float = 0.0, lam: float | None = None):
 
 
 def _trace(alpha: float, policy: str, steps) -> ProtocolTrace:
+    """The records of `steps` from _observers, for an alpha the caller has checked."""
+    root = math.sqrt(1.0 - alpha * alpha)
     records = tuple(
-        BobRecord(index, lam_i, q, payoff, negativity_walpha(q, alpha), success)
+        BobRecord(index, lam_i, q, payoff, _negativity(q, alpha, root), success)
         for index, (q, lam_i, payoff, success) in enumerate(steps, 1))
     return ProtocolTrace(policy, records, len(records) - 1)
 
@@ -220,6 +228,7 @@ def run_equal_sharpness(alpha: float, lam: float) -> ProtocolTrace:
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"common sharpness must lie in (0, 1]; got {lam}")
+    _check_alpha(alpha)  # before _trace takes sqrt(1 - alpha^2)
     return _trace(alpha, POLICY_EQUAL, _observers(alpha, lam=lam))
 
 
@@ -301,7 +310,8 @@ def _lambda_grid(step: float) -> np.ndarray:
 
     lo, hi = LAMBDA_WINDOW
     count = int(math.floor((hi - lo) / step))
-    return (hi - step * np.arange(count + 1))[::-1]
+    lams = (hi - step * np.arange(count + 1))[::-1]
+    return lams[lams > lo]  # the lowest point rounds to lo or below for some steps
 
 
 def _log_gain(lam: float, level: int) -> float:

@@ -225,6 +225,16 @@ def test_json_output_is_json_dumps_of_its_payload(args, capsys):
 _JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
 _TRICKY_TEXT = ['q"uote', "back\\slash", "new\nline", "caf\u00e9 \u20ac \U0001f600",
                 "],\n      [", "],\n    ],\n    [\n      ", ""]
+# Integral values, a 12-digit integer text, texts that %g puts in exponent form
+# while repr stays positional (and the reverse at 1e16), the low exponent switch
+# and subnormal or tiny values
+_TRICKY_FLOATS = [1.0, -0.0, 2.0, 999999999999.4, 999999999999.5, 123456789012345.0, 1e16,
+                  1e-4, 1e-5, 5e-324, -1e-300]
+
+
+def _rounded(value):
+    """`value`, a float rounded to 12 significant digits as the JSON tables print it."""
+    return float(f"{value:.12g}") if isinstance(value, float) else value
 
 
 @given(st.dictionaries(st.text(), _JSON_SCALARS), st.lists(st.text()),
@@ -233,10 +243,14 @@ _TRICKY_TEXT = ['q"uote', "back\\slash", "new\nline", "caf\u00e9 \u20ac \U0001f6
 @example({"alpha": math.nan, "lambda": math.inf, "margin": -math.inf, **dict.fromkeys(_TRICKY_TEXT, 0)},
          _TRICKY_TEXT, [[math.nan, math.inf, -math.inf, -0.0], _TRICKY_TEXT, [1], [True, None]])
 @example({"e": 1.0}, ["x"], [["],\n      ["], ["a", "],\n      [", "b"]])
+@example(dict(zip("abcdefghijk", _TRICKY_FLOATS)), ["x"],
+         [_TRICKY_FLOATS, [-x for x in _TRICKY_FLOATS]])
 def test_json_writer_matches_json_dumps(params, columns, rows):
-    payload = {"schema_version": "1", "command": "run", "params": params,
-               "columns": columns, "rows": rows}
-    assert cli._json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+    payload = {"schema_version": "1", "command": "run",
+               "params": {key: _rounded(value) for key, value in params.items()},
+               "columns": columns, "rows": [list(map(_rounded, row)) for row in rows]}
+    assert (cli._json_table("run", columns, rows, params)
+            == json.dumps(payload, sort_keys=True, indent=2))
 
 
 def test_shared_parser_keeps_no_per_call_state(capsys):

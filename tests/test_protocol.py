@@ -92,12 +92,16 @@ def test_threshold_protocol_maximal_entanglement():
 
 
 def test_threshold_records_satisfy_recursion():
-    trace = run_threshold_protocol(0.6)
-    for current, following in zip(trace.records, trace.records[1:]):
-        assert following.q == pytest.approx(f_of_lambda(current.lam) * current.q, abs=1e-12)
-        assert current.negativity == pytest.approx(
-            negativity_walpha(current.q, 0.6), abs=1e-12)
-    assert trace.n_success == threshold_success_count(0.6)
+    for alpha, margin in itertools.product([1e-3, 0.05, 0.3, 0.6, ALPHA_MAX], [0.0, 0.01]):
+        trace = run_threshold_protocol(alpha, margin)
+        for current, following in zip(trace.records, trace.records[1:]):
+            assert following.q == pytest.approx(f_of_lambda(current.lam) * current.q, abs=1e-12)
+        # each record's negativity is negativity_walpha's, bit for bit, under both policies
+        equal = [record for lam in (0.6, 1.0) for record in run_equal_sharpness(alpha, lam).records]
+        for record in [*trace.records, *equal]:
+            assert record.negativity == negativity_walpha(record.q, alpha)
+        if margin == 0.0:
+            assert trace.n_success == threshold_success_count(alpha)
 
 
 def test_threshold_protocol_with_margin():
@@ -328,6 +332,9 @@ def test_equal_sharpness_records_track_payoff():
         assert record.success == (record.witness_value < -1e-12)
     with pytest.raises(ValueError, match="sharpness"):
         run_equal_sharpness(0.5, 0.0)
+    for alpha in (0.0, 0.75, 2.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1/sqrt\(2\)\]"):
+            run_equal_sharpness(alpha, 0.5)
 
 
 @given(alphas, lambdas_open)
@@ -421,6 +428,18 @@ def test_equal_sharpness_curve_shape():
     peak = counts.index(max(counts))
     assert all(a <= b for a, b in zip(counts[:peak], counts[1:peak + 1]))
     assert all(a >= b for a, b in zip(counts[peak:], counts[peak + 1:]))
+
+
+@pytest.mark.parametrize("k", [169, 271, 289, 338, 4925])
+def test_equal_sharpness_curve_stays_above_one_third(k):
+    # at the step (2/3)/k the floor count reaches one point further down, to
+    # 0.33333333333333326; the curve drops it and keeps the others as they were
+    step = (2.0 / 3.0) / k
+    curve = equal_sharpness_curve(0.5, step)
+    lams = [lam for lam, _ in curve]
+    assert all(1 / 3 < lam <= 1.0 for lam in lams)
+    assert lams == (1.0 - step * np.arange(k + 1))[::-1][1:].tolist()
+    assert [n for _, n in curve] == equal_sharpness_count(0.5, np.array(lams)).tolist()
 
 
 @pytest.mark.parametrize("step", [-0.1, 0.0, math.inf, math.nan])
