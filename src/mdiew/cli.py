@@ -301,8 +301,9 @@ def _usage_error(message: str) -> NoReturn:
 
 def _validate(args: dict) -> None:
     step = args.get("grid_step")
-    if step is not None and not 0.0 < step <= 0.25:
-        _usage_error(f"--grid-step must lie in (0, 0.25]; got {step}")
+    # The floor keeps a figure's grid at a few million points at most.
+    if step is not None and not 1e-6 <= step <= 0.25:
+        _usage_error(f"--grid-step must lie in [1e-06, 0.25]; got {step}")
     lam = args.get("lam")
     if lam is not None and not 0.0 < lam <= 1.0:
         _usage_error(f"--lambda must lie in (0, 1]; got {lam}")

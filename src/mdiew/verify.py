@@ -299,13 +299,12 @@ def check_sharp_survival() -> CheckResult:
 
 def check_decomposition_roundtrip() -> CheckResult:
     """Recomposing a decomposed witness operator reproduces it."""
-    taus = omegas = states.input_ensemble()
-    products = witness._input_products(taus, omegas)
+    products = witness._input_products()
     beta = witness.werner_beta()
     target = sum(beta.beta[s, t] * products[s, t] for s in range(4) for t in range(4))
-    recovered = witness.decompose_witness(target, taus, omegas)
+    recovered = witness.decompose_witness(target)
     dev = float(np.abs(recovered.beta - beta.beta).max())
-    identity_beta = witness.decompose_witness(np.eye(4), taus, omegas)
+    identity_beta = witness.decompose_witness(np.eye(4))
     recomposed = sum(identity_beta.beta[s, t] * products[s, t]
                      for s in range(4) for t in range(4))
     dev = _worst([dev, np.abs(recomposed - np.eye(4)).max()])

@@ -14,6 +14,10 @@ c = 1 + 4 alpha sqrt(1 - alpha^2).  A strictly negative value certifies
 entanglement; separable states can never go below zero.  The literal trace
 and W(lam) are built for whole stacks of states and sharpness values;
 `mdi_ew_numeric` is the trace's one-state, one-sharpness case.
+
+The referee's inputs are a tetrahedral qubit SIC, so their duals
+D_s = (3 tau_s^T - I)/2 satisfy tr(D_s tau_t^T) = delta_st, and a Hermitian
+W = sum_st beta_st tau_s^T (x) omega_t^T has beta_st = tr(W (D_s (x) D_t)).
 """
 
 from __future__ import annotations
@@ -31,9 +35,6 @@ if TYPE_CHECKING:  # the array functions import NumPy where they run
 
 DETECTION_THRESHOLD = 1e-12
 
-class SingularEnsembleError(ValueError):
-    """Raised when the input ensembles do not span the operator space."""
-
 
 @dataclass(frozen=True, eq=False)
 class WitnessCoefficients:
@@ -44,7 +45,10 @@ class WitnessCoefficients:
     def __post_init__(self) -> None:
         import numpy as np
 
-        beta = np.asarray(self.beta, dtype=float)
+        beta = np.asarray(self.beta)
+        if np.iscomplexobj(beta) and (beta.imag != 0).any():
+            raise ValueError("beta table must be real; got a nonzero imaginary part")
+        beta = np.asarray(beta.real, dtype=float)
         if beta.shape != (4, 4):
             raise ValueError(f"beta table must be 4x4; got shape {beta.shape}")
         if not np.isfinite(beta).all():
@@ -166,23 +170,20 @@ def threshold_lambda(q: float, alpha: float) -> float:
     return 1.0 / (q * strength)
 
 
-def _input_products(taus: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """The (4, 4, 4, 4) stack of tau_s^T (x) omega_t^T over the pairs (s, t), as np.kron builds each."""
-    import numpy as np
-
+def _input_products() -> np.ndarray:
+    """The (4, 4, 4, 4) stack of tau_s^T (x) omega_t^T, each as np.kron builds it."""
     from .linalg import _kron
 
-    taus, omegas = (np.asarray(inputs, dtype=complex).swapaxes(-1, -2) for inputs in (taus, omegas))
-    return _kron(taus[:, None], omegas[None])
+    inputs = input_ensemble().swapaxes(-1, -2)
+    return _kron(inputs[:, None], inputs[None])
 
 
-def decompose_witness(w: np.ndarray, taus: np.ndarray, omegas: np.ndarray) -> WitnessCoefficients:
-    """Solve sum_st beta_st tau_s^T (x) omega_t^T = w for a real beta table.
+def decompose_witness(w: np.ndarray) -> WitnessCoefficients:
+    """The real beta table with sum_st beta_st tau_s^T (x) omega_t^T = w.
 
-    `taus` and `omegas` are stacks of four 2x2 inputs, as input_ensemble() gives.
-
-    Raises SingularEnsembleError when the sixteen products do not span the
-    Hermitian operator space (e.g. duplicated inputs).
+    The inputs are a qubit SIC, so the dual frame D_s = (3 tau_s^T - I)/2 has
+    tr(D_s tau_t^T) = delta_st and beta_st = tr(w (D_s (x) D_t)): one
+    contraction, no linear solve.  The trace is real for Hermitian w.
     """
     import numpy as np
 
@@ -193,13 +194,7 @@ def decompose_witness(w: np.ndarray, taus: np.ndarray, omegas: np.ndarray) -> Wi
         raise ValueError(f"witness operator must be 4x4; got shape {w.shape}")
     if not np.max(np.abs(w - w.conj().T)) <= HERMITICITY_ATOL:
         raise ValueError("witness operator must be Hermitian")
-    columns = _input_products(taus, omegas).reshape(16, 16).T
-    system = np.vstack([columns.real, columns.imag])
-    if np.linalg.matrix_rank(system) < 16:
-        raise SingularEnsembleError("input ensembles do not span the two-qubit operator space")
-    target = np.concatenate([w.reshape(-1).real, w.reshape(-1).imag])
-    beta, *_ = np.linalg.lstsq(system, target, rcond=None)
-    residual = np.abs(columns @ beta - w.reshape(-1)).max()
-    if residual > 1e-10:
-        raise SingularEnsembleError(f"decomposition residual {residual} exceeds 1e-10")
-    return WitnessCoefficients(beta.reshape(4, 4))
+    duals = (3.0 * input_ensemble().swapaxes(-1, -2) - np.eye(2)) / 2.0
+    # tr(w (D_s (x) D_t)) = sum w[(i, k), (j, l)] D_s[j, i] D_t[l, k]
+    beta = np.einsum("ikjl,sji,tlk->st", w.reshape(2, 2, 2, 2), duals, duals)
+    return WitnessCoefficients(beta.real)

@@ -421,7 +421,9 @@ USAGE_ERRORS = {
     ("run", "--alpha", "0.5", "--margin", "-1"):
         "mdiew: error: --margin must be non-negative and finite; got -1.0",
     ("fig1", "--grid-step", "0"):
-        "mdiew: error: --grid-step must lie in (0, 0.25]; got 0.0",
+        "mdiew: error: --grid-step must lie in [1e-06, 0.25]; got 0.0",
+    ("fig3", "--grid-step", "9e-7"):  # a finer grid would run for minutes or exhaust memory
+        "mdiew: error: --grid-step must lie in [1e-06, 0.25]; got 9e-07",
     ("fig1", "--format", "yaml"):
         "mdiew fig1: error: argument --format: invalid choice: 'yaml' (choose from 'csv', 'json')",
     ("bogus",):
@@ -564,7 +566,7 @@ PUBLIC_SURFACE = {
                "check_separable_nonnegativity", "check_sharp_survival",
                "check_threshold_boundary", "check_threshold_protocol_count",
                "check_witness_grid", "check_witness_sharp_corner", "run_all"},
-    "witness": {"DETECTION_THRESHOLD", "SingularEnsembleError", "WitnessCoefficients",
+    "witness": {"DETECTION_THRESHOLD", "WitnessCoefficients",
                 "decompose_witness", "mdi_ew_closed_form_unsharp", "mdi_ew_numeric",
                 "threshold_lambda", "werner_beta"},
 }

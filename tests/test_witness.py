@@ -15,7 +15,6 @@ from mdiew.states import (
     werner_strength,
 )
 from mdiew.witness import (
-    SingularEnsembleError,
     WitnessCoefficients,
     _input_products,
     _payoffs,
@@ -47,7 +46,9 @@ lambdas = st.floats(0.0, 1.0)
 CONTRACTION_FACTOR = 0.25
 
 
-def recompose(beta, taus, omegas):
+def recompose(beta):
+    """sum_st beta_st tau_s^T (x) omega_t^T over the referee's inputs, one np.kron per pair."""
+    taus = omegas = input_ensemble()
     return sum(beta[s, t] * np.kron(taus[s].T, omegas[t].T)
                for s in range(4) for t in range(4))
 
@@ -75,6 +76,16 @@ def test_coefficients_reject_non_finite_entries(bad):
         WitnessCoefficients(beta)
     with pytest.raises(ValueError, match="finite"):
         WitnessCoefficients(np.full((4, 4), bad))
+
+
+def test_coefficients_reject_imaginary_parts():
+    with pytest.raises(ValueError, match="real"):
+        WitnessCoefficients(np.full((4, 4), 0.25 + 0.5j))
+    beta = werner_beta().beta.astype(complex)
+    beta[1, 3] += 1e-300j
+    with pytest.raises(ValueError, match="real"):
+        WitnessCoefficients(beta)
+    assert np.array_equal(WitnessCoefficients(werner_beta().beta + 0j).beta, werner_beta().beta)
 
 
 # --- numeric evaluation ------------------------------------------------------
@@ -293,18 +304,16 @@ def test_reduced_operator_matches_closed_form():
 
 def test_stacked_reduced_operators_are_bit_identical_to_per_lambda_calls(rng):
     lams = np.linspace(0.0, 1.0, 101)
-    taus = omegas = input_ensemble()
-    for beta in (werner_beta(), decompose_witness(random_hermitian(rng, 4), taus, omegas)):
+    for beta in (werner_beta(), decompose_witness(random_hermitian(rng, 4))):
         got = _reduced_witness_operators(lams, beta)
         assert np.array_equal(got, [_reduced_witness_operators([lam], beta)[0] for lam in lams])
 
 
 def test_reduced_operator_of_decomposed_target_is_a_quarter_of_it(rng):
     # the derivation of CONTRACTION_FACTOR: at lam = 1, W = CONTRACTION_FACTOR * target
-    taus = omegas = input_ensemble()
     targets = [np.eye(4)] + [random_hermitian(rng, 4) for _ in range(10)]
     for target in targets:
-        reduced = _reduced_witness_operators([1.0], decompose_witness(target, taus, omegas))[0]
+        reduced = _reduced_witness_operators([1.0], decompose_witness(target))[0]
         assert np.abs(reduced - CONTRACTION_FACTOR * target).max() <= 1e-15
 
 
@@ -422,63 +431,67 @@ def test_separable_states_never_score_negative(seed, lam):
 
 # --- decomposition ---------------------------------------------------------------------
 
+def test_dual_frame_is_biorthogonal_to_the_inputs():
+    # decompose_witness is exact because D_s = (3 tau_s^T - I)/2 has
+    # tr(D_s tau_t^T) = delta_st, which holds when the inputs form a qubit SIC
+    inputs = input_ensemble()
+    duals = (3.0 * inputs.swapaxes(-1, -2) - np.eye(2)) / 2.0
+    gram = np.array([[np.trace(dual @ tau.T) for tau in inputs] for dual in duals])
+    assert np.abs(gram - np.eye(4)).max() <= 1e-15
+
+
 def test_decompose_round_trips_werner_table():
-    taus = omegas = input_ensemble()
     beta = werner_beta().beta
-    target = recompose(beta, taus, omegas)
-    recovered = decompose_witness(target, taus, omegas)
+    target = recompose(beta)
+    recovered = decompose_witness(target)
     assert np.abs(recovered.beta - beta).max() < 1e-10
 
 
 def test_decompose_witness_of_singlet_projector_gives_werner_table():
     # the 5/8 / -1/8 table decomposes exactly W = I/2 - |psi_max><psi_max|
-    taus = omegas = input_ensemble()
     vec = psi_alpha(ALPHA_MAX)
     witness_op = np.eye(4) / 2 - np.outer(vec, vec.conj())
-    recovered = decompose_witness(witness_op, taus, omegas)
+    recovered = decompose_witness(witness_op)
     assert np.abs(recovered.beta - werner_beta().beta).max() < 1e-10
 
 
-def test_decompose_identity_target():
+def test_decompose_identity_target(rng):
+    beta = decompose_witness(np.eye(4))
+    assert np.abs(recompose(beta.beta) - np.eye(4)).max() < 1e-10
+    for _ in range(1000):
+        target = random_hermitian(rng, 4)
+        recomposed = recompose(decompose_witness(target).beta)
+        assert np.abs(recomposed - target).max() <= 1.5e-15 * np.abs(target).max()
+
+
+def test_input_products_are_bit_identical_to_tensor_calls():
     taus = omegas = input_ensemble()
-    beta = decompose_witness(np.eye(4), taus, omegas)
-    assert np.abs(recompose(beta.beta, taus, omegas) - np.eye(4)).max() < 1e-10
-
-
-def test_input_products_are_bit_identical_to_tensor_calls(rng):
-    ensembles = [input_ensemble(), np.stack([random_hermitian(rng, 2) for _ in range(4)])]
-    for taus in ensembles:
-        for omegas in ensembles:
-            products = _input_products(taus, omegas)
-            for s in range(4):
-                for t in range(4):
-                    assert np.array_equal(products[s, t], np.kron(taus[s].T, omegas[t].T))
-
-
-def test_decompose_rejects_degenerate_ensemble():
-    taus = input_ensemble()
-    duplicated = np.stack([taus[0]] * 4)
-    with pytest.raises(SingularEnsembleError):
-        decompose_witness(np.eye(4), duplicated, taus)
+    products = _input_products()
+    for s in range(4):
+        for t in range(4):
+            assert np.array_equal(products[s, t], np.kron(taus[s].T, omegas[t].T))
 
 
 def test_decompose_rejects_non_hermitian():
-    taus = omegas = input_ensemble()
     with pytest.raises(ValueError, match="Hermitian"):
-        decompose_witness(np.triu(np.ones((4, 4))), taus, omegas)
+        decompose_witness(np.triu(np.ones((4, 4))))
+
+
+def test_decompose_rejects_wrong_shape():
+    with pytest.raises(ValueError, match="must be 4x4; got shape \\(2, 2\\)"):
+        decompose_witness(np.eye(2))
 
 
 def test_contraction_factor_calibration(rng):
     # beta-weighted success probabilities evaluate tr(W rho) times a fixed
     # constant; calibrate it on the identity target, then cross-check
-    taus = omegas = input_ensemble()
-    identity_beta = decompose_witness(np.eye(4), taus, omegas)
+    identity_beta = decompose_witness(np.eye(4))
     rho = DensityOperator(random_density_matrix(rng, 4))
     calibrated = mdi_ew_numeric(rho, identity_beta, 1.0)  # tr(I rho) * k = k
     assert calibrated == pytest.approx(CONTRACTION_FACTOR, abs=1e-12)
     for _ in range(5):
         target = random_hermitian(rng, 4)
-        beta = decompose_witness(target, taus, omegas)
+        beta = decompose_witness(target)
         value = mdi_ew_numeric(rho, beta, 1.0)
         expected = CONTRACTION_FACTOR * np.trace(target @ rho.matrix).real
         assert value == pytest.approx(expected, abs=1e-10)
