@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .states import (
@@ -51,7 +50,12 @@ POLICY_THRESHOLD = "threshold"
 POLICY_EQUAL = "equal-sharpness"
 
 
-@dataclass(frozen=True)
+def _fields_repr(record) -> str:
+    """`Name(field=value, ...)` over the record's slots, as a dataclass prints."""
+    fields = ", ".join(f"{name}={getattr(record, name)!r}" for name in record.__slots__)
+    return f"{type(record).__name__}({fields})"
+
+
 class BobRecord:
     """State diagnostics and outcome for one observer in the sequence.
 
@@ -59,23 +63,37 @@ class BobRecord:
     sharp-limit (lam = 1) payoff of the pre-measurement state under the
     threshold policy, the payoff at the common sharpness under the
     equal-sharpness policy.
+
+    A plain record with slots, so its fields are assignable and records
+    compare by identity: a frozen record would pay one object.__setattr__
+    per field, the largest cost of a short `run` query.
     """
 
-    index: int
-    lam: float
-    q: float
-    witness_value: float
-    negativity: float
-    success: bool
+    __slots__ = ("index", "lam", "q", "witness_value", "negativity", "success")
+
+    def __init__(self, index: int, lam: float, q: float, witness_value: float,
+                 negativity: float, success: bool) -> None:
+        self.index = index
+        self.lam = lam
+        self.q = q
+        self.witness_value = witness_value
+        self.negativity = negativity
+        self.success = success
+
+    __repr__ = _fields_repr
 
 
-@dataclass(frozen=True)
 class ProtocolTrace:
     """Full run of one policy: records stop at the first failing observer."""
 
-    policy: str
-    records: tuple[BobRecord, ...]
-    n_success: int
+    __slots__ = ("policy", "records", "n_success")
+
+    def __init__(self, policy: str, records: tuple[BobRecord, ...], n_success: int) -> None:
+        self.policy = policy
+        self.records = records
+        self.n_success = n_success
+
+    __repr__ = _fields_repr
 
 
 def f_of_lambda(lam: float) -> float:
@@ -201,9 +219,9 @@ def _observers(alpha: float, margin: float = 0.0, lam: float | None = None):
 def _trace(alpha: float, policy: str, steps) -> ProtocolTrace:
     """The records of `steps` from _observers, for an alpha the caller has checked."""
     root = math.sqrt(1.0 - alpha * alpha)
-    records = tuple(
+    records = tuple([
         BobRecord(index, lam_i, q, payoff, _negativity(q, alpha, root), success)
-        for index, (q, lam_i, payoff, success) in enumerate(steps, 1))
+        for index, (q, lam_i, payoff, success) in enumerate(steps, 1)])
     return ProtocolTrace(policy, records, len(records) - 1)
 
 

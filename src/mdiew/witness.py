@@ -23,7 +23,6 @@ W = sum_st beta_st tau_s^T (x) omega_t^T has beta_st = tr(W (D_s (x) D_t)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .states import _check_lams, _check_qs, _werner_strengths, input_ensemble, werner_strength
@@ -36,16 +35,15 @@ if TYPE_CHECKING:  # the array functions import NumPy where they run
 DETECTION_THRESHOLD = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
 class WitnessCoefficients:
     """Real 4x4 table beta[s, t] weighting the joint-success probabilities."""
 
-    beta: np.ndarray
+    __slots__ = ("beta",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, beta: np.ndarray) -> None:
         import numpy as np
 
-        beta = np.asarray(self.beta)
+        beta = np.asarray(beta)
         if np.iscomplexobj(beta) and (beta.imag != 0).any():
             raise ValueError("beta table must be real; got a nonzero imaginary part")
         beta = np.asarray(beta.real, dtype=float)
@@ -53,7 +51,10 @@ class WitnessCoefficients:
             raise ValueError(f"beta table must be 4x4; got shape {beta.shape}")
         if not np.isfinite(beta).all():
             raise ValueError("beta table must be finite; got a NaN or infinite entry")
-        object.__setattr__(self, "beta", beta)
+        self.beta = beta
+
+    def __repr__(self) -> str:
+        return f"WitnessCoefficients(beta={self.beta!r})"
 
 
 def werner_beta() -> WitnessCoefficients:

@@ -484,12 +484,16 @@ NUMPY_FREE_CALLS = (
 # In a fresh interpreter: the imported scipy, numpy, argparse and json modules
 # after `import mdiew.cli` (the probe imports json only after that), then the
 # exit code, the numpy modules and whether argparse is loaded after each call.
+# Every entry also says whether dataclasses and inspect are loaded.
 _IMPORT_PROBE = """
 import sys
 def loaded(package):
     return sorted(m for m in sys.modules if m.split(".")[0] == package)
+def dataclass_machinery():
+    return [name in sys.modules for name in ("dataclasses", "inspect")]
 import mdiew.cli
-report = [loaded("scipy"), loaded("numpy"), loaded("argparse"), loaded("json")]
+report = [loaded("scipy"), loaded("numpy"), loaded("argparse"), loaded("json"),
+          dataclass_machinery()]
 import contextlib, io, json
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -497,7 +501,7 @@ for argv in json.loads(sys.argv[1]):
             code = mdiew.cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    report.append([code, loaded("numpy"), "argparse" in sys.modules])
+    report.append([code, loaded("numpy"), "argparse" in sys.modules, dataclass_machinery()])
 print(json.dumps(report))
 """
 
@@ -515,12 +519,14 @@ def test_import_does_not_load_scipy():
     argvs = json.dumps([argv for argv, _, _ in NUMPY_FREE_CALLS])
     result = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, argvs], env=env,
                             capture_output=True, text=True, timeout=120, check=True)
-    scipy_modules, numpy_modules, argparse_modules, json_modules, *calls = json.loads(result.stdout)
+    scipy_modules, numpy_modules, argparse_modules, json_modules, machinery, *calls = (
+        json.loads(result.stdout))
     assert scipy_modules == []
     assert numpy_modules == []
     assert argparse_modules == []
     assert json_modules == []
-    assert calls == [[code, [], argparse] for _, code, argparse in NUMPY_FREE_CALLS]
+    assert machinery == [False, False]  # neither dataclasses nor inspect
+    assert calls == [[code, [], argparse, [False, False]] for _, code, argparse in NUMPY_FREE_CALLS]
     # the figures that do load numpy, each from a process that starts without it
     for args in [("fig1",), ("fig2", "--entanglement", "0.935")]:
         result = subprocess.run([sys.executable, "-m", "mdiew.cli", *args], env=env,

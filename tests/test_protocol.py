@@ -91,6 +91,32 @@ def test_threshold_protocol_maximal_entanglement():
     assert trace.records[14].q == pytest.approx(0.32555732132496057, abs=1e-12)
 
 
+def test_records_are_slots_objects_built_through_their_own_init(monkeypatch):
+    # perfbench's tracer wraps BobRecord.__init__ in the class's own dict and
+    # counts one span per observer, so every record must be built through it
+    assert "__init__" in vars(protocol.BobRecord)
+    init = vars(protocol.BobRecord)["__init__"]
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(protocol.BobRecord, "__init__", counted)
+    trace = run_threshold_protocol(ALPHA_MAX)
+    monkeypatch.undo()
+    assert len(calls) == len(trace.records) == 15
+    fields = {"index": 1, "lam": 0.5, "q": 1.0, "witness_value": -0.1, "negativity": 0.3,
+              "success": True}
+    record = protocol.BobRecord(**fields)
+    assert {name: getattr(record, name) for name in fields} == fields
+    assert repr(record) == ("BobRecord(index=1, lam=0.5, q=1.0, witness_value=-0.1, "
+                            "negativity=0.3, success=True)")
+    # slots only: no per-instance __dict__ to fill on each build
+    assert not hasattr(record, "__dict__")
+    assert not hasattr(trace, "__dict__")
+
+
 def test_threshold_records_satisfy_recursion():
     for alpha, margin in itertools.product([1e-3, 0.05, 0.3, 0.6, ALPHA_MAX], [0.0, 0.01]):
         trace = run_threshold_protocol(alpha, margin)
