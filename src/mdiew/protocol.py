@@ -426,16 +426,35 @@ def _edge(solved: dict, level: int, sign: float, log_target: float,
     `solved` maps (level, sign) to the (log-target, edge) pairs of the
     sweep's earlier solves of this edge, and gains this one.  The solve
     starts at `start` unless their extrapolation lies strictly inside the
-    bracket.
+    bracket.  It is _increasing_root on _log_margin(level, log_target,
+    sign, .), written out as one loop: the same operations in the same
+    order, so every iterate and the edge are theirs bit for bit, without a
+    call per evaluation.
     """
     past = solved.setdefault((level, sign), [])
     guess = _edge_start(past, log_target)
-    if lower < guess < upper:
-        start = guess
-    edge = _increasing_root(functools.partial(_log_margin, level, log_target, sign),
-                            lower, upper, start)
-    past.append((log_target, edge))
-    return edge
+    x = guess if lower < guess < upper else start
+    power = level - 1
+    for _ in range(200):
+        root_a = math.sqrt((1.0 + 3.0 * x) * (1.0 - x))
+        root_b = math.sqrt((3.0 - 3.0 * x) * (3.0 + x))
+        decay = 0.5 * (1.0 + (root_a + root_b) / 4.0)
+        decay_slope = ((1.0 - 3.0 * x) / root_a - 3.0 * (1.0 + x) / root_b) / 8.0
+        value = sign * (math.log(x) + power * math.log(decay) - log_target)
+        slope = sign * (1.0 / x + power * decay_slope / decay)
+        if value < 0.0:
+            lower = x
+        else:
+            upper = x
+        step = value / slope if slope else math.inf
+        if abs(step) <= 4e-16 * x:
+            x -= step
+            break
+        if upper - lower <= 4e-16 * x:
+            break
+        x = x - step if lower < x - step < upper else 0.5 * (lower + upper)
+    past.append((log_target, x))
+    return x
 
 
 def _edge_start(past: list[tuple[float, float]], log_target: float) -> float:

@@ -202,65 +202,48 @@ def alpha_from_entanglement(entropy: float) -> float:
     conditioned at alpha^2 = 1/2, where the entropy is flat.  Both starting
     points lie above the root: sqrt(E ln 2) >= alpha and
     sqrt(2 ln 2 (1 - E)) >= y.
+
+    Each branch is _increasing_root on its residual, bracketed in
+    (0, start] and started at the top, written out as one loop: the same
+    operations in the same order, so every iterate and the root are
+    _increasing_root's bit for bit, without a call per evaluation.
     """
     entropy = float(entropy)
     if not 0.0 < entropy <= 1.0:
         raise ValueError(f"entanglement must lie in (0, 1]; got {entropy}")
     if entropy == 1.0:
         return ALPHA_MAX
-    if entropy < 0.5:
+    low = entropy < 0.5
+    if low:
         target = math.sqrt(entropy) * math.sqrt(_LN2)
-
-        def sqrt_entropy(alpha):
-            t = alpha * alpha
-            log_alpha = math.log(alpha)
+        x = target
+    else:
+        gap = 1.0 - entropy
+        x = math.sqrt(2.0 * _LN2 * gap)
+    lower, upper = 0.0, x
+    for _ in range(200):
+        if low:  # x is alpha
+            t = x * x
+            log_alpha = math.log(x)
             log1p_t = math.log1p(-t)
             root_h = math.sqrt(-2.0 * log_alpha - (1.0 - t) * (log1p_t / t if t else -1.0))
-            return alpha * root_h - target, (log1p_t - 2.0 * log_alpha) / root_h
-
-        return _increasing_root(sqrt_entropy, 0.0, target, target)
-    gap = 1.0 - entropy
-
-    def entropy_gap(y):
-        atanh = math.atanh(y)
-        return (2.0 * y * atanh + math.log1p(-y * y)) / (2.0 * _LN2) - gap, atanh / _LN2
-
-    start = math.sqrt(2.0 * _LN2 * gap)
-    y = _increasing_root(entropy_gap, 0.0, start, start)
-    return math.sqrt(0.5 * (1.0 - y))
-
-
-def _increasing_roots(func, upper: np.ndarray) -> np.ndarray:
-    """_increasing_root elementwise, each root bracketed in (0, upper] and started at upper.
-
-    func(x, index) returns (values, slopes) at the points x of the entries
-    `index`.  Every entry takes the scalar solve's steps and stopping rules;
-    an entry leaves the loop once it stops.
-    """
-    import numpy as np
-
-    roots = np.empty_like(upper)
-    index = np.arange(len(upper))
-    x, lower = upper, np.zeros_like(upper)
-    for _ in range(200):
-        if not len(index):
+            value, slope = x * root_h - target, (log1p_t - 2.0 * log_alpha) / root_h
+        else:  # x is y
+            atanh = math.atanh(x)
+            value = (2.0 * x * atanh + math.log1p(-x * x)) / (2.0 * _LN2) - gap
+            slope = atanh / _LN2
+        if value < 0.0:
+            lower = x
+        else:
+            upper = x
+        step = value / slope if slope else math.inf
+        if abs(step) <= 4e-16 * x:
+            x -= step
             break
-        value, slope = func(x, index)
-        below = value < 0.0
-        lower = np.where(below, x, lower)
-        upper = np.where(below, upper, x)
-        step = np.divide(value, slope, out=np.full_like(value, math.inf), where=slope != 0.0)
-        tol = 4e-16 * x
-        converged = np.abs(step) <= tol
-        roots[index[converged]] = (x - step)[converged]
-        pinched = ~converged & (upper - lower <= tol)
-        roots[index[pinched]] = x[pinched]
-        newton = x - step
-        x = np.where((lower < newton) & (newton < upper), newton, 0.5 * (lower + upper))
-        going = ~(converged | pinched)
-        index, x, lower, upper = index[going], x[going], lower[going], upper[going]
-    roots[index] = x
-    return roots
+        if upper - lower <= 4e-16 * x:
+            break
+        x = x - step if lower < x - step < upper else 0.5 * (lower + upper)
+    return x if low else math.sqrt(0.5 * (1.0 - x))
 
 
 def _alphas_from_entanglement(entropies) -> np.ndarray:
@@ -269,6 +252,14 @@ def _alphas_from_entanglement(entropies) -> np.ndarray:
     The same residuals, start points and stopping rules, taken with NumPy's
     log, log1p, sqrt and arctanh.  The first entry outside (0, 1] raises.
     One scalar call is faster than a one-entry array; this is for grids.
+
+    Both branches run in one loop over every entry below E = 1: each step
+    takes both residuals everywhere and keeps the entry's own, which is
+    defined on both branches' brackets, and a live mask records each root
+    where its entry stops.  The selected slope is positive on the brackets,
+    so the step needs no guard against a zero slope.  Each entry takes the
+    scalar loop's iterates, and its root is _increasing_root's on the
+    NumPy residual.
     """
     import numpy as np
 
@@ -277,27 +268,39 @@ def _alphas_from_entanglement(entropies) -> np.ndarray:
     if outside.any():
         raise ValueError(f"entanglement must lie in (0, 1]; got {float(entropies[outside][0])}")
     alphas = np.full(entropies.shape, ALPHA_MAX)
-    low = entropies < 0.5
-    if low.any():
-        target = np.sqrt(entropies[low]) * math.sqrt(_LN2)
-
-        def sqrt_entropy(alpha, index):
-            t = alpha * alpha
-            log_alpha = np.log(alpha)
-            log1p_t = np.log1p(-t)
-            ratio = np.divide(log1p_t, t, out=np.full_like(t, -1.0), where=t != 0.0)
-            root_h = np.sqrt(-2.0 * log_alpha - (1.0 - t) * ratio)
-            return alpha * root_h - target[index], (log1p_t - 2.0 * log_alpha) / root_h
-
-        alphas[low] = _increasing_roots(sqrt_entropy, target)
-    high = (entropies >= 0.5) & (entropies < 1.0)
-    if high.any():
-        gap = 1.0 - entropies[high]
-
-        def entropy_gap(y, index):
-            atanh = np.arctanh(y)
-            return (2.0 * y * atanh + np.log1p(-y * y)) / (2.0 * _LN2) - gap[index], atanh / _LN2
-
-        y = _increasing_roots(entropy_gap, np.sqrt(2.0 * _LN2 * gap))
-        alphas[high] = np.sqrt(0.5 * (1.0 - y))
+    solving = entropies < 1.0
+    entropies = entropies[solving]
+    low = entropies < 0.5  # x is alpha there, y = 1 - 2 alpha^2 elsewhere
+    target = np.sqrt(entropies) * math.sqrt(_LN2)
+    gap = 1.0 - entropies
+    x = upper = np.where(low, target, np.sqrt(2.0 * _LN2 * gap))
+    lower = np.zeros_like(x)
+    roots = np.empty_like(x)
+    live = np.ones(x.shape, dtype=bool)
+    for _ in range(200):
+        if not live.any():
+            break
+        t = x * x
+        log_alpha = np.log(x)
+        log1p_t = np.log1p(-t)  # -y * y is -(y * y) bit for bit
+        ratio = np.divide(log1p_t, t, out=np.full_like(t, -1.0), where=t != 0.0)
+        root_h = np.sqrt(-2.0 * log_alpha - (1.0 - t) * ratio)
+        atanh = np.arctanh(x)
+        value = np.where(low, x * root_h - target,
+                         (2.0 * x * atanh + log1p_t) / (2.0 * _LN2) - gap)
+        slope = np.where(low, (log1p_t - 2.0 * log_alpha) / root_h, atanh / _LN2)
+        below = value < 0.0
+        lower = np.where(below, x, lower)
+        upper = np.where(below, upper, x)
+        step = value / slope
+        newton = x - step
+        tol = 4e-16 * x
+        converged = np.abs(step) <= tol
+        stopped = live & (converged | (upper - lower <= tol))
+        roots = np.where(stopped, np.where(converged, newton, x), roots)
+        live ^= stopped
+        x = np.where((lower < newton) & (newton < upper), newton, 0.5 * (lower + upper))
+    else:
+        roots = np.where(live, x, roots)
+    alphas[solving] = np.where(low, roots, np.sqrt(0.5 * (1.0 - roots)))
     return alphas

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import HealthCheck, settings
 from mdiew import protocol, verify
 from mdiew.linalg import HERMITICITY_ATOL, PSD_ATOL, TRACE_ATOL, DensityOperator
 from mdiew.protocol import FEASIBILITY_TOL, LAMBDA_WINDOW
-from mdiew.states import ALPHA_MAX, _werner_strengths, werner_alpha
+from mdiew.states import _LN2, ALPHA_MAX, _increasing_root, _werner_strengths, werner_alpha
 
 settings.register_profile(
     "suite",
@@ -154,6 +156,100 @@ def mp_alpha_from_entanglement(entropy):
             else:
                 hi = mid
         return mpmath.exp(mpmath.findroot(excess, (lo, hi)) / 2)
+
+
+def alpha_from_entanglement_by_callbacks(entropy):
+    """states.alpha_from_entanglement as _increasing_root on each branch's residual (test oracle).
+
+    The residual callbacks the scalar inverse's inline loop replaced, with
+    the same brackets and starts.
+    """
+    if entropy == 1.0:
+        return ALPHA_MAX
+    if entropy < 0.5:
+        target = math.sqrt(entropy) * math.sqrt(_LN2)
+
+        def sqrt_entropy(alpha):
+            t = alpha * alpha
+            log_alpha = math.log(alpha)
+            log1p_t = math.log1p(-t)
+            root_h = math.sqrt(-2.0 * log_alpha - (1.0 - t) * (log1p_t / t if t else -1.0))
+            return alpha * root_h - target, (log1p_t - 2.0 * log_alpha) / root_h
+
+        return _increasing_root(sqrt_entropy, 0.0, target, target)
+    gap = 1.0 - entropy
+
+    def entropy_gap(y):
+        atanh = math.atanh(y)
+        return (2.0 * y * atanh + math.log1p(-y * y)) / (2.0 * _LN2) - gap, atanh / _LN2
+
+    start = math.sqrt(2.0 * _LN2 * gap)
+    return math.sqrt(0.5 * (1.0 - _increasing_root(entropy_gap, 0.0, start, start)))
+
+
+def increasing_roots(func, upper):
+    """_increasing_root elementwise, each root bracketed in (0, upper] and started at upper (test oracle).
+
+    func(x, index) returns (values, slopes) at the points x of the entries
+    `index`.  Every entry takes the scalar solve's steps and stopping rules,
+    and an entry leaves the loop, compacted away, once it stops.
+    """
+    roots = np.empty_like(upper)
+    index = np.arange(len(upper))
+    x, lower = upper, np.zeros_like(upper)
+    for _ in range(200):
+        if not len(index):
+            break
+        value, slope = func(x, index)
+        below = value < 0.0
+        lower = np.where(below, x, lower)
+        upper = np.where(below, upper, x)
+        step = np.divide(value, slope, out=np.full_like(value, math.inf), where=slope != 0.0)
+        tol = 4e-16 * x
+        converged = np.abs(step) <= tol
+        roots[index[converged]] = (x - step)[converged]
+        pinched = ~converged & (upper - lower <= tol)
+        roots[index[pinched]] = x[pinched]
+        newton = x - step
+        x = np.where((lower < newton) & (newton < upper), newton, 0.5 * (lower + upper))
+        going = ~(converged | pinched)
+        index, x, lower, upper = index[going], x[going], lower[going], upper[going]
+    roots[index] = x
+    return roots
+
+
+def alphas_from_entanglement_by_branches(entropies):
+    """states._alphas_from_entanglement as one increasing_roots solve per branch (test oracle).
+
+    The two-branch array inverse that the one-loop solve replaced, for
+    entropies in (0, 1].
+    """
+    entropies = np.asarray(entropies, dtype=float)
+    alphas = np.full(entropies.shape, ALPHA_MAX)
+    low = entropies < 0.5
+    if low.any():
+        target = np.sqrt(entropies[low]) * math.sqrt(_LN2)
+
+        def sqrt_entropy(alpha, index):
+            t = alpha * alpha
+            log_alpha = np.log(alpha)
+            log1p_t = np.log1p(-t)
+            ratio = np.divide(log1p_t, t, out=np.full_like(t, -1.0), where=t != 0.0)
+            root_h = np.sqrt(-2.0 * log_alpha - (1.0 - t) * ratio)
+            return alpha * root_h - target[index], (log1p_t - 2.0 * log_alpha) / root_h
+
+        alphas[low] = increasing_roots(sqrt_entropy, target)
+    high = (entropies >= 0.5) & (entropies < 1.0)
+    if high.any():
+        gap = 1.0 - entropies[high]
+
+        def entropy_gap(y, index):
+            atanh = np.arctanh(y)
+            return (2.0 * y * atanh + np.log1p(-y * y)) / (2.0 * _LN2) - gap[index], atanh / _LN2
+
+        y = increasing_roots(entropy_gap, np.sqrt(2.0 * _LN2 * gap))
+        alphas[high] = np.sqrt(0.5 * (1.0 - y))
+    return alphas
 
 
 def random_separable_two_qubit(rng):

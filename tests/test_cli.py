@@ -381,6 +381,35 @@ def test_fig1_rows_match_the_scalar_inverse(step, capsys):
                     for alpha, entropy, n in zip(alphas, entropies, counts)]
 
 
+def fig1_rows_by_searchsorted(step):
+    """fig1's rows with each count from np.searchsorted over the edge table
+    and the boundary row placed by np.searchsorted over the entropies (test
+    oracle)."""
+    entropies = step * np.arange(1, int(1.0 / step) + 1)
+    entropies = entropies[entropies <= 1.0]
+    alphas = states._alphas_from_entanglement(entropies)
+    edges = protocol._COUNT_EDGES
+    counts = np.searchsorted(edges, alphas, side="right")
+    rows = list(zip(alphas.tolist(), entropies.tolist(), counts.tolist()))
+    boundary_alpha, boundary_e = protocol.boundary_alpha_for_n(len(edges))
+    if not np.any(alphas == boundary_alpha):
+        rows.insert(int(np.searchsorted(entropies, boundary_e, side="right")),
+                    (boundary_alpha, boundary_e, len(edges)))
+    return rows
+
+
+# 0.23371020854850043 puts a grid row on n = 13 within 1e-12 below the
+# 13 -> 14 edge; 0.23371020854855265 puts one exactly on the edge, so no
+# boundary row is added
+@pytest.mark.parametrize("step", [0.25, 1e-3, 3e-4, 1e-4, 1e-5, 0.23371020854850043,
+                                  0.23371020854855265])
+def test_fig1_bisect_counts_equal_searchsorted(step, capsys):
+    assert cli.main(["fig1", "--grid-step", repr(step)]) == 0
+    rows = fig1_rows_by_searchsorted(step)
+    assert capsys.readouterr().out == "\n".join(cli._csv_lines(("alpha", "e_alpha", "n"), rows)) + "\n"
+    assert sum(row[2] == 14 and row[0] == protocol._COUNT_EDGES[-1] for row in rows) == 1
+
+
 def test_verify_reports_pass(tmp_path, capsys):
     out = tmp_path / "verify.csv"
     assert cli.main(["verify", "--out", str(out)]) == 0

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -60,7 +61,11 @@ def test_f_spot_values():
     assert f_of_lambda(1 / 3) == pytest.approx(direct, abs=1e-15)
 
 
-@given(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda t: abs(t[0] - t[1]) > 1e-9))
+# f'(0) = 0: near lambda = 0, f falls by about (high^2 - low^2)/3, below a
+# double's rounding for a pair such as (0, 4e-9); apart from 0 it falls by
+# more, so pairs whose squares differ by over 1e-12 are resolved
+@given(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+       .filter(lambda t: abs(t[0] ** 2 - t[1] ** 2) > 1e-12))
 def test_f_strictly_decreasing(pair):
     low, high = sorted(pair)
     assert f_of_lambda(low) > f_of_lambda(high)
@@ -630,15 +635,24 @@ def test_window_edge_solves_stop_at_rounding_noise(monkeypatch):
     # near an edge, rounding noise in the log-margin keeps Newton steps at a
     # few ulps; the collapsed bracket, not the iteration cap, ends the solve
     evaluations = []
-    solve = protocol._increasing_root
+    logs = []
+    log, edge = math.log, protocol._edge
 
-    def counted(func, lower, upper, x):
-        calls = []
-        root = solve(lambda lam: calls.append(lam) or func(lam), lower, upper, x)
-        evaluations.append(len(calls))
-        return root
+    def counted_log(x):
+        logs.append(x)
+        return log(x)
 
-    monkeypatch.setattr(protocol, "_increasing_root", counted)
+    def counted_edge(*args):
+        # each evaluation of the log-margin takes two logs: of lam and of f(lam)
+        before = len(logs)
+        result = edge(*args)
+        calls, odd = divmod(len(logs) - before, 2)
+        assert calls and not odd
+        evaluations.append(calls)
+        return result
+
+    monkeypatch.setattr(math, "log", counted_log)
+    monkeypatch.setattr(protocol, "_edge", counted_edge)
     for entropy in np.linspace(0.5, 1.0, 51):
         protocol._superlevel_windows([alpha_from_entanglement(entropy)])
     assert len(evaluations) > 100
@@ -710,6 +724,27 @@ def assert_sweep_matches_one_state_solves(alphas):
 @pytest.mark.parametrize("name", list(SWEEP_GRIDS))
 def test_window_sweep_matches_one_state_solves(name):
     assert_sweep_matches_one_state_solves(SWEEP_GRIDS[name])
+
+
+def _edge_by_callback(solved, level, sign, log_target, lower, upper, start):
+    """protocol._edge as _increasing_root on the _log_margin callback (test oracle)."""
+    past = solved.setdefault((level, sign), [])
+    guess = protocol._edge_start(past, log_target)
+    if lower < guess < upper:
+        start = guess
+    edge = protocol._increasing_root(
+        functools.partial(protocol._log_margin, level, log_target, sign), lower, upper, start)
+    past.append((log_target, edge))
+    return edge
+
+
+@pytest.mark.parametrize("name", list(SWEEP_GRIDS))
+def test_window_sweep_equals_the_callback_solves(name, monkeypatch):
+    # the inline loop takes _increasing_root's iterates, so every edge bit for bit
+    alphas = SWEEP_GRIDS[name]
+    sweep = protocol._superlevel_windows(alphas)
+    monkeypatch.setattr(protocol, "_edge", _edge_by_callback)
+    assert sweep == protocol._superlevel_windows(alphas)
 
 
 @pytest.mark.parametrize("alphas", [

@@ -22,7 +22,14 @@ from mdiew.states import (
     werner_strength,
 )
 
-from conftest import min_eigenvalue, mp_alpha_from_entanglement, random_hermitian
+from conftest import (
+    alpha_from_entanglement_by_callbacks,
+    alphas_from_entanglement_by_branches,
+    assert_bit_identical,
+    min_eigenvalue,
+    mp_alpha_from_entanglement,
+    random_hermitian,
+)
 
 alphas = st.floats(0.01, ALPHA_MAX)
 qs = st.floats(0.0, 1.0)
@@ -278,6 +285,17 @@ def test_alpha_from_entanglement_matches_mpmath_root(entropy):
 
 
 @given(entropies)
+@example(5e-324)
+@example(1e-300)
+@example(0.5)
+@example(math.nextafter(1.0, 0.0))
+@example(1.0)
+def test_inverse_equals_increasing_root_on_the_branch_residuals(entropy):
+    # the inline loop takes _increasing_root's iterates, so its root bit for bit
+    assert alpha_from_entanglement(entropy) == alpha_from_entanglement_by_callbacks(entropy)
+
+
+@given(entropies)
 @example(1e-300)
 @example(math.nextafter(1.0, 0.0))
 def test_entropy_of_inverse_round_trips(entropy):
@@ -305,6 +323,18 @@ def test_array_inverse_is_within_four_ulp_of_the_scalar(grid):
     assert array.shape == scalar.shape
     assert np.all(np.abs(array - scalar) <= 4 * np.spacing(scalar))
     assert np.all(array[np.asarray(grid) == 1.0] == ALPHA_MAX)
+
+
+@given(st.lists(entropies, min_size=1, max_size=30))
+@example(_ARRAY_EXAMPLES)
+@example([5e-324, 1e-300, 0.5, math.nextafter(1.0, 0.0), 1.0])
+@example([1.0, 1.0])
+@example([0.7, 0.2, 0.7, 1e-300, 0.5])
+@example((FIG1_DEFAULT_STEP * np.arange(1, int(1.0 / FIG1_DEFAULT_STEP) + 1)).tolist())
+def test_array_inverse_equals_the_two_branch_solve(grid):
+    # one loop over both branches, with a live mask in place of compaction,
+    # takes each entry through the same NumPy operations
+    assert_bit_identical(_alphas_from_entanglement(grid), alphas_from_entanglement_by_branches(grid))
 
 
 @given(st.lists(entropies, min_size=1, max_size=5))

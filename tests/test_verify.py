@@ -1,3 +1,4 @@
+import pathlib
 import re
 
 import numpy as np
@@ -327,3 +328,21 @@ def test_boundary_check_reruns_the_shipped_edge(monkeypatch, toward):
     assert not failed.passed
     assert failed.deviation == np.inf
     assert failed.detail.startswith(passed.detail + "; runner counts [")
+
+
+def _claims_ledger():
+    """README's claims ledger: its text, and each table line as a dict keyed by the header."""
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Claims ledger", 1)[1].split("\n## ", 1)[0]
+    table = [[cell.strip() for cell in line.strip("|").split("|")]
+             for line in section.splitlines() if line.startswith("| ")]
+    return section, [dict(zip(table[0], cells)) for cells in table[1:]]
+
+
+def test_claims_ledger_names_only_rows_that_verify_runs():
+    section, lines = _claims_ledger()
+    named = {line["verify row"].strip("`") for line in lines} - {"none"}
+    assert len(lines) >= 7 and len(named) >= 5
+    assert named <= {result.name for result in verify.run_all()}
+    assert all(line["model"].split()[0] in ("exact", "white-noise") for line in lines)
+    assert "Not yet shown" in section
