@@ -1,15 +1,16 @@
 """Dense complex linear algebra on the witness game's fixed qubit order.
 
-Operators are plain complex numpy arrays, and a :class:`DensityOperator` is
-a validated square matrix.  A shared state is a 4x4 matrix on the qubits
-(A, B), Alice's share first; the partial transpose and the negativity act
-on B.  The full game space orders its qubits (A', A, B, B'): Alice's quantum
-input, Alice's share, Bob's share, Bob's quantum input.
+Operators are plain complex numpy arrays.  A shared state is a 4x4 matrix
+on the qubits (A, B), Alice's share first, and the oracle kernels here and
+in `measurement` and `witness` take and return (n, 4, 4) stacks of them;
+the partial transpose and the negativity act on B.  The full game space
+orders its qubits (A', A, B, B'): Alice's quantum input, Alice's share,
+Bob's share, Bob's quantum input.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,36 +35,35 @@ PAULI = tuple(_read_only(np.array(matrix, dtype=complex)) for matrix in (
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """A square density matrix.
+    """A square density matrix, validated on construction.
 
-    Construction validates Hermiticity, unit trace and positivity unless
-    `validate=False`.  That skips checks already done or not wanted: on
-    matrices of a stack that `_check_density_matrices` has checked
-    (`werner_alpha`), on the output of the averaged channel, and on
-    non-states in tests.
+    No kernel takes one; the class stays because the benchmark's tracer instruments it.
     """
 
     matrix: np.ndarray
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate: bool) -> None:
+    def __post_init__(self) -> None:
         matrix = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", matrix)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError(f"density matrix must be square; got shape {matrix.shape}")
-        if validate:
-            _check_density_matrices(matrix[None])
+        check_density_matrices(matrix[None])
 
 
-def _two_qubit_matrix(rho: DensityOperator, caller: str) -> np.ndarray:
-    """The matrix of `rho`, which `caller` needs to be a two-qubit (A, B) state."""
-    if rho.matrix.shape != (4, 4):
-        raise ValueError(f"{caller} expects a two-qubit (4x4) state; got shape {rho.matrix.shape}")
-    return rho.matrix
+def _two_qubit_stack(matrices, caller: str) -> np.ndarray:
+    """`matrices` as a complex array; anything but the (n, 4, 4) stack `caller` needs raises.
+
+    The kernels would read a bare 4x4 matrix, or an 8x8 one, as some other stack.
+    """
+    matrices = np.asarray(matrices, dtype=complex)
+    if matrices.ndim != 3 or matrices.shape[1:] != (4, 4):
+        raise ValueError(f"{caller} expects an (n, 4, 4) stack of two-qubit matrices; "
+                         f"got shape {matrices.shape}")
+    return matrices
 
 
-def _check_density_matrices(matrices: np.ndarray) -> None:
-    """DensityOperator's checks on every matrix of a stack: Hermitian, unit trace, PSD.
+def check_density_matrices(matrices: np.ndarray) -> None:
+    """Density-matrix checks on every matrix of an (n, d, d) stack: Hermitian, unit trace, PSD.
 
     Each check runs over the whole stack before the next one starts; the
     first matrix that fails raises ValueError, and in a stack of more than
@@ -76,6 +76,11 @@ def _check_density_matrices(matrices: np.ndarray) -> None:
     When some factorization fails, `eigvalsh` decides, and words every
     failure: the Cholesky step moves no decision and no message.
     """
+    matrices = np.asarray(matrices)
+    if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
+        raise ValueError("check_density_matrices expects an (n, d, d) stack of square matrices; "
+                         f"got shape {matrices.shape}")
+
     def first(flags: np.ndarray) -> tuple[int, str]:
         index = int(np.argmax(flags))
         return index, (f" (stack index {index})" if len(matrices) > 1 else "")
@@ -107,9 +112,9 @@ def _check_density_matrices(matrices: np.ndarray) -> None:
 def _check_finite(matrices: np.ndarray) -> None:
     """Raise ValueError naming the first matrix of a stack with a NaN or infinite entry.
 
-    An unvalidated state (DensityOperator(..., validate=False)) can carry
-    one, and the kernels would turn it into a wrong answer without an error:
-    a zero negativity, an all-NaN channel output, a payoff that skips it.
+    The kernels take stacks without validating them, so a stack can carry
+    one, and they would turn it into a wrong answer without an error: a zero
+    negativity, an all-NaN channel output, a payoff that skips it.
     """
     if not np.isfinite(matrices).all():
         index = np.flatnonzero(~np.isfinite(matrices).all(axis=(-2, -1)))[0]
@@ -127,25 +132,24 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(*out.shape[:-4], m * p, n * q)
 
 
-def _partial_transposes(matrices: np.ndarray) -> np.ndarray:
-    """Transpose B, the second qubit, of each 4x4 matrix in a stack."""
+def partial_transpose(matrices) -> np.ndarray:
+    """Transpose B, the second qubit, of each matrix in an (n, 4, 4) stack."""
+    matrices = _two_qubit_stack(matrices, "partial_transpose")
     return matrices.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 4, 3, 2).reshape(-1, 4, 4)
 
 
-def _negativities(matrices: np.ndarray) -> np.ndarray:
-    """negativity of each matrix in a stack: one eigvalsh over the stacked partial transposes.
+def negativity(matrices) -> np.ndarray:
+    """Negativity across A|B of each matrix in an (n, 4, 4) stack.
 
+    The negativity is |sum of negative eigenvalues| of the partial
+    transpose, from one eigvalsh over the stacked partial transposes.
     eigvalsh sorts ascending, so the negative eigenvalues lead each row and
     adding the zeros that replace the rest leaves their sum unchanged.  The
     result is 0.0 minus that sum, not its negation, so a state with no
     negative eigenvalue reads +0.0 rather than -0.0.  A non-finite entry
     raises ValueError.
     """
+    matrices = _two_qubit_stack(matrices, "negativity")
     _check_finite(matrices)
-    eigvals = np.linalg.eigvalsh(_partial_transposes(matrices))
+    eigvals = np.linalg.eigvalsh(partial_transpose(matrices))
     return 0.0 - np.where(eigvals < 0, eigvals, 0.0).sum(axis=-1)
-
-
-def negativity(rho: DensityOperator) -> float:
-    """Entanglement negativity across A|B: |sum of negative eigenvalues| of the partial transpose."""
-    return float(_negativities(_two_qubit_matrix(rho, "negativity")[None])[0])

@@ -9,8 +9,8 @@ sharpness lam uses the effects
 and updates the state through the square-root (Lueders) rule.  Bob measures
 the qubits (B, B') of the space (A, B, B'), so each Kraus operator is
 I_2 (x) sqrt(E) in that order.  Effects, roots and the channel are built for
-whole stacks of sharpness values; `averaged_channel` is the channel's
-one-state, one-sharpness case.
+whole stacks of sharpness values, and the channel for (n, 4, 4) stacks of
+shared states.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .linalg import DensityOperator, _check_finite, _kron, _read_only, _two_qubit_matrix
+from .linalg import _check_finite, _kron, _read_only, _two_qubit_stack
 from .states import _check_lams, bell_phi_plus, input_ensemble
 
 
@@ -32,6 +32,8 @@ def bell_projector() -> np.ndarray:
 
 def _effects(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Plus effects, plus roots and minus roots at each sharpness of `lams`, as (len(lams), 4, 4) stacks.
+
+    A scalar `lams` counts as a sequence of one.
 
     The plus effect has eigenvalue (1+3 lam)/4 on |Phi+> and (1-lam)/4 on its
     complement; the minus effect is I - plus.  The first entry outside
@@ -46,7 +48,7 @@ def _effects(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     grows like eps/sqrt(mu) (eps = float64 machine epsilon); this form keeps
     its accuracy there.
     """
-    lams = _check_lams(lams)
+    lams = _check_lams(lams).reshape(-1)
     projector, identity = bell_projector(), np.eye(4)
     lams = lams[:, None, None]
 
@@ -59,15 +61,20 @@ def _effects(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             root((3.0 - 3.0 * lams) / 4.0, (3.0 + lams) / 4.0))
 
 
-def _averaged_channel(matrices: np.ndarray, lams) -> np.ndarray:
-    """averaged_channel of a stack of 4x4 shared-state matrices at each sharpness of `lams`.
+def averaged_channel(matrices, lams) -> np.ndarray:
+    """Shared states left for the next observer after one unsharp measurement.
 
-    Returns the (len(lams) * len(matrices), 4, 4) stack ordered sharpness
-    first.  Every output takes the operations of a one-state, one-sharpness
-    call: the Kraus products kraus @ eta @ kraus summed input by input,
-    outcome by outcome, on (A, B, B'), then the trace over the input B'.
-    A state with a non-finite entry raises ValueError.
+    Takes an (n, 4, 4) stack of shared-state matrices and one sharpness or a
+    sequence of them, and returns the (len(lams) * n, 4, 4) stack of outputs
+    ordered sharpness first.  Each output attaches every referee input on B'
+    with weight 1/4, applies the square-root update non-selectively (both
+    outcomes summed), and traces the input back out; the measured share is
+    B, the second qubit.  Every output takes the operations of a one-state,
+    one-sharpness call: the Kraus products kraus @ eta @ kraus summed input
+    by input, outcome by outcome, on (A, B, B'), then the trace over the
+    input B'.  A state with a non-finite entry raises ValueError.
     """
+    matrices = _two_qubit_stack(matrices, "averaged_channel")
     _check_finite(matrices)
     _, plus_roots, minus_roots = _effects(lams)
     # krauses[outcome, l] = I_2 (x) sqrt(E_outcome) at sharpness l, broadcast over the states.
@@ -78,14 +85,3 @@ def _averaged_channel(matrices: np.ndarray, lams) -> np.ndarray:
         for kraus in krauses:
             total += 0.25 * (kraus @ etas @ kraus)
     return total.reshape(-1, 4, 2, 4, 2).trace(axis1=2, axis2=4)
-
-
-def averaged_channel(rho: DensityOperator, lam: float) -> DensityOperator:
-    """Shared state left for the next observer after one unsharp measurement.
-
-    Attaches each referee input on B' with weight 1/4, applies the
-    square-root update non-selectively (both outcomes summed), and traces the
-    input back out.  The measured share is B, the second qubit of `rho`.
-    """
-    matrix = _two_qubit_matrix(rho, "averaged_channel")
-    return DensityOperator(_averaged_channel(matrix[None], [float(lam)])[0], validate=False)

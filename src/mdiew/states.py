@@ -19,8 +19,6 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # the array functions import NumPy where they run
     import numpy as np
 
-    from .linalg import DensityOperator
-
 ALPHA_MAX = 2 ** -0.5
 _LN2 = math.log(2.0)
 
@@ -87,35 +85,29 @@ def bell_phi_plus() -> np.ndarray:
     return vec
 
 
-def _werner_alphas(qs, alphas) -> np.ndarray:
-    """Validated matrices of werner_alpha(q, alpha), one per pair of `qs` and `alphas`.
+def werner_alpha(qs, alphas) -> np.ndarray:
+    """Mixing weight q on |psi(alpha)><psi(alpha)|, white noise otherwise, as a validated stack.
 
-    The two 1-D sequences broadcast against each other.  All q are checked
-    before all alpha, and the whole stack is validated once.  Every matrix
-    takes the one-state operations: q times the outer product of
-    psi_alpha(alpha) with its conjugate, plus (1 - q)/4 I.
+    One (n, 4, 4) matrix per pair of the broadcast `qs` and `alphas`, in C
+    order; scalars give a stack of one.  All q are checked before all alpha,
+    and the whole stack is validated once.  Every matrix takes the one-state
+    operations: q times the outer product of psi_alpha(alpha) with its
+    conjugate, plus (1 - q)/4 I.
     """
     import numpy as np
 
-    from .linalg import _check_density_matrices
+    from .linalg import check_density_matrices
 
     qs = _check_qs(qs)
     alphas = _check_alphas(alphas)
-    qs, alphas = np.broadcast_arrays(qs, alphas)
+    qs, alphas = (np.ravel(values) for values in np.broadcast_arrays(qs, alphas))
     vecs = np.zeros((len(alphas), 4), dtype=complex)
     vecs[:, 1] = alphas
     vecs[:, 2] = -np.sqrt(1.0 - alphas * alphas)
     projectors = vecs[:, :, None] * vecs.conj()[:, None, :]
     matrices = qs[:, None, None] * projectors + ((1.0 - qs) / 4.0)[:, None, None] * np.eye(4)
-    _check_density_matrices(matrices)
+    check_density_matrices(matrices)
     return matrices
-
-
-def werner_alpha(q: float, alpha: float) -> DensityOperator:
-    """Mixing weight q on |psi(alpha)><psi(alpha)|, white noise otherwise."""
-    from .linalg import DensityOperator
-
-    return DensityOperator(_werner_alphas([q], [alpha])[0], validate=False)
 
 
 def werner_strength(alpha: float) -> float:
@@ -145,12 +137,12 @@ def input_ensemble() -> np.ndarray:
     """
     import numpy as np
 
-    from .linalg import PAULI, _check_density_matrices
+    from .linalg import PAULI, check_density_matrices
 
     base = (PAULI[0] + BLOCH_AXIS[0] * PAULI[1] + BLOCH_AXIS[1] * PAULI[2]
             + BLOCH_AXIS[2] * PAULI[3]) / 2.0
     stack = np.stack([PAULI[s] @ base @ PAULI[s] for s in range(4)])
-    _check_density_matrices(stack)
+    check_density_matrices(stack)
     stack.flags.writeable = False
     return stack
 

@@ -3,20 +3,20 @@
 Each check recomputes one of the package's oracle equivalences or structural
 properties and reports its worst deviation against a pinned tolerance.  The
 suite is seeded and finishes in tens of milliseconds.  The grid checks build
-and validate their states as stacks and evaluate them with the stacked
-literal kernels (`witness._payoffs`, `witness._reduced_witness_operators`,
-`measurement._averaged_channel`, `linalg._negativities`), which take every
-state and sharpness through the operations of a one-state, one-sharpness
-call.  The closed forms they compare against are taken over the whole
-grid in one call each, by closed-form functions that take arrays and apply
-the scalar operations elementwise, so every deviation equals the one a
-per-point loop over the public functions gives.
+and validate their states as stacks (`states.werner_alpha`) and evaluate them
+with the literal oracle kernels (`witness.mdi_ew_numeric`,
+`witness.reduced_witness_operators`, `measurement.averaged_channel`,
+`linalg.negativity`), each output equal to a one-state, one-sharpness call's
+bit for bit.  The closed forms they compare against are taken over the whole
+grid in one call each, by functions that apply the scalar operations
+elementwise, so every deviation equals a per-point loop's.
 
-Each pass builds each literal stack once.  The two channel rows read one
-channel stack, which `run_all` builds over the statistics row's (q, alpha)
-grid; the closure row reads its alpha = 1/sqrt(2) slice.  The separable row
-scores its seeded samples with rows of the same 101-point W(lam) grid that
-it certifies.  Nothing is cached across passes.
+Each pass builds each literal stack once, in `run_all`: the payoff stack of
+the witness grid, whose (1, 1/sqrt(2), 1) entry the sharp-corner row reads,
+and the channel stack of the statistics row, whose alpha = 1/sqrt(2) slice
+the closure row reads.  The separable row scores its seeded samples with rows
+of the same 101-point W(lam) grid that it certifies.  Nothing is cached
+across passes.
 """
 
 from __future__ import annotations
@@ -86,21 +86,28 @@ def _result(name: str, deviation: float, tolerance: float, detail: str = "") -> 
                        float(tolerance), detail)
 
 
-def check_witness_grid() -> CheckResult:
-    """Full-trace payoff vs closed form on the 5x5x5 (q, alpha, lam) grid."""
+def _witness_payoffs() -> np.ndarray:
+    """The literal payoffs that both witness rows read: one row per lam of _LAMS,
+    one column per q-major (q, alpha) pair of _QS and _ALPHAS."""
     qs, alphas = _pairs(_QS, _ALPHAS)
-    numeric = witness._payoffs(states._werner_alphas(qs, alphas), witness.werner_beta(), _LAMS)
+    return witness.mdi_ew_numeric(states.werner_alpha(qs, alphas), witness.werner_beta(), _LAMS)
+
+
+def check_witness_grid(payoffs: np.ndarray) -> CheckResult:
+    """Full-trace payoffs (_witness_payoffs) vs closed form on the 5x5x5 (q, alpha, lam) grid."""
+    qs, alphas = _pairs(_QS, _ALPHAS)
     closed = witness.mdi_ew_closed_form_unsharp(qs, alphas, _LAMS[:, None])
-    return _result("witness_numeric_vs_closed_grid", _worst(np.abs(numeric - closed)),
+    return _result("witness_numeric_vs_closed_grid", _worst(np.abs(payoffs - closed)),
                    WITNESS_GRID_TOL)
 
 
-def check_witness_sharp_corner() -> CheckResult:
-    """Sharp maximal corner: payoff -1/8 for the pure singlet-weight state."""
-    rho = states.werner_alpha(1.0, states.ALPHA_MAX)
-    numeric = witness.mdi_ew_numeric(rho, witness.werner_beta(), 1.0)
+def check_witness_sharp_corner(payoffs: np.ndarray) -> CheckResult:
+    """Sharp maximal corner: payoff -1/8 for the pure singlet-weight state.
+
+    It reads the last entry of _witness_payoffs: q = 1, alpha = 1/sqrt(2), lam = 1.
+    """
     closed = witness.mdi_ew_closed_form_unsharp(1.0, states.ALPHA_MAX, 1.0)
-    dev = _worst([abs(numeric + 0.125), abs(closed + 0.125)])
+    dev = _worst([abs(payoffs[-1, -1] + 0.125), abs(closed + 0.125)])
     return _result("witness_sharp_corner", dev, 1e-12)
 
 
@@ -123,7 +130,7 @@ def _random_separable_matrices(rng: np.random.Generator, samples: int) -> np.nda
     products = (units[..., 0, :, None] * units[..., 1, None, :]).reshape(samples, -1, 4)
     outers = products[..., :, None] * products.conj()[..., None, :]
     matrices = np.einsum("nk,nkij->nij", weights, outers)
-    linalg._check_density_matrices(matrices)
+    linalg.check_density_matrices(matrices)
     return matrices
 
 
@@ -153,13 +160,13 @@ def check_separable_nonnegativity(seed: int = DEFAULT_SEED) -> CheckResult:
     singlet = states.psi_alpha(states.ALPHA_MAX)
     singlet_projector = np.outer(singlet, singlet.conj())
     lams = _SEPARABLE_GRID
-    operators = witness._reduced_witness_operators(lams, beta)
+    operators = witness.reduced_witness_operators(lams, beta)
     matrices, payoffs = _separable_payoffs(seed, operators[_SEPARABLE_ROWS])
     grid = lams[:, None, None]
     closed = (1.0 + grid) / 16.0 * np.eye(4) - grid / 4.0 * singlet_projector
-    spectra = np.linalg.eigvalsh(linalg._partial_transposes(operators))
+    spectra = np.linalg.eigvalsh(linalg.partial_transpose(operators))
     closed_spectra = np.stack([(1.0 - lams) / 16.0] * 3 + [(1.0 + 3.0 * lams) / 16.0], axis=-1)
-    literal = witness._payoffs(matrices[:_CERTIFIED_SAMPLES], beta, _SEPARABLE_LAMS)
+    literal = witness.mdi_ew_numeric(matrices[:_CERTIFIED_SAMPLES], beta, _SEPARABLE_LAMS)
     certification = _worst([
         np.abs(operators - closed).max(),
         np.abs(spectra - closed_spectra).max(),
@@ -181,7 +188,7 @@ def _channel_outputs() -> np.ndarray:
     then q, then alpha.
     """
     qs, alphas = _pairs(_CHANNEL_QS, _CHANNEL_ALPHAS)
-    return measurement._averaged_channel(states._werner_alphas(qs, alphas), _CHANNEL_LAMS)
+    return measurement.averaged_channel(states.werner_alpha(qs, alphas), _CHANNEL_LAMS)
 
 
 def check_channel_closure_maximal(outs: np.ndarray) -> CheckResult:
@@ -192,7 +199,7 @@ def check_channel_closure_maximal(outs: np.ndarray) -> CheckResult:
     """
     alpha = states.ALPHA_MAX
     maximal = outs.reshape(len(_CHANNEL_LAMS), len(_CHANNEL_QS), len(_CHANNEL_ALPHAS), 4, 4)[:, :, -1]
-    wants = states._werner_alphas(
+    wants = states.werner_alpha(
         (protocol._decays(_CHANNEL_LAMS)[:, None] * _CHANNEL_QS).ravel(), alpha)
     worst = float(np.abs(maximal.reshape(-1, 4, 4) - wants).max())
     return _result("channel_closure_maximal_alpha", worst, CHANNEL_TOL)
@@ -208,7 +215,7 @@ def check_channel_statistics(outs: np.ndarray) -> CheckResult:
     """
     qs, alphas = _pairs(_CHANNEL_QS, _CHANNEL_ALPHAS)
     # Axes: probe, channel sharpness, (q, alpha) point.
-    numeric = witness._payoffs(outs, witness.werner_beta(), _CHANNEL_PROBES).reshape(
+    numeric = witness.mdi_ew_numeric(outs, witness.werner_beta(), _CHANNEL_PROBES).reshape(
         len(_CHANNEL_PROBES), len(_CHANNEL_LAMS), len(qs))
     closed = witness.mdi_ew_closed_form_unsharp(protocol._decays(_CHANNEL_LAMS)[:, None] * qs,
                                                 alphas, np.array(_CHANNEL_PROBES)[:, None, None])
@@ -227,7 +234,7 @@ def check_decay_spot_values() -> CheckResult:
 def check_negativity_grid() -> CheckResult:
     """Closed-form negativity vs the partial-transpose eigenvalue oracle, 20x20."""
     qs, alphas = _pairs(np.linspace(0.0, 1.0, 20), np.linspace(0.05, states.ALPHA_MAX, 20))
-    oracles = linalg._negativities(states._werner_alphas(qs, alphas))
+    oracles = linalg.negativity(states.werner_alpha(qs, alphas))
     deviations = np.abs(protocol._negativities_walpha(qs, alphas) - oracles)
     return _result("negativity_closed_vs_oracle", _worst(deviations), NEGATIVITY_TOL)
 
@@ -299,7 +306,7 @@ def check_sharp_survival() -> CheckResult:
 
 def check_decomposition_roundtrip() -> CheckResult:
     """Recomposing a decomposed witness operator reproduces it."""
-    products = witness._input_products()
+    products = witness.input_products()
     beta = witness.werner_beta()
     target = sum(beta.beta[s, t] * products[s, t] for s in range(4) for t in range(4))
     recovered = witness.decompose_witness(target)
@@ -338,10 +345,10 @@ def check_range_shape() -> CheckResult:
 
 
 def run_all(seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    channel_outputs = _channel_outputs()
+    payoffs, channel_outputs = _witness_payoffs(), _channel_outputs()
     return [
-        check_witness_grid(),
-        check_witness_sharp_corner(),
+        check_witness_grid(payoffs),
+        check_witness_sharp_corner(payoffs),
         check_separable_nonnegativity(seed),
         check_channel_closure_maximal(channel_outputs),
         check_channel_statistics(channel_outputs),

@@ -12,8 +12,7 @@ witness operator W(lam), and by the closed form (1 - lam q c)/16
 for the noisy partially entangled family, where
 c = 1 + 4 alpha sqrt(1 - alpha^2).  A strictly negative value certifies
 entanglement; separable states can never go below zero.  The literal trace
-and W(lam) are built for whole stacks of states and sharpness values;
-`mdi_ew_numeric` is the trace's one-state, one-sharpness case.
+and W(lam) are built for whole stacks of states and sharpness values.
 
 The referee's inputs are a tetrahedral qubit SIC, so their duals
 D_s = (3 tau_s^T - I)/2 satisfy tr(D_s tau_t^T) = delta_st, and a Hermitian
@@ -29,8 +28,6 @@ from .states import _check_lams, _check_qs, _werner_strengths, input_ensemble, w
 
 if TYPE_CHECKING:  # the array functions import NumPy where they run
     import numpy as np
-
-    from .linalg import DensityOperator
 
 DETECTION_THRESHOLD = 1e-12
 
@@ -66,18 +63,19 @@ def werner_beta() -> WitnessCoefficients:
     return WitnessCoefficients(beta)
 
 
-def _payoffs(matrices: np.ndarray, beta: WitnessCoefficients, lams) -> np.ndarray:
+def mdi_ew_numeric(matrices, beta: WitnessCoefficients, lams) -> np.ndarray:
     """Payoffs by the full 16-dimensional trace, one row per sharpness, one column per state.
 
-    `matrices` is a stack of 4x4 two-qubit density matrices and `lams` a
-    sequence of sharpness values.  Every operator P+ (x) E+_lam is built in
-    full, and each trace is taken as tr(op eta) = vec(op^T) . vec(eta),
-    without forming the product op @ eta.  The sum runs over every entry
-    where some op of the stack is nonzero, in the dense order, and builds
-    only those entries of tau_s (x) rho (x) omega_t.  The terms it skips are
-    exact zeros of the literal operators, and adding +-0 leaves the sum's
-    bits unchanged, so every payoff equals the dense 256-term sum bit for
-    bit.  Every payoff takes the same operations as a one-state call: one
+    `matrices` is an (n, 4, 4) stack of two-qubit density matrices and
+    `lams` one sharpness value or a sequence of them.  Every operator
+    P+ (x) E+_lam is built in full, and each trace is taken as
+    tr(op eta) = vec(op^T) . vec(eta), without forming the product op @ eta.
+    The sum runs over every entry where some op of the stack is nonzero, in
+    the dense order, and builds only those entries of
+    tau_s (x) rho (x) omega_t.  The terms it skips are exact zeros of the
+    literal operators, and adding +-0 leaves the sum's bits unchanged, so
+    every payoff equals the dense 256-term sum bit for bit.  Every payoff
+    takes the same operations as a one-state, one-sharpness call: one
     contraction over all the gathered entries, and the beta sum accumulated
     pair by pair.
 
@@ -86,9 +84,10 @@ def _payoffs(matrices: np.ndarray, beta: WitnessCoefficients, lams) -> np.ndarra
     """
     import numpy as np
 
-    from .linalg import _check_finite, _kron
+    from .linalg import _check_finite, _kron, _two_qubit_stack
     from .measurement import _effects, bell_projector
 
+    matrices = _two_qubit_stack(matrices, "mdi_ew_numeric")
     _check_finite(matrices)
     taus = omegas = input_ensemble()
     # tr(op eta) = sum_jk op[j, k] eta[k, j]: each op transposed and flattened
@@ -114,16 +113,8 @@ def _payoffs(matrices: np.ndarray, beta: WitnessCoefficients, lams) -> np.ndarra
     return values
 
 
-def mdi_ew_numeric(rho: DensityOperator, beta: WitnessCoefficients, lam: float) -> float:
-    """Witness payoff by the full 16-dimensional trace."""
-    from .linalg import _two_qubit_matrix
-
-    matrix = _two_qubit_matrix(rho, "mdi_ew_numeric")
-    return float(_payoffs(matrix[None], beta, (lam,))[0, 0])
-
-
-def _reduced_witness_operators(lams, beta: WitnessCoefficients) -> np.ndarray:
-    """4x4 operators W(lam) on (A, B) with mdi_ew_numeric(rho, beta, lam) = tr(W(lam) rho).
+def reduced_witness_operators(lams, beta: WitnessCoefficients) -> np.ndarray:
+    """4x4 operators W(lam) on (A, B) with tr(W(lam) rho) the mdi_ew_numeric payoff of rho.
 
     One (len(lams), 4, 4) stack, one entry per sharpness of `lams`.  The
     payoff is linear in rho, so the literal P+ (x) E+_lam contracted with
@@ -171,7 +162,7 @@ def threshold_lambda(q: float, alpha: float) -> float:
     return 1.0 / (q * strength)
 
 
-def _input_products() -> np.ndarray:
+def input_products() -> np.ndarray:
     """The (4, 4, 4, 4) stack of tau_s^T (x) omega_t^T, each as np.kron builds it."""
     from .linalg import _kron
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from mdiew import protocol, verify
-from mdiew.linalg import HERMITICITY_ATOL, PSD_ATOL, TRACE_ATOL, DensityOperator
+from mdiew.linalg import HERMITICITY_ATOL, PSD_ATOL, TRACE_ATOL
 from mdiew.protocol import FEASIBILITY_TOL, LAMBDA_WINDOW
 from mdiew.states import _LN2, ALPHA_MAX, _increasing_root, _werner_strengths, werner_alpha
 
@@ -32,14 +32,14 @@ def random_density_matrix(rng, dim):
 
 
 def werner_and_random_states(rng, size):
-    """`size` two-qubit states, alternating Werner-alpha and random full-rank ones."""
+    """Stack of `size` two-qubit states, alternating Werner-alpha and random full-rank ones."""
     states = []
     for index in range(size):
         if index % 2:
-            states.append(DensityOperator(random_density_matrix(rng, 4)))
+            states.append(random_density_matrix(rng, 4))
         else:
-            states.append(werner_alpha(rng.uniform(), rng.uniform(0.01, ALPHA_MAX)))
-    return states
+            states.append(werner_alpha(rng.uniform(), rng.uniform(0.01, ALPHA_MAX))[0])
+    return np.stack(states)
 
 
 def random_hermitian(rng, dim):
@@ -55,7 +55,7 @@ def _require_hermitian(matrix, caller):
 
 
 def check_density_matrices_by_eigvalsh(matrices):
-    """linalg._check_density_matrices with positivity decided by eigvalsh alone (test oracle).
+    """linalg.check_density_matrices with positivity decided by eigvalsh alone (test oracle).
 
     The same three checks in the same order, raising the same ValueError
     messages, without the shifted-Cholesky certificate.
@@ -253,9 +253,8 @@ def alphas_from_entanglement_by_branches(entropies):
 
 
 def random_separable_two_qubit(rng):
-    """Random mixture of 1 to 4 pure product states: the one-sample case of verify's sampler."""
-    matrix = verify._random_separable_matrices(rng, 1)[0]
-    return DensityOperator(matrix, validate=False)
+    """A random mixture of 1 to 4 pure product states: one 4x4 sample of verify's sampler."""
+    return verify._random_separable_matrices(rng, 1)[0]
 
 
 def assert_bit_identical(array, scalars):

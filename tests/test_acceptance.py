@@ -83,11 +83,11 @@ def test_criterion_05_witness_closed_form_equivalence():
         for alpha in np.linspace(0.1, ALPHA_MAX, 5):
             rho = states.werner_alpha(q, alpha)
             for lam in np.linspace(0.0, 1.0, 5):
-                numeric = witness.mdi_ew_numeric(rho, beta, lam)
+                numeric = witness.mdi_ew_numeric(rho, beta, lam)[0, 0]
                 closed = witness.mdi_ew_closed_form_unsharp(q, alpha, lam)
                 worst = max(worst, abs(numeric - closed))
     assert worst < 1e-10
-    corner = witness.mdi_ew_numeric(states.werner_alpha(1.0, ALPHA_MAX), beta, 1.0)
+    corner = witness.mdi_ew_numeric(states.werner_alpha(1.0, ALPHA_MAX), beta, 1.0)[0, 0]
     assert abs(corner - (-0.125)) < 1e-12
     assert abs(witness.mdi_ew_closed_form_unsharp(1.0, ALPHA_MAX, 1.0) - (-0.125)) < 1e-15
     _announce(5, f"witness numeric vs closed form, max dev {worst:.2e} < 1e-10")
@@ -132,11 +132,11 @@ def test_criterion_06_channel_recursion_entrywise_full_grid():
                 decay = protocol.f_of_lambda(lam)
                 out = measurement.averaged_channel(states.werner_alpha(q, alpha), lam)
                 target = _sequential_state(decay * q, q, alpha)
-                worst_step = max(worst_step, float(np.abs(out.matrix - target).max()))
-                shorthand = states.werner_alpha(decay * q, alpha).matrix
+                worst_step = max(worst_step, float(np.abs(out[0] - target).max()))
+                shorthand = states.werner_alpha(decay * q, alpha)[0]
                 if alpha == ALPHA_MAX:
-                    assert np.abs(out.matrix - shorthand).max() < 1e-10
-                deviation = out.matrix - shorthand - q * (1 - decay) * colored_minus_white
+                    assert np.abs(out[0] - shorthand).max() < 1e-10
+                deviation = out[0] - shorthand - q * (1 - decay) * colored_minus_white
                 worst_shorthand = max(worst_shorthand, float(np.abs(deviation).max()))
 
             rho, weight = states.werner_alpha(q, alpha), q
@@ -144,7 +144,7 @@ def test_criterion_06_channel_recursion_entrywise_full_grid():
                 rho = measurement.averaged_channel(rho, lam)
                 weight = protocol.f_of_lambda(lam) * weight
                 target = _sequential_state(weight, q, alpha)
-                worst_chain = max(worst_chain, float(np.abs(rho.matrix - target).max()))
+                worst_chain = max(worst_chain, float(np.abs(rho[0] - target).max()))
 
         records = protocol.run_threshold_protocol(alpha).records
         assert len(records) >= 2
@@ -152,7 +152,7 @@ def test_criterion_06_channel_recursion_entrywise_full_grid():
         for current, following in zip(records, records[1:]):
             rho = measurement.averaged_channel(rho, current.lam)
             target = _sequential_state(following.q, 1.0, alpha)
-            worst_chain = max(worst_chain, float(np.abs(rho.matrix - target).max()))
+            worst_chain = max(worst_chain, float(np.abs(rho[0] - target).max()))
 
     assert worst_step < 1e-12
     assert worst_chain < 1e-10
@@ -177,7 +177,7 @@ def test_criterion_06_attainable_scope():
             for alpha in CHANNEL_ALPHAS:
                 out = measurement.averaged_channel(states.werner_alpha(q, alpha), lam)
                 for probe in (0.5, 1.0):
-                    numeric = witness.mdi_ew_numeric(out, beta, probe)
+                    numeric = witness.mdi_ew_numeric(out, beta, probe)[0, 0]
                     closed = witness.mdi_ew_closed_form_unsharp(decay * q, alpha, probe)
                     worst_stats = max(worst_stats, abs(numeric - closed))
     assert worst_stats < 1e-10
@@ -194,7 +194,7 @@ def test_criterion_07_separable_states_never_flag():
     for _ in range(200):
         rho = random_separable_two_qubit(rng)
         for lam in (0.25, 0.5, 1.0):
-            lowest = min(lowest, witness.mdi_ew_numeric(rho, beta, lam))
+            lowest = min(lowest, witness.mdi_ew_numeric(rho[None], beta, lam)[0, 0])
     assert lowest >= -1e-10
     _announce(7, f"200 seeded separable states score >= {lowest:.3e} > -1e-10")
 
@@ -204,7 +204,7 @@ def test_criterion_08_negativity_consistency():
     for q in np.linspace(0.0, 1.0, 20):
         for alpha in np.linspace(0.05, ALPHA_MAX, 20):
             closed = protocol.negativity_walpha(q, alpha)
-            oracle = linalg.negativity(states.werner_alpha(q, alpha))
+            oracle = linalg.negativity(states.werner_alpha(q, alpha))[0]
             worst_grid = max(worst_grid, abs(closed - oracle))
     assert worst_grid < 1e-10
 

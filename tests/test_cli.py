@@ -581,7 +581,7 @@ PUBLIC_SURFACE = {
             "SCHEMA_VERSION", "cmd_fig1", "cmd_fig2", "cmd_fig3", "cmd_run", "cmd_verify",
             "main"},
     "linalg": {"DensityOperator", "HERMITICITY_ATOL", "PAULI", "PSD_ATOL", "TRACE_ATOL",
-               "negativity"},
+               "check_density_matrices", "negativity", "partial_transpose"},
     "measurement": {"averaged_channel", "bell_projector"},
     "protocol": {"BobRecord", "FEASIBILITY_TOL", "LAMBDA_WINDOW", "POLICY_EQUAL",
                  "POLICY_THRESHOLD", "ProtocolTrace", "boundary_alpha_for_n",
@@ -602,8 +602,9 @@ PUBLIC_SURFACE = {
                "check_threshold_boundary", "check_threshold_protocol_count",
                "check_witness_grid", "check_witness_sharp_corner", "run_all"},
     "witness": {"DETECTION_THRESHOLD", "WitnessCoefficients",
-                "decompose_witness", "mdi_ew_closed_form_unsharp", "mdi_ew_numeric",
-                "threshold_lambda", "werner_beta"},
+                "decompose_witness", "input_products", "mdi_ew_closed_form_unsharp",
+                "mdi_ew_numeric", "reduced_witness_operators", "threshold_lambda",
+                "werner_beta"},
 }
 
 
@@ -624,6 +625,42 @@ def test_public_surface_is_pinned():
     package = pathlib.Path(mdiew.__file__).parent
     surface = {path.stem: _public_names(path.read_text()) for path in package.glob("*.py")}
     assert surface == PUBLIC_SURFACE
+
+
+# The private names of other modules that the CLI and `verify` may use: the
+# protocol internals that one row checks, and the array twins of the scalar
+# functions on the NumPy-free `run` and `fig3` paths.  The oracle kernels are
+# public, so none of them belongs here.
+PRIVATE_REACH_ALLOWED = {
+    "protocol._COUNT_EDGES", "protocol._range_widths", "protocol._threshold_orbit",
+    "protocol._decays", "protocol._negativities_walpha", "states._alphas_from_entanglement",
+}
+
+
+def _private_reach(source):
+    """`module._name` for every private name of another package module that `source` uses."""
+    tree = ast.parse(source)
+    modules, reached = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                reached.update(f"{node.module}.{alias.name}" for alias in node.names
+                               if alias.name.startswith("_"))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")):
+            reached.add(f"{node.value.id}.{node.attr}")
+    return reached
+
+
+def test_private_reach_names_only_the_allowed_internals():
+    assert _private_reach("from . import witness\nwitness._payoffs(m)\n") == {"witness._payoffs"}
+    assert _private_reach("from .linalg import _kron\n") == {"linalg._kron"}
+    package = pathlib.Path(mdiew.__file__).parent
+    for name in ("cli", "verify"):
+        assert _private_reach((package / f"{name}.py").read_text()) <= PRIVATE_REACH_ALLOWED
 
 
 def test_unwritable_path_is_usage_error(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,13 +12,12 @@ from mdiew.linalg import (
     PAULI,
     PSD_ATOL,
     DensityOperator,
-    _check_density_matrices,
     _kron,
-    _negativities,
-    _partial_transposes,
+    check_density_matrices,
     negativity,
+    partial_transpose,
 )
-from mdiew.measurement import _averaged_channel, averaged_channel
+from mdiew.measurement import averaged_channel
 from mdiew.states import werner_alpha
 from mdiew.witness import mdi_ew_numeric, werner_beta
 
@@ -56,10 +56,10 @@ ONE_BAD_MEMBER = {
 @pytest.mark.parametrize("message", ONE_BAD_MEMBER)
 def test_stacked_validation_names_the_one_bad_member(message, rng):
     stack = np.stack([random_density_matrix(rng, 4) for _ in range(6)])
-    _check_density_matrices(stack)
+    check_density_matrices(stack)
     stack[3] = ONE_BAD_MEMBER[message]
     with pytest.raises(ValueError, match=rf"{message}.*\(stack index 3\)$"):
-        _check_density_matrices(stack)
+        check_density_matrices(stack)
     with pytest.raises(ValueError, match=message) as one:
         DensityOperator(stack[3])
     assert "stack index" not in str(one.value)
@@ -70,7 +70,7 @@ def test_stacked_validation_runs_each_check_over_the_whole_stack(rng):
     stack[1] = ONE_BAD_MEMBER["trace"]
     stack[4] = ONE_BAD_MEMBER["Hermitian"]
     with pytest.raises(ValueError, match=r"Hermitian.*\(stack index 4\)$"):
-        _check_density_matrices(stack)
+        check_density_matrices(stack)
     with pytest.raises(ValueError, match="square; got shape"):
         DensityOperator(np.ones((2, 4)) / 2)
 
@@ -88,7 +88,7 @@ def _validation_outcome(check, matrices):
 
 def _assert_same_outcome_as_eigvalsh(matrices):
     """The fast path passes or raises exactly as the eigvalsh-only oracle does; returns that."""
-    outcome = _validation_outcome(_check_density_matrices, matrices)
+    outcome = _validation_outcome(check_density_matrices, matrices)
     assert outcome == _validation_outcome(check_density_matrices_by_eigvalsh, matrices)
     return outcome
 
@@ -255,22 +255,22 @@ def test_partial_trace_preserves_trace_and_checks_labels(rng):
 # --- partial transpose -------------------------------------------------------
 
 def test_partial_transpose_keeps_product_states_positive(rng):
-    rho = DensityOperator(np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)))
-    assert min_eigenvalue(_partial_transposes(rho.matrix[None])[0]) >= -1e-12
+    rho = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
+    assert min_eigenvalue(partial_transpose(rho[None])[0]) >= -1e-12
 
 
 def test_partial_transpose_of_singlet():
-    rho = DensityOperator(np.outer(SINGLET, SINGLET.conj()))
-    pt = _partial_transposes(rho.matrix[None])[0]
+    rho = np.outer(SINGLET, SINGLET.conj())
+    pt = partial_transpose(rho[None])[0]
     assert np.abs(pt - pt.conj().T).max() < 1e-14
     assert abs(pt.trace() - 1.0) < 1e-14
     assert abs(min_eigenvalue(pt) + 0.5) < 1e-12
 
 
 def test_partial_transpose_is_involution(rng):
-    rho = DensityOperator(random_density_matrix(rng, 4))
-    once = _partial_transposes(rho.matrix[None])
-    assert np.array_equal(_partial_transposes(once)[0], rho.matrix)
+    rho = random_density_matrix(rng, 4)
+    once = partial_transpose(rho[None])
+    assert np.array_equal(partial_transpose(once)[0], rho)
 
 
 # --- spectral helpers ---------------------------------------------------------
@@ -305,60 +305,88 @@ def test_herm_sqrt_rejects_bad_inputs():
 
 
 def test_negativity_spot_values(rng):
-    singlet = DensityOperator(np.outer(SINGLET, SINGLET.conj()))
-    assert negativity(singlet) == pytest.approx(0.5, abs=1e-12)
-    product = DensityOperator(np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2)))
-    assert negativity(product) < 1e-12
+    singlet = np.outer(SINGLET, SINGLET.conj())
+    assert negativity(singlet[None])[0] == pytest.approx(0.5, abs=1e-12)
+    product = np.kron(random_density_matrix(rng, 2), random_density_matrix(rng, 2))
+    assert negativity(product[None])[0] < 1e-12
 
 
 def test_negativity_of_a_ppt_state_is_positive_zero():
     # two sharp observers leave every partially entangled pure state separable
     rho = averaged_channel(averaged_channel(werner_alpha(1.0, 0.1), 1.0), 1.0)
-    assert np.linalg.eigvalsh(_partial_transposes(rho.matrix[None])[0])[0] > 0.0
-    assert negativity(rho) == 0.0
-    assert np.copysign(1.0, negativity(rho)) == 1.0
+    assert np.linalg.eigvalsh(partial_transpose(rho)[0])[0] > 0.0
+    assert negativity(rho)[0] == 0.0
+    assert np.copysign(1.0, negativity(rho)[0]) == 1.0
 
 
 def _masked_sum_negativity(rho):
     """Reference: the partial transpose of B by explicit axis swap, then a boolean-mask sum."""
-    transposed = rho.matrix.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
+    transposed = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     eigvals = np.linalg.eigvalsh(transposed)
     return float(-eigvals[eigvals < 0].sum())
 
 
 @pytest.mark.parametrize("size", [1, 2, 7])
 def test_negativity_kernel_is_bit_identical_to_per_state_calls(size):
-    rhos = werner_and_random_states(np.random.default_rng(size), size)
-    matrices = np.stack([rho.matrix for rho in rhos])
-    got = _negativities(matrices)
-    assert np.array_equal(got, [negativity(rho) for rho in rhos])
-    assert np.array_equal(got, [_masked_sum_negativity(rho) for rho in rhos])
+    matrices = werner_and_random_states(np.random.default_rng(size), size)
+    got = negativity(matrices)
+    assert np.array_equal(got, [negativity(rho[None])[0] for rho in matrices])
+    assert np.array_equal(got, [_masked_sum_negativity(rho) for rho in matrices])
 
 
 # --- shape guards ------------------------------------------------------------------
 
 TWO_QUBIT_FUNCTIONS = {
     "negativity": negativity,
-    "averaged_channel": lambda rho: averaged_channel(rho, 0.5),
-    "mdi_ew_numeric": lambda rho: mdi_ew_numeric(rho, werner_beta(), 0.5),
+    "partial_transpose": partial_transpose,
+    "averaged_channel": lambda matrices: averaged_channel(matrices, 0.5),
+    "mdi_ew_numeric": lambda matrices: mdi_ew_numeric(matrices, werner_beta(), 0.5),
 }
+
+
+def _shape_error(name, shape):
+    return (rf"^{name} expects an \(n, 4, 4\) stack of two-qubit matrices; "
+            rf"got shape {re.escape(str(shape))}$")
 
 
 @pytest.mark.parametrize("dim", [2, 8])
 @pytest.mark.parametrize("name", TWO_QUBIT_FUNCTIONS)
 def test_two_qubit_functions_reject_other_shapes(name, dim, rng):
-    # the stacked kernels would read the 64 entries of an 8x8 matrix as four 4x4 matrices
-    rho = DensityOperator(random_density_matrix(rng, dim))
-    with pytest.raises(ValueError, match=rf"^{name} expects a two-qubit \(4x4\) state; "
-                                         rf"got shape \({dim}, {dim}\)$"):
-        TWO_QUBIT_FUNCTIONS[name](rho)
+    # the kernels would read the 64 entries of an 8x8 matrix as four 4x4 matrices
+    matrices = random_density_matrix(rng, dim)[None]
+    with pytest.raises(ValueError, match=_shape_error(name, (1, dim, dim))):
+        TWO_QUBIT_FUNCTIONS[name](matrices)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (2, 2, 8), (16,), (2, 4, 4, 1)],
+                         ids=["bare-4x4", "2x2x8", "flat", "4-d"])
+@pytest.mark.parametrize("name", TWO_QUBIT_FUNCTIONS)
+def test_two_qubit_functions_take_only_stacks(name, shape):
+    # Read as a stack, a bare 4x4 state gave a (4, 4, 4) channel output and a
+    # (2, 2, 8) array two negativities, with no error.
+    with pytest.raises(ValueError, match=_shape_error(name, shape)):
+        TWO_QUBIT_FUNCTIONS[name](np.full(shape, 0.25))
+
+
+def test_two_qubit_functions_take_nested_lists():
+    rows = werner_alpha(0.5, 0.3).tolist()
+    assert np.array_equal(negativity(rows), negativity(werner_alpha(0.5, 0.3)))
+
+
+def test_density_checks_take_only_stacks_of_square_matrices():
+    check_density_matrices([np.eye(2) / 2])
+    for shape in [(4, 4), (1, 2, 4), (1, 1, 4, 4)]:
+        with pytest.raises(ValueError, match=rf"^check_density_matrices expects an \(n, d, d\) "
+                                             rf"stack of square matrices; got shape "
+                                             rf"{re.escape(str(shape))}$"):
+            check_density_matrices(np.full(shape, 0.25))
 
 
 # --- non-finite states ------------------------------------------------------------
 
 NON_FINITE_KERNELS = {
-    "negativity": _negativities,
-    "averaged_channel": lambda matrices: _averaged_channel(matrices, (0.0, 0.5)),
+    "negativity": negativity,
+    "averaged_channel": lambda matrices: averaged_channel(matrices, (0.0, 0.5)),
 }
 
 
@@ -366,15 +394,14 @@ NON_FINITE_KERNELS = {
                          ids=["nan", "inf", "imaginary-inf"])
 @pytest.mark.parametrize("name", NON_FINITE_KERNELS)
 def test_kernels_reject_non_finite_states(name, bad):
-    # DensityOperator(..., validate=False) skips the checks that would catch
-    # these; without its own check a NaN state reads negativity 0.0 and
-    # leaves an all-NaN channel output, with no error either way.  The
-    # payoff kernel shares the check; test_witness covers it.
+    # The kernels do not validate their stacks; without their own check a
+    # NaN state reads negativity 0.0 and leaves an all-NaN channel output,
+    # with no error either way.  The payoff kernel shares the check;
+    # test_witness covers it.
     matrices = np.stack([np.eye(4, dtype=complex) / 4] * 4)
     matrices[2, 0, 1] = bad
     matrices[3, 3, 3] = bad
     with pytest.raises(ValueError, match="^state 2 of the stack has a non-finite entry$"):
         NON_FINITE_KERNELS[name](matrices)
-    rho = DensityOperator(matrices[2], validate=False)
     with pytest.raises(ValueError, match="^state 0 of the stack has a non-finite entry$"):
-        TWO_QUBIT_FUNCTIONS[name](rho)
+        TWO_QUBIT_FUNCTIONS[name](matrices[2:3])

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mdiew.linalg import DensityOperator
-from mdiew.measurement import _averaged_channel, _effects, averaged_channel, bell_projector
+from mdiew.measurement import _effects, averaged_channel, bell_projector
 from mdiew.protocol import f_of_lambda
 from mdiew.states import ALPHA_MAX, input_ensemble, psi_alpha, werner_alpha
-from mdiew.witness import _payoffs, werner_beta
+from mdiew.witness import mdi_ew_numeric, werner_beta
 
 from conftest import (
     generic_root_tolerance,
@@ -116,11 +115,21 @@ def test_sharpness_stack_names_its_first_bad_entry(bad, shown):
     lams = np.linspace(0.0, 1.0, 2000)
     lams[5] = bad
     lams[1000] = -0.5
-    matrices = werner_alpha(0.5, ALPHA_MAX).matrix[None]
-    for build in (_effects, lambda lams: _averaged_channel(matrices, lams),
-                  lambda lams: _payoffs(matrices, werner_beta(), lams)):
+    matrices = werner_alpha(0.5, ALPHA_MAX)
+    for build in (_effects, lambda lams: averaged_channel(matrices, lams),
+                  lambda lams: mdi_ew_numeric(matrices, werner_beta(), lams)):
         with pytest.raises(ValueError, match=rf"sharpness must lie in \[0, 1\]; got {shown}$"):
             build(lams)
+
+
+def test_a_scalar_sharpness_is_a_sequence_of_one():
+    matrices = werner_alpha([0.5, 1.0], [0.3, ALPHA_MAX])
+    for lam in (0.0, 0.37, 1.0):
+        assert all(np.array_equal(got, want) for got, want in zip(_effects(lam), _effects([lam])))
+        assert np.array_equal(averaged_channel(matrices, lam), averaged_channel(matrices, [lam]))
+        payoffs = mdi_ew_numeric(matrices, werner_beta(), lam)
+        assert payoffs.shape == (1, 2)
+        assert np.array_equal(payoffs, mdi_ew_numeric(matrices, werner_beta(), [lam]))
 
 
 # --- effect square roots ----------------------------------------------------------
@@ -160,7 +169,7 @@ def test_channel_fixes_white_noise():
     noise = werner_alpha(0.0, 0.5)
     for lam in (0.3, 1.0):
         out = averaged_channel(noise, lam)
-        assert np.abs(out.matrix - np.eye(4) / 4).max() < 1e-14
+        assert np.abs(out - np.eye(4) / 4).max() < 1e-14
 
 
 def test_channel_closure_at_maximal_alpha():
@@ -168,7 +177,7 @@ def test_channel_closure_at_maximal_alpha():
         for q in (0.25, 0.5, 1.0):
             out = averaged_channel(werner_alpha(q, ALPHA_MAX), lam)
             want = werner_alpha(f_of_lambda(lam) * q, ALPHA_MAX)
-            assert np.abs(out.matrix - want.matrix).max() < 1e-10
+            assert np.abs(out - want).max() < 1e-10
 
 
 def test_channel_output_form_general_alpha():
@@ -185,16 +194,16 @@ def test_channel_output_form_general_alpha():
                 want = (decay * q * proj
                         + q * (1 - decay) * np.kron(rho_a, np.eye(2) / 2)
                         + (1 - q) / 4 * np.eye(4))
-                assert np.abs(out.matrix - want).max() < 1e-12
-                marginal = partial_trace(out.matrix, "A")
-                input_marginal = partial_trace(werner_alpha(q, alpha).matrix, "A")
+                assert np.abs(out[0] - want).max() < 1e-12
+                marginal = partial_trace(out[0], "A")
+                input_marginal = partial_trace(werner_alpha(q, alpha)[0], "A")
                 assert np.abs(marginal - input_marginal).max() < 1e-12
 
 
 def test_nonselective_sharp_step_halves_the_weight():
     # full averaging at lam=1 on the pure maximally entangled state
     out = averaged_channel(werner_alpha(1.0, ALPHA_MAX), 1.0)
-    assert np.abs(out.matrix - werner_alpha(0.5, ALPHA_MAX).matrix).max() < 1e-12
+    assert np.abs(out - werner_alpha(0.5, ALPHA_MAX)).max() < 1e-12
 
 
 def _eight_embed_channel(rho, lam):
@@ -205,7 +214,7 @@ def _eight_embed_channel(rho, lam):
     """
     total = np.zeros((8, 8), dtype=complex)
     for omega in input_ensemble():
-        eta = np.kron(rho.matrix, omega)
+        eta = np.kron(rho, omega)
         for root in effect_roots(lam):
             kraus = np.kron(np.eye(2), root)
             total += 0.25 * (kraus @ eta @ kraus)
@@ -216,27 +225,25 @@ def _eight_embed_channel(rho, lam):
 @pytest.mark.parametrize("lam", [0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0])
 def test_channel_is_bit_identical_to_eight_embed_loop(lam):
     rng = np.random.default_rng(11)
-    inputs = [werner_alpha(q, alpha) for q in (0.25, 1.0) for alpha in (0.2, ALPHA_MAX)]
+    inputs = [werner_alpha(q, alpha)[0] for q in (0.25, 1.0) for alpha in (0.2, ALPHA_MAX)]
     inputs += [random_separable_two_qubit(rng) for _ in range(4)]
-    inputs.append(DensityOperator(random_density_matrix(rng, 4)))
+    inputs.append(random_density_matrix(rng, 4))
     for rho in inputs:
-        assert np.array_equal(averaged_channel(rho, lam).matrix, _eight_embed_channel(rho, lam))
+        assert np.array_equal(averaged_channel(rho[None], lam)[0], _eight_embed_channel(rho, lam))
 
 
 @pytest.mark.parametrize("size", [1, 2, 7])
 def test_channel_kernel_is_bit_identical_to_per_state_calls(size):
-    rhos = werner_and_random_states(np.random.default_rng(size), size)
-    matrices = np.stack([rho.matrix for rho in rhos])
+    matrices = werner_and_random_states(np.random.default_rng(size), size)
     for lam in (0.0, 1.0 / 3.0, 0.5, 1.0):
-        per_state = np.stack([averaged_channel(rho, lam).matrix for rho in rhos])
-        assert np.array_equal(_averaged_channel(matrices, (lam,)), per_state)
+        per_state = np.concatenate([averaged_channel(rho[None], lam) for rho in matrices])
+        assert np.array_equal(averaged_channel(matrices, (lam,)), per_state)
 
 
 def test_channel_over_a_sharpness_stack_is_bit_identical_to_per_lambda_calls():
-    rhos = werner_and_random_states(np.random.default_rng(5), 3)
-    matrices = np.stack([rho.matrix for rho in rhos])
+    matrices = werner_and_random_states(np.random.default_rng(5), 3)
     lams = (0.0, 0.2, 1.0 / 3.0, 0.5, 0.8, 1.0)
-    stacked = _averaged_channel(matrices, lams)
-    assert stacked.shape == (len(lams) * len(rhos), 4, 4)
-    per_lambda = [averaged_channel(rho, lam).matrix for lam in lams for rho in rhos]
-    assert np.array_equal(stacked, np.stack(per_lambda))
+    stacked = averaged_channel(matrices, lams)
+    assert stacked.shape == (len(lams) * len(matrices), 4, 4)
+    per_lambda = [averaged_channel(rho[None], lam) for lam in lams for rho in matrices]
+    assert np.array_equal(stacked, np.concatenate(per_lambda))

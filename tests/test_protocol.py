@@ -834,7 +834,7 @@ def test_negativity_closed_form_matches_mpmath(q, alpha):
 @given(st.floats(0.0, 1.0), alphas)
 def test_negativity_closed_form_matches_oracle(q, alpha):
     closed = negativity_walpha(q, alpha)
-    oracle = negativity_oracle(werner_alpha(q, alpha))
+    oracle = negativity_oracle(werner_alpha(q, alpha))[0]
     assert abs(closed - oracle) < 1e-10
 
 
@@ -842,7 +842,7 @@ def test_true_negativity_exceeds_white_noise_value_after_one_sharp_step():
     # README's example: one sharp step from q = 1 halves q (f(1) = 1/2), but the
     # lost weight lands on rho_A (x) I/2, not on I/4
     assert f_of_lambda(1.0) == 0.5
-    true_value = negativity_oracle(averaged_channel(werner_alpha(1.0, 0.3), 1.0))
+    true_value = negativity_oracle(averaged_channel(werner_alpha(1.0, 0.3), 1.0))[0]
     white_noise_value = negativity_walpha(0.5, 0.3)
     assert true_value == pytest.approx(0.05101, abs=1e-4)
     assert white_noise_value == pytest.approx(0.01809, abs=1e-4)
@@ -1010,8 +1010,8 @@ def test_one_step_recursion_matches_channel():
             q_next = f_of_lambda(lam)
             if alpha == ALPHA_MAX:
                 want = werner_alpha(q_next, alpha)
-                assert np.abs(stepped.matrix - want.matrix).max() < 1e-10
+                assert np.abs(stepped - want).max() < 1e-10
             for probe in (0.6, 1.0):
-                numeric = mdi_ew_numeric(stepped, beta, probe)
+                numeric = mdi_ew_numeric(stepped, beta, probe)[0, 0]
                 closed = mdi_ew_closed_form_unsharp(q_next, alpha, probe)
                 assert abs(numeric - closed) < 1e-10

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from mdiew import verify
 from mdiew.cli import FIG1_DEFAULT_STEP
-from mdiew.linalg import PAULI, _partial_transposes
+from mdiew.linalg import PAULI, partial_transpose
 from mdiew.states import (
     ALPHA_MAX,
     _alphas_from_entanglement,
-    _werner_alphas,
     _werner_strengths,
     alpha_from_entanglement,
     bell_phi_plus,
@@ -64,25 +63,25 @@ def test_psi_alpha_range_errors(alpha):
 
 def test_werner_alpha_pure_noise_limit():
     for alpha in (0.2, ALPHA_MAX):
-        assert np.abs(werner_alpha(0.0, alpha).matrix - np.eye(4) / 4).max() < 1e-15
+        assert np.abs(werner_alpha(0.0, alpha) - np.eye(4) / 4).max() < 1e-15
 
 
 def test_werner_alpha_pure_limit_is_projector():
-    rho = werner_alpha(1.0, ALPHA_MAX).matrix
+    rho = werner_alpha(1.0, ALPHA_MAX)[0]
     vec = psi_alpha(ALPHA_MAX)
     assert np.abs(rho - np.outer(vec, vec.conj())).max() < 1e-15
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_werner_alpha_eigenvalues_at_half():
-    eigvals = np.sort(np.linalg.eigvalsh(werner_alpha(0.5, ALPHA_MAX).matrix))
+    eigvals = np.sort(np.linalg.eigvalsh(werner_alpha(0.5, ALPHA_MAX)[0]))
     assert np.abs(eigvals - [0.125, 0.125, 0.125, 0.625]).max() < 1e-12
 
 
 @given(qs, alphas)
 def test_werner_alpha_is_valid_density_operator(q, alpha):
     rho = werner_alpha(q, alpha)  # construction validates
-    assert rho.matrix.shape == (4, 4)
+    assert rho.shape == (1, 4, 4)
 
 
 def test_werner_alpha_state_rejects_bad_parameters():
@@ -104,8 +103,8 @@ VERIFY_GRIDS = {
 @pytest.mark.parametrize("grid", VERIFY_GRIDS.values(), ids=VERIFY_GRIDS.keys())
 def test_stacked_werner_builder_is_bit_identical_on_verify_grids(grid):
     points = [(q, alpha) for q in grid[0] for alpha in grid[1]]
-    got = _werner_alphas(*zip(*points))
-    assert np.array_equal(got, [werner_alpha(q, alpha).matrix for q, alpha in points])
+    got = werner_alpha(*zip(*points))
+    assert np.array_equal(got, [werner_alpha(q, alpha)[0] for q, alpha in points])
 
 
 def _outer_product_werner(q, alpha):
@@ -116,18 +115,25 @@ def _outer_product_werner(q, alpha):
 
 @given(st.lists(st.tuples(qs, st.floats(0.0, ALPHA_MAX, exclude_min=True)), min_size=1, max_size=30))
 def test_stacked_werner_builder_is_bit_identical_to_per_state_calls(points):
-    got = _werner_alphas(*zip(*points))
-    assert np.array_equal(got, [werner_alpha(q, alpha).matrix for q, alpha in points])
+    got = werner_alpha(*zip(*points))
+    assert np.array_equal(got, [werner_alpha(q, alpha)[0] for q, alpha in points])
     assert np.array_equal(got, [_outer_product_werner(q, alpha) for q, alpha in points])
+
+
+def test_stacked_werner_builder_broadcasts_its_arguments_in_c_order():
+    qs, alphas = (0.0, 0.5, 1.0), (0.2, ALPHA_MAX)
+    got = werner_alpha(np.array(qs)[:, None], alphas)
+    assert got.shape == (6, 4, 4)
+    assert np.array_equal(got, [werner_alpha(q, alpha)[0] for q in qs for alpha in alphas])
 
 
 def test_stacked_werner_builder_rejects_bad_parameters_with_scalar_messages():
     with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]; got 1.2$"):
-        _werner_alphas([0.5, 1.2, -1.0], 0.3)
+        werner_alpha([0.5, 1.2, -1.0], 0.3)
     with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1/sqrt\(2\)\]; got 0.9$"):
-        _werner_alphas(0.5, [0.3, 0.9, 0.0])
+        werner_alpha(0.5, [0.3, 0.9, 0.0])
     with pytest.raises(ValueError, match="q must"):  # every q is checked before any alpha
-        _werner_alphas([0.5, 2.0], [0.9, 0.3])
+        werner_alpha([0.5, 2.0], [0.9, 0.3])
     with pytest.raises(ValueError, match="alpha must.*got nan"):
         _werner_strengths([0.3, math.nan])
 
@@ -148,7 +154,7 @@ def test_entangled_iff_strength_exceeds_one():
     for q in np.linspace(0.05, 1.0, 20):
         for alpha in np.linspace(0.05, ALPHA_MAX, 20):
             entangled = q * werner_strength(alpha) > 1.0
-            low = min_eigenvalue(_partial_transposes(werner_alpha(q, alpha).matrix[None])[0])
+            low = min_eigenvalue(partial_transpose(werner_alpha(q, alpha))[0])
             assert (low < -1e-12) == entangled or abs(q * werner_strength(alpha) - 1) < 1e-9
 
 

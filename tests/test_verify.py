@@ -16,7 +16,7 @@ def test_sampler_draws_separable_states_of_every_term_count(seed):
     matrices = verify._random_separable_matrices(np.random.default_rng(seed), 200)
     assert matrices.shape == (200, 4, 4)
     # PPT: for two qubits that is exactly separability (Peres-Horodecki).
-    assert linalg._negativities(matrices).max() <= 1e-15
+    assert linalg.negativity(matrices).max() <= 1e-15
     # A mixture of k random product states has rank k, so the ranks are the term counts.
     counts = np.random.default_rng(seed).integers(1, verify._SEPARABLE_TERMS + 1, size=200)
     ranks = np.linalg.matrix_rank(matrices, tol=1e-10, hermitian=True)
@@ -55,9 +55,9 @@ def test_normalised_exponential_draws_are_the_dirichlet_weights(seed):
 @pytest.mark.parametrize("seed", [1234, 7])
 def test_batched_separable_minimum_matches_literal_path(seed):
     beta = witness.werner_beta()
-    operators = witness._reduced_witness_operators(verify._SEPARABLE_GRID, beta)
+    operators = witness.reduced_witness_operators(verify._SEPARABLE_GRID, beta)
     matrices, payoffs = verify._separable_payoffs(seed, operators[verify._SEPARABLE_ROWS])
-    literal = np.array([[witness.mdi_ew_numeric(linalg.DensityOperator(matrix), beta, lam)
+    literal = np.array([[witness.mdi_ew_numeric(matrix[None], beta, lam)[0, 0]
                          for matrix in matrices] for lam in verify._SEPARABLE_LAMS])
     assert np.abs(payoffs - literal).max() <= 1e-15
     result = check_separable_nonnegativity(seed)
@@ -75,19 +75,19 @@ def test_separable_detail_pins_the_seeded_stream():
 def test_separable_check_certifies_the_partial_transpose_spectrum(monkeypatch):
     # Without the transpose the spectrum is W's own, whose lowest eigenvalue
     # (1 - 3 lam)/16 goes negative: the row must fail on the certificate alone.
-    monkeypatch.setattr(linalg, "_partial_transposes", lambda matrices: matrices)
+    monkeypatch.setattr(linalg, "partial_transpose", lambda matrices: matrices)
     result = check_separable_nonnegativity()
     assert result.deviation <= verify.SEPARABLE_BOUND
     assert not result.passed
 
 
 def test_separable_check_certifies_the_reduced_operator(monkeypatch):
-    exact = witness._reduced_witness_operators
+    exact = witness.reduced_witness_operators
 
     def shifted(lams, beta):
         return exact(lams, beta) + 1e-13
 
-    monkeypatch.setattr(witness, "_reduced_witness_operators", shifted)
+    monkeypatch.setattr(witness, "reduced_witness_operators", shifted)
     result = check_separable_nonnegativity()
     assert result.deviation <= verify.SEPARABLE_BOUND
     assert not result.passed
@@ -128,14 +128,17 @@ def _counting(monkeypatch, module, name):
 
 
 def test_run_all_builds_each_literal_stack_once(monkeypatch, cholesky_failures):
-    channels = _counting(monkeypatch, measurement, "_averaged_channel")
+    payoffs = _counting(monkeypatch, witness, "mdi_ew_numeric")
+    channels = _counting(monkeypatch, measurement, "averaged_channel")
     results = verify.run_all()
     assert all(r.passed for r in results)
+    # The witness grid, the separable row's certified samples and the channel statistics.
+    assert len(payoffs) == 3
     assert len(channels) == 1
     # A passing pass never reaches the eigvalsh fallback of the validation.
     calls, failures = cholesky_failures
     assert calls and not failures
-    operators = _counting(monkeypatch, witness, "_reduced_witness_operators")
+    operators = _counting(monkeypatch, witness, "reduced_witness_operators")
     assert check_separable_nonnegativity().passed
     assert len(operators) == 1
 
@@ -143,29 +146,44 @@ def test_run_all_builds_each_literal_stack_once(monkeypatch, cholesky_failures):
 def test_closure_slice_equals_the_three_state_channel():
     outs = verify._channel_outputs().reshape(
         len(verify._CHANNEL_LAMS), len(verify._CHANNEL_QS), len(verify._CHANNEL_ALPHAS), 4, 4)
-    alone = measurement._averaged_channel(
-        states._werner_alphas(verify._CHANNEL_QS, states.ALPHA_MAX), verify._CHANNEL_LAMS)
+    alone = measurement.averaged_channel(
+        states.werner_alpha(verify._CHANNEL_QS, states.ALPHA_MAX), verify._CHANNEL_LAMS)
     assert verify._CHANNEL_ALPHAS[-1] == states.ALPHA_MAX
     assert np.ascontiguousarray(outs[:, :, -1]).reshape(-1, 4, 4).tobytes() == alone.tobytes()
+
+
+def test_sharp_corner_entry_equals_the_one_state_payoff():
+    assert (verify._QS[-1], verify._ALPHAS[-1], verify._LAMS[-1]) == (1.0, states.ALPHA_MAX, 1.0)
+    alone = witness.mdi_ew_numeric(states.werner_alpha(1.0, states.ALPHA_MAX),
+                                   witness.werner_beta(), 1.0)
+    assert verify._witness_payoffs()[-1:, -1:].tobytes() == alone.tobytes()
+
+
+def test_sharp_corner_row_reads_the_shared_payoff_stack():
+    payoffs = verify._witness_payoffs()
+    assert verify.check_witness_sharp_corner(payoffs).passed
+    payoffs[-1, -1] += 1e-11
+    assert not verify.check_witness_sharp_corner(payoffs).passed
+    assert verify.check_witness_grid(payoffs).passed
 
 
 def test_separable_rows_equal_the_three_sharpness_operators():
     assert verify._SEPARABLE_GRID[verify._SEPARABLE_ROWS].tolist() == list(verify._SEPARABLE_LAMS)
     beta = witness.werner_beta()
-    rows = witness._reduced_witness_operators(verify._SEPARABLE_GRID, beta)[verify._SEPARABLE_ROWS]
-    alone = witness._reduced_witness_operators(verify._SEPARABLE_LAMS, beta)
+    rows = witness.reduced_witness_operators(verify._SEPARABLE_GRID, beta)[verify._SEPARABLE_ROWS]
+    alone = witness.reduced_witness_operators(verify._SEPARABLE_LAMS, beta)
     assert rows.tobytes() == alone.tobytes()
 
 
 def test_channel_noise_fails_both_channel_rows(monkeypatch):
     # 0.1% white noise on every channel output: sharing one stack must not
     # blind either row to it.
-    exact = measurement._averaged_channel
+    exact = measurement.averaged_channel
 
     def noisy(matrices, lams):
         return 0.999 * exact(matrices, lams) + 0.001 * np.eye(4) / 4.0
 
-    monkeypatch.setattr(measurement, "_averaged_channel", noisy)
+    monkeypatch.setattr(measurement, "averaged_channel", noisy)
     results = {r.name: r for r in verify.run_all()}
     assert not results["channel_closure_maximal_alpha"].passed
     assert not results["channel_statistics_general_alpha"].passed
@@ -180,7 +198,7 @@ def test_separable_row_passes_on_seeds_0_to_199_without_eigvalsh_fallback(choles
     assert len(calls) >= 200 and not failures
 
 
-# --- stacked checks against per-point loops over the public functions ------------
+# --- stacked checks against per-point loops of one-state calls --------------------
 
 def _witness_grid_loop():
     worst = 0.0
@@ -188,7 +206,7 @@ def _witness_grid_loop():
         for alpha in np.linspace(0.1, states.ALPHA_MAX, 5):
             rho = states.werner_alpha(q, alpha)
             for lam in np.linspace(0.0, 1.0, 5):
-                numeric = witness.mdi_ew_numeric(rho, witness.werner_beta(), lam)
+                numeric = witness.mdi_ew_numeric(rho, witness.werner_beta(), lam)[0, 0]
                 worst = max(worst, abs(numeric - witness.mdi_ew_closed_form_unsharp(q, alpha, lam)))
     return worst
 
@@ -203,7 +221,7 @@ def _channel_closure_loop():
         for q in _CHANNEL_QS:
             out = measurement.averaged_channel(states.werner_alpha(q, states.ALPHA_MAX), lam)
             want = states.werner_alpha(protocol.f_of_lambda(lam) * q, states.ALPHA_MAX)
-            worst = max(worst, float(np.abs(out.matrix - want.matrix).max()))
+            worst = max(worst, float(np.abs(out - want).max()))
     return worst
 
 
@@ -214,7 +232,7 @@ def _channel_statistics_loop():
             for alpha in (0.2, 0.4, states.ALPHA_MAX):
                 out = measurement.averaged_channel(states.werner_alpha(q, alpha), lam)
                 for probe in (0.5, 1.0):
-                    numeric = witness.mdi_ew_numeric(out, witness.werner_beta(), probe)
+                    numeric = witness.mdi_ew_numeric(out, witness.werner_beta(), probe)[0, 0]
                     closed = witness.mdi_ew_closed_form_unsharp(
                         protocol.f_of_lambda(lam) * q, alpha, probe)
                     worst = max(worst, abs(numeric - closed))
@@ -225,7 +243,7 @@ def _negativity_grid_loop():
     worst = 0.0
     for q in np.linspace(0.0, 1.0, 20):
         for alpha in np.linspace(0.05, states.ALPHA_MAX, 20):
-            oracle = linalg.negativity(states.werner_alpha(q, alpha))
+            oracle = linalg.negativity(states.werner_alpha(q, alpha))[0]
             worst = max(worst, abs(protocol.negativity_walpha(q, alpha) - oracle))
     return worst
 
@@ -250,13 +268,18 @@ def _delta_negativity_monotone_loop():
     return worst
 
 
+def _on_witness_payoffs(check):
+    """`check` on a payoff stack built at call time, as run_all passes it."""
+    return lambda: check(verify._witness_payoffs())
+
+
 def _on_channel_outputs(check):
     """`check` on a channel stack built at call time, as run_all passes it."""
     return lambda: check(verify._channel_outputs())
 
 
 @pytest.mark.parametrize("check, loop", [
-    (verify.check_witness_grid, _witness_grid_loop),
+    (_on_witness_payoffs(verify.check_witness_grid), _witness_grid_loop),
     (_on_channel_outputs(verify.check_channel_closure_maximal), _channel_closure_loop),
     (_on_channel_outputs(verify.check_channel_statistics), _channel_statistics_loop),
     (verify.check_negativity_grid, _negativity_grid_loop),
@@ -281,9 +304,9 @@ def _with_one_nan(kernel):
 
 
 @pytest.mark.parametrize("module, kernel, check", [
-    (witness, "_payoffs", verify.check_witness_grid),
-    (witness, "_payoffs", _on_channel_outputs(verify.check_channel_statistics)),
-    (linalg, "_negativities", verify.check_negativity_grid),
+    (witness, "mdi_ew_numeric", _on_witness_payoffs(verify.check_witness_grid)),
+    (witness, "mdi_ew_numeric", _on_channel_outputs(verify.check_channel_statistics)),
+    (linalg, "negativity", verify.check_negativity_grid),
 ], ids=["witness_grid", "channel_statistics", "negativity_grid"])
 def test_one_nan_from_the_oracle_fails_the_check(monkeypatch, module, kernel, check):
     monkeypatch.setattr(module, kernel, _with_one_nan(getattr(module, kernel)))
@@ -293,7 +316,7 @@ def test_one_nan_from_the_oracle_fails_the_check(monkeypatch, module, kernel, ch
 
 
 @pytest.mark.parametrize("module, closed_form, check", [
-    (witness, "mdi_ew_closed_form_unsharp", verify.check_witness_grid),
+    (witness, "mdi_ew_closed_form_unsharp", _on_witness_payoffs(verify.check_witness_grid)),
     (witness, "mdi_ew_closed_form_unsharp", _on_channel_outputs(verify.check_channel_statistics)),
     (protocol, "_negativities_walpha", verify.check_negativity_grid),
     (protocol, "delta_negativity", verify.check_delta_negativity_monotone),

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdiew.linalg import DensityOperator
 from mdiew.measurement import _effects, bell_projector
 from mdiew.states import (
     ALPHA_MAX,
@@ -16,12 +15,11 @@ from mdiew.states import (
 )
 from mdiew.witness import (
     WitnessCoefficients,
-    _input_products,
-    _payoffs,
-    _reduced_witness_operators,
     decompose_witness,
+    input_products,
     mdi_ew_closed_form_unsharp,
     mdi_ew_numeric,
+    reduced_witness_operators,
     threshold_lambda,
     werner_beta,
 )
@@ -42,7 +40,7 @@ lambdas = st.floats(0.0, 1.0)
 # factor from the two |Phi+> contractions: sum_st beta_st P(1,1|.) = tr(W rho)/4
 # when beta decomposes W over the transposed inputs.  Each sharp projection
 # gives <Phi+| X (x) Y |Phi+> = tr(X^T Y)/2, so at lam = 1 the reduced operator
-# of the identity target, _reduced_witness_operators([1.0], beta)[0], is I/4.
+# of the identity target, reduced_witness_operators([1.0], beta)[0], is I/4.
 CONTRACTION_FACTOR = 0.25
 
 
@@ -51,6 +49,11 @@ def recompose(beta):
     taus = omegas = input_ensemble()
     return sum(beta[s, t] * np.kron(taus[s].T, omegas[t].T)
                for s in range(4) for t in range(4))
+
+
+def payoff(rho, beta, lam):
+    """The literal payoff of one 4x4 state at one sharpness: the kernel's stack of one."""
+    return mdi_ew_numeric(rho[None], beta, lam)[0, 0]
 
 
 # --- coefficient table -----------------------------------------------------
@@ -92,11 +95,11 @@ def test_coefficients_reject_imaginary_parts():
 
 def test_numeric_payoff_spot_values():
     beta = werner_beta()
-    singlet = werner_alpha(1.0, ALPHA_MAX)
-    assert mdi_ew_numeric(singlet, beta, 1.0) == pytest.approx(-0.125, abs=1e-12)
-    noise = werner_alpha(0.0, ALPHA_MAX)
-    assert mdi_ew_numeric(noise, beta, 1.0) == pytest.approx(1 / 16, abs=1e-12)
-    assert abs(mdi_ew_numeric(singlet, beta, 1 / 3)) < 1e-12
+    singlet = werner_alpha(1.0, ALPHA_MAX)[0]
+    assert payoff(singlet, beta, 1.0) == pytest.approx(-0.125, abs=1e-12)
+    noise = werner_alpha(0.0, ALPHA_MAX)[0]
+    assert payoff(noise, beta, 1.0) == pytest.approx(1 / 16, abs=1e-12)
+    assert abs(payoff(singlet, beta, 1 / 3)) < 1e-12
 
 
 def joint_success_probability(rho, lam, s, t):
@@ -107,17 +110,17 @@ def joint_success_probability(rho, lam, s, t):
     """
     taus = omegas = input_ensemble()
     op = np.kron(bell_projector(), _effects([lam])[0][0])
-    eta = np.kron(np.kron(taus[s], rho.matrix), omegas[t])
+    eta = np.kron(np.kron(taus[s], rho), omegas[t])
     return float(np.trace(op @ eta).real)
 
 
 def test_numeric_uses_single_probabilities():
     beta = werner_beta()
-    rho = werner_alpha(0.7, 0.5)
+    rho = werner_alpha(0.7, 0.5)[0]
     lam = 0.6
     total = sum(beta.beta[s, t] * joint_success_probability(rho, lam, s, t)
                 for s in range(4) for t in range(4))
-    assert mdi_ew_numeric(rho, beta, lam) == pytest.approx(total, abs=1e-14)
+    assert payoff(rho, beta, lam) == pytest.approx(total, abs=1e-14)
 
 
 def _flattened_trace(op, eta):
@@ -138,15 +141,15 @@ def _per_pair_loop_payoff(rho, beta, lam, trace=_flattened_trace):
     for s in range(4):
         tau = taus[s]
         for t in range(4):
-            eta = np.kron(np.kron(tau, rho.matrix), omegas[t])
+            eta = np.kron(np.kron(tau, rho), omegas[t])
             value += beta.beta[s, t] * trace(op, eta)
     return float(value)
 
 
 def _reference_states():
     rng = np.random.default_rng(20241017)
-    werner = [werner_alpha(q, alpha) for q in (0.0, 0.4, 1.0) for alpha in (0.2, ALPHA_MAX)]
-    werner += [werner_alpha(rng.uniform(), rng.uniform(0.0, ALPHA_MAX)) for _ in range(6)]
+    werner = [werner_alpha(q, alpha)[0] for q in (0.0, 0.4, 1.0) for alpha in (0.2, ALPHA_MAX)]
+    werner += [werner_alpha(rng.uniform(), rng.uniform(0.0, ALPHA_MAX))[0] for _ in range(6)]
     return werner + [random_separable_two_qubit(rng) for _ in range(12)]
 
 
@@ -157,7 +160,7 @@ def test_numeric_is_bit_identical_to_per_pair_loop(lam):
     tables = [beta, WitnessCoefficients(rng.standard_normal((4, 4)))]
     for rho in _reference_states():
         for table in tables:
-            assert mdi_ew_numeric(rho, table, lam) == _per_pair_loop_payoff(rho, table, lam)
+            assert payoff(rho, table, lam) == _per_pair_loop_payoff(rho, table, lam)
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.0 / 3.0, 0.5, 1.0])
@@ -171,32 +174,30 @@ def test_numeric_is_within_few_ulps_of_the_product_trace(lam):
         for table in tables:
             bound = 2.0 * np.finfo(float).eps * np.abs(table.beta).sum()
             reference = _per_pair_loop_payoff(rho, table, lam, trace=_product_trace)
-            assert abs(mdi_ew_numeric(rho, table, lam) - reference) <= bound
+            assert abs(payoff(rho, table, lam) - reference) <= bound
 
 
 @pytest.mark.parametrize("size", [1, 2, 7])
 def test_payoff_kernel_is_bit_identical_to_per_state_calls(size):
-    rhos = werner_and_random_states(np.random.default_rng(size), size)
-    matrices = np.stack([rho.matrix for rho in rhos])
+    matrices = werner_and_random_states(np.random.default_rng(size), size)
     lams = (0.0, 1.0 / 3.0, 0.5, 1.0)
     random_table = WitnessCoefficients(np.random.default_rng(7).standard_normal((4, 4)))
     for table in (werner_beta(), random_table):
-        per_state = [[mdi_ew_numeric(rho, table, lam) for rho in rhos] for lam in lams]
-        assert np.array_equal(_payoffs(matrices, table, lams), per_state)
+        per_state = [[payoff(rho, table, lam) for rho in matrices] for lam in lams]
+        assert np.array_equal(mdi_ew_numeric(matrices, table, lams), per_state)
 
 
 @pytest.mark.parametrize("n_lams, n_states", [(1, 7), (4, 1)])
 def test_payoff_kernel_is_bit_identical_to_per_point_calls(n_lams, n_states):
     # one sharpness against many states and many sharpness values against one
     # state: the shapes at which a BLAS product would switch between gemv and gemm
-    rhos = werner_and_random_states(np.random.default_rng(3), n_states)
-    matrices = np.stack([rho.matrix for rho in rhos])
+    matrices = werner_and_random_states(np.random.default_rng(3), n_states)
     lams = (0.6, 0.0, 1.0 / 3.0, 1.0)[:n_lams]
     random_table = WitnessCoefficients(np.random.default_rng(9).standard_normal((4, 4)))
     for table in (werner_beta(), random_table):
-        got = _payoffs(matrices, table, lams)
+        got = mdi_ew_numeric(matrices, table, lams)
         assert got.shape == (n_lams, n_states)
-        assert np.array_equal(got, [[mdi_ew_numeric(rho, table, lam) for rho in rhos]
+        assert np.array_equal(got, [[payoff(rho, table, lam) for rho in matrices]
                                     for lam in lams])
 
 
@@ -205,13 +206,12 @@ def test_payoff_kernel_is_bit_identical_to_the_dense_kron_oracle(size):
     # The kernel sums only the entries where some literal operator of the
     # stack is nonzero; the oracle builds every 16x16 operator with np.kron and
     # sums all 256 terms.  Sharp, trivial and interior sharpness values mixed.
-    rhos = werner_and_random_states(np.random.default_rng(100 + size), size)
-    matrices = np.stack([rho.matrix for rho in rhos])
+    matrices = werner_and_random_states(np.random.default_rng(100 + size), size)
     random_table = WitnessCoefficients(np.random.default_rng(11).standard_normal((4, 4)))
     for lams in [(0.0, 0.37, 1.0 / 3.0, 1.0), (1.0, 0.0), (0.81, 1.0 / 3.0), (0.0,), (0.52,)]:
         for table in (werner_beta(), random_table):
-            assert_bit_identical(_payoffs(matrices, table, lams),
-                                 [[_per_pair_loop_payoff(rho, table, lam) for rho in rhos]
+            assert_bit_identical(mdi_ew_numeric(matrices, table, lams),
+                                 [[_per_pair_loop_payoff(rho, table, lam) for rho in matrices]
                                   for lam in lams])
 
 
@@ -235,20 +235,19 @@ def test_skipped_terms_are_the_zeros_of_the_literal_operator():
     # an interior sharpness reads every entry.
     read = [(row, col) for row in range(4) for col in range(4) if _trivial_effect_reads(row, col)]
     assert read == [(row, col) for row in range(4) for col in range(4) if row % 2 == col % 2]
-    rho = DensityOperator(random_density_matrix(np.random.default_rng(5), 4))
+    rho = random_density_matrix(np.random.default_rng(5), 4)
     lams = (0.0, 0.6)
     random_table = WitnessCoefficients(np.random.default_rng(7).standard_normal((4, 4)))
     for table in (werner_beta(), random_table):
-        before = _payoffs(rho.matrix[None], table, lams)
+        before = mdi_ew_numeric(rho[None], table, lams)
         for row in range(4):
             for col in range(4):
-                perturbed = rho.matrix.copy()
+                perturbed = rho.copy()
                 perturbed[row, col] += 0.25 - 0.125j
-                after = _payoffs(perturbed[None], table, lams)
+                after = mdi_ew_numeric(perturbed[None], table, lams)
                 if (row, col) not in read:
                     assert after[0].tobytes() == before[0].tobytes()
-                    assert_bit_identical(after[0], [_per_pair_loop_payoff(
-                        DensityOperator(perturbed, validate=False), table, 0.0)])
+                    assert_bit_identical(after[0], [_per_pair_loop_payoff(perturbed, table, 0.0)])
                 elif table is random_table:
                     assert after[0, 0] != before[0, 0]
                 if table is random_table:
@@ -261,10 +260,9 @@ def test_numeric_rejects_non_finite_states(entry):
     # one it skips: either way the NaN must not turn into a finite payoff.
     matrix = np.eye(4, dtype=complex) / 4
     matrix[entry] = math.nan
-    rho = DensityOperator(matrix, validate=False)
     for lam in (0.0, 0.5, 1.0):
         with pytest.raises(ValueError, match="state 0 .*non-finite"):
-            mdi_ew_numeric(rho, werner_beta(), lam)
+            mdi_ew_numeric(matrix[None], werner_beta(), lam)
 
 
 def test_payoff_kernel_names_the_first_non_finite_state():
@@ -272,11 +270,11 @@ def test_payoff_kernel_names_the_first_non_finite_state():
     matrices[3, 1, 0] = complex(0.0, math.inf)
     matrices[4, 2, 2] = math.nan
     with pytest.raises(ValueError, match="state 3 of the stack has a non-finite entry"):
-        _payoffs(matrices, werner_beta(), (0.0, 0.5))
+        mdi_ew_numeric(matrices, werner_beta(), (0.0, 0.5))
 
 
 def test_numeric_rejects_wrong_layout(rng):
-    three_qubits = DensityOperator(random_density_matrix(rng, 8))
+    three_qubits = random_density_matrix(rng, 8)[None]
     with pytest.raises(ValueError, match="two-qubit"):
         mdi_ew_numeric(three_qubits, werner_beta(), 1.0)
 
@@ -288,10 +286,10 @@ def test_numeric_rejects_wrong_layout(rng):
 @example(seed=3, lam=1.0)
 @given(seed=st.integers(0, 2**32 - 1), lam=lambdas)
 def test_reduced_operator_reproduces_literal_payoff(seed, lam):
-    rho = DensityOperator(random_density_matrix(np.random.default_rng(seed), 4))
+    rho = random_density_matrix(np.random.default_rng(seed), 4)
     beta = werner_beta()
-    reduced = np.trace(_reduced_witness_operators([lam], beta)[0] @ rho.matrix).real
-    assert abs(reduced - mdi_ew_numeric(rho, beta, lam)) <= 1e-15
+    reduced = np.trace(reduced_witness_operators([lam], beta)[0] @ rho).real
+    assert abs(reduced - payoff(rho, beta, lam)) <= 1e-15
 
 
 def test_reduced_operator_matches_closed_form():
@@ -299,21 +297,21 @@ def test_reduced_operator_matches_closed_form():
     projector = np.outer(singlet, singlet.conj())
     for lam in np.linspace(0.0, 1.0, 101):
         closed = (1.0 + lam) / 16.0 * np.eye(4) - lam / 4.0 * projector
-        assert np.abs(_reduced_witness_operators([lam], werner_beta())[0] - closed).max() <= 1e-15
+        assert np.abs(reduced_witness_operators([lam], werner_beta())[0] - closed).max() <= 1e-15
 
 
 def test_stacked_reduced_operators_are_bit_identical_to_per_lambda_calls(rng):
     lams = np.linspace(0.0, 1.0, 101)
     for beta in (werner_beta(), decompose_witness(random_hermitian(rng, 4))):
-        got = _reduced_witness_operators(lams, beta)
-        assert np.array_equal(got, [_reduced_witness_operators([lam], beta)[0] for lam in lams])
+        got = reduced_witness_operators(lams, beta)
+        assert np.array_equal(got, [reduced_witness_operators([lam], beta)[0] for lam in lams])
 
 
 def test_reduced_operator_of_decomposed_target_is_a_quarter_of_it(rng):
     # the derivation of CONTRACTION_FACTOR: at lam = 1, W = CONTRACTION_FACTOR * target
     targets = [np.eye(4)] + [random_hermitian(rng, 4) for _ in range(10)]
     for target in targets:
-        reduced = _reduced_witness_operators([1.0], decompose_witness(target))[0]
+        reduced = reduced_witness_operators([1.0], decompose_witness(target))[0]
         assert np.abs(reduced - CONTRACTION_FACTOR * target).max() <= 1e-15
 
 
@@ -349,7 +347,7 @@ def test_unsharp_matches_product_form():
 @settings(max_examples=40)
 @given(qs, alphas, lambdas)
 def test_numeric_equals_closed_form(q, alpha, lam):
-    numeric = mdi_ew_numeric(werner_alpha(q, alpha), werner_beta(), lam)
+    numeric = payoff(werner_alpha(q, alpha)[0], werner_beta(), lam)
     closed = mdi_ew_closed_form_unsharp(q, alpha, lam)
     assert abs(numeric - closed) < 1e-10
 
@@ -425,7 +423,7 @@ def test_threshold_infeasible_cases():
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0.25, 0.5, 1.0]))
 def test_separable_states_never_score_negative(seed, lam):
     rho = random_separable_two_qubit(np.random.default_rng(seed))
-    value = mdi_ew_numeric(rho, werner_beta(), lam)
+    value = payoff(rho, werner_beta(), lam)
     assert value >= -1e-10
 
 
@@ -466,7 +464,7 @@ def test_decompose_identity_target(rng):
 
 def test_input_products_are_bit_identical_to_tensor_calls():
     taus = omegas = input_ensemble()
-    products = _input_products()
+    products = input_products()
     for s in range(4):
         for t in range(4):
             assert np.array_equal(products[s, t], np.kron(taus[s].T, omegas[t].T))
@@ -486,12 +484,12 @@ def test_contraction_factor_calibration(rng):
     # beta-weighted success probabilities evaluate tr(W rho) times a fixed
     # constant; calibrate it on the identity target, then cross-check
     identity_beta = decompose_witness(np.eye(4))
-    rho = DensityOperator(random_density_matrix(rng, 4))
-    calibrated = mdi_ew_numeric(rho, identity_beta, 1.0)  # tr(I rho) * k = k
+    rho = random_density_matrix(rng, 4)
+    calibrated = payoff(rho, identity_beta, 1.0)  # tr(I rho) * k = k
     assert calibrated == pytest.approx(CONTRACTION_FACTOR, abs=1e-12)
     for _ in range(5):
         target = random_hermitian(rng, 4)
         beta = decompose_witness(target)
-        value = mdi_ew_numeric(rho, beta, 1.0)
-        expected = CONTRACTION_FACTOR * np.trace(target @ rho.matrix).real
+        value = payoff(rho, beta, 1.0)
+        expected = CONTRACTION_FACTOR * np.trace(target @ rho).real
         assert value == pytest.approx(expected, abs=1e-10)
