@@ -250,31 +250,6 @@ def run_equal_sharpness(alpha: float, lam: float) -> ProtocolTrace:
     return _trace(alpha, POLICY_EQUAL, _observers(alpha, lam=lam))
 
 
-def equal_sharpness_count(alpha: float, lam: float | np.ndarray) -> int | np.ndarray:
-    """Lean success counter of the equal-sharpness policy.
-
-    A scalar lam gives an int; an array of sharpness values gives an int
-    array of the same shape, each entry equal to the scalar count.  The first
-    entry outside (0, 1] raises.
-    """
-    import numpy as np
-
-    strength = werner_strength(alpha)
-    lams = np.asarray(lam, dtype=float)
-    outside = ~((lams > 0.0) & (lams <= 1.0))
-    if outside.any():
-        raise ValueError(f"common sharpness must lie in (0, 1]; got {float(lams[outside][0])}")
-    decay = _decays(lams)
-    q = np.ones_like(lams)
-    counts = np.zeros(lams.shape, dtype=int)
-    while True:
-        alive = (1.0 - lams * q * strength) / 16.0 < -DETECTION_THRESHOLD
-        if not alive.any():
-            return counts if counts.ndim else int(counts)
-        counts += alive
-        q = q * decay  # q only falls, so a failed entry stays failed
-
-
 @functools.cache
 def _threshold_orbit() -> tuple[float, ...]:
     """First-observer thresholds 1/c at the count edges n = 1, 2, ..., and one past the last.
@@ -322,14 +297,13 @@ def boundary_alpha_for_n(n_target: int) -> tuple[float, float]:
     return alpha, entanglement_entropy(alpha)
 
 
-def _lambda_grid(step: float) -> np.ndarray:
-    """Ascending grid inside (1/3, 1], anchored at 1 so the endpoint is exact."""
-    import numpy as np
-
+def _lambda_grid(step: float) -> list[float]:
+    """Ascending grid 1 - step k inside (1/3, 1], anchored at 1 so the endpoint is exact."""
     lo, hi = LAMBDA_WINDOW
     count = int(math.floor((hi - lo) / step))
-    lams = (hi - step * np.arange(count + 1))[::-1]
-    return lams[lams > lo]  # the lowest point rounds to lo or below for some steps
+    lams = [hi - step * k for k in range(count, -1, -1)]
+    # the lowest point rounds to lo or below for some steps; the next lies a step above
+    return lams if lams[0] > lo else lams[1:]
 
 
 def _log_gain(lam: float, level: int) -> float:
@@ -497,8 +471,24 @@ def n_max_over_lambda(alpha: float) -> tuple[int, list[tuple[float, float]]]:
 
 
 def equal_sharpness_curve(alpha: float, step: float = 1e-3) -> list[tuple[float, int]]:
-    """(lambda, count) over the ascending sharpness grid inside (1/3, 1]."""
+    """(lambda, count) over the ascending sharpness grid inside (1/3, 1].
+
+    A grid point's count is the number of the state's superlevel windows
+    that hold it, ends included, as for fig3's widths.
+    """
+    import bisect
+
     if not 0.0 < step < math.inf:
         raise ValueError(f"grid step must be positive and finite; got {step}")
+    windows = _superlevel_windows([alpha])[0]
     lams = _lambda_grid(step)
-    return list(zip(lams.tolist(), equal_sharpness_count(alpha, lams).tolist()))
+    # the windows nest, so the bounds ascend and the count between each
+    # adjacent pair steps from 0 up to len(windows) and back down to 0
+    starts = [bisect.bisect_left(lams, lo) for lo, _ in windows]
+    stops = [bisect.bisect_right(lams, hi) for _, hi in reversed(windows)]
+    bounds = [0] + starts + stops + [len(lams)]
+    levels = list(range(len(windows) + 1)) + list(range(len(windows) - 1, -1, -1))
+    counts = []
+    for n, start, stop in zip(levels, bounds, bounds[1:]):
+        counts += [n] * (stop - start)
+    return list(zip(lams, counts))

@@ -8,7 +8,15 @@ from hypothesis import HealthCheck, settings
 from mdiew import protocol, verify
 from mdiew.linalg import HERMITICITY_ATOL, PSD_ATOL, TRACE_ATOL
 from mdiew.protocol import FEASIBILITY_TOL, LAMBDA_WINDOW
-from mdiew.states import _LN2, ALPHA_MAX, _increasing_root, _werner_strengths, werner_alpha
+from mdiew.states import (
+    _LN2,
+    ALPHA_MAX,
+    _increasing_root,
+    _werner_strengths,
+    werner_alpha,
+    werner_strength,
+)
+from mdiew.witness import DETECTION_THRESHOLD
 
 settings.register_profile(
     "suite",
@@ -283,6 +291,29 @@ def threshold_success_count(alpha):
         # q only falls, so a failed entry stays failed while the loop runs on;
         # the clip keeps its sharpness, at least 1 - FEASIBILITY_TOL, in range
         q = protocol._decays(np.minimum(lam, 1.0)) * q
+
+
+def equal_sharpness_count(alpha, lam):
+    """Success count of the equal-sharpness policy as an array recursion (test oracle).
+
+    A scalar lam gives an int; an array of sharpness values gives an int
+    array of the same shape, each entry equal to the scalar count.  The first
+    entry outside (0, 1] raises.
+    """
+    strength = werner_strength(alpha)
+    lams = np.asarray(lam, dtype=float)
+    outside = ~((lams > 0.0) & (lams <= 1.0))
+    if outside.any():
+        raise ValueError(f"common sharpness must lie in (0, 1]; got {float(lams[outside][0])}")
+    decay = protocol._decays(lams)
+    q = np.ones_like(lams)
+    counts = np.zeros(lams.shape, dtype=int)
+    while True:
+        alive = (1.0 - lams * q * strength) / 16.0 < -DETECTION_THRESHOLD
+        if not alive.any():
+            return counts if counts.ndim else int(counts)
+        counts += alive
+        q = q * decay  # q only falls, so a failed entry stays failed
 
 
 def peak_sharpness(level):

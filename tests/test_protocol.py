@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdiew import protocol, verify
-from mdiew.cli import FIG3_DEFAULT_STEP, FIG3_E_MIN
+from mdiew.cli import FIG2_DEFAULT_STEP, FIG3_DEFAULT_STEP, FIG3_E_MIN
 from mdiew.linalg import negativity as negativity_oracle
 from mdiew.measurement import averaged_channel
 from mdiew.protocol import (
@@ -19,7 +19,6 @@ from mdiew.protocol import (
     boundary_alpha_for_n,
     delta_negativity,
     delta_negativity_at_threshold,
-    equal_sharpness_count,
     equal_sharpness_curve,
     f_of_lambda,
     n_max_over_lambda,
@@ -42,7 +41,12 @@ from mdiew.witness import (
     werner_beta,
 )
 
-from conftest import assert_bit_identical, peak_sharpness, threshold_success_count
+from conftest import (
+    assert_bit_identical,
+    equal_sharpness_count,
+    peak_sharpness,
+    threshold_success_count,
+)
 
 alphas = st.floats(0.05, ALPHA_MAX)
 lambdas_open = st.floats(0.05, 1.0)
@@ -477,6 +481,60 @@ def test_equal_sharpness_curve_stays_above_one_third(k):
 def test_equal_sharpness_curve_rejects_bad_step(step):
     with pytest.raises(ValueError, match="grid step"):
         equal_sharpness_curve(ALPHA_MAX, step)
+
+
+@pytest.mark.parametrize("entropy", [1.0, 0.935])
+def test_equal_sharpness_curve_matches_the_runner_on_the_default_grid(entropy):
+    # fig2's counts come from the windows; the runner walks the q-recursion
+    alpha = alpha_from_entanglement(entropy)
+    curve = equal_sharpness_curve(alpha, FIG2_DEFAULT_STEP)
+    assert [lam for lam, _ in curve] == protocol._lambda_grid(FIG2_DEFAULT_STEP)
+    assert [n for _, n in curve] == [run_equal_sharpness(alpha, lam).n_success
+                                     for lam, _ in curve]
+
+
+@given(alphas)
+def test_equal_sharpness_curve_matches_the_array_recursion(alpha):
+    lams, counts = zip(*equal_sharpness_curve(alpha, 1e-3))
+    assert list(counts) == equal_sharpness_count(alpha, np.array(lams)).tolist()
+
+
+def _array_lambda_grid(step):
+    """The grid as the array expression that the list grid replaced."""
+    lo, hi = LAMBDA_WINDOW
+    count = int(math.floor((hi - lo) / step))
+    lams = (hi - step * np.arange(count + 1))[::-1]
+    return lams[lams > lo]
+
+
+def test_lambda_grid_equals_the_array_grid():
+    steps = [(2.0 / 3.0) / k for k in (169, 271, 289, 338, 4925)]
+    steps += [1e-6, 0.25, FIG2_DEFAULT_STEP]
+    steps += (10.0 ** np.random.default_rng(33).uniform(-6.0, math.log10(0.25), 12)).tolist()
+    for step in steps:
+        grid = protocol._lambda_grid(step)
+        assert type(grid) is list and all(type(lam) is float for lam in grid[:3])
+        assert_bit_identical(np.array(grid), _array_lambda_grid(step).tolist())
+
+
+def test_equal_sharpness_curve_counts_points_on_window_edges(monkeypatch):
+    # nested windows whose ends are grid points, one of them a single point
+    lams = protocol._lambda_grid(0.01)
+    windows = [(lams[10], lams[-5]), (lams[20], lams[30]), (lams[25], lams[25])]
+    monkeypatch.setattr(protocol, "_superlevel_windows", lambda alphas: [windows])
+    counts = [n for _, n in equal_sharpness_curve(ALPHA_MAX, 0.01)]
+    expected = [sum(lo <= lam <= hi for lo, hi in windows) for lam in lams]
+    assert counts == expected
+    assert counts[9:11] == [0, 1] and counts[-5:-3] == [1, 0]
+    assert counts[19:21] == [1, 2] and counts[30:32] == [2, 1] and counts[24:27] == [2, 3, 2]
+
+
+def test_equal_sharpness_curve_without_windows_counts_zero():
+    alpha = alpha_from_entanglement(1e-300)
+    assert protocol._superlevel_windows([alpha]) == [[]]
+    curve = equal_sharpness_curve(alpha)
+    assert len(curve) == len(protocol._lambda_grid(1e-3))
+    assert {n for _, n in curve} == {0}
 
 
 def test_lambda_range_partitions_the_window():
