@@ -30,7 +30,6 @@ from .states import (
     _check_alphas,
     _check_lams,
     _check_qs,
-    _increasing_root,
     entanglement_entropy,
     werner_strength,
 )
@@ -257,16 +256,17 @@ def _threshold_orbit() -> tuple[float, ...]:
     Under the threshold policy an observer at threshold lam leaves the next
     one the threshold lam/f(lam), which increases in lam.  So the count is n
     or more iff n - 1 such steps from 1/c stay below 1 - FEASIBILITY_TOL, and
-    the edges form one backward orbit from 1 - FEASIBILITY_TOL, each step a
-    bracketed Newton solve of _log_gain(lam, 0) = log(previous threshold).
-    The last entry is the first below 1/c of the most entangled state: no
-    state reaches that count.
+    the edges form one backward orbit from 1 - FEASIBILITY_TOL, each step an
+    _edge solve of _log_gain(lam, 0) = log(previous threshold), started cold
+    at the previous threshold (a fresh memo holds no earlier edge).  The
+    last entry is the first below 1/c of the most entangled state: no state
+    reaches that count.
     """
     orbit = [1.0 - FEASIBILITY_TOL]
     while 1.0 / orbit[-1] <= werner_strength(ALPHA_MAX):
-        excess = functools.partial(_log_margin, 0, math.log(orbit[-1]), 1.0)
+        lam = orbit[-1]
         # lam/f(lam) < 2 lam, since f > 1/2 below lam = 1: the root lies above half
-        orbit.append(_increasing_root(excess, 0.5 * orbit[-1], orbit[-1], orbit[-1]))
+        orbit.append(_edge({}, 0, 1.0, math.log(lam), 0.5 * lam, lam, lam))
     return tuple(orbit)
 
 
@@ -317,24 +317,6 @@ def _log_gain(lam: float, level: int) -> float:
     threshold policy, when this one's is lam.
     """
     return math.log(lam) + (level - 1) * math.log(f_of_lambda(lam))
-
-
-def _log_margin(level: int, log_target: float, sign: float, lam: float) -> tuple[float, float]:
-    """sign (_log_gain(lam, level) - log_target) and its derivative in lam, for lam < 1.
-
-    The residual of one Newton edge solve, with the state and the side bound
-    first: sign 1 rises through the edge left of the peak, sign -1 right of
-    it (the slope tends to -inf at 1).  The two square roots are taken once;
-    the gain takes f_of_lambda's operations in the same order, so with
-    log_target 0 and sign 1 the value equals _log_gain bit for bit, and sign
-    -1 gives log_target - gain exactly.
-    """
-    root_a = math.sqrt((1.0 + 3.0 * lam) * (1.0 - lam))
-    root_b = math.sqrt((3.0 - 3.0 * lam) * (3.0 + lam))
-    decay = 0.5 * (1.0 + (root_a + root_b) / 4.0)
-    decay_slope = ((1.0 - 3.0 * lam) / root_a - 3.0 * (1.0 + lam) / root_b) / 8.0
-    return (sign * (math.log(lam) + (level - 1) * math.log(decay) - log_target),
-            sign * (1.0 / lam + (level - 1) * decay_slope / decay))
 
 
 # Maximizer of _log_gain over [1/3, 1] at levels 1, ..., 7, to adjacent floats
@@ -400,10 +382,18 @@ def _edge(solved: dict, level: int, sign: float, log_target: float,
     `solved` maps (level, sign) to the (log-target, edge) pairs of the
     sweep's earlier solves of this edge, and gains this one.  The solve
     starts at `start` unless their extrapolation lies strictly inside the
-    bracket.  It is _increasing_root on _log_margin(level, log_target,
-    sign, .), written out as one loop: the same operations in the same
-    order, so every iterate and the edge are theirs bit for bit, without a
-    call per evaluation.
+    bracket; a fresh dict starts it cold.
+
+    The residual is sign (_log_gain(x, level) - log_target), which rises
+    through the edge: sign 1 left of the peak, sign -1 right of it (the
+    slope tends to -inf at 1).  Its two square roots are taken once with
+    the slope, and the gain takes f_of_lambda's operations in the same
+    order.  A Newton step that leaves the bracket kept around the root, or
+    a zero slope, is replaced by bisection; the solve stops when the step
+    or the bracket falls to rounding size, the bracket where rounding noise
+    in the residual keeps the steps from shrinking further.  The tests'
+    generic callback solve, conftest.increasing_root on conftest.log_margin,
+    takes the same iterates bit for bit.
     """
     past = solved.setdefault((level, sign), [])
     guess = _edge_start(past, log_target)
@@ -474,12 +464,13 @@ def equal_sharpness_curve(alpha: float, step: float = 1e-3) -> list[tuple[float,
     """(lambda, count) over the ascending sharpness grid inside (1/3, 1].
 
     A grid point's count is the number of the state's superlevel windows
-    that hold it, ends included, as for fig3's widths.
+    that hold it, ends included, as for fig3's widths.  The grid holds
+    ~(2/3)/step floats, so `step` is floored at the CLI's 1e-6.
     """
     import bisect
 
-    if not 0.0 < step < math.inf:
-        raise ValueError(f"grid step must be positive and finite; got {step}")
+    if not 1e-6 <= step < math.inf:
+        raise ValueError(f"grid step must be finite and at least 1e-06; got {step}")
     windows = _superlevel_windows([alpha])[0]
     lams = _lambda_grid(step)
     # the windows nest, so the bounds ascend and the count between each

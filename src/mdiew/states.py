@@ -159,30 +159,6 @@ def _binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log1p(-x) / _LN2
 
 
-def _increasing_root(func, lower: float, upper: float, x: float) -> float:
-    """Root in (lower, upper] of an increasing func with func(upper) >= 0.
-
-    func(x) returns (value, slope).  Newton steps start at x in the bracket;
-    a step that leaves the bracket kept around the root, or a zero slope,
-    is replaced by bisection.  The solve stops when the step or the bracket
-    falls to rounding size; the bracket stops it where rounding noise in
-    func keeps the steps from shrinking further.
-    """
-    for _ in range(200):
-        value, slope = func(x)
-        if value < 0.0:
-            lower = x
-        else:
-            upper = x
-        step = value / slope if slope else math.inf
-        if abs(step) <= 4e-16 * x:
-            return x - step
-        if upper - lower <= 4e-16 * x:
-            return x
-        x = x - step if lower < x - step < upper else 0.5 * (lower + upper)
-    return x
-
-
 def alpha_from_entanglement(entropy: float) -> float:
     """Inverse of entanglement_entropy on (0, 1], to within a few ulps of alpha.
 
@@ -195,10 +171,12 @@ def alpha_from_entanglement(entropy: float) -> float:
     points lie above the root: sqrt(E ln 2) >= alpha and
     sqrt(2 ln 2 (1 - E)) >= y.
 
-    Each branch is _increasing_root on its residual, bracketed in
-    (0, start] and started at the top, written out as one loop: the same
-    operations in the same order, so every iterate and the root are
-    _increasing_root's bit for bit, without a call per evaluation.
+    Each branch is one Newton loop on its residual, bracketed in (0, start]
+    and started at the top: a step that leaves the bracket, or a zero
+    slope, is replaced by bisection, and the solve stops when the step or
+    the bracket falls to rounding size.  Every iterate and the root are
+    those of the tests' generic callback solve, conftest.increasing_root,
+    on the same residuals, bit for bit.
     """
     entropy = float(entropy)
     if not 0.0 < entropy <= 1.0:
@@ -250,8 +228,8 @@ def _alphas_from_entanglement(entropies) -> np.ndarray:
     defined on both branches' brackets, and a live mask records each root
     where its entry stops.  The selected slope is positive on the brackets,
     so the step needs no guard against a zero slope.  Each entry takes the
-    scalar loop's iterates, and its root is _increasing_root's on the
-    NumPy residual.
+    scalar loop's iterates, and its root is that of conftest.increasing_root
+    on the NumPy residual.
     """
     import numpy as np
 

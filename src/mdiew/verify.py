@@ -21,6 +21,7 @@ across passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -275,17 +276,19 @@ def check_threshold_protocol_count() -> CheckResult:
 def check_threshold_boundary() -> CheckResult:
     """The count-14 region starts at entanglement 0.9349 within 5e-4.
 
-    The edge is a shipped literal, so the runner must also count 14 on it
-    and 13 one float below it.
+    The count edges are shipped literals, so the runner must also count n
+    on edge n and n - 1 one float below it, for every n = 1, ..., 14; the
+    detail names the first edge where it does not.
     """
-    alpha, entropy = protocol.boundary_alpha_for_n(14)
-    counts = [protocol.run_threshold_protocol(a).n_success
-              for a in (alpha, np.nextafter(alpha, 0.0))]
-    exact = counts == [14, 13]
-    return _result("threshold_boundary_entanglement",
-                   abs(entropy - 0.9349) if exact else np.inf, 5e-4,
-                   detail=f"boundary E = {entropy:.6f}"
-                          + ("" if exact else f"; runner counts {counts} at the edge and below"))
+    _, entropy = protocol.boundary_alpha_for_n(14)
+    detail = f"boundary E = {entropy:.6f}"
+    for n, edge in enumerate(protocol._COUNT_EDGES, 1):
+        counts = [protocol.run_threshold_protocol(alpha).n_success
+                  for alpha in (edge, math.nextafter(edge, 0.0))]
+        if counts != [n, n - 1]:
+            return _result("threshold_boundary_entanglement", np.inf, 5e-4, detail=(
+                f"{detail}; runner counts {counts} at edge {n} and one float below"))
+    return _result("threshold_boundary_entanglement", abs(entropy - 0.9349), 5e-4, detail=detail)
 
 
 def check_equal_sharpness_maxima() -> CheckResult:

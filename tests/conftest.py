@@ -11,7 +11,6 @@ from mdiew.protocol import FEASIBILITY_TOL, LAMBDA_WINDOW
 from mdiew.states import (
     _LN2,
     ALPHA_MAX,
-    _increasing_root,
     _werner_strengths,
     werner_alpha,
     werner_strength,
@@ -166,8 +165,54 @@ def mp_alpha_from_entanglement(entropy):
         return mpmath.exp(mpmath.findroot(excess, (lo, hi)) / 2)
 
 
+def increasing_root(func, lower, upper, x):
+    """Root in (lower, upper] of an increasing func with func(upper) >= 0 (test oracle).
+
+    The generic callback solve that the library's Newton loops (protocol._edge
+    and the scalar and array entropy inverses) write out for their own
+    residuals, each with these iterates bit for bit.  func(x) returns
+    (value, slope).  Newton steps start at x in the bracket; a step that
+    leaves the bracket kept around the root, or a zero slope, is replaced
+    by bisection.  The solve stops when the step or the bracket falls to
+    rounding size; the bracket stops it where rounding noise in func keeps
+    the steps from shrinking further.
+    """
+    for _ in range(200):
+        value, slope = func(x)
+        if value < 0.0:
+            lower = x
+        else:
+            upper = x
+        step = value / slope if slope else math.inf
+        if abs(step) <= 4e-16 * x:
+            return x - step
+        if upper - lower <= 4e-16 * x:
+            return x
+        x = x - step if lower < x - step < upper else 0.5 * (lower + upper)
+    return x
+
+
+def log_margin(level, log_target, sign, lam):
+    """sign (protocol._log_gain(lam, level) - log_target) and its derivative in lam, for lam < 1.
+
+    The residual of one window-edge solve as a callback for increasing_root
+    (test oracle), with the state and the side bound first: sign 1 rises
+    through the edge left of the peak, sign -1 right of it (the slope tends
+    to -inf at 1).  The two square roots are taken once; the gain takes
+    f_of_lambda's operations in the same order, so with log_target 0 and
+    sign 1 the value equals _log_gain bit for bit, and sign -1 gives
+    log_target - gain exactly.
+    """
+    root_a = math.sqrt((1.0 + 3.0 * lam) * (1.0 - lam))
+    root_b = math.sqrt((3.0 - 3.0 * lam) * (3.0 + lam))
+    decay = 0.5 * (1.0 + (root_a + root_b) / 4.0)
+    decay_slope = ((1.0 - 3.0 * lam) / root_a - 3.0 * (1.0 + lam) / root_b) / 8.0
+    return (sign * (math.log(lam) + (level - 1) * math.log(decay) - log_target),
+            sign * (1.0 / lam + (level - 1) * decay_slope / decay))
+
+
 def alpha_from_entanglement_by_callbacks(entropy):
-    """states.alpha_from_entanglement as _increasing_root on each branch's residual (test oracle).
+    """states.alpha_from_entanglement as increasing_root on each branch's residual (test oracle).
 
     The residual callbacks the scalar inverse's inline loop replaced, with
     the same brackets and starts.
@@ -184,7 +229,7 @@ def alpha_from_entanglement_by_callbacks(entropy):
             root_h = math.sqrt(-2.0 * log_alpha - (1.0 - t) * (log1p_t / t if t else -1.0))
             return alpha * root_h - target, (log1p_t - 2.0 * log_alpha) / root_h
 
-        return _increasing_root(sqrt_entropy, 0.0, target, target)
+        return increasing_root(sqrt_entropy, 0.0, target, target)
     gap = 1.0 - entropy
 
     def entropy_gap(y):
@@ -192,11 +237,11 @@ def alpha_from_entanglement_by_callbacks(entropy):
         return (2.0 * y * atanh + math.log1p(-y * y)) / (2.0 * _LN2) - gap, atanh / _LN2
 
     start = math.sqrt(2.0 * _LN2 * gap)
-    return math.sqrt(0.5 * (1.0 - _increasing_root(entropy_gap, 0.0, start, start)))
+    return math.sqrt(0.5 * (1.0 - increasing_root(entropy_gap, 0.0, start, start)))
 
 
 def increasing_roots(func, upper):
-    """_increasing_root elementwise, each root bracketed in (0, upper] and started at upper (test oracle).
+    """increasing_root elementwise, each root in (0, upper] and started at upper (test oracle).
 
     func(x, index) returns (values, slopes) at the points x of the entries
     `index`.  Every entry takes the scalar solve's steps and stopping rules,
@@ -322,11 +367,11 @@ def peak_sharpness(level):
     Bisection on the sign of the decreasing slope, down to adjacent floats.
     """
     lo, hi = LAMBDA_WINDOW
-    if protocol._log_margin(level, 0.0, 1.0, lo)[1] <= 0.0:
+    if log_margin(level, 0.0, 1.0, lo)[1] <= 0.0:
         return lo
     while lo < 0.5 * (lo + hi) < hi:
         mid = 0.5 * (lo + hi)
-        if protocol._log_margin(level, 0.0, 1.0, mid)[1] > 0.0:
+        if log_margin(level, 0.0, 1.0, mid)[1] > 0.0:
             lo = mid
         else:
             hi = mid

@@ -44,6 +44,8 @@ from mdiew.witness import (
 from conftest import (
     assert_bit_identical,
     equal_sharpness_count,
+    increasing_root,
+    log_margin,
     peak_sharpness,
     threshold_success_count,
 )
@@ -283,6 +285,23 @@ def test_count_edges_match_mpmath_backward_orbit():
             == f"n_success = 14; c_15 - 3 = {float(margin):.2e}")
 
 
+def _threshold_orbit_by_callbacks():
+    """protocol._threshold_orbit as increasing_root on the level-0 log_margin
+    callback, with the brackets and cold starts of the callback solve it replaced."""
+    orbit = [1.0 - protocol.FEASIBILITY_TOL]
+    while 1.0 / orbit[-1] <= werner_strength(ALPHA_MAX):
+        excess = functools.partial(log_margin, 0, math.log(orbit[-1]), 1.0)
+        orbit.append(increasing_root(excess, 0.5 * orbit[-1], orbit[-1], orbit[-1]))
+    return tuple(orbit)
+
+
+def test_threshold_orbit_equals_the_callback_orbit():
+    # each step is _edge with a fresh memo: a cold start, so the callback's iterates
+    orbit = protocol._threshold_orbit()
+    assert orbit == _threshold_orbit_by_callbacks()
+    assert len(orbit) == 15
+
+
 def _decay_and_slope(lam):
     """f and its closed-form derivative f' on an array of sharpness values."""
     root_a = np.sqrt((1 + 3 * lam) * (1 - lam))
@@ -477,10 +496,17 @@ def test_equal_sharpness_curve_stays_above_one_third(k):
     assert [n for _, n in curve] == equal_sharpness_count(0.5, np.array(lams)).tolist()
 
 
-@pytest.mark.parametrize("step", [-0.1, 0.0, math.inf, math.nan])
+# the last two lie below the CLI's 1e-6 floor: the grid holds ~(2/3)/step
+# floats, so 1e-12 would ask for ~6.7e11 of them, and 5e-324 overflows the count
+@pytest.mark.parametrize("step", [-0.1, 0.0, math.inf, math.nan,
+                                  math.nextafter(1e-6, 0.0), 5e-324])
 def test_equal_sharpness_curve_rejects_bad_step(step):
     with pytest.raises(ValueError, match="grid step"):
         equal_sharpness_curve(ALPHA_MAX, step)
+
+
+def test_equal_sharpness_curve_takes_the_floor_step():
+    assert len(equal_sharpness_curve(ALPHA_MAX, 1e-6)) == 666667
 
 
 @pytest.mark.parametrize("entropy", [1.0, 0.935])
@@ -740,12 +766,11 @@ def _cold_windows(alpha):
             return windows
         lo, hi = LAMBDA_WINDOW
         if gain_lo <= log_target:
-            lo = protocol._increasing_root(
-                lambda lam: protocol._log_margin(level, log_target, 1.0, lam), lo, peak, lo)
+            lo = increasing_root(
+                lambda lam: log_margin(level, log_target, 1.0, lam), lo, peak, lo)
         if gain_hi <= log_target:
-            hi = protocol._increasing_root(
-                lambda lam: protocol._log_margin(level, log_target, -1.0, lam),
-                peak, hi, 0.5 * (peak + hi))
+            hi = increasing_root(
+                lambda lam: log_margin(level, log_target, -1.0, lam), peak, hi, 0.5 * (peak + hi))
         windows.append((lo, hi))
 
 
@@ -785,20 +810,20 @@ def test_window_sweep_matches_one_state_solves(name):
 
 
 def _edge_by_callback(solved, level, sign, log_target, lower, upper, start):
-    """protocol._edge as _increasing_root on the _log_margin callback (test oracle)."""
+    """protocol._edge as increasing_root on the log_margin callback (test oracle)."""
     past = solved.setdefault((level, sign), [])
     guess = protocol._edge_start(past, log_target)
     if lower < guess < upper:
         start = guess
-    edge = protocol._increasing_root(
-        functools.partial(protocol._log_margin, level, log_target, sign), lower, upper, start)
+    edge = increasing_root(
+        functools.partial(log_margin, level, log_target, sign), lower, upper, start)
     past.append((log_target, edge))
     return edge
 
 
 @pytest.mark.parametrize("name", list(SWEEP_GRIDS))
 def test_window_sweep_equals_the_callback_solves(name, monkeypatch):
-    # the inline loop takes _increasing_root's iterates, so every edge bit for bit
+    # the inline loop takes increasing_root's iterates, so every edge bit for bit
     alphas = SWEEP_GRIDS[name]
     sweep = protocol._superlevel_windows(alphas)
     monkeypatch.setattr(protocol, "_edge", _edge_by_callback)
@@ -833,10 +858,10 @@ def test_fused_log_gain_matches_two_pass_arithmetic():
     for level in range(1, 9):
         for lam in lams.tolist():
             value, slope = _two_pass_log_gain_and_slope(lam, level)
-            assert protocol._log_margin(level, 0.0, 1.0, lam) == (value, slope)
+            assert log_margin(level, 0.0, 1.0, lam) == (value, slope)
             # the residuals on the two sides of a window's peak
-            assert protocol._log_margin(level, log_target, 1.0, lam) == (value - log_target, slope)
-            assert protocol._log_margin(level, log_target, -1.0, lam) == (log_target - value, -slope)
+            assert log_margin(level, log_target, 1.0, lam) == (value - log_target, slope)
+            assert log_margin(level, log_target, -1.0, lam) == (log_target - value, -slope)
     for level in range(1, len(protocol._PEAKS) + 1):
         peak, *gains = protocol._level_profile(level)
         assert peak == peak_sharpness(level)

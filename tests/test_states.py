@@ -297,7 +297,7 @@ def test_alpha_from_entanglement_matches_mpmath_root(entropy):
 @example(math.nextafter(1.0, 0.0))
 @example(1.0)
 def test_inverse_equals_increasing_root_on_the_branch_residuals(entropy):
-    # the inline loop takes _increasing_root's iterates, so its root bit for bit
+    # the inline loop takes increasing_root's iterates, so its root bit for bit
     assert alpha_from_entanglement(entropy) == alpha_from_entanglement_by_callbacks(entropy)
 
 

@@ -351,6 +351,23 @@ def test_boundary_check_reruns_the_shipped_edge(monkeypatch, toward):
     assert not failed.passed
     assert failed.deviation == np.inf
     assert failed.detail.startswith(passed.detail + "; runner counts [")
+    assert failed.detail.endswith(" at edge 14 and one float below")
+
+
+@pytest.mark.parametrize("shift", [1e-6, -1e-6])
+@pytest.mark.parametrize("n", [7, 13])
+def test_moved_count_edge_fails_the_boundary_row(monkeypatch, n, shift):
+    # an inner edge 1e-6 off moves fig1's counts but not the count-14 entropy
+    edges = list(protocol._COUNT_EDGES)
+    edges[n - 1] += shift
+    monkeypatch.setattr(protocol, "_COUNT_EDGES", tuple(edges))
+    results = {r.name: r for r in verify.run_all()}
+    row = results["threshold_boundary_entanglement"]
+    assert not row.passed
+    assert row.deviation == np.inf
+    expected = [n, n] if shift > 0 else [n - 1, n - 1]
+    assert row.detail == (f"boundary E = 0.934841; runner counts {expected} "
+                          f"at edge {n} and one float below")
 
 
 def _claims_ledger():
