@@ -31,7 +31,6 @@ SCHEMA_VERSION = "1"
 FIG1_DEFAULT_STEP = 0.0005
 FIG2_DEFAULT_STEP = 0.001
 FIG3_DEFAULT_STEP = 0.01
-FIG3_E_MIN = 0.5
 
 _BOOL_TEXT = ("false", "true")
 
@@ -126,13 +125,9 @@ def _write_table(args: dict, columns: Sequence[str], rows: list[tuple],
 def _resolve_alpha(args: dict) -> float:
     if args["alpha"] is None and args["entanglement"] is None:
         _usage_error("one of --alpha or --entanglement is required")
-    try:
-        if args["alpha"] is not None:
-            states.werner_strength(args["alpha"])  # range check
-            return float(args["alpha"])
-        return states.alpha_from_entanglement(args["entanglement"])
-    except ValueError as err:
-        _usage_error(str(err))
+    if args["alpha"] is not None:
+        return args["alpha"]
+    return states.alpha_from_entanglement(args["entanglement"])
 
 
 def cmd_fig1(args: dict) -> int:
@@ -173,15 +168,11 @@ def cmd_fig2(args: dict, alpha: float) -> int:
 
 def cmd_fig3(args: dict) -> int:
     step = args["grid_step"] if args["grid_step"] is not None else FIG3_DEFAULT_STEP
-    count = int((1.0 - FIG3_E_MIN) / step + 1e-9)
-    entropies = [min(FIG3_E_MIN + k * step, 1.0) for k in range(count + 1)]
-    widths = protocol._range_widths([states.alpha_from_entanglement(e) for e in entropies])
-    max_n = max(map(len, widths))
+    entropies, widths = protocol._range_table(step)
     rows = [(entropy, n, width)
-            for entropy, row in zip(entropies, widths)
-            for n, width in enumerate(row + [0.0] * (max_n - len(row)), 1)]
+            for entropy, row in zip(entropies, widths) for n, width in enumerate(row, 1)]
     _write_table(args, ("e_alpha", "n", "delta_lambda_n"), rows,
-                 {"e_min": FIG3_E_MIN, "grid_step": step})
+                 {"e_min": protocol.FIG3_E_MIN, "grid_step": step})
     return 0
 
 

@@ -20,13 +20,14 @@ import functools
 import numpy as np
 
 from .linalg import _check_finite, _kron, _read_only, _two_qubit_stack
-from .states import _check_lams, bell_phi_plus, input_ensemble
+from .states import _check_lams, input_ensemble
 
 
 @functools.cache
 def bell_projector() -> np.ndarray:
     """|Phi+><Phi+|, cached and read-only: every effect and channel reads this one array."""
-    vec = bell_phi_plus()
+    vec = np.zeros(4, dtype=complex)
+    vec[0] = vec[3] = 2 ** -0.5
     return _read_only(np.outer(vec, vec.conj()))
 
 

@@ -30,6 +30,7 @@ from .states import (
     _check_alphas,
     _check_lams,
     _check_qs,
+    alpha_from_entanglement,
     entanglement_entropy,
     werner_strength,
 )
@@ -44,6 +45,9 @@ if TYPE_CHECKING:  # the array functions import NumPy where they run
 FEASIBILITY_TOL = 1e-12
 
 LAMBDA_WINDOW = (1.0 / 3.0, 1.0)
+
+# Lower end of fig3's entropy grid; the grid runs up to E = 1.
+FIG3_E_MIN = 0.5
 
 POLICY_THRESHOLD = "threshold"
 POLICY_EQUAL = "equal-sharpness"
@@ -440,14 +444,20 @@ def _edge_start(past: list[tuple[float, float]], log_target: float) -> float:
     return past[0][1] if past else math.nan
 
 
-def _range_widths(alphas) -> list[list[float]]:
-    """Per state of `alphas`, the measure of the sharpness set where the count
-    equals exactly n, for n = 1 up to the best count, from one window sweep."""
+def _range_table(step: float) -> tuple[list[float], list[list[float]]]:
+    """fig3's table: the entropy grid min(FIG3_E_MIN + k step, 1), ascending, and
+    per entropy the measure of the sharpness set where the count equals exactly
+    n, for n = 1 up to the grid's best count (zero past the state's own best),
+    from one window sweep."""
+    count = int((1.0 - FIG3_E_MIN) / step + 1e-9)
+    entropies = [min(FIG3_E_MIN + k * step, 1.0) for k in range(count + 1)]
+    sweep = _superlevel_windows([alpha_from_entanglement(e) for e in entropies])
+    top = max(map(len, sweep))
     widths = []
-    for windows in _superlevel_windows(alphas):
-        lengths = [hi - lo for lo, hi in windows] + [0.0]
-        widths.append([max(lengths[n - 1] - lengths[n], 0.0) for n in range(1, len(lengths))])
-    return widths
+    for windows in sweep:
+        lengths = [hi - lo for lo, hi in windows] + [0.0] * (top + 1 - len(windows))
+        widths.append([max(lengths[n] - lengths[n + 1], 0.0) for n in range(top)])
+    return entropies, widths
 
 
 def n_max_over_lambda(alpha: float) -> tuple[int, list[tuple[float, float]]]:
@@ -460,7 +470,7 @@ def n_max_over_lambda(alpha: float) -> tuple[int, list[tuple[float, float]]]:
     return len(windows), windows[-1:]
 
 
-def equal_sharpness_curve(alpha: float, step: float = 1e-3) -> list[tuple[float, int]]:
+def equal_sharpness_curve(alpha: float, step: float) -> list[tuple[float, int]]:
     """(lambda, count) over the ascending sharpness grid inside (1/3, 1].
 
     A grid point's count is the number of the state's superlevel windows

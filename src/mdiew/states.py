@@ -76,15 +76,6 @@ def psi_alpha(alpha: float) -> np.ndarray:
     return vec
 
 
-def bell_phi_plus() -> np.ndarray:
-    """Unit vector (|00> + |11>)/sqrt(2)."""
-    import numpy as np
-
-    vec = np.zeros(4, dtype=complex)
-    vec[0] = vec[3] = 2 ** -0.5
-    return vec
-
-
 def werner_alpha(qs, alphas) -> np.ndarray:
     """Mixing weight q on |psi(alpha)><psi(alpha)|, white noise otherwise, as a validated stack.
 

@@ -327,23 +327,16 @@ def check_range_shape() -> CheckResult:
     For the best achievable count the range shrinks as entanglement drops;
     for every smaller count it grows as entanglement drops.
     """
-    grid = np.arange(0.5, 1.0 + 1e-9, _RANGE_ENTROPY_STEP).tolist()
-    sweep = protocol._range_widths([states.alpha_from_entanglement(min(e, 1.0)) for e in grid])
-    table = {}
-    for entropy, widths in zip(grid, sweep):
-        ranges = widths + [0.0] * (7 - len(widths))
-        best = max(n for n in range(1, 8) if ranges[n - 1] > 0)
-        table[entropy] = (best, ranges)
-    keys = sorted(table)
+    _, table = protocol._range_table(_RANGE_ENTROPY_STEP)
     deviations = []
-    for n in range(1, 8):
-        for e_low, e_high in zip(keys, keys[1:]):
-            best_low, ranges_low = table[e_low]
-            best_high, ranges_high = table[e_high]
+    for low, high in zip(table, table[1:]):
+        best_low = max(n for n, width in enumerate(low, 1) if width > 0)
+        best_high = max(n for n, width in enumerate(high, 1) if width > 0)
+        for n, (width_low, width_high) in enumerate(zip(low, high), 1):
             if n >= best_low and n >= best_high:
-                deviations.append(ranges_low[n - 1] - ranges_high[n - 1])
+                deviations.append(width_low - width_high)
             if n < best_low and n < best_high:
-                deviations.append(ranges_high[n - 1] - ranges_low[n - 1])
+                deviations.append(width_high - width_low)
     return _result("sharpness_range_shape", _worst(deviations), FIG3_SLACK)
 
 

@@ -228,21 +228,11 @@ def test_criterion_08_negativity_consistency():
 
 
 def test_criterion_09_sharpness_range_shape():
-    grid = np.arange(0.5, 1.0 + 1e-9, 0.025)
-    widths = protocol._range_widths(
-        [states.alpha_from_entanglement(min(float(entropy), 1.0)) for entropy in grid])
-    table = {}
-    for entropy, row in zip(grid, widths):
-        achieved = dict(enumerate(row, 1))
-        ranges = [achieved.get(n, 0.0) for n in range(1, 8)]
-        best = max(n for n in range(1, 8) if ranges[n - 1] > 0)
-        table[float(entropy)] = (best, ranges)
-    keys = sorted(table)
+    _, widths = protocol._range_table(0.025)
+    table = [(max(n for n, width in enumerate(row, 1) if width > 0), row) for row in widths]
     slack = 1e-5  # edges are exact to the success rule; the slack is a margin
-    for n in range(1, 8):
-        for e_low, e_high in zip(keys, keys[1:]):
-            best_low, ranges_low = table[e_low]
-            best_high, ranges_high = table[e_high]
+    for (best_low, ranges_low), (best_high, ranges_high) in zip(table, table[1:]):
+        for n in range(1, len(ranges_low) + 1):
             if n >= best_low and n >= best_high:
                 # n is the best (or unachievable): range shrinks as E decreases
                 assert ranges_low[n - 1] <= ranges_high[n - 1] + slack

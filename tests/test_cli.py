@@ -579,20 +579,18 @@ def test_count_edge_table_loads_no_numpy():
 # paper result needs it.
 PUBLIC_SURFACE = {
     "__init__": set(),
-    "cli": {"FIG1_DEFAULT_STEP", "FIG2_DEFAULT_STEP", "FIG3_DEFAULT_STEP", "FIG3_E_MIN",
-            "SCHEMA_VERSION", "cmd_fig1", "cmd_fig2", "cmd_fig3", "cmd_run", "cmd_verify",
-            "main"},
+    "cli": {"FIG1_DEFAULT_STEP", "FIG2_DEFAULT_STEP", "FIG3_DEFAULT_STEP", "SCHEMA_VERSION",
+            "cmd_fig1", "cmd_fig2", "cmd_fig3", "cmd_run", "cmd_verify", "main"},
     "linalg": {"DensityOperator", "HERMITICITY_ATOL", "PAULI", "PSD_ATOL", "TRACE_ATOL",
                "check_density_matrices", "negativity", "partial_transpose"},
     "measurement": {"averaged_channel", "bell_projector"},
-    "protocol": {"BobRecord", "FEASIBILITY_TOL", "LAMBDA_WINDOW", "POLICY_EQUAL",
+    "protocol": {"BobRecord", "FEASIBILITY_TOL", "FIG3_E_MIN", "LAMBDA_WINDOW", "POLICY_EQUAL",
                  "POLICY_THRESHOLD", "ProtocolTrace", "boundary_alpha_for_n",
                  "delta_negativity", "delta_negativity_at_threshold", "equal_sharpness_curve",
                  "f_of_lambda", "n_max_over_lambda", "negativity_walpha",
                  "run_equal_sharpness", "run_threshold_protocol", "threshold_from_negativity"},
-    "states": {"ALPHA_MAX", "BLOCH_AXIS", "alpha_from_entanglement", "bell_phi_plus",
-               "entanglement_entropy", "input_ensemble", "psi_alpha", "werner_alpha",
-               "werner_strength"},
+    "states": {"ALPHA_MAX", "BLOCH_AXIS", "alpha_from_entanglement", "entanglement_entropy",
+               "input_ensemble", "psi_alpha", "werner_alpha", "werner_strength"},
     "verify": {"CHANNEL_TOL", "CheckResult", "DEFAULT_SEED", "DELTA_IDENTITY_TOL", "FIG3_SLACK",
                "NEGATIVITY_TOL", "SEPARABLE_BOUND", "WITNESS_GRID_TOL", "WITNESS_OPERATOR_TOL",
                "check_channel_closure_maximal", "check_channel_statistics",
@@ -633,7 +631,7 @@ def test_public_surface_is_pinned():
 # functions on the NumPy-free `run` and `fig3` paths.  The oracle kernels are
 # public, so none of them belongs here.
 PRIVATE_REACH_ALLOWED = {
-    "protocol._COUNT_EDGES", "protocol._range_widths", "protocol._threshold_orbit",
+    "protocol._COUNT_EDGES", "protocol._range_table", "protocol._threshold_orbit",
     "protocol._decays", "protocol._negativities_walpha", "states._alphas_from_entanglement",
 }
 

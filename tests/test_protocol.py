@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mdiew import protocol, verify
-from mdiew.cli import FIG2_DEFAULT_STEP, FIG3_DEFAULT_STEP, FIG3_E_MIN
+from mdiew.cli import FIG2_DEFAULT_STEP, FIG3_DEFAULT_STEP
 from mdiew.linalg import negativity as negativity_oracle
 from mdiew.measurement import averaged_channel
 from mdiew.protocol import (
+    FIG3_E_MIN,
     LAMBDA_WINDOW,
     POLICY_EQUAL,
     POLICY_THRESHOLD,
@@ -558,13 +559,20 @@ def test_equal_sharpness_curve_counts_points_on_window_edges(monkeypatch):
 def test_equal_sharpness_curve_without_windows_counts_zero():
     alpha = alpha_from_entanglement(1e-300)
     assert protocol._superlevel_windows([alpha]) == [[]]
-    curve = equal_sharpness_curve(alpha)
+    curve = equal_sharpness_curve(alpha, 1e-3)
     assert len(curve) == len(protocol._lambda_grid(1e-3))
     assert {n for _, n in curve} == {0}
 
 
+def range_widths_at_maximal_entanglement():
+    """fig3's row at E = 1, the top of its grid, keyed by the count n."""
+    entropies, widths = protocol._range_table(0.5)
+    assert entropies[-1] == 1.0 and alpha_from_entanglement(1.0) == ALPHA_MAX
+    return dict(enumerate(widths[-1], 1))
+
+
 def test_lambda_range_partitions_the_window():
-    table = dict(enumerate(protocol._range_widths([ALPHA_MAX])[0], 1))
+    table = range_widths_at_maximal_entanglement()
     assert set(table) == {1, 2, 3, 4, 5, 6}
     # measures of {count = n} tile (1/3, 1] together with the count-0 set
     assert sum(table.values()) <= 2 / 3 + 1e-9
@@ -573,7 +581,7 @@ def test_lambda_range_partitions_the_window():
 def test_lambda_range_covers_full_window_with_failures():
     # count >= 1 on (1/(q c), 1]; below that nothing is detected
     strength = werner_strength(ALPHA_MAX)
-    table = dict(enumerate(protocol._range_widths([ALPHA_MAX])[0], 1))
+    table = range_widths_at_maximal_entanglement()
     level_one = sum(table.values())
     expected = 1.0 - 1.0 / strength
     assert level_one == pytest.approx(expected, abs=1e-5)
@@ -583,7 +591,7 @@ def test_lambda_range_covers_full_window_with_failures():
 
 def test_two_observer_range_includes_sharp_endpoint():
     assert equal_sharpness_count(ALPHA_MAX, 1.0) == 2
-    assert dict(enumerate(protocol._range_widths([ALPHA_MAX])[0], 1)).get(2, 0.0) > 0.0
+    assert range_widths_at_maximal_entanglement()[2] > 0.0
 
 
 WINDOW_ENTROPIES = [1.0, 0.935, 0.6]

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from mdiew import verify
 from mdiew.cli import FIG1_DEFAULT_STEP
 from mdiew.linalg import PAULI, partial_transpose
+from mdiew.measurement import bell_projector
 from mdiew.states import (
     ALPHA_MAX,
     _alphas_from_entanglement,
     _werner_strengths,
     alpha_from_entanglement,
-    bell_phi_plus,
     entanglement_entropy,
     input_ensemble,
     psi_alpha,
@@ -199,18 +199,20 @@ def test_input_ensemble_is_a_read_only_stack_of_the_inputs():
 # --- Bell state ----------------------------------------------------------------
 
 def test_bell_phi_plus_overlaps():
-    phi = bell_phi_plus()
+    projector = bell_projector()
     singlet = psi_alpha(ALPHA_MAX)
-    assert abs(np.vdot(phi, phi) - 1.0) < 1e-14
-    assert abs(np.vdot(phi, singlet)) < 1e-14
+    assert abs(np.trace(projector) - 1.0) < 1e-14
+    assert np.abs(projector @ projector - projector).max() < 1e-14
+    assert abs(np.vdot(singlet, projector @ singlet)) < 1e-14
+    # |Phi+> built as (|00> + |11>)/sqrt(2), with 2 ** -0.5 squared to 0.5000000000000001
+    assert projector[0, 0] == projector[0, 3] == projector[3, 3] == (2 ** -0.5) ** 2
 
 
 @given(st.integers(0, 2**32 - 1))
 def test_bell_contraction_identity(seed):
     rng = np.random.default_rng(seed)
     x, y = random_hermitian(rng, 2), random_hermitian(rng, 2)
-    phi = bell_phi_plus()
-    lhs = np.vdot(phi, np.kron(x, y) @ phi)
+    lhs = np.trace(bell_projector() @ np.kron(x, y))
     rhs = np.trace(x @ y.T) / 2
     assert abs(lhs - rhs) < 1e-12
 

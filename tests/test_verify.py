@@ -189,6 +189,60 @@ def test_channel_noise_fails_both_channel_rows(monkeypatch):
     assert not results["channel_statistics_general_alpha"].passed
 
 
+def _patched(module, name, wrap):
+    """A fault that replaces module.name with wrap(module.name)."""
+    return lambda monkeypatch: monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+
+
+def _peak_moved(monkeypatch):
+    peaks = list(protocol._PEAKS)
+    peaks[5] = 0.34
+    monkeypatch.setattr(protocol, "_PEAKS", tuple(peaks))
+
+
+def _rows_reversed(build):
+    def reversed_rows(step):
+        entropies, widths = build(step)
+        return entropies, widths[::-1]
+    return reversed_rows
+
+
+# One fault per row that no other test breaks, and the rows each must fail.
+ROW_FAULTS = {
+    "decay_factor_up_1e-5": (
+        _patched(protocol, "f_of_lambda", lambda f: lambda lam: f(lam) * (1.0 + 1e-5)),
+        {"decay_factor_spot_values"}),
+    "threshold_loss_up_1e-9": (
+        _patched(protocol, "delta_negativity_at_threshold", lambda g: lambda n: g(n) + 1e-9),
+        {"delta_negativity_threshold_identity"}),
+    "decay_factor_halved": (
+        _patched(protocol, "f_of_lambda", lambda f: lambda lam: f(lam) * 0.5),
+        {"threshold_protocol_count", "sharp_measurement_survival"}),
+    "level_6_peak_at_0.34": (_peak_moved, {"equal_sharpness_maxima"}),
+    "input_products_reversed": (
+        _patched(witness, "input_products", lambda products: lambda: products()[::-1]),
+        {"witness_decomposition_roundtrip"}),
+    "closed_form_up_1e-11": (
+        _patched(witness, "mdi_ew_closed_form_unsharp", lambda w: lambda *args: w(*args) + 1e-11),
+        {"witness_sharp_corner"}),
+    "range_rows_reversed": (_patched(protocol, "_range_table", _rows_reversed),
+                            {"sharpness_range_shape"}),
+}
+
+
+@pytest.mark.parametrize("fault, rows", ROW_FAULTS.values(), ids=ROW_FAULTS)
+def test_fault_fails_its_row(monkeypatch, fault, rows):
+    # the level profiles are cached per process: none may outlive the fault
+    protocol._level_profile.cache_clear()
+    fault(monkeypatch)
+    try:
+        results = {r.name: r for r in verify.run_all()}
+    finally:
+        protocol._level_profile.cache_clear()
+    assert rows <= set(results)
+    assert not any(results[row].passed for row in rows)
+
+
 def test_separable_row_passes_on_seeds_0_to_199_without_eigvalsh_fallback(cholesky_failures):
     # `verify --seed` takes any seed (the oracle benchmark draws a fresh one per pass),
     # so one seed that fails is a failed pass.
