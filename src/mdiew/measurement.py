@@ -20,7 +20,7 @@ import functools
 import numpy as np
 
 from .linalg import _check_finite, _kron, _read_only, _two_qubit_stack
-from .states import _check_lams, input_ensemble
+from .states import _checked, input_ensemble
 
 
 @functools.cache
@@ -49,7 +49,7 @@ def _effects(lams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     grows like eps/sqrt(mu) (eps = float64 machine epsilon); this form keeps
     its accuracy there.
     """
-    lams = _check_lams(lams).reshape(-1)
+    lams = _checked(lams, "sharpness").reshape(-1)
     projector, identity = bell_projector(), np.eye(4)
     lams = lams[:, None, None]
 

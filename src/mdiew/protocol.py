@@ -27,9 +27,7 @@ from typing import TYPE_CHECKING
 from .states import (
     ALPHA_MAX,
     _check_alpha,
-    _check_alphas,
-    _check_lams,
-    _check_qs,
+    _checked,
     alpha_from_entanglement,
     entanglement_entropy,
     werner_strength,
@@ -107,48 +105,28 @@ def f_of_lambda(lam: float) -> float:
                          + math.sqrt((3.0 - 3.0 * lam) * (3.0 + lam))) / 4.0)
 
 
-def _decays(lams) -> np.ndarray:
-    """f_of_lambda elementwise, with the same operations in the same order.
-
-    The first entry outside [0, 1], NaN included, raises f_of_lambda's error.
-    """
-    import numpy as np
-
-    lams = _check_lams(lams)
-    return 0.5 * (1.0 + (np.sqrt((1.0 + 3.0 * lams) * (1.0 - lams))
-                         + np.sqrt((3.0 - 3.0 * lams) * (3.0 + lams))) / 4.0)
-
-
-def negativity_walpha(q: float, alpha: float) -> float:
+def negativity_walpha(q, alpha) -> float | np.ndarray:
     """Closed-form negativity max{(q c - 1)/4, 0} of the noisy pair.
 
     Evaluated as q alpha sqrt(1 - alpha^2) - (1 - q)/4, which keeps its
-    relative accuracy for tiny alpha, where q c - 1 rounds away.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must lie in [0, 1]; got {q}")
-    werner_strength(alpha)  # validates the range
-    return _negativity(q, alpha, math.sqrt(1.0 - alpha * alpha))
-
-
-def _negativity(q: float, alpha: float, root: float) -> float:
-    """negativity_walpha for a checked q and alpha, given root = sqrt(1 - alpha^2)."""
-    return max(q * alpha * root - (1.0 - q) / 4.0, 0.0)
-
-
-def _negativities_walpha(qs, alphas) -> np.ndarray:
-    """negativity_walpha elementwise over broadcast `qs` and `alphas`.
-
-    Each entry takes the scalar's operations in the same order.  Every q is
-    checked before any alpha; the first bad entry, NaN included, raises the
-    scalar's error.  The clip is Python's max(value, 0.0), which keeps
-    `value` unless 0.0 exceeds it.
+    relative accuracy for tiny alpha, where q c - 1 rounds away.  The
+    arguments broadcast, and scalars give a float.  Every q is checked
+    before any alpha; the first bad entry, NaN included, raises its error.
+    Each entry takes _negativity's operations in the same order.
     """
     import numpy as np
 
-    qs, alphas = _check_qs(qs), _check_alphas(alphas)
+    qs, alphas = _checked(q, "q"), _checked(alpha, "alpha")
     values = qs * alphas * np.sqrt(1.0 - alphas * alphas) - (1.0 - qs) / 4.0
-    return np.where(0.0 > values, 0.0, values)
+    # Python's max(value, 0.0) keeps `value` unless 0.0 exceeds it
+    values = np.where(0.0 > values, 0.0, values)
+    return values if values.ndim else float(values)
+
+
+def _negativity(q: float, alpha: float, root: float) -> float:
+    """negativity_walpha for one checked q and alpha, given root = sqrt(1 - alpha^2),
+    without NumPy: the runner's records take it."""
+    return max(q * alpha * root - (1.0 - q) / 4.0, 0.0)
 
 
 def delta_negativity(negativity, lam) -> float | np.ndarray:
@@ -158,15 +136,14 @@ def delta_negativity(negativity, lam) -> float | np.ndarray:
     full N once the measurement destroys the entanglement (clip at N).  The
     arguments broadcast, and scalars give a float.  Every negativity is
     checked before any sharpness; the first bad entry, NaN included, raises
-    its error.
+    its error.  Each f is f_of_lambda's, entry by entry.
     """
     import numpy as np
 
-    negativities = np.asarray(negativity, dtype=float)
-    outside = ~((negativities >= 0.0) & (negativities <= 0.5))
-    if outside.any():
-        raise ValueError(f"negativity must be in [0, 1/2]; got {float(negativities[outside][0])}")
-    losses = (1.0 + 4.0 * negativities) / 4.0 * (1.0 - _decays(lam))
+    negativities = _checked(negativity, "negativity")
+    lams = np.asarray(lam, dtype=float)
+    decays = np.reshape([f_of_lambda(x) for x in lams.ravel().tolist()], lams.shape)
+    losses = (1.0 + 4.0 * negativities) / 4.0 * (1.0 - decays)
     losses = np.where(negativities < losses, negativities, losses)
     return losses if losses.ndim else float(losses)
 

@@ -32,48 +32,32 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _check_alphas(alphas) -> np.ndarray:
-    """_check_alpha over an array: the first entry outside (0, 1/sqrt(2)] raises."""
+# The range of each array argument: (lower bound, upper bound, whether the
+# lower bound is excluded, the message's start).  The scalar checks next to
+# each quantity raise the same messages.
+_RANGES = {
+    "q": (0.0, 1.0, False, "q must lie in [0, 1]"),
+    "sharpness": (0.0, 1.0, False, "sharpness must lie in [0, 1]"),
+    "alpha": (0.0, ALPHA_MAX, True, "alpha must lie in (0, 1/sqrt(2)]"),
+    "negativity": (0.0, 0.5, False, "negativity must be in [0, 1/2]"),
+    "entanglement": (0.0, 1.0, True, "entanglement must lie in (0, 1]"),
+}
+
+
+def _checked(values, quantity: str) -> np.ndarray:
+    """`values` as a float array in the range of `quantity` (a key of _RANGES).
+
+    The first entry outside the range, NaN included, raises ValueError
+    naming it: NumPy's summary of a large array would hide it.
+    """
     import numpy as np
 
-    alphas = np.asarray(alphas, dtype=float)
-    outside = ~((alphas > 0.0) & (alphas <= ALPHA_MAX))
-    if outside.any():
-        raise ValueError(f"alpha must lie in (0, 1/sqrt(2)]; got {float(alphas[outside][0])}")
-    return alphas
-
-
-def _check_qs(qs) -> np.ndarray:
-    """Mixing weights as a float array; the first entry outside [0, 1] raises."""
-    import numpy as np
-
-    qs = np.asarray(qs, dtype=float)
-    outside = ~((qs >= 0.0) & (qs <= 1.0))
-    if outside.any():
-        raise ValueError(f"q must lie in [0, 1]; got {float(qs[outside][0])}")
-    return qs
-
-
-def _check_lams(lams) -> np.ndarray:
-    """Sharpness values as a float array; the first entry outside [0, 1] raises."""
-    import numpy as np
-
-    lams = np.asarray(lams, dtype=float)
-    outside = ~((lams >= 0.0) & (lams <= 1.0))
-    if outside.any():
-        raise ValueError(f"sharpness must lie in [0, 1]; got {float(lams[outside][0])}")
-    return lams
-
-
-def psi_alpha(alpha: float) -> np.ndarray:
-    """Unit vector alpha |01> - sqrt(1 - alpha^2) |10>."""
-    import numpy as np
-
-    alpha = _check_alpha(alpha)
-    vec = np.zeros(4, dtype=complex)
-    vec[1] = alpha
-    vec[2] = -math.sqrt(1.0 - alpha * alpha)
-    return vec
+    low, high, low_open, message = _RANGES[quantity]
+    values = np.asarray(values, dtype=float)
+    inside = ((values > low) if low_open else (values >= low)) & (values <= high)
+    if not inside.all():
+        raise ValueError(f"{message}; got {float(values[~inside][0])}")
+    return values
 
 
 def werner_alpha(qs, alphas) -> np.ndarray:
@@ -82,15 +66,15 @@ def werner_alpha(qs, alphas) -> np.ndarray:
     One (n, 4, 4) matrix per pair of the broadcast `qs` and `alphas`, in C
     order; scalars give a stack of one.  All q are checked before all alpha,
     and the whole stack is validated once.  Every matrix takes the one-state
-    operations: q times the outer product of psi_alpha(alpha) with its
-    conjugate, plus (1 - q)/4 I.
+    operations: q times the outer product of |psi(alpha)> with its
+    conjugate, plus (1 - q)/4 I.  At q = 1 the matrix is that projector.
     """
     import numpy as np
 
     from .linalg import check_density_matrices
 
-    qs = _check_qs(qs)
-    alphas = _check_alphas(alphas)
+    qs = _checked(qs, "q")
+    alphas = _checked(alphas, "alpha")
     qs, alphas = (np.ravel(values) for values in np.broadcast_arrays(qs, alphas))
     vecs = np.zeros((len(alphas), 4), dtype=complex)
     vecs[:, 1] = alphas
@@ -108,14 +92,6 @@ def werner_strength(alpha: float) -> float:
     """
     alpha = _check_alpha(alpha)
     return 1.0 + 4.0 * alpha * math.sqrt(1.0 - alpha * alpha)
-
-
-def _werner_strengths(alphas) -> np.ndarray:
-    """werner_strength elementwise, with the same operations in the same order."""
-    import numpy as np
-
-    alphas = _check_alphas(alphas)
-    return 1.0 + 4.0 * alphas * np.sqrt(1.0 - alphas * alphas)
 
 
 @functools.cache
@@ -224,10 +200,7 @@ def _alphas_from_entanglement(entropies) -> np.ndarray:
     """
     import numpy as np
 
-    entropies = np.asarray(entropies, dtype=float)
-    outside = ~((entropies > 0.0) & (entropies <= 1.0))
-    if outside.any():
-        raise ValueError(f"entanglement must lie in (0, 1]; got {float(entropies[outside][0])}")
+    entropies = _checked(entropies, "entanglement")
     alphas = np.full(entropies.shape, ALPHA_MAX)
     solving = entropies < 1.0
     entropies = entropies[solving]

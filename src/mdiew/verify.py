@@ -7,9 +7,11 @@ and validate their states as stacks (`states.werner_alpha`) and evaluate them
 with the literal oracle kernels (`witness.mdi_ew_numeric`,
 `witness.reduced_witness_operators`, `measurement.averaged_channel`,
 `linalg.negativity`), each output equal to a one-state, one-sharpness call's
-bit for bit.  The closed forms they compare against are taken over the whole
-grid in one call each, by functions that apply the scalar operations
-elementwise, so every deviation equals a per-point loop's.
+bit for bit.  Each closed form they compare against has one formula: f and c
+come from the runner's own scalars, `protocol.f_of_lambda` and
+`states.werner_strength`, entry by entry, so the channel rows check the f
+that `run` steps with; the negativity is `protocol.negativity_walpha`, which
+broadcasts the runner's formula.  Every deviation equals a per-point loop's.
 
 Each pass builds each literal stack once, in `run_all`: the payoff stack of
 the witness grid, whose (1, 1/sqrt(2), 1) entry the sharp-corner row reads,
@@ -158,8 +160,7 @@ def check_separable_nonnegativity(seed: int = DEFAULT_SEED) -> CheckResult:
     literal 16-dim trace on the first few, must not go below zero.
     """
     beta = witness.werner_beta()
-    singlet = states.psi_alpha(states.ALPHA_MAX)
-    singlet_projector = np.outer(singlet, singlet.conj())
+    singlet_projector = states.werner_alpha(1.0, states.ALPHA_MAX)[0]
     lams = _SEPARABLE_GRID
     operators = witness.reduced_witness_operators(lams, beta)
     matrices, payoffs = _separable_payoffs(seed, operators[_SEPARABLE_ROWS])
@@ -192,18 +193,27 @@ def _channel_outputs() -> np.ndarray:
     return measurement.averaged_channel(states.werner_alpha(qs, alphas), _CHANNEL_LAMS)
 
 
+def _channel_decays() -> np.ndarray:
+    """f at each sharpness of _CHANNEL_LAMS, from the runner's own f_of_lambda."""
+    return np.array([protocol.f_of_lambda(lam) for lam in _CHANNEL_LAMS])
+
+
 def check_channel_closure_maximal(outs: np.ndarray) -> CheckResult:
     """At alpha = 1/sqrt(2) the channel maps the family onto itself, q -> f q.
 
     `outs` is the stack of _channel_outputs; the check reads its slice at
-    alpha = 1/sqrt(2), the last entry of _CHANNEL_ALPHAS.
+    alpha = 1/sqrt(2), the last entry of _CHANNEL_ALPHAS.  A decay that
+    takes some f q out of [0, 1] fails the row, with the error as its detail.
     """
-    alpha = states.ALPHA_MAX
+    name = "channel_closure_maximal_alpha"
     maximal = outs.reshape(len(_CHANNEL_LAMS), len(_CHANNEL_QS), len(_CHANNEL_ALPHAS), 4, 4)[:, :, -1]
-    wants = states.werner_alpha(
-        (protocol._decays(_CHANNEL_LAMS)[:, None] * _CHANNEL_QS).ravel(), alpha)
+    try:
+        wants = states.werner_alpha((_channel_decays()[:, None] * _CHANNEL_QS).ravel(),
+                                    states.ALPHA_MAX)
+    except ValueError as error:
+        return _result(name, math.inf, CHANNEL_TOL, detail=str(error))
     worst = float(np.abs(maximal.reshape(-1, 4, 4) - wants).max())
-    return _result("channel_closure_maximal_alpha", worst, CHANNEL_TOL)
+    return _result(name, worst, CHANNEL_TOL)
 
 
 def check_channel_statistics(outs: np.ndarray) -> CheckResult:
@@ -212,16 +222,20 @@ def check_channel_statistics(outs: np.ndarray) -> CheckResult:
     For alpha < 1/sqrt(2) the output state itself is NOT the white-noise
     family member (the invariant noise is rho_A (x) I/2), but every witness
     statistic follows the q-recursion exactly.  `outs` is the stack of
-    _channel_outputs.
+    _channel_outputs.  A decay that takes some f q out of [0, 1] fails the
+    row, with the error as its detail.
     """
+    name = "channel_statistics_general_alpha"
     qs, alphas = _pairs(_CHANNEL_QS, _CHANNEL_ALPHAS)
     # Axes: probe, channel sharpness, (q, alpha) point.
     numeric = witness.mdi_ew_numeric(outs, witness.werner_beta(), _CHANNEL_PROBES).reshape(
         len(_CHANNEL_PROBES), len(_CHANNEL_LAMS), len(qs))
-    closed = witness.mdi_ew_closed_form_unsharp(protocol._decays(_CHANNEL_LAMS)[:, None] * qs,
-                                                alphas, np.array(_CHANNEL_PROBES)[:, None, None])
-    return _result("channel_statistics_general_alpha", _worst(np.abs(numeric - closed)),
-                   CHANNEL_TOL)
+    try:
+        closed = witness.mdi_ew_closed_form_unsharp(_channel_decays()[:, None] * qs, alphas,
+                                                    np.array(_CHANNEL_PROBES)[:, None, None])
+    except ValueError as error:
+        return _result(name, math.inf, CHANNEL_TOL, detail=str(error))
+    return _result(name, _worst(np.abs(numeric - closed)), CHANNEL_TOL)
 
 
 def check_decay_spot_values() -> CheckResult:
@@ -236,7 +250,7 @@ def check_negativity_grid() -> CheckResult:
     """Closed-form negativity vs the partial-transpose eigenvalue oracle, 20x20."""
     qs, alphas = _pairs(np.linspace(0.0, 1.0, 20), np.linspace(0.05, states.ALPHA_MAX, 20))
     oracles = linalg.negativity(states.werner_alpha(qs, alphas))
-    deviations = np.abs(protocol._negativities_walpha(qs, alphas) - oracles)
+    deviations = np.abs(protocol.negativity_walpha(qs, alphas) - oracles)
     return _result("negativity_closed_vs_oracle", _worst(deviations), NEGATIVITY_TOL)
 
 

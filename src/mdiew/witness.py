@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .states import _check_lams, _check_qs, _werner_strengths, input_ensemble, werner_strength
+from .states import _checked, input_ensemble, werner_strength
 
 if TYPE_CHECKING:  # the array functions import NumPy where they run
     import numpy as np
@@ -141,10 +141,14 @@ def mdi_ew_closed_form_unsharp(q, alpha, lam) -> float | np.ndarray:
     alpha = 1/sqrt(2) it is the sharp isotropic payoff (1 - 3q)/16.  The
     arguments broadcast, and scalars give a float.  Every q is checked, then
     every sharpness, then every alpha; the first bad entry, NaN included,
-    raises its error.
+    raises its error.  Each c is werner_strength's, entry by entry.
     """
-    qs, lams = _check_qs(q), _check_lams(lam)
-    values = (1.0 - lams * qs * _werner_strengths(alpha)) / 16.0
+    import numpy as np
+
+    qs, lams = _checked(q, "q"), _checked(lam, "sharpness")
+    alphas = np.asarray(alpha, dtype=float)
+    strengths = np.reshape([werner_strength(a) for a in alphas.ravel().tolist()], alphas.shape)
+    values = (1.0 - lams * qs * strengths) / 16.0
     return values if values.ndim else float(values)
 
 

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from mdiew import protocol, verify
+from mdiew import verify
 from mdiew.linalg import HERMITICITY_ATOL, PSD_ATOL, TRACE_ATOL
 from mdiew.protocol import FEASIBILITY_TOL, LAMBDA_WINDOW
 from mdiew.states import (
     _LN2,
     ALPHA_MAX,
-    _werner_strengths,
+    _checked,
     werner_alpha,
     werner_strength,
 )
@@ -47,6 +47,11 @@ def werner_and_random_states(rng, size):
         else:
             states.append(werner_alpha(rng.uniform(), rng.uniform(0.01, ALPHA_MAX))[0])
     return np.stack(states)
+
+
+def pure_state(alpha):
+    """The unit vector alpha |01> - sqrt(1 - alpha^2) |10> (test reference)."""
+    return np.array([0.0, alpha, -math.sqrt(1.0 - alpha * alpha), 0.0], dtype=complex)
 
 
 def random_hermitian(rng, dim):
@@ -318,13 +323,21 @@ def assert_bit_identical(array, scalars):
     assert np.array_equal(np.copysign(1.0, array), np.copysign(1.0, scalars))
 
 
+def decays(lams):
+    """f_of_lambda's formula over an array of sharpness values (test oracle)."""
+    return 0.5 * (1.0 + (np.sqrt((1.0 + 3.0 * lams) * (1.0 - lams))
+                         + np.sqrt((3.0 - 3.0 * lams) * (3.0 + lams))) / 4.0)
+
+
 def threshold_success_count(alpha):
     """Success count of the threshold-schedule policy as an array recursion (test oracle).
 
     A scalar alpha gives an int; an array of alphas gives an int array of
-    the same shape, each entry equal to the scalar count.
+    the same shape, each entry equal to the scalar count.  The first alpha
+    outside (0, 1/sqrt(2)] raises.
     """
-    strength = _werner_strengths(np.ravel(alpha))
+    alphas = _checked(np.ravel(alpha), "alpha")
+    strength = 1.0 + 4.0 * alphas * np.sqrt(1.0 - alphas * alphas)  # werner_strength's formula
     q = np.ones_like(strength)
     counts = np.zeros(strength.shape, dtype=int)
     while True:
@@ -335,7 +348,7 @@ def threshold_success_count(alpha):
         counts += alive
         # q only falls, so a failed entry stays failed while the loop runs on;
         # the clip keeps its sharpness, at least 1 - FEASIBILITY_TOL, in range
-        q = protocol._decays(np.minimum(lam, 1.0)) * q
+        q = decays(np.minimum(lam, 1.0)) * q
 
 
 def equal_sharpness_count(alpha, lam):
@@ -350,7 +363,7 @@ def equal_sharpness_count(alpha, lam):
     outside = ~((lams > 0.0) & (lams <= 1.0))
     if outside.any():
         raise ValueError(f"common sharpness must lie in (0, 1]; got {float(lams[outside][0])}")
-    decay = protocol._decays(lams)
+    decay = decays(lams)
     q = np.ones_like(lams)
     counts = np.zeros(lams.shape, dtype=int)
     while True:

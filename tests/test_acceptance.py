@@ -104,8 +104,7 @@ def _colored_noise(alpha: float) -> np.ndarray:
 
 def _sequential_state(fidelity_weight: float, q: float, alpha: float) -> np.ndarray:
     """a |psi><psi| + (q - a) rho_A (x) I/2 + (1 - q) I/4 with a = fidelity_weight."""
-    vec = states.psi_alpha(alpha)
-    return (fidelity_weight * np.outer(vec, vec.conj())
+    return (fidelity_weight * states.werner_alpha(1.0, alpha)[0]
             + (q - fidelity_weight) * _colored_noise(alpha)
             + (1 - q) / 4 * np.eye(4))
 

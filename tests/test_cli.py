@@ -590,7 +590,7 @@ PUBLIC_SURFACE = {
                  "f_of_lambda", "n_max_over_lambda", "negativity_walpha",
                  "run_equal_sharpness", "run_threshold_protocol", "threshold_from_negativity"},
     "states": {"ALPHA_MAX", "BLOCH_AXIS", "alpha_from_entanglement", "entanglement_entropy",
-               "input_ensemble", "psi_alpha", "werner_alpha", "werner_strength"},
+               "input_ensemble", "werner_alpha", "werner_strength"},
     "verify": {"CHANNEL_TOL", "CheckResult", "DEFAULT_SEED", "DELTA_IDENTITY_TOL", "FIG3_SLACK",
                "NEGATIVITY_TOL", "SEPARABLE_BOUND", "WITNESS_GRID_TOL", "WITNESS_OPERATOR_TOL",
                "check_channel_closure_maximal", "check_channel_statistics",
@@ -627,12 +627,12 @@ def test_public_surface_is_pinned():
 
 
 # The private names of other modules that the CLI and `verify` may use: the
-# protocol internals that one row checks, and the array twins of the scalar
-# functions on the NumPy-free `run` and `fig3` paths.  The oracle kernels are
-# public, so none of them belongs here.
+# protocol internals that one row checks, and fig1's array twin of the
+# entropy inverse, whose scalar form serves the NumPy-free `fig3` path.  The
+# oracle kernels are public, so none of them belongs here.
 PRIVATE_REACH_ALLOWED = {
     "protocol._COUNT_EDGES", "protocol._range_table", "protocol._threshold_orbit",
-    "protocol._decays", "protocol._negativities_walpha", "states._alphas_from_entanglement",
+    "states._alphas_from_entanglement",
 }
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mdiew.measurement import _effects, averaged_channel, bell_projector
 from mdiew.protocol import f_of_lambda
-from mdiew.states import ALPHA_MAX, input_ensemble, psi_alpha, werner_alpha
+from mdiew.states import ALPHA_MAX, input_ensemble, werner_alpha
 from mdiew.witness import mdi_ew_numeric, werner_beta
 
 from conftest import (
@@ -184,8 +184,7 @@ def test_channel_output_form_general_alpha():
     # the invariant noise is rho_A (x) I/2, which preserves Alice's marginal;
     # it coincides with white noise only at alpha = 1/sqrt(2)
     for alpha in (0.2, 0.4, 0.6):
-        vec = psi_alpha(alpha)
-        proj = np.outer(vec, vec.conj())
+        proj = werner_alpha(1.0, alpha)[0]
         rho_a = np.diag([alpha**2, 1 - alpha**2]).astype(complex)
         for lam in (0.3, 0.7, 1.0):
             for q in (0.5, 1.0):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -13,7 +14,6 @@ from mdiew.cli import FIG2_DEFAULT_STEP, FIG3_DEFAULT_STEP
 from mdiew.linalg import negativity as negativity_oracle
 from mdiew.measurement import averaged_channel
 from mdiew.protocol import (
-    FIG3_E_MIN,
     LAMBDA_WINDOW,
     POLICY_EQUAL,
     POLICY_THRESHOLD,
@@ -314,9 +314,10 @@ def test_threshold_schedule_is_optimal():
     # the closed forms are f and its derivative
     probe = np.linspace(0.05, 0.95, 19)
     decay_value, decay_slope = _decay_and_slope(probe)
-    assert np.array_equal(decay_value, protocol._decays(probe))
+    assert np.array_equal(decay_value, [f_of_lambda(lam) for lam in probe])
     step = 1e-6
-    difference = (protocol._decays(probe + step) - protocol._decays(probe - step)) / (2 * step)
+    difference = np.array([f_of_lambda(lam + step) - f_of_lambda(lam - step)
+                           for lam in probe]) / (2 * step)
     assert np.allclose(decay_slope, difference, rtol=1e-6, atol=0.0)
     # f decreases on (0, 1): a sharper successful measurement leaves less
     _, decay_slope = _decay_and_slope(np.linspace(0.0, 1.0, 1_000_001)[1:-1])
@@ -718,9 +719,12 @@ def test_peak_sharpness_does_not_depend_on_the_state():
 
 
 def fig3_alphas(step):
-    """The states of fig3's entropy grid at `step`, in the order fig3 sweeps them."""
-    count = int((1.0 - FIG3_E_MIN) / step + 1e-9)
-    return [alpha_from_entanglement(min(FIG3_E_MIN + k * step, 1.0)) for k in range(count + 1)]
+    """The states that fig3's table builder sweeps at `step`, in its order."""
+    sweep = protocol._superlevel_windows
+    with mock.patch.object(protocol, "_superlevel_windows", wraps=sweep) as recorded:
+        protocol._range_table(step)
+    (alphas,), _ = recorded.call_args
+    return alphas
 
 
 def test_window_edge_solves_stop_at_rounding_noise(monkeypatch):
@@ -1034,23 +1038,21 @@ def test_delta_at_threshold_decreases_in_negativity_increases_along_traces():
     assert all(a < b for a, b in zip(losses, losses[1:]))
 
 
-# --- array twins of the closed forms ----------------------------------------------------
+# --- broadcast closed forms -----------------------------------------------------------
 
-unit_floats = st.floats(0.0, 1.0)
-
-
-@given(st.lists(unit_floats, max_size=30))
-@example([0.0, 1.0 / 3.0, 1.0])
-def test_decay_twin_is_bit_identical_to_scalar_calls(lams):
-    assert_bit_identical(protocol._decays(lams), [f_of_lambda(lam) for lam in lams])
+def _runner_negativity(q, alpha):
+    """The negativity of the runner's records: protocol._negativity on one point."""
+    return protocol._negativity(q, alpha, math.sqrt(1.0 - alpha * alpha))
 
 
-@given(st.lists(st.tuples(unit_floats, st.floats(0.0, ALPHA_MAX, exclude_min=True)), max_size=30))
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, ALPHA_MAX, exclude_min=True)),
+                max_size=30))
 @example([(0.0, 0.3), (1.0, ALPHA_MAX), (1.0 / 3.0, ALPHA_MAX), (0.5, 1e-300)])
 def test_negativity_twin_is_bit_identical_to_scalar_calls(points):
     qs, alphas = np.array(points).reshape(-1, 2).T
-    assert_bit_identical(protocol._negativities_walpha(qs, alphas),
-                         [negativity_walpha(q, alpha) for q, alpha in points])
+    assert_bit_identical(negativity_walpha(qs, alphas),
+                         [_runner_negativity(q, alpha) for q, alpha in points])
+    assert all(type(negativity_walpha(q, alpha)) is float for q, alpha in points)
 
 
 def test_delta_negativity_gives_a_float_for_scalars():
@@ -1063,18 +1065,17 @@ def test_twins_broadcast_as_the_verify_grids_use_them():
     assert_bit_identical(delta_negativity(values[:, None], lams),
                          [[delta_negativity(value, lam) for lam in lams] for value in values])
     qs, alphas = np.linspace(0.0, 1.0, 20), np.linspace(0.05, ALPHA_MAX, 20)
-    assert_bit_identical(protocol._negativities_walpha(qs[:, None], alphas),
-                         [[negativity_walpha(q, alpha) for alpha in alphas] for q in qs])
+    assert_bit_identical(negativity_walpha(qs[:, None], alphas),
+                         [[_runner_negativity(q, alpha) for alpha in alphas] for q in qs])
 
 
 @pytest.mark.parametrize("twin, message", [
-    (protocol._decays, r"sharpness must lie in \[0, 1\]"),
-    (lambda qs: protocol._negativities_walpha(qs, 0.5), r"q must lie in \[0, 1\]"),
-    (lambda alphas: protocol._negativities_walpha(0.5, alphas),
+    (lambda qs: negativity_walpha(qs, 0.5), r"q must lie in \[0, 1\]"),
+    (lambda alphas: negativity_walpha(0.5, alphas),
      r"alpha must lie in \(0, 1/sqrt\(2\)\]"),
     (lambda values: delta_negativity(values, 0.5), r"negativity must be in \[0, 1/2\]"),
     (lambda lams: delta_negativity(0.25, lams), r"sharpness must lie in \[0, 1\]"),
-], ids=["decays", "negativities-q", "negativities-alpha", "delta-negativity", "delta-sharpness"])
+], ids=["negativities-q", "negativities-alpha", "delta-negativity", "delta-sharpness"])
 @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (1.5, "1.5")])
 def test_twins_name_their_first_bad_entry(twin, message, bad, shown):
     entries = np.linspace(0.01, 0.5, 2000)
@@ -1086,7 +1087,7 @@ def test_twins_name_their_first_bad_entry(twin, message, bad, shown):
 
 def test_twins_check_every_first_argument_before_the_second():
     with pytest.raises(ValueError, match="q must"):
-        protocol._negativities_walpha([0.5, 2.0], [0.9, 0.3])
+        negativity_walpha([0.5, 2.0], [0.9, 0.3])
     with pytest.raises(ValueError, match="negativity must"):
         delta_negativity([0.25, 0.6], [1.5, 0.5])
 

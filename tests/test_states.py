@@ -12,11 +12,9 @@ from mdiew.measurement import bell_projector
 from mdiew.states import (
     ALPHA_MAX,
     _alphas_from_entanglement,
-    _werner_strengths,
     alpha_from_entanglement,
     entanglement_entropy,
     input_ensemble,
-    psi_alpha,
     werner_alpha,
     werner_strength,
 )
@@ -27,6 +25,7 @@ from conftest import (
     assert_bit_identical,
     min_eigenvalue,
     mp_alpha_from_entanglement,
+    pure_state,
     random_hermitian,
 )
 
@@ -34,29 +33,32 @@ alphas = st.floats(0.01, ALPHA_MAX)
 qs = st.floats(0.0, 1.0)
 
 
-# --- pure state -------------------------------------------------------------
+# --- pure state: |psi(alpha)><psi(alpha)| is werner_alpha at q = 1 --------------
 
 def test_psi_alpha_maximal_is_singlet():
     singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-    assert np.abs(psi_alpha(ALPHA_MAX) - singlet).max() < 1e-15
+    assert np.abs(werner_alpha(1.0, ALPHA_MAX)[0] - np.outer(singlet, singlet)).max() < 1e-15
 
 
 def test_psi_alpha_direct_substitution():
-    vec = psi_alpha(0.5)
-    assert vec[1] == pytest.approx(0.5, abs=1e-15)
-    assert vec[2] == pytest.approx(-math.sqrt(0.75), abs=1e-15)
-    assert vec[0] == vec[3] == 0
+    # alpha |01> - sqrt(1 - alpha^2) |10> at alpha = 1/2, in the (01, 10) block
+    projector = werner_alpha(1.0, 0.5)[0]
+    block = [[0.25, -0.5 * math.sqrt(0.75)], [-0.5 * math.sqrt(0.75), 0.75]]
+    assert np.abs(projector[1:3, 1:3] - block).max() < 1e-15
+    assert np.count_nonzero(projector) == 4
 
 
 @given(alphas)
 def test_psi_alpha_unit_norm(alpha):
-    assert np.linalg.norm(psi_alpha(alpha)) == pytest.approx(1.0, abs=1e-12)
+    projector = werner_alpha(1.0, alpha)[0]
+    assert np.trace(projector).real == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(projector @ projector - projector).max() < 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.1, 0.71, 1.0])
 def test_psi_alpha_range_errors(alpha):
     with pytest.raises(ValueError, match="alpha"):
-        psi_alpha(alpha)
+        werner_alpha(1.0, alpha)
 
 
 # --- noisy family -----------------------------------------------------------
@@ -68,7 +70,7 @@ def test_werner_alpha_pure_noise_limit():
 
 def test_werner_alpha_pure_limit_is_projector():
     rho = werner_alpha(1.0, ALPHA_MAX)[0]
-    vec = psi_alpha(ALPHA_MAX)
+    vec = pure_state(ALPHA_MAX)
     assert np.abs(rho - np.outer(vec, vec.conj())).max() < 1e-15
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
 
@@ -108,8 +110,8 @@ def test_stacked_werner_builder_is_bit_identical_on_verify_grids(grid):
 
 
 def _outer_product_werner(q, alpha):
-    """Reference: the noisy pair written with np.outer and the scalar psi_alpha."""
-    vec = psi_alpha(alpha)
+    """Reference: the noisy pair written with np.outer and the scalar pure_state."""
+    vec = pure_state(alpha)
     return q * np.outer(vec, vec.conj()) + (1.0 - q) / 4.0 * np.eye(4)
 
 
@@ -135,18 +137,7 @@ def test_stacked_werner_builder_rejects_bad_parameters_with_scalar_messages():
     with pytest.raises(ValueError, match="q must"):  # every q is checked before any alpha
         werner_alpha([0.5, 2.0], [0.9, 0.3])
     with pytest.raises(ValueError, match="alpha must.*got nan"):
-        _werner_strengths([0.3, math.nan])
-
-
-def test_stacked_strength_is_bit_identical_on_the_fig1_grid():
-    count = int(1.0 / FIG1_DEFAULT_STEP)
-    grid = [alpha_from_entanglement(FIG1_DEFAULT_STEP * k) for k in range(1, count + 1)]
-    assert np.array_equal(_werner_strengths(grid), [werner_strength(alpha) for alpha in grid])
-
-
-@given(st.lists(st.floats(0.0, ALPHA_MAX, exclude_min=True), min_size=1, max_size=30))
-def test_stacked_strength_is_bit_identical_to_scalar_calls(alphas):
-    assert np.array_equal(_werner_strengths(alphas), [werner_strength(alpha) for alpha in alphas])
+        werner_alpha(0.5, [0.3, math.nan])
 
 
 def test_entangled_iff_strength_exceeds_one():
@@ -200,7 +191,7 @@ def test_input_ensemble_is_a_read_only_stack_of_the_inputs():
 
 def test_bell_phi_plus_overlaps():
     projector = bell_projector()
-    singlet = psi_alpha(ALPHA_MAX)
+    singlet = pure_state(ALPHA_MAX)
     assert abs(np.trace(projector) - 1.0) < 1e-14
     assert np.abs(projector @ projector - projector).max() < 1e-14
     assert abs(np.vdot(singlet, projector @ singlet)) < 1e-14

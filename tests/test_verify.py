@@ -209,9 +209,14 @@ def _rows_reversed(build):
 
 # One fault per row that no other test breaks, and the rows each must fail.
 ROW_FAULTS = {
+    # f(0) q leaves [0, 1]: the channel rows fail on the closed form's error
     "decay_factor_up_1e-5": (
         _patched(protocol, "f_of_lambda", lambda f: lambda lam: f(lam) * (1.0 + 1e-5)),
-        {"decay_factor_spot_values"}),
+        {"decay_factor_spot_values", "channel_closure_maximal_alpha",
+         "channel_statistics_general_alpha"}),
+    "decay_factor_down_1e-9": (
+        _patched(protocol, "f_of_lambda", lambda f: lambda lam: f(lam) * (1.0 - 1e-9)),
+        {"channel_closure_maximal_alpha", "channel_statistics_general_alpha"}),
     "threshold_loss_up_1e-9": (
         _patched(protocol, "delta_negativity_at_threshold", lambda g: lambda n: g(n) + 1e-9),
         {"delta_negativity_threshold_identity"}),
@@ -372,7 +377,7 @@ def test_one_nan_from_the_oracle_fails_the_check(monkeypatch, module, kernel, ch
 @pytest.mark.parametrize("module, closed_form, check", [
     (witness, "mdi_ew_closed_form_unsharp", _on_witness_payoffs(verify.check_witness_grid)),
     (witness, "mdi_ew_closed_form_unsharp", _on_channel_outputs(verify.check_channel_statistics)),
-    (protocol, "_negativities_walpha", verify.check_negativity_grid),
+    (protocol, "negativity_walpha", verify.check_negativity_grid),
     (protocol, "delta_negativity", verify.check_delta_negativity_monotone),
 ], ids=["witness_grid", "channel_statistics", "negativity_grid", "delta_negativity_monotone"])
 def test_one_nan_from_a_closed_form_twin_fails_the_check(monkeypatch, module, closed_form, check):

@@ -9,7 +9,6 @@ from mdiew.measurement import _effects, bell_projector
 from mdiew.states import (
     ALPHA_MAX,
     input_ensemble,
-    psi_alpha,
     werner_alpha,
     werner_strength,
 )
@@ -293,8 +292,7 @@ def test_reduced_operator_reproduces_literal_payoff(seed, lam):
 
 
 def test_reduced_operator_matches_closed_form():
-    singlet = psi_alpha(ALPHA_MAX)
-    projector = np.outer(singlet, singlet.conj())
+    projector = werner_alpha(1.0, ALPHA_MAX)[0]
     for lam in np.linspace(0.0, 1.0, 101):
         closed = (1.0 + lam) / 16.0 * np.eye(4) - lam / 4.0 * projector
         assert np.abs(reduced_witness_operators([lam], werner_beta())[0] - closed).max() <= 1e-15
@@ -447,8 +445,7 @@ def test_decompose_round_trips_werner_table():
 
 def test_decompose_witness_of_singlet_projector_gives_werner_table():
     # the 5/8 / -1/8 table decomposes exactly W = I/2 - |psi_max><psi_max|
-    vec = psi_alpha(ALPHA_MAX)
-    witness_op = np.eye(4) / 2 - np.outer(vec, vec.conj())
+    witness_op = np.eye(4) / 2 - werner_alpha(1.0, ALPHA_MAX)[0]
     recovered = decompose_witness(witness_op)
     assert np.abs(recovered.beta - werner_beta().beta).max() < 1e-10
 
