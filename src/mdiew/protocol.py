@@ -20,7 +20,6 @@ threshold therefore maximizes the count over every sharpness schedule.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -230,27 +229,6 @@ def run_equal_sharpness(alpha: float, lam: float) -> ProtocolTrace:
     return _trace(alpha, POLICY_EQUAL, _observers(alpha, lam=lam))
 
 
-@functools.cache
-def _threshold_orbit() -> tuple[float, ...]:
-    """First-observer thresholds 1/c at the count edges n = 1, 2, ..., and one past the last.
-
-    Under the threshold policy an observer at threshold lam leaves the next
-    one the threshold lam/f(lam), which increases in lam.  So the count is n
-    or more iff n - 1 such steps from 1/c stay below 1 - FEASIBILITY_TOL, and
-    the edges form one backward orbit from 1 - FEASIBILITY_TOL, each step an
-    _edge solve of _log_gain(lam, 0) = log(previous threshold), started cold
-    at the previous threshold (a fresh memo holds no earlier edge).  The
-    last entry is the first below 1/c of the most entangled state: no state
-    reaches that count.
-    """
-    orbit = [1.0 - FEASIBILITY_TOL]
-    while 1.0 / orbit[-1] <= werner_strength(ALPHA_MAX):
-        lam = orbit[-1]
-        # lam/f(lam) < 2 lam, since f > 1/2 below lam = 1: the root lies above half
-        orbit.append(_edge({}, 0, 1.0, math.log(lam), 0.5 * lam, lam, lam))
-    return tuple(orbit)
-
-
 # Smallest alpha whose threshold-policy count is n or more, for n = 1, ..., 14:
 # the first float where the runner's rule (_observers) reaches n.  State-free,
 # so shipped as literals; tests pin each by bisection down to adjacent floats.
@@ -261,6 +239,11 @@ _COUNT_EDGES = (
     0.4042498335544099, 0.4445122823605686, 0.48724615375507346,
     0.5346391382748162, 0.5923410886765756,
 )
+
+# First-observer threshold 1/c_15 that a fifteenth success would need: the step
+# of the edges' backward orbit past the last edge, out of reach as 1/c >= 1/3.
+# State-free, so shipped as a literal; tests pin it by the orbit's Newton solves.
+_UNREACHED_THRESHOLD = 0.3325051238502447
 
 
 def boundary_alpha_for_n(n_target: int) -> tuple[float, float]:
@@ -293,9 +276,7 @@ def _log_gain(lam: float, level: int) -> float:
     Observer `level` succeeds at common sharpness lam iff lam f^(level-1) c
     exceeds 1 + 16 DETECTION_THRESHOLD, i.e. iff this exceeds
     log((1 + 16 DETECTION_THRESHOLD)/c).  For level >= 1 it is concave in
-    lam, so each superlevel set is one interval.  At level 0 it is
-    log(lam/f(lam)): the log of the next observer's threshold under the
-    threshold policy, when this one's is lam.
+    lam, so each superlevel set is one interval.
     """
     return math.log(lam) + (level - 1) * math.log(f_of_lambda(lam))
 
@@ -307,18 +288,6 @@ _PEAKS = (
     1.0, 0.8674707359729112, 0.7439617302096454, 0.6570849473024226,
     0.5932635070975607, 0.5441866861378104, 0.5050630441370485,
 )
-
-
-@functools.cache
-def _level_profile(level: int) -> tuple[float, float, float, float]:
-    """(peak, gain at peak, gain at 1/3, gain at 1) of _log_gain at `level`.
-
-    All four are state-free, so each level is evaluated once per process and
-    every state only compares them against its own target.
-    """
-    peak = _PEAKS[level - 1]
-    lo, hi = LAMBDA_WINDOW
-    return peak, _log_gain(peak, level), _log_gain(lo, level), _log_gain(hi, level)
 
 
 def _superlevel_windows(alphas) -> list[list[tuple[float, float]]]:
@@ -335,6 +304,11 @@ def _superlevel_windows(alphas) -> list[list[tuple[float, float]]]:
     state's one-state edge, inside the same rounding-noise band around the
     exact root.
     """
+    lo, hi = LAMBDA_WINDOW
+    # (peak, gain at peak, gain at 1/3, gain at 1) per tabled level: state-free,
+    # so built once per sweep, and each state only compares them to its target
+    profiles = [(peak, _log_gain(peak, level), _log_gain(lo, level), _log_gain(hi, level))
+                for level, peak in enumerate(_PEAKS, 1)]
     solved: dict[tuple[int, float], list[tuple[float, float]]] = {}
     sweep = []
     for alpha in alphas:
@@ -342,7 +316,8 @@ def _superlevel_windows(alphas) -> list[list[tuple[float, float]]]:
         windows = []
         level = 1
         while True:
-            peak, gain_peak, gain_lo, gain_hi = _level_profile(level)
+            # a state that went past the table would raise here, not stop quietly
+            peak, gain_peak, gain_lo, gain_hi = profiles[level - 1]
             if gain_peak <= log_target:
                 break
             lo, hi = LAMBDA_WINDOW

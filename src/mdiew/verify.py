@@ -17,8 +17,10 @@ Each pass builds each literal stack once, in `run_all`: the payoff stack of
 the witness grid, whose (1, 1/sqrt(2), 1) entry the sharp-corner row reads,
 and the channel stack of the statistics row, whose alpha = 1/sqrt(2) slice
 the closure row reads.  The separable row scores its seeded samples with rows
-of the same 101-point W(lam) grid that it certifies.  Nothing is cached
-across passes.
+of the same 101-point W(lam) grid that it certifies.  Nothing a pass computes
+outlives it: the only process-wide caches are the read-only constants
+`states.input_ensemble()` and `measurement.bell_projector()`, and the CLI's
+argument parser.
 """
 
 from __future__ import annotations
@@ -281,10 +283,9 @@ def check_threshold_protocol_count() -> CheckResult:
     a fifteenth observer would need exceeds the largest, c(1/sqrt(2)) = 3.
     """
     count = protocol.run_threshold_protocol(states.ALPHA_MAX).n_success
-    orbit = protocol._threshold_orbit()
-    margin = 1.0 / orbit[-1] - states.werner_strength(states.ALPHA_MAX)
-    return _result("threshold_protocol_count", abs(count - 14), 0.5,
-                   detail=f"n_success = {count}; c_{len(orbit)} - 3 = {margin:.2e}")
+    margin = 1.0 / protocol._UNREACHED_THRESHOLD - states.werner_strength(states.ALPHA_MAX)
+    return _result("threshold_protocol_count", abs(count - 14), 0.5, detail=(
+        f"n_success = {count}; c_{len(protocol._COUNT_EDGES) + 1} - 3 = {margin:.2e}"))
 
 
 def check_threshold_boundary() -> CheckResult:
@@ -339,13 +340,17 @@ def check_range_shape() -> CheckResult:
     """Shape of the sharpness-range curves against the initial entanglement.
 
     For the best achievable count the range shrinks as entanglement drops;
-    for every smaller count it grows as entanglement drops.
+    for every smaller count it grows as entanglement drops.  A row with no
+    positive width has no best count and fails the check, naming its entropy.
     """
-    _, table = protocol._range_table(_RANGE_ENTROPY_STEP)
+    entropies, table = protocol._range_table(_RANGE_ENTROPY_STEP)
+    bests = [max((n for n, width in enumerate(widths, 1) if width > 0), default=0)
+             for widths in table]
+    if 0 in bests:
+        return _result("sharpness_range_shape", math.inf, FIG3_SLACK, detail=(
+            f"no count has a positive width at E = {entropies[bests.index(0)]:g}"))
     deviations = []
-    for low, high in zip(table, table[1:]):
-        best_low = max(n for n, width in enumerate(low, 1) if width > 0)
-        best_high = max(n for n, width in enumerate(high, 1) if width > 0)
+    for low, high, best_low, best_high in zip(table, table[1:], bests, bests[1:]):
         for n, (width_low, width_high) in enumerate(zip(low, high), 1):
             if n >= best_low and n >= best_high:
                 deviations.append(width_low - width_high)

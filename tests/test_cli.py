@@ -631,7 +631,7 @@ def test_public_surface_is_pinned():
 # entropy inverse, whose scalar form serves the NumPy-free `fig3` path.  The
 # oracle kernels are public, so none of them belongs here.
 PRIVATE_REACH_ALLOWED = {
-    "protocol._COUNT_EDGES", "protocol._range_table", "protocol._threshold_orbit",
+    "protocol._COUNT_EDGES", "protocol._range_table", "protocol._UNREACHED_THRESHOLD",
     "states._alphas_from_entanglement",
 }
 

@@ -264,14 +264,16 @@ def _mp_decay(lam):
 def test_count_edges_match_mpmath_backward_orbit():
     # x_1 = c and x_{k+1} = g(x_k) = x_k f(1/x_k); observer k succeeds iff
     # 1/x_k < 1 - FEASIBILITY_TOL, so count >= n iff c >= c_n with
-    # c_1 = 1/(1 - FEASIBILITY_TOL) and c_{n+1} = g^-1(c_n)
+    # c_1 = 1/(1 - FEASIBILITY_TOL) and c_{n+1} = g^-1(c_n), run up to the
+    # first entry above the largest strength, c(1/sqrt(2)) = 3
     with mpmath.workdps(50):
         orbit = [1 / (1 - mpmath.mpf(protocol.FEASIBILITY_TOL))]
-        for _ in range(14):
+        while orbit[-1] <= 3:
             target = orbit[-1]
             orbit.append(mpmath.findroot(lambda x: x * _mp_decay(1 / x) - target,
                                          (target, 2 * target), solver="anderson"))
         edges = protocol._COUNT_EDGES
+        assert len(orbit) == len(edges) + 1
         for n_target in range(2, 15):
             s = (orbit[n_target - 1] - 1) / 2
             alpha = mpmath.sqrt((1 - mpmath.sqrt(1 - s * s)) / 2)
@@ -279,16 +281,22 @@ def test_count_edges_match_mpmath_backward_orbit():
         # no fifteenth edge: c_15 exceeds the largest strength c(1/sqrt(2)) = 3
         margin = orbit[14] - 3
         assert margin == pytest.approx(7.47e-3, abs=5e-6)
+        assert abs(protocol._UNREACHED_THRESHOLD * orbit[14] - 1) < 1e-15
         assert float(margin) == pytest.approx(
-            1 / protocol._threshold_orbit()[-1] - werner_strength(ALPHA_MAX), abs=1e-13)
-    assert len(protocol._threshold_orbit()) == 15
+            1 / protocol._UNREACHED_THRESHOLD - werner_strength(ALPHA_MAX), abs=1e-13)
     assert (verify.check_threshold_protocol_count().detail
             == f"n_success = 14; c_15 - 3 = {float(margin):.2e}")
 
 
 def _threshold_orbit_by_callbacks():
-    """protocol._threshold_orbit as increasing_root on the level-0 log_margin
-    callback, with the brackets and cold starts of the callback solve it replaced."""
+    """First-observer thresholds 1/c_n at the count edges n = 1, 2, ..., and one past the last.
+
+    An observer at threshold lam leaves the next one the threshold lam/f(lam),
+    which increases in lam, so each step back solves log(lam/f(lam)) =
+    log(previous threshold): increasing_root on the level-0 log_margin,
+    started cold at the previous threshold.  lam/f(lam) < 2 lam, since
+    f > 1/2 below lam = 1, so the root lies above half of it.
+    """
     orbit = [1.0 - protocol.FEASIBILITY_TOL]
     while 1.0 / orbit[-1] <= werner_strength(ALPHA_MAX):
         excess = functools.partial(log_margin, 0, math.log(orbit[-1]), 1.0)
@@ -297,10 +305,11 @@ def _threshold_orbit_by_callbacks():
 
 
 def test_threshold_orbit_equals_the_callback_orbit():
-    # each step is _edge with a fresh memo: a cold start, so the callback's iterates
-    orbit = protocol._threshold_orbit()
-    assert orbit == _threshold_orbit_by_callbacks()
-    assert len(orbit) == 15
+    # the shipped threshold past the last edge is the orbit's last entry, bit for bit
+    orbit = _threshold_orbit_by_callbacks()
+    assert len(orbit) == len(protocol._COUNT_EDGES) + 1
+    assert orbit[-1] == protocol._UNREACHED_THRESHOLD
+    assert 1.0 / orbit[-2] <= werner_strength(ALPHA_MAX) < 1.0 / orbit[-1]
 
 
 def _decay_and_slope(lam):
@@ -773,14 +782,14 @@ def _cold_windows(alpha):
     log_target = math.log1p(16.0 * DETECTION_THRESHOLD) - math.log(werner_strength(alpha))
     windows = []
     for level in itertools.count(1):
-        peak, gain_peak, gain_lo, gain_hi = protocol._level_profile(level)
-        if gain_peak <= log_target:
+        peak = protocol._PEAKS[level - 1]
+        if protocol._log_gain(peak, level) <= log_target:
             return windows
         lo, hi = LAMBDA_WINDOW
-        if gain_lo <= log_target:
+        if protocol._log_gain(lo, level) <= log_target:
             lo = increasing_root(
                 lambda lam: log_margin(level, log_target, 1.0, lam), lo, peak, lo)
-        if gain_hi <= log_target:
+        if protocol._log_gain(hi, level) <= log_target:
             hi = increasing_root(
                 lambda lam: log_margin(level, log_target, -1.0, lam), peak, hi, 0.5 * (peak + hi))
         windows.append((lo, hi))
@@ -874,10 +883,11 @@ def test_fused_log_gain_matches_two_pass_arithmetic():
             # the residuals on the two sides of a window's peak
             assert log_margin(level, log_target, 1.0, lam) == (value - log_target, slope)
             assert log_margin(level, log_target, -1.0, lam) == (log_target - value, -slope)
-    for level in range(1, len(protocol._PEAKS) + 1):
-        peak, *gains = protocol._level_profile(level)
-        assert peak == peak_sharpness(level)
-        assert gains == [protocol._log_gain(x, level) for x in (peak, lo, hi)]
+    # the window search compares the gains at each tabled peak, 1/3 and 1;
+    # the peak's is the largest over the window
+    for level, peak in enumerate(protocol._PEAKS, 1):
+        gains = [protocol._log_gain(lam, level) for lam in lams.tolist() + [lo, hi]]
+        assert protocol._log_gain(peak, level) >= max(gains)
 
 
 def test_peak_table_equals_the_bisection_and_covers_every_state():
@@ -887,8 +897,25 @@ def test_peak_table_equals_the_bisection_and_covers_every_state():
     # below the state's target; the lowest target is the most entangled
     # state's, and the last tabled level is already there
     log_target = math.log1p(16.0 * DETECTION_THRESHOLD) - math.log(werner_strength(ALPHA_MAX))
-    assert protocol._level_profile(len(protocol._PEAKS))[1] <= log_target
-    assert protocol._level_profile(len(protocol._PEAKS) - 1)[1] > log_target
+    levels = len(protocol._PEAKS)
+    assert protocol._log_gain(protocol._PEAKS[levels - 1], levels) <= log_target
+    assert protocol._log_gain(protocol._PEAKS[levels - 2], levels - 1) > log_target
+
+
+def test_window_search_reads_the_peak_table_on_every_call(monkeypatch):
+    # no profile outlives a call: a moved peak shows on the next one
+    assert protocol.n_max_over_lambda(ALPHA_MAX)[0] == 6
+    peaks = list(protocol._PEAKS)
+    peaks[5] = 0.34
+    monkeypatch.setattr(protocol, "_PEAKS", tuple(peaks))
+    assert protocol.n_max_over_lambda(ALPHA_MAX)[0] == 5
+
+
+def test_window_search_past_the_peak_table_raises(monkeypatch):
+    # a state whose count ran past the table raises rather than stopping short
+    monkeypatch.setattr(protocol, "_PEAKS", protocol._PEAKS[:5])
+    with pytest.raises(IndexError):
+        protocol.n_max_over_lambda(ALPHA_MAX)
 
 
 @pytest.mark.parametrize("entropy", WINDOW_ENTROPIES)

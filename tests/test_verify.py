@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from mdiew import linalg, measurement, protocol, states, verify, witness
+from mdiew import cli, linalg, measurement, protocol, states, verify, witness
 from mdiew.verify import check_separable_nonnegativity
 
 
@@ -207,6 +207,13 @@ def _rows_reversed(build):
     return reversed_rows
 
 
+def _widths_zeroed(build):
+    def zero_widths(step):
+        entropies, widths = build(step)
+        return entropies, [[0.0] * len(row) for row in widths]
+    return zero_widths
+
+
 # One fault per row that no other test breaks, and the rows each must fail.
 ROW_FAULTS = {
     # f(0) q leaves [0, 1]: the channel rows fail on the closed form's error
@@ -232,20 +239,31 @@ ROW_FAULTS = {
         {"witness_sharp_corner"}),
     "range_rows_reversed": (_patched(protocol, "_range_table", _rows_reversed),
                             {"sharpness_range_shape"}),
+    # no row has a best count to compare
+    "range_widths_zero": (_patched(protocol, "_range_table", _widths_zeroed),
+                          {"sharpness_range_shape"}),
 }
 
 
 @pytest.mark.parametrize("fault, rows", ROW_FAULTS.values(), ids=ROW_FAULTS)
 def test_fault_fails_its_row(monkeypatch, fault, rows):
-    # the level profiles are cached per process: none may outlive the fault
-    protocol._level_profile.cache_clear()
     fault(monkeypatch)
-    try:
-        results = {r.name: r for r in verify.run_all()}
-    finally:
-        protocol._level_profile.cache_clear()
-    assert rows <= set(results)
-    assert not any(results[row].passed for row in rows)
+    results = verify.run_all()
+    assert len(results) == 15
+    by_name = {r.name: r for r in results}
+    assert rows <= set(by_name)
+    assert not any(by_name[row].passed for row in rows)
+
+
+def test_range_row_without_a_positive_width_fails_naming_the_entropy(monkeypatch, capsys):
+    _patched(protocol, "_range_table", _widths_zeroed)(monkeypatch)
+    row = verify.check_range_shape()
+    assert not row.passed
+    assert row.deviation == np.inf
+    assert row.detail == "no count has a positive width at E = 0.5"
+    assert cli.main(["verify"]) == 1
+    assert "sharpness_range_shape,false,inf,1e-05,no count has a positive width at E = 0.5" in (
+        capsys.readouterr().out.splitlines())
 
 
 def test_separable_row_passes_on_seeds_0_to_199_without_eigvalsh_fallback(cholesky_failures):
