@@ -16,8 +16,6 @@ Identical invocations produce byte-identical files.  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import functools
-import math
 import sys
 from typing import TYPE_CHECKING, NoReturn, Sequence
 
@@ -35,23 +33,32 @@ FIG3_DEFAULT_STEP = 0.01
 _BOOL_TEXT = ("false", "true")
 
 
+def _csv_field(text: str) -> str:
+    """`text` as one CSV field: quoted, with its quotes doubled, when it holds
+    a comma, a quote or a line break (RFC 4180)."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_lines(columns: Sequence[str], rows: list[tuple]) -> list[str]:
     """Header and rows as CSV lines: floats to 12 significant digits, bools as
-    true/false, anything else as str.
+    true/false, strings as CSV fields, anything else as str.
 
     Each column holds one type, so the first row fixes one printf-style
-    template for the table; bool columns are spelled out column by column
-    first.
+    template for the table; bool and string columns are spelled out column
+    by column first.
     """
     lines = [",".join(columns)]
     if not rows:
         return lines
     template = ",".join("%.12g" if isinstance(v, float) else "%s" for v in rows[0])
-    bools = [i for i, v in enumerate(rows[0]) if isinstance(v, bool)]
-    if bools:
+    spellers = [(i, _BOOL_TEXT.__getitem__ if isinstance(v, bool) else _csv_field)
+                for i, v in enumerate(rows[0]) if isinstance(v, (bool, str))]
+    if spellers:
         cells = list(zip(*rows))
-        for i in bools:
-            cells[i] = [_BOOL_TEXT[v] for v in cells[i]]
+        for i, spell in spellers:
+            cells[i] = map(spell, cells[i])
         rows = zip(*cells)
     lines += [template % row for row in rows]
     return lines
@@ -65,9 +72,10 @@ def _json_table(command: str, columns: Sequence[str], rows: list[tuple], params:
     plain integer: no other decimal of at most 12 digits rounds to the same
     double, so repr gives the same digits, and the two differ only by repr's
     '.0' and where each switches to an exponent (1e16 for repr, 1e12 for %g).
-    A text with an exponent, inf or nan takes json's own spelling of
-    float(text).  Ints, bools and None are written as json writes them, and
-    strings go through json's encoder.
+    A text with an exponent takes json's own spelling of float(text).  Strict
+    JSON has no inf or nan, so a non-finite float is written as null, as if
+    the payload held None there.  Ints, bools and None are written as json
+    writes them, and strings go through json's encoder.
     """
     import json
 
@@ -76,7 +84,9 @@ def _json_table(command: str, columns: Sequence[str], rows: list[tuple], params:
     def scalar(value) -> str:
         if isinstance(value, float):
             text = "%.12g" % value
-            if "e" in text or "n" in text:  # an exponent, inf or nan
+            if "n" in text:  # inf or nan
+                return "null"
+            if "e" in text:
                 return json.dumps(float(text))
             return text if "." in text else text + ".0"
         if isinstance(value, bool):
@@ -158,7 +168,8 @@ def cmd_fig1(args: dict) -> int:
     return 0
 
 
-def cmd_fig2(args: dict, alpha: float) -> int:
+def cmd_fig2(args: dict) -> int:
+    alpha = _resolve_alpha(args)
     step = args["grid_step"] if args["grid_step"] is not None else FIG2_DEFAULT_STEP
     rows = protocol.equal_sharpness_curve(alpha, step)
     _write_table(args, ("lambda", "n"), rows,
@@ -176,14 +187,14 @@ def cmd_fig3(args: dict) -> int:
     return 0
 
 
-def cmd_run(args: dict, alpha: float) -> int:
+def cmd_run(args: dict) -> int:
+    alpha = _resolve_alpha(args)
     if args["lam"] is not None:
         trace = protocol.run_equal_sharpness(alpha, args["lam"])
         params = {"alpha": alpha, "policy": trace.policy, "lambda": args["lam"]}
     else:
-        margin = args["margin"] if args["margin"] is not None else 0.0
-        trace = protocol.run_threshold_protocol(alpha, margin)
-        params = {"alpha": alpha, "policy": trace.policy, "margin": margin}
+        trace = protocol.run_threshold_protocol(alpha, args["margin"])
+        params = {"alpha": alpha, "policy": trace.policy, "margin": args["margin"]}
     rows = [(r.index, r.lam, r.q, r.witness_value, r.negativity, r.success)
             for r in trace.records]
     _write_table(args, ("i", "lambda_i", "q_i", "witness_value", "negativity", "success"),
@@ -214,7 +225,7 @@ _FORMAT = ("--format", "format", str, ("csv", "json"), "csv", None, None)
 _OUT = ("--out", "out", str, None, None, "output path (default: stdout)", None)
 _LAMBDA = ("--lambda", "lam", float, None, None,
            "common sharpness (selects the equal-sharpness policy)", "--margin")
-_MARGIN = ("--margin", "margin", float, None, None,
+_MARGIN = ("--margin", "margin", float, None, 0.0,
            "threshold-policy sharpness margin (default 0)", "--lambda")
 _SEED = ("--seed", "seed", int, None, None, None, None)
 
@@ -230,14 +241,10 @@ _FLAGS = {command: {option[0]: option for option in options}
           for command, (_, options) in _COMMANDS.items()}
 
 
-@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree of `_COMMANDS`, built on first use and shared by every later call.
-
-    Only help, usage errors and command lines the scanner declines need it, so
-    argparse is imported here.  Parsing keeps no state on the parser, so each
-    call sees a fresh namespace.
-    """
+    """The argparse tree of `_COMMANDS`, built on each call: only help, usage
+    errors and command lines the scanner declines need it, so argparse is
+    imported here."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -299,19 +306,11 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _validate(args: dict) -> None:
+    """Check --grid-step and --seed; the library's ValueErrors word every other range error."""
     step = args.get("grid_step")
     # The floor keeps a figure's grid at a few million points at most.
     if step is not None and not 1e-6 <= step <= 0.25:
         _usage_error(f"--grid-step must lie in [1e-06, 0.25]; got {step}")
-    lam = args.get("lam")
-    if lam is not None and not 0.0 < lam <= 1.0:
-        _usage_error(f"--lambda must lie in (0, 1]; got {lam}")
-    margin = args.get("margin")
-    if margin is not None and not 0.0 <= margin < math.inf:
-        _usage_error(f"--margin must be non-negative and finite; got {margin}")
-    entanglement = args.get("entanglement")
-    if entanglement is not None and not 0.0 < entanglement <= 1.0:
-        _usage_error(f"--entanglement must lie in (0, 1]; got {entanglement}")
     seed = args.get("seed")
     if seed is not None and seed < 0:
         _usage_error(f"--seed must be a non-negative integer; got {seed}")
@@ -324,23 +323,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args is None:
         args = vars(_build_parser().parse_args(argv))
     _validate(args)
-    command = args["command"]
     try:
-        if command == "fig1":
-            return cmd_fig1(args)
-        if command == "fig2":
-            return cmd_fig2(args, _resolve_alpha(args))
-        if command == "fig3":
-            return cmd_fig3(args)
-        if command == "run":
-            return cmd_run(args, _resolve_alpha(args))
-        if command == "verify":
-            return cmd_verify(args)
+        # built per call, so a cmd_* rebound on the module (say, by a profiler) is the one run
+        return {"fig1": cmd_fig1, "fig2": cmd_fig2, "fig3": cmd_fig3, "run": cmd_run,
+                "verify": cmd_verify}[args["command"]](args)
     except OSError as err:
         _usage_error(f"cannot write output: {err}")
     except ValueError as err:
         _usage_error(str(err))
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -19,8 +19,7 @@ and the channel stack of the statistics row, whose alpha = 1/sqrt(2) slice
 the closure row reads.  The separable row scores its seeded samples with rows
 of the same 101-point W(lam) grid that it certifies.  Nothing a pass computes
 outlives it: the only process-wide caches are the read-only constants
-`states.input_ensemble()` and `measurement.bell_projector()`, and the CLI's
-argument parser.
+`states.input_ensemble()` and `measurement.bell_projector()`.
 """
 
 from __future__ import annotations

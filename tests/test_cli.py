@@ -233,8 +233,11 @@ _TRICKY_FLOATS = [1.0, -0.0, 2.0, 999999999999.4, 999999999999.5, 12345678901234
 
 
 def _rounded(value):
-    """`value`, a float rounded to 12 significant digits as the JSON tables print it."""
-    return float(f"{value:.12g}") if isinstance(value, float) else value
+    """`value`, a float rounded to 12 significant digits as the JSON tables
+    print it, and None for a non-finite float, which they print as null."""
+    if not isinstance(value, float):
+        return value
+    return float(f"{value:.12g}") if math.isfinite(value) else None
 
 
 @given(st.dictionaries(st.text(), _JSON_SCALARS), st.lists(st.text()),
@@ -254,10 +257,9 @@ def test_json_writer_matches_json_dumps(params, columns, rows):
 
 
 def test_shared_parser_keeps_no_per_call_state(capsys):
-    # a usage error and an equal-sharpness run on the one parser leave no
-    # --lambda behind for the threshold run that follows; the `=` spelling
-    # sends every call through the argparse tree
-    assert cli._build_parser() is cli._build_parser()
+    # a usage error and an equal-sharpness run leave no --lambda behind for
+    # the threshold run that follows; the `=` spelling sends every call
+    # through the argparse tree
     with pytest.raises(SystemExit) as excinfo:
         cli.main(["run", "--entanglement=2"])
     assert excinfo.value.code == 2
@@ -442,13 +444,13 @@ USAGE_ERRORS = {
     ("fig2", "--alpha", "0.5", "--entanglement", "0.5"):  # mutually exclusive
         "mdiew fig2: error: argument --entanglement: not allowed with argument --alpha",
     ("fig2", "--entanglement", "1.5"):  # entanglement range
-        "mdiew: error: --entanglement must lie in (0, 1]; got 1.5",
+        "mdiew: error: entanglement must lie in (0, 1]; got 1.5",
     ("run", "--alpha", "0.5", "--lambda", "1.5"):  # sharpness range
-        "mdiew: error: --lambda must lie in (0, 1]; got 1.5",
+        "mdiew: error: common sharpness must lie in (0, 1]; got 1.5",
     ("run", "--alpha", "0.5", "--lambda", "0.5", "--margin", "0.1"):
         "mdiew run: error: argument --margin: not allowed with argument --lambda",
     ("run", "--alpha", "0.5", "--margin", "-1"):
-        "mdiew: error: --margin must be non-negative and finite; got -1.0",
+        "mdiew: error: margin must be non-negative and finite; got -1.0",
     ("fig1", "--grid-step", "0"):
         "mdiew: error: --grid-step must lie in [1e-06, 0.25]; got 0.0",
     ("fig3", "--grid-step", "9e-7"):  # a finer grid would run for minutes or exhaust memory
@@ -467,11 +469,20 @@ USAGE_ERRORS = {
     ("verify", "--grid-step", "0.1"):
         "mdiew: error: unrecognized arguments: --grid-step 0.1",
     ("run", "--entanglement", "1e-30", "--margin", "nan"):  # NaN margin
-        "mdiew: error: --margin must be non-negative and finite; got nan",
+        "mdiew: error: margin must be non-negative and finite; got nan",
     ("run", "--entanglement", "0.9", "--margin", "inf", "--format", "json"):  # infinite margin
-        "mdiew: error: --margin must be non-negative and finite; got inf",
+        "mdiew: error: margin must be non-negative and finite; got inf",
     ("verify", "--seed", "-1"):  # negative seed
         "mdiew: error: --seed must be a non-negative integer; got -1",
+    # the library's own range checks, reached through a well-formed line
+    ("run", "--alpha", "0.5", "--lambda", "0"):
+        "mdiew: error: common sharpness must lie in (0, 1]; got 0.0",
+    ("run", "--alpha", "0.5", "--lambda", "nan"):
+        "mdiew: error: common sharpness must lie in (0, 1]; got nan",
+    ("fig2", "--entanglement", "0"):
+        "mdiew: error: entanglement must lie in (0, 1]; got 0.0",
+    ("fig2", "--entanglement", "nan"):
+        "mdiew: error: entanglement must lie in (0, 1]; got nan",
 }
 
 

@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import pathlib
 import re
 
@@ -264,6 +267,31 @@ def test_range_row_without_a_positive_width_fails_naming_the_entropy(monkeypatch
     assert cli.main(["verify"]) == 1
     assert "sharpness_range_shape,false,inf,1e-05,no count has a positive width at E = 0.5" in (
         capsys.readouterr().out.splitlines())
+
+
+@pytest.mark.parametrize("fault", [None, ROW_FAULTS["decay_factor_up_1e-5"][0]],
+                         ids=["no_fault", "decay_factor_up_1e-5"])
+def test_verify_csv_reads_back_five_fields_per_line(monkeypatch, capsys, fault):
+    # details hold commas: "n_max(E=1) = 6, n_max(E=0.935) = 5" always, and
+    # "q must lie in [0, 1]; ..." on the channel rows under the fault
+    if fault is not None:
+        fault(monkeypatch)
+    results = verify.run_all()
+    cli.main(["verify"])
+    lines = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [len(line) for line in lines] == [5] * (len(results) + 1)
+    assert [line[4] for line in lines[1:]] == [r.detail for r in results]
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_verify_json_writes_an_infinite_deviation_as_null(monkeypatch, capsys):
+    ROW_FAULTS["range_widths_zero"][0](monkeypatch)
+    assert cli.main(["verify", "--format", "json"]) == 1
+    rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["rows"]
+    assert [row[1:4] for row in rows if row[0] == "sharpness_range_shape"] == [[False, None, 1e-05]]
 
 
 def test_separable_row_passes_on_seeds_0_to_199_without_eigvalsh_fallback(cholesky_failures):
