@@ -141,29 +141,8 @@ def _resolve_alpha(args: dict) -> float:
 
 
 def cmd_fig1(args: dict) -> int:
-    import bisect
-
-    import numpy as np
-
     step = args["grid_step"] if args["grid_step"] is not None else FIG1_DEFAULT_STEP
-    entropies = step * np.arange(1, int(1.0 / step) + 1)
-    entropies = entropies[entropies <= 1.0]
-    alphas = states._alphas_from_entanglement(entropies).tolist()
-    entropies = entropies.tolist()
-    # alpha rises with E far faster than its few ulps of error, so the list is
-    # ascending and count edge n first holds at row starts[n - 1]
-    edges = protocol._COUNT_EDGES
-    starts = [bisect.bisect_left(alphas, edge) for edge in edges]
-    counts = []
-    for n, (start, stop) in enumerate(zip([0] + starts, starts + [len(alphas)])):
-        counts += [n] * (stop - start)
-    rows = list(zip(alphas, entropies, counts))
-    # the exact edge of the top count, unless a grid row already sits on it
-    boundary_alpha, boundary_e = protocol.boundary_alpha_for_n(len(edges))
-    if starts[-1] == len(alphas) or alphas[starts[-1]] != boundary_alpha:
-        rows.insert(bisect.bisect_right(entropies, boundary_e),
-                    (boundary_alpha, boundary_e, len(edges)))
-    _write_table(args, ("alpha", "e_alpha", "n"), rows,
+    _write_table(args, ("alpha", "e_alpha", "n"), protocol._count_table(step),
                  {"grid_step": step})
     return 0
 

@@ -20,11 +20,13 @@ threshold therefore maximizes the count over every sharpness schedule.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import TYPE_CHECKING
 
 from .states import (
     ALPHA_MAX,
+    _alphas_from_entanglement,
     _check_alpha,
     _checked,
     alpha_from_entanglement,
@@ -412,6 +414,26 @@ def _range_table(step: float) -> tuple[list[float], list[list[float]]]:
     return entropies, widths
 
 
+def _count_table(step: float) -> list[tuple[float, float, int]]:
+    """fig1's rows (alpha, entropy, threshold-policy count) over the ascending grid
+    E = k step <= 1, plus the top count's exact edge row unless a grid row sits on it."""
+    import numpy as np
+
+    entropies = step * np.arange(1, int(1.0 / step) + 2)
+    entropies = entropies[entropies <= 1.0]
+    alphas, entropies = _alphas_from_entanglement(entropies).tolist(), entropies.tolist()
+    # alpha rises with E far faster than its few ulps of error, so the list is
+    # ascending; count >= n iff alpha >= edge n, a window open to the right
+    counts = _window_counts(alphas, [(edge, math.inf) for edge in _COUNT_EDGES])
+    rows = list(zip(alphas, entropies, counts))
+    boundary_alpha, boundary_e = boundary_alpha_for_n(len(_COUNT_EDGES))
+    top = bisect.bisect_left(alphas, boundary_alpha)
+    if alphas[top:top + 1] != [boundary_alpha]:
+        rows.insert(bisect.bisect_right(entropies, boundary_e),
+                    (boundary_alpha, boundary_e, len(_COUNT_EDGES)))
+    return rows
+
+
 def n_max_over_lambda(alpha: float) -> tuple[int, list[tuple[float, float]]]:
     """Best equal-sharpness count over the window (1/3, 1].
 
@@ -429,19 +451,21 @@ def equal_sharpness_curve(alpha: float, step: float) -> list[tuple[float, int]]:
     that hold it, ends included, as for fig3's widths.  The grid holds
     ~(2/3)/step floats, so `step` is floored at the CLI's 1e-6.
     """
-    import bisect
-
     if not 1e-6 <= step < math.inf:
         raise ValueError(f"grid step must be finite and at least 1e-06; got {step}")
-    windows = _superlevel_windows([alpha])[0]
     lams = _lambda_grid(step)
-    # the windows nest, so the bounds ascend and the count between each
-    # adjacent pair steps from 0 up to len(windows) and back down to 0
-    starts = [bisect.bisect_left(lams, lo) for lo, _ in windows]
-    stops = [bisect.bisect_right(lams, hi) for _, hi in reversed(windows)]
-    bounds = [0] + starts + stops + [len(lams)]
+    return list(zip(lams, _window_counts(lams, _superlevel_windows([alpha])[0])))
+
+
+def _window_counts(points: list[float], windows: list[tuple[float, float]]) -> list[int]:
+    """Per point of the ascending `points`, how many of the nested closed
+    `windows`, outer first, hold it."""
+    # the bounds ascend, and the count between adjacent ones climbs to len(windows) and back
+    starts = [bisect.bisect_left(points, lo) for lo, _ in windows]
+    stops = [bisect.bisect_right(points, hi) for _, hi in reversed(windows)]
+    bounds = [0] + starts + stops + [len(points)]
     levels = list(range(len(windows) + 1)) + list(range(len(windows) - 1, -1, -1))
     counts = []
     for n, start, stop in zip(levels, bounds, bounds[1:]):
         counts += [n] * (stop - start)
-    return list(zip(lams, counts))
+    return counts

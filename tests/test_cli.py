@@ -387,7 +387,7 @@ def fig1_rows_by_searchsorted(step):
     """fig1's rows with each count from np.searchsorted over the edge table
     and the boundary row placed by np.searchsorted over the entropies (test
     oracle)."""
-    entropies = step * np.arange(1, int(1.0 / step) + 1)
+    entropies = step * np.arange(1, int(1.0 / step) + 2)
     entropies = entropies[entropies <= 1.0]
     alphas = states._alphas_from_entanglement(entropies)
     edges = protocol._COUNT_EDGES
@@ -410,6 +410,15 @@ def test_fig1_bisect_counts_equal_searchsorted(step, capsys):
     rows = fig1_rows_by_searchsorted(step)
     assert capsys.readouterr().out == "\n".join(cli._csv_lines(("alpha", "e_alpha", "n"), rows)) + "\n"
     assert sum(row[2] == 14 and row[0] == protocol._COUNT_EDGES[-1] for row in rows) == 1
+
+
+# Each step's multiple round(1 / step) step is exactly 1, so the grid ends on
+# the maximally entangled state, even where int(1 / step) falls one short
+@pytest.mark.parametrize("step", [1e-5, 2e-5, 4e-5, 8e-5, 1.6e-4, 3.2e-4, 5e-4, 0.05])
+def test_fig1_ends_at_maximal_entanglement(step, capsys):
+    assert step * round(1 / step) == 1.0
+    assert cli.main(["fig1", "--grid-step", repr(step)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0.707106781187,1,14"
 
 
 def test_verify_reports_pass(tmp_path, capsys):
@@ -637,13 +646,13 @@ def test_public_surface_is_pinned():
     assert surface == PUBLIC_SURFACE
 
 
-# The private names of other modules that the CLI and `verify` may use: the
-# protocol internals that one row checks, and fig1's array twin of the
-# entropy inverse, whose scalar form serves the NumPy-free `fig3` path.  The
-# oracle kernels are public, so none of them belongs here.
-PRIVATE_REACH_ALLOWED = {
-    "protocol._COUNT_EDGES", "protocol._range_table", "protocol._UNREACHED_THRESHOLD",
-    "states._alphas_from_entanglement",
+# The private names of other modules that the CLI and `verify` use, per
+# module: the table builders of fig1 and fig3, and the protocol internals that
+# verify's rows check.  Pinned by equality, so a name a module no longer uses
+# leaves its set too.  The oracle kernels are public, so none of them belongs here.
+PRIVATE_REACH = {
+    "cli": {"protocol._count_table", "protocol._range_table"},
+    "verify": {"protocol._COUNT_EDGES", "protocol._UNREACHED_THRESHOLD", "protocol._range_table"},
 }
 
 
@@ -669,8 +678,8 @@ def test_private_reach_names_only_the_allowed_internals():
     assert _private_reach("from . import witness\nwitness._payoffs(m)\n") == {"witness._payoffs"}
     assert _private_reach("from .linalg import _kron\n") == {"linalg._kron"}
     package = pathlib.Path(mdiew.__file__).parent
-    for name in ("cli", "verify"):
-        assert _private_reach((package / f"{name}.py").read_text()) <= PRIVATE_REACH_ALLOWED
+    for name, reach in PRIVATE_REACH.items():
+        assert _private_reach((package / f"{name}.py").read_text()) == reach
 
 
 def test_unwritable_path_is_usage_error(tmp_path):

@@ -566,6 +566,24 @@ def test_equal_sharpness_curve_counts_points_on_window_edges(monkeypatch):
     assert counts[19:21] == [1, 2] and counts[30:32] == [2, 1] and counts[24:27] == [2, 3, 2]
 
 
+# Quarter steps, so points repeat and fall on window ends; an upper end may be inf,
+# as each of fig1's windows [edge n, inf) is
+_window_bounds = st.integers(-4, 12).map(lambda k: k / 4)
+
+
+@given(st.lists(_window_bounds, max_size=40),
+       st.lists(st.one_of(_window_bounds, st.just(math.inf)), max_size=14))
+@example([0.0, 1.0, 1.0, 2.0], [0.0, 1.0, 2.0, math.inf, math.inf, math.inf])
+def test_window_counts_match_the_brute_force_count(points, bounds):
+    points.sort()
+    bounds.sort()
+    # the lower half of the sorted bounds pairs with the upper half, outer window first
+    depth = len(bounds) // 2
+    windows = list(zip(bounds[:depth], bounds[::-1][:depth]))
+    assert protocol._window_counts(points, windows) == [
+        sum(lo <= p <= hi for lo, hi in windows) for p in points]
+
+
 def test_equal_sharpness_curve_without_windows_counts_zero():
     alpha = alpha_from_entanglement(1e-300)
     assert protocol._superlevel_windows([alpha]) == [[]]
