@@ -186,9 +186,8 @@ def cmd_verify(args: dict) -> int:
 
     seed = verify.DEFAULT_SEED if args["seed"] is None else args["seed"]
     results = verify.run_all(seed)
-    rows = [(r.name, r.passed, r.deviation, r.tolerance, r.detail) for r in results]
     _write_table(args, ("check", "passed", "deviation", "tolerance", "detail"),
-                 rows, {"seed": seed})
+                 results, {"seed": seed})
     return 0 if all(r.passed for r in results) else 1
 
 

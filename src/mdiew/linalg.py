@@ -51,14 +51,20 @@ class DensityOperator:
 
 
 def _two_qubit_stack(matrices, caller: str) -> np.ndarray:
-    """`matrices` as a complex array; anything but the (n, 4, 4) stack `caller` needs raises.
+    """`matrices` as a complex array; anything but the finite (n, 4, 4) stack `caller` needs raises.
 
-    The kernels would read a bare 4x4 matrix, or an 8x8 one, as some other stack.
+    The kernels would read a bare 4x4 matrix, or an 8x8 one, as some other
+    stack, and turn a NaN or infinite entry into a wrong answer without an
+    error: a zero negativity, an all-NaN channel output, a payoff that skips
+    it.  The first state with one raises ValueError naming its index.
     """
     matrices = np.asarray(matrices, dtype=complex)
     if matrices.ndim != 3 or matrices.shape[1:] != (4, 4):
         raise ValueError(f"{caller} expects an (n, 4, 4) stack of two-qubit matrices; "
                          f"got shape {matrices.shape}")
+    if not np.isfinite(matrices).all():
+        index = np.flatnonzero(~np.isfinite(matrices).all(axis=(-2, -1)))[0]
+        raise ValueError(f"state {index} of the stack has a non-finite entry")
     return matrices
 
 
@@ -109,18 +115,6 @@ def check_density_matrices(matrices: np.ndarray) -> None:
         raise ValueError(f"density operator has negative eigenvalue {float(lows[index])}" + where)
 
 
-def _check_finite(matrices: np.ndarray) -> None:
-    """Raise ValueError naming the first matrix of a stack with a NaN or infinite entry.
-
-    The kernels take stacks without validating them, so a stack can carry
-    one, and they would turn it into a wrong answer without an error: a zero
-    negativity, an all-NaN channel output, a payoff that skips it.
-    """
-    if not np.isfinite(matrices).all():
-        index = np.flatnonzero(~np.isfinite(matrices).all(axis=(-2, -1)))[0]
-        raise ValueError(f"state {index} of the stack has a non-finite entry")
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of the last two axes, broadcast over leading axes.
 
@@ -150,6 +144,5 @@ def negativity(matrices) -> np.ndarray:
     raises ValueError.
     """
     matrices = _two_qubit_stack(matrices, "negativity")
-    _check_finite(matrices)
     eigvals = np.linalg.eigvalsh(partial_transpose(matrices))
     return 0.0 - np.where(eigvals < 0, eigvals, 0.0).sum(axis=-1)

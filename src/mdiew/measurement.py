@@ -19,7 +19,7 @@ import functools
 
 import numpy as np
 
-from .linalg import _check_finite, _kron, _read_only, _two_qubit_stack
+from .linalg import _kron, _read_only, _two_qubit_stack
 from .states import _checked, input_ensemble
 
 
@@ -76,7 +76,6 @@ def averaged_channel(matrices, lams) -> np.ndarray:
     input B'.  A state with a non-finite entry raises ValueError.
     """
     matrices = _two_qubit_stack(matrices, "averaged_channel")
-    _check_finite(matrices)
     _, plus_roots, minus_roots = _effects(lams)
     # krauses[outcome, l] = I_2 (x) sqrt(E_outcome) at sharpness l, broadcast over the states.
     krauses = _kron(np.eye(2), np.stack([plus_roots, minus_roots]))[:, :, None]

@@ -213,7 +213,7 @@ def run_threshold_protocol(alpha: float, margin: float = 0.0) -> ProtocolTrace:
     the trace ends with the first infeasible observer.  The recorded payoff
     is the sharp-limit value of the state observer i receives.
     """
-    werner_strength(alpha)  # validates the range before the margin
+    _check_alpha(alpha)  # before the margin check
     if not 0.0 <= margin < math.inf:
         raise ValueError(f"margin must be non-negative and finite; got {margin}")
     return _trace(alpha, POLICY_THRESHOLD, _observers(alpha, margin))

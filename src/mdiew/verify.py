@@ -25,7 +25,7 @@ outlives it: the only process-wide caches are the read-only constants
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +60,7 @@ _CHANNEL_ALPHAS = (0.2, 0.4, states.ALPHA_MAX)
 _CHANNEL_PROBES = (0.5, 1.0)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     deviation: float

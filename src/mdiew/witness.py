@@ -84,11 +84,10 @@ def mdi_ew_numeric(matrices, beta: WitnessCoefficients, lams) -> np.ndarray:
     """
     import numpy as np
 
-    from .linalg import _check_finite, _kron, _two_qubit_stack
+    from .linalg import _kron, _two_qubit_stack
     from .measurement import _effects, bell_projector
 
     matrices = _two_qubit_stack(matrices, "mdi_ew_numeric")
-    _check_finite(matrices)
     taus = omegas = input_ensemble()
     # tr(op eta) = sum_jk op[j, k] eta[k, j]: each op transposed and flattened
     # against each eta flattened, over the support, the entries where some op

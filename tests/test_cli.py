@@ -367,8 +367,10 @@ def test_scanner_declines_what_only_argparse_may_answer(argv):
     assert cli._scan(argv) is None
 
 
-# 0.2337... puts a grid point on n = 13 within 1e-12 below the 13 -> 14 edge
-@pytest.mark.parametrize("step", ["0.0005", "0.0001", "0.00037", "0.23371020854850043"])
+# 0.00032 reaches E = 1 only at k = int(1 / step) + 1 = 3125, and 0.2337... puts a
+# grid point on n = 13 within 1e-12 below the 13 -> 14 edge
+@pytest.mark.parametrize("step", ["0.0005", "0.0001", "0.00037", "0.00032",
+                                  "0.23371020854850043"])
 def test_fig1_rows_match_the_scalar_inverse(step, capsys):
     assert cli.main(["fig1", "--grid-step", step]) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
@@ -376,7 +378,7 @@ def test_fig1_rows_match_the_scalar_inverse(step, capsys):
     boundary_alpha, boundary_e = protocol.boundary_alpha_for_n(14)
     rows.remove({"alpha": f"{boundary_alpha:.12g}", "e_alpha": f"{boundary_e:.12g}", "n": "14"})
     step = float(step)
-    entropies = [step * k for k in range(1, int(1.0 / step) + 1) if step * k <= 1.0]
+    entropies = [step * k for k in range(1, int(1.0 / step) + 2) if step * k <= 1.0]
     alphas = [states.alpha_from_entanglement(entropy) for entropy in entropies]
     counts = threshold_success_count(np.array(alphas))
     assert rows == [{"alpha": f"{alpha:.12g}", "e_alpha": f"{entropy:.12g}", "n": str(n)}

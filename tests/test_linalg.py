@@ -386,6 +386,7 @@ def test_density_checks_take_only_stacks_of_square_matrices():
 
 NON_FINITE_KERNELS = {
     "negativity": negativity,
+    "partial_transpose": partial_transpose,
     "averaged_channel": lambda matrices: averaged_channel(matrices, (0.0, 0.5)),
 }
 
@@ -394,10 +395,10 @@ NON_FINITE_KERNELS = {
                          ids=["nan", "inf", "imaginary-inf"])
 @pytest.mark.parametrize("name", NON_FINITE_KERNELS)
 def test_kernels_reject_non_finite_states(name, bad):
-    # The kernels do not validate their stacks; without their own check a
-    # NaN state reads negativity 0.0 and leaves an all-NaN channel output,
-    # with no error either way.  The payoff kernel shares the check;
-    # test_witness covers it.
+    # One helper validates every kernel's stack; without its finiteness
+    # check a NaN state reads negativity 0.0, passes through the partial
+    # transpose and leaves an all-NaN channel output, with no error.  The
+    # payoff kernel reaches the same check; test_witness covers it.
     matrices = np.stack([np.eye(4, dtype=complex) / 4] * 4)
     matrices[2, 0, 1] = bad
     matrices[3, 3, 3] = bad

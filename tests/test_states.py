@@ -307,6 +307,9 @@ def test_entropy_of_inverse_round_trips(entropy):
 # --- the array inverse takes the scalar solve's steps elementwise ------------
 
 _ARRAY_EXAMPLES = [1e-300, 0.5, math.nextafter(1.0, 0.0), 1.0]
+# fig1's default grid by _count_table's rule: E = k step for k up to int(1 / step) + 1, kept <= 1
+_FIG1_GRID = FIG1_DEFAULT_STEP * np.arange(1, int(1.0 / FIG1_DEFAULT_STEP) + 2)
+_FIG1_GRID = _FIG1_GRID[_FIG1_GRID <= 1.0]
 
 
 @given(st.lists(entropies, min_size=1, max_size=30))
@@ -329,7 +332,7 @@ def test_array_inverse_is_within_four_ulp_of_the_scalar(grid):
 @example([5e-324, 1e-300, 0.5, math.nextafter(1.0, 0.0), 1.0])
 @example([1.0, 1.0])
 @example([0.7, 0.2, 0.7, 1e-300, 0.5])
-@example((FIG1_DEFAULT_STEP * np.arange(1, int(1.0 / FIG1_DEFAULT_STEP) + 1)).tolist())
+@example(_FIG1_GRID.tolist())
 def test_array_inverse_equals_the_two_branch_solve(grid):
     # one loop over both branches, with a live mask in place of compaction,
     # takes each entry through the same NumPy operations
@@ -346,9 +349,8 @@ def test_array_inverse_matches_mpmath_root(grid):
 
 
 def test_array_inverse_on_the_fig1_grid_is_within_four_ulp_of_the_scalar():
-    grid = FIG1_DEFAULT_STEP * np.arange(1, int(1.0 / FIG1_DEFAULT_STEP) + 1)
-    scalar = np.array([alpha_from_entanglement(entropy) for entropy in grid])
-    assert np.all(np.abs(_alphas_from_entanglement(grid) - scalar) <= 4 * np.spacing(scalar))
+    scalar = np.array([alpha_from_entanglement(entropy) for entropy in _FIG1_GRID])
+    assert np.all(np.abs(_alphas_from_entanglement(_FIG1_GRID) - scalar) <= 4 * np.spacing(scalar))
 
 
 @pytest.mark.parametrize("grid, bad", [
